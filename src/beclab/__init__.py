@@ -63,12 +63,16 @@ from .asymptotics import (
     shift_estimate,
 )
 from .spectrum import (
+    EigenCertificate,
+    Eigenpairs,
     LinearizedOperator,
     SpectrumReport,
     assemble_linearized,
     assemble_operator,
+    count_below,
     lowest_eigenpairs,
     nondegeneracy_report,
+    spectrum_report,
     translation_residual,
 )
 from .energy import (

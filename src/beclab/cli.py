@@ -34,7 +34,7 @@ from .heteroclinic import (
 from .newton import NonConvergenceError
 from .profiles import solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
-from .spectrum import lowest_eigenpairs, assemble_linearized, nondegeneracy_report
+from .spectrum import assemble_linearized, lowest_eigenpairs, spectrum_report
 from .verify import run_verification
 from . import __version__
 
@@ -295,8 +295,9 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
     if cfg.lam is None:
         raise ValueError("spectrum requires --lambda")
     sol = _solve_at(cfg, cfg.lam)
-    report = nondegeneracy_report(sol, k=4)
-    pairs = lowest_eigenpairs(assemble_linearized(sol), 4)
+    op = assemble_linearized(sol)
+    pairs = lowest_eigenpairs(op, 4)
+    report = spectrum_report(sol, op, pairs)
     outdir = _outdir(cfg)
     columns = {"z": sol.grid.nodes}
     for i, (_value, (phi1, phi2)) in enumerate(pairs, start=1):

@@ -20,12 +20,19 @@ finite-difference operator. Eigenvectors returned to callers are mapped
 back to natural variables and normalized in the lumped-mass inner
 product, which is the quadrature approximation of the L^2 pairing.
 
-Eigenvalues come from LAPACK's banded symmetric solver; eigenvectors
-from shift-and-invert iteration with banded LU solves plus deflation
-against already-accepted vectors. Each pair is certified by its residual
+The low eigenpairs come from one shift-invert Lanczos solve (ARPACK via
+scipy.sparse.linalg.eigsh; Ericsson & Ruhe 1980, Lehoucq, Sorensen & Yang
+1998): S - sigma I is factored once by banded LU with the pole sigma below
+the spectrum, so the eigenvalues nearest the pole are the lowest ones.
+The Lanczos start vector is a seeded PCG64 draw, which makes the result
+deterministic. Every computed pair is certified by its residual
 ||S psi - theta psi||; the certification floor scales with eps*||S||
 because at large coupling and fine meshes ||S|| ~ 1/h^2 + lam makes an
-absolute 1e-8 residual unreachable in doubles.
+absolute 1e-8 residual unreachable in doubles. A Lanczos solve can miss an
+eigenvalue without any residual showing it, so a Sylvester inertia count
+of S - mu I (block LDL^T over the 2x2 node blocks; Parlett, The Symmetric
+Eigenvalue Problem) with mu in the gap above the returned values then
+certifies that no eigenvalue below mu was skipped.
 """
 
 from __future__ import annotations
@@ -34,26 +41,37 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .banded import BandedLU, BandedMatrix
 from .grids import Grid
 from .heteroclinic import HeteroclinicSolution
 
 __all__ = [
+    "EigenCertificate",
+    "Eigenpairs",
     "LinearizedOperator",
     "SpectrumReport",
     "assemble_operator",
     "assemble_linearized",
+    "count_below",
     "lowest_eigenpairs",
     "nondegeneracy_report",
+    "spectrum_report",
     "translation_residual",
 ]
 
-# Deterministic seed for inverse-iteration start vectors.
+# Deterministic seed for the Lanczos start vector.
 _START_SEED = 0xBEC1AB
 
 _MAX_EIGENPAIRS = 8
+
+# Shift-invert pole. The operators of interest are Hessians at energy
+# minimisers (lowest eigenvalue the near-zero translation mode), so a pole
+# at -1 sits an O(1) distance below the spectrum. An operator with
+# eigenvalues below the pole fails the inertia count instead of returning
+# the wrong pairs.
+_POLE = -1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +123,31 @@ class LinearizedOperator:
 
 
 @dataclass(frozen=True)
+class EigenCertificate:
+    """Evidence that a set of computed eigenpairs is the bottom of the
+    spectrum.
+
+    count_below eigenvalues of S lie below shift (Sylvester inertia), and
+    exactly that many computed values do; max_residual is the largest
+    ||S psi - theta psi|| over the computed pairs, each at most tolerance.
+    """
+
+    shift: float
+    count_below: int
+    max_residual: float
+    tolerance: float
+
+
+class Eigenpairs(list):
+    """List of (theta, (phi1, phi2)) pairs that also carries the
+    certificate of the solve that produced them."""
+
+    def __init__(self, pairs, certificate: EigenCertificate):
+        super().__init__(pairs)
+        self.certificate = certificate
+
+
+@dataclass(frozen=True)
 class SpectrumReport:
     lam: float
     lambda1: float
@@ -114,17 +157,27 @@ class SpectrumReport:
     essential_edge_estimate: float
     n: int
     L: float
+    inertia_shift: float
+    inertia_count: int
+    max_residual: float
 
 
 def assemble_operator(
     grid: Grid, lam: float, q1: np.ndarray, q2: np.ndarray, coupling: np.ndarray
 ) -> LinearizedOperator:
     """Build the symmetrized interior operator from nodal potential and
-    coupling samples (full-length arrays; boundary entries unused)."""
+    coupling samples (full-length arrays; boundary entries unused).
+
+    The operator keeps read-only copies of the interior samples; the
+    caller's arrays are not modified."""
     n = grid.n
+    interior = {}
     for name, arr in (("q1", q1), ("q2", q2), ("coupling", coupling)):
-        if np.asarray(arr).shape != (n,):
+        a = np.asarray(arr, dtype=float)
+        if a.shape != (n,):
             raise ValueError(f"{name} must be a full nodal array of length {n}")
+        interior[name] = a[1:-1].copy()
+        interior[name].flags.writeable = False
     x = grid.nodes
     hm = x[1:-1] - x[:-2]
     hp = x[2:] - x[1:-1]
@@ -138,27 +191,16 @@ def assemble_operator(
     data, bw = mat.data, 2
     rows1 = np.arange(0, 2 * m, 2)
     rows2 = rows1 + 1
-    data[bw, rows1] = diag_fd + q1[1:-1]
-    data[bw, rows2] = diag_fd + q2[1:-1]
-    c = coupling[1:-1]
+    data[bw, rows1] = diag_fd + interior["q1"]
+    data[bw, rows2] = diag_fd + interior["q2"]
+    c = interior["coupling"]
     data[bw - 1, rows1 + 1] = c
     data[bw + 1, rows2 - 1] = c
     data[bw - 2, rows1[:-1] + 2] = off_fd
     data[bw + 2, rows1[1:] - 2] = off_fd
     data[bw - 2, rows2[:-1] + 2] = off_fd
     data[bw + 2, rows2[1:] - 2] = off_fd
-    for arr in (q1, q2, coupling):
-        a = np.asarray(arr)
-        a.flags.writeable = False
-    return LinearizedOperator(
-        lam=lam,
-        grid=grid,
-        matrix=mat,
-        weights=w,
-        q1=np.asarray(q1)[1:-1],
-        q2=np.asarray(q2)[1:-1],
-        coupling=np.asarray(coupling)[1:-1],
-    )
+    return LinearizedOperator(lam=lam, grid=grid, matrix=mat, weights=w, **interior)
 
 
 def assemble_linearized(sol: HeteroclinicSolution) -> LinearizedOperator:
@@ -189,82 +231,122 @@ def residual_tolerance(op: LinearizedOperator) -> float:
     return max(1e-8, 64.0 * np.finfo(float).eps * _norm_inf(op.matrix))
 
 
-def lowest_eigenpairs(op: LinearizedOperator, k: int):
+def count_below(op: LinearizedOperator, mu: float) -> int:
+    """Number of eigenvalues of the symmetrized operator below mu.
+
+    Sylvester's law of inertia on the block LDL^T factorisation of
+    S - mu I over the 2x2 node blocks A_k: the blocks between neighbouring
+    nodes are o_k I, so the pivots obey D_k = A_k - mu I - o_{k-1}^2
+    D_{k-1}^{-1}, and each D_k contributes its negative eigenvalues (one
+    when det D_k < 0, two when det D_k > 0 > trace D_k). A singular pivot
+    means mu is (numerically) an eigenvalue and raises.
+    """
+    data, bw = op.matrix.data, op.matrix.bandwidth
+    a = (data[bw, 0::2] - mu).tolist()
+    d = (data[bw, 1::2] - mu).tolist()
+    b = data[bw - 1, 1::2].tolist()
+    o2 = (data[bw - 2, 2::2] ** 2).tolist()
+    count = 0
+    p, q, r = a[0], b[0], d[0]
+    for k in range(len(a)):
+        if k:
+            s = o2[k - 1] / det
+            p, q, r = a[k] - s * r, b[k] + s * q, d[k] - s * p
+        det = p * r - q * q
+        if det == 0.0 or not math.isfinite(det):
+            raise ArithmeticError(
+                f"singular pivot at node {k} in the inertia count of S - {mu!r} I"
+            )
+        if det < 0.0:
+            count += 1
+        elif p + r < 0.0:
+            count += 2
+    return count
+
+
+def lowest_eigenpairs(op: LinearizedOperator, k: int) -> Eigenpairs:
     """k smallest eigenpairs of the symmetrized operator.
 
-    Eigenvalues from the banded symmetric solver; eigenvectors by
-    shift-and-invert iteration (banded LU) with deflation, certified by
-    ||S psi - theta psi|| <= residual_tolerance(op). Returned eigenvectors
-    are natural-variable full-length component pairs (phi1, phi2) with
-    zero boundary entries, normalized in the lumped-mass inner product,
-    sign-fixed so the largest-magnitude entry is positive.
+    One shift-invert Lanczos solve for k + 1 pairs about a pole below the
+    spectrum (one banded LU of S - sigma I, seeded start vector), then two
+    certificates, either of which raises RuntimeError when it fails:
+
+    - every computed pair has ||S psi - theta psi|| <= residual_tolerance(op),
+      with theta the Rayleigh quotient;
+    - a Sylvester inertia count of S - mu I, mu in the gap above theta_k,
+      finds exactly as many eigenvalues below mu as were computed. When
+      theta_{k+1} - theta_k is within the residual tolerance the two form a
+      cluster and mu is placed above theta_{k+1} instead.
+
+    Returned eigenvectors are natural-variable full-length component pairs
+    (phi1, phi2) with zero boundary entries, normalized in the lumped-mass
+    inner product, sign-fixed so the largest-magnitude entry is positive.
+    The list carries the EigenCertificate as `.certificate`.
     """
     if not 1 <= k <= _MAX_EIGENPAIRS:
         raise ValueError(f"need 1 <= k <= {_MAX_EIGENPAIRS}, got {k}")
     dim = op.dim
-    if k >= dim:
+    if k + 2 > dim:
         raise ValueError(f"operator dimension {dim} too small for k={k}")
-    bw = op.matrix.bandwidth
-    upper = op.matrix.data[: bw + 1]
-    vals = sla.eigvals_banded(upper, lower=False, select="i", select_range=(0, k - 1))
-    vals = np.asarray(vals, dtype=float)
-    tol = residual_tolerance(op)
-    scale = _norm_inf(op.matrix)
+    m = k + 1  # one extra pair locates the gap for the inertia count
+    lu = BandedLU(_shifted(op.matrix, _POLE))
     rng = np.random.Generator(np.random.PCG64(_START_SEED))
+    v0 = rng.standard_normal(dim)
+    _, vecs = eigsh(
+        LinearOperator((dim, dim), matvec=op.matrix.matvec, dtype=float),
+        k=m,
+        sigma=_POLE,
+        OPinv=LinearOperator((dim, dim), matvec=lu.solve, dtype=float),
+        v0=v0,
+        ncv=min(2 * m + 1, dim),
+        tol=0,
+        rng=rng,
+    )
 
-    accepted: list[np.ndarray] = []
-    thetas: list[float] = []
-    for i, target in enumerate(vals):
-        # shift slightly off the target so the LU stays nonsingular; the
-        # offset is tied to the distance to the nearest distinct neighbour
-        others = np.abs(vals - target)
-        distinct = others[others > 1e-10 * (1.0 + abs(target))]
-        gap = float(np.min(distinct)) if distinct.size else 1e-6 * scale
-        shift = target + min(1e-3 * gap, 1e-6 * scale + 1e-12)
-        lu = BandedLU(_shifted(op.matrix, shift))
-        x = rng.standard_normal(dim)
-        psi = None
-        for _ in range(60):
-            for v in accepted:
-                x -= (v @ x) * v
-            nx = float(np.linalg.norm(x))
-            if nx == 0.0:
-                x = rng.standard_normal(dim)
-                continue
-            x /= nx
-            y = lu.solve(x)
-            for v in accepted:
-                y -= (v @ y) * v
-            y /= float(np.linalg.norm(y))
-            theta = float(y @ op.matrix.matvec(y))
-            res = float(np.linalg.norm(op.matrix.matvec(y) - theta * y))
-            x = y
-            if res <= tol:
-                psi = y
-                break
-        if psi is None:
-            raise RuntimeError(
-                f"inverse iteration failed to certify eigenpair {i} "
-                f"(target {target:.6e}, residual tolerance {tol:.3e})"
-            )
+    tol = residual_tolerance(op)
+    thetas, vectors, max_res = [], [], 0.0
+    for i in range(m):
+        psi = vecs[:, i] / np.linalg.norm(vecs[:, i])
         j = int(np.argmax(np.abs(psi)))
         if psi[j] < 0.0:
             psi = -psi
-        accepted.append(psi)
+        s_psi = op.matrix.matvec(psi)
+        theta = float(psi @ s_psi)
+        res = float(np.linalg.norm(s_psi - theta * psi))
+        if not res <= tol:
+            raise RuntimeError(
+                f"Lanczos pair {i} (theta {theta:.6e}) has residual {res:.3e} "
+                f"above the tolerance {tol:.3e}"
+            )
+        max_res = max(max_res, res)
         thetas.append(theta)
-
+        vectors.append(psi)
     order = np.argsort(thetas, kind="stable")
+    thetas = [thetas[i] for i in order]
+
+    if thetas[k] - thetas[k - 1] > tol:
+        mu = 0.5 * (thetas[k - 1] + thetas[k])
+    else:
+        mu = thetas[k] + tol
+    expected = sum(theta < mu for theta in thetas)
+    found = count_below(op, mu)
+    if found != expected:
+        raise RuntimeError(
+            f"inertia count found {found} eigenvalues below {mu:.6e}, "
+            f"but the Lanczos solve returned {expected}"
+        )
+
     n = op.grid.n
     sqrt_w = np.sqrt(op.weights)
     pairs = []
-    for idx in order:
-        psi = accepted[idx]
+    for theta, idx in zip(thetas[:k], order[:k]):
+        psi = vectors[idx]
         phi1 = np.zeros(n)
         phi2 = np.zeros(n)
         phi1[1:-1] = psi[0::2] / sqrt_w
         phi2[1:-1] = psi[1::2] / sqrt_w
-        pairs.append((float(thetas[idx]), (phi1, phi2)))
-    return pairs
+        pairs.append((theta, (phi1, phi2)))
+    return Eigenpairs(pairs, EigenCertificate(mu, found, max_res, tol))
 
 
 def translation_residual(op: LinearizedOperator, dv1: np.ndarray, dv2: np.ndarray) -> float:
@@ -274,17 +356,19 @@ def translation_residual(op: LinearizedOperator, dv1: np.ndarray, dv2: np.ndarra
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
-def nondegeneracy_report(sol: HeteroclinicSolution, k: int = 4) -> SpectrumReport:
-    """Bottom-of-spectrum summary about a converged solution.
+def spectrum_report(
+    sol: HeteroclinicSolution, op: LinearizedOperator, pairs: Eigenpairs
+) -> SpectrumReport:
+    """Bottom-of-spectrum summary from eigenpairs already computed by
+    lowest_eigenpairs(op, k) with k >= 2, op the operator about sol.
 
     alignment is the normalized lumped-mass pairing of the bottom
     eigenvector with the translation mode (v1', v2'); the essential edge
     estimate is the smallest computed eigenvalue whose eigenvector holds
     at least half its squared mass in the outer 20% of the domain (NaN
-    when no computed vector does).
+    when no computed vector does). The certificate of the solve is copied
+    beside the eigenvalues.
     """
-    op = assemble_linearized(sol)
-    pairs = lowest_eigenpairs(op, k)
     u = (sol.dv1, sol.dv2)
     u_norm = math.sqrt(op.inner(u, u))
     lam1, bottom = pairs[0]
@@ -303,6 +387,7 @@ def nondegeneracy_report(sol: HeteroclinicSolution, k: int = 4) -> SpectrumRepor
         if frac >= 0.5:
             edge = value
             break
+    cert = pairs.certificate
     return SpectrumReport(
         lam=sol.lam,
         lambda1=lam1,
@@ -312,4 +397,14 @@ def nondegeneracy_report(sol: HeteroclinicSolution, k: int = 4) -> SpectrumRepor
         essential_edge_estimate=edge,
         n=sol.grid.n,
         L=sol.L,
+        inertia_shift=cert.shift,
+        inertia_count=cert.count_below,
+        max_residual=cert.max_residual,
     )
+
+
+def nondegeneracy_report(sol: HeteroclinicSolution, k: int = 4) -> SpectrumReport:
+    """Bottom-of-spectrum summary about a converged solution from its k
+    lowest eigenpairs; see spectrum_report."""
+    op = assemble_linearized(sol)
+    return spectrum_report(sol, op, lowest_eigenpairs(op, k))

@@ -1,16 +1,41 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 
+from beclab import cli
 from beclab.cli import main, range_couplings
 from beclab.runio import write_csv
 from beclab.heteroclinic import explicit_lambda3
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def readme_outputs() -> dict:
+    """command -> output file names, parsed from the README command table."""
+    text = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and re.fullmatch(r"`[a-z]+`", cells[0]):
+            table[cells[0].strip("`")] = sorted(re.findall(r"`([^`]+)`", cells[2]))
+    return table
+
+
+def assert_readme_outputs(command, out):
+    assert sorted(p.name for p in out.iterdir()) == readme_outputs()[command]
+
+
+def test_readme_table_lists_every_command():
+    assert sorted(readme_outputs()) == sorted(cli._COMMANDS)
 
 
 def test_range_couplings_decades():
@@ -25,6 +50,7 @@ def test_blowup_command(tmp_path):
     out = tmp_path / "run"
     code = main(["blowup", "--X", "12", "--n", "2049", "--out", str(out)])
     assert code == 0
+    assert_readme_outputs("blowup", out)
     summary = read_json(out / "blowup_summary.json")
     assert summary["config"]["X"] == 12.0
     assert abs(summary["report"]["kappa"] - 0.545271399338) <= 1e-6
@@ -39,6 +65,7 @@ def test_solve_command_and_summary(tmp_path):
     out = tmp_path / "run"
     code = main(["solve", "--lambda", "3", "--n", "1025", "--out", str(out)])
     assert code == 0
+    assert_readme_outputs("solve", out)
     summary = read_json(out / "solution_summary.json")
     assert summary["report"]["lambda"] == 3.0
     assert summary["report"]["newton_residual"] <= 1e-10
@@ -67,6 +94,7 @@ def test_continue_command(tmp_path):
         ["continue", "--lambda-range", "10:100:1", "--n", "1025", "--out", str(out)]
     )
     assert code == 0
+    assert_readme_outputs("continue", out)
     rows = (out / "trace.csv").read_text().splitlines()
     assert rows[1] == (
         "lambda,newton_residual,hamiltonian_dev,sigma_lambda,"
@@ -86,6 +114,7 @@ def test_composite_command(tmp_path):
         ["composite", "--lambda", "30", "--X", "12", "--n", "1025", "--out", str(out)]
     )
     assert code == 0
+    assert_readme_outputs("composite", out)
     report = read_json(out / "error_report.json")["report"]
     assert report["lam"] == 30.0
     assert report["inner_sup"] > 0.0
@@ -97,11 +126,16 @@ def test_spectrum_command(tmp_path):
     out = tmp_path / "run"
     code = main(["spectrum", "--lambda", "3", "--n", "1025", "--out", str(out)])
     assert code == 0
+    assert_readme_outputs("spectrum", out)
     report = read_json(out / "spectrum.json")["report"]
     assert abs(report["lambda2"] - 1.5) <= 1e-3
     assert abs(report["lambda1"]) <= 1e-3
     assert report["alignment"] >= 0.999
     assert report["essential_edge_estimate"] is None  # NaN serialized as null
+    # the certificate: four eigenvalues below a shift above lambda2
+    assert report["inertia_count"] == 4
+    assert report["lambda2"] < report["inertia_shift"]
+    assert 0.0 < report["max_residual"] <= 1e-6
     rows = (out / "modes.csv").read_text().splitlines()
     assert rows[1] == "z,phi1_1,phi2_1,phi1_2,phi2_2,phi1_3,phi2_3,phi1_4,phi2_4"
 
@@ -122,6 +156,7 @@ def test_energy_range_command(tmp_path):
         ]
     )
     assert code == 0
+    assert_readme_outputs("energy", out)
     rows = (out / "energy.csv").read_text().splitlines()
     assert rows[1] == "lambda,sigma,first_order,residual"
     assert len(rows) == 2 + 2
@@ -138,6 +173,16 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(argv) == 0
     assert (out / "solution.csv").read_bytes() == first_csv
     assert (out / "solution_summary.json").read_bytes() == first_json
+
+
+def test_spectrum_bytes_independent_of_command_order(tmp_path):
+    out = tmp_path / "spec"
+    argv = ["spectrum", "--lambda", "3", "--n", "1025", "--out", str(out)]
+    assert main(argv) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["solve", "--lambda", "50", "--n", "1025", "--out", str(tmp_path / "s")]) == 0
+    assert main(argv) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
 def test_config_file_merge_and_flag_override(tmp_path):
@@ -223,6 +268,7 @@ def test_verify_scale_zero_fails_all(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["verify", "--tol", "0", "--n", "2049", "--out", str(out)])
     assert code == 3
+    assert_readme_outputs("verify", out)
     captured = capsys.readouterr()
     assert "[FAIL]" in captured.out
     assert "[PASS]" not in captured.out

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from beclab import (
     assemble_linearized,
@@ -14,8 +17,9 @@ from beclab import (
     solve_heteroclinic,
     translation_residual,
 )
+from beclab import spectrum
 from beclab.heteroclinic import explicit_lambda3_derivative
-from beclab.spectrum import residual_tolerance
+from beclab.spectrum import count_below, residual_tolerance, spectrum_report
 
 
 def laplacian_operator(n: int):
@@ -165,3 +169,104 @@ def test_k_validation(sol3):
         lowest_eigenpairs(op, 9)
     with pytest.raises(ValueError):
         nondegeneracy_report(sol3, k=0)
+
+
+def test_assembly_leaves_caller_arrays_alone():
+    grid = make_grid(-5.0, 5.0, 41)
+    q1, q2, coupling = np.full(41, 2.0), np.linspace(0.0, 1.0, 41), np.full(41, 0.5)
+    before = [a.copy() for a in (q1, q2, coupling)]
+    op = assemble_operator(grid, 3.0, q1, q2, coupling)
+    for arr, old in zip((q1, q2, coupling), before):
+        assert arr.flags.writeable
+        assert np.array_equal(arr, old)
+    q1[:] = -7.0  # the operator holds its own copy
+    assert np.all(op.q1 == 2.0)
+    assert not op.q1.flags.writeable
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(16, 24),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 400.0),
+    mu=st.floats(-500.0, 2500.0),
+)
+def test_inertia_count_matches_dense_eigenvalues(n, seed, scale, mu):
+    rng = np.random.default_rng(seed)
+    grid = make_grid(-1.0, 1.0, n)
+    q1, q2, coupling = (scale * rng.uniform(-1.0, 1.0, n) for _ in range(3))
+    op = assemble_operator(grid, 1.0, q1, q2, coupling)
+    eigenvalues = np.linalg.eigvalsh(op.matrix.to_dense())
+    # keep mu clear of the spectrum; at an eigenvalue the count is ill-posed
+    assume(np.min(np.abs(eigenvalues - mu)) > 1e-9 * np.max(np.abs(eigenvalues)))
+    assert count_below(op, mu) == int(np.sum(eigenvalues < mu))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_inertia_certificate_spans_double_eigenvalues(k):
+    # theta_k and theta_{k+1} are the two copies of one Laplacian eigenvalue,
+    # so the count is taken above the pair
+    op = laplacian_operator(201)
+    pairs = lowest_eigenpairs(op, k)
+    cert = pairs.certificate
+    expected = [1.0, 1.0, 4.0, 4.0, 9.0, 9.0][:k]
+    assert np.allclose([t for t, _ in pairs], expected, atol=5e-3)
+    assert cert.count_below == k + 1
+    assert pairs[-1][0] < cert.shift < pairs[-1][0] + 2.0 * cert.tolerance
+    assert cert.max_residual <= cert.tolerance
+
+
+def test_inertia_certificate_between_simple_eigenvalues():
+    op = laplacian_operator(201)
+    pairs = lowest_eigenpairs(op, 2)
+    cert = pairs.certificate
+    assert cert.count_below == 2
+    assert 1.0 < cert.shift < 4.0
+
+
+def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
+    # distinct diagonal potentials split every Laplacian double eigenvalue
+    grid = make_grid(0.0, math.pi, 201)
+    zero = np.zeros(201)
+    op = assemble_operator(grid, 1.0, zero, np.full(201, 0.5), zero)
+    real_eigsh = spectrum.eigsh
+
+    def skipping_eigsh(A, k, **kwargs):
+        values, vectors = real_eigsh(A, k + 1, **kwargs)
+        order = np.argsort(values)[1:]
+        return values[order], vectors[:, order]
+
+    monkeypatch.setattr(spectrum, "eigsh", skipping_eigsh)
+    with pytest.raises(RuntimeError, match="inertia count"):
+        lowest_eigenpairs(op, 3)
+
+
+def test_concurrent_calls_match_serial(sol3):
+    op = assemble_linearized(sol3)
+    serial = lowest_eigenpairs(op, 4)
+    results = [None, None]
+
+    def worker(slot):
+        results[slot] = lowest_eigenpairs(op, 4)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    for pairs in results:
+        assert pairs.certificate == serial.certificate
+        for (ta, (a1, a2)), (tb, (b1, b2)) in zip(pairs, serial):
+            assert ta == tb
+            assert a1.tobytes() == b1.tobytes() and a2.tobytes() == b2.tobytes()
+
+
+def test_report_from_given_pairs_matches_full_report(sol3):
+    op = assemble_linearized(sol3)
+    pairs = lowest_eigenpairs(op, 4)
+    rep = spectrum_report(sol3, op, pairs)
+    assert rep == nondegeneracy_report(sol3, k=4)
+    assert rep.inertia_count == 4 and rep.inertia_shift == pairs.certificate.shift
+    assert rep.lambda2 < rep.inertia_shift
+    assert 0.0 < rep.max_residual <= residual_tolerance(op)
