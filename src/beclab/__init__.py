@@ -13,7 +13,7 @@ and uses both to check the matched-expansion error laws, the spectral
 nondegeneracy of the linearization, and the interface-tension expansion.
 """
 
-from .banded import BandedMatrix, BandedSystem, SingularSystemError, solve_banded
+from .banded import BandedLU, BandedMatrix, SingularSystemError
 from .calculus import OrderFit, fit_loglog, golden_minimize, quadrature, resample
 from .grids import Graded, Grid, Uniform, differentiate, make_grid
 from .newton import (
@@ -40,6 +40,7 @@ from .heteroclinic import (
     HeteroclinicSolution,
     QualitativeReport,
     RescaleResult,
+    SignViolationError,
     SolutionFlags,
     StepUnderflow,
     continue_in_lambda,

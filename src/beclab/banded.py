@@ -16,9 +16,7 @@ from scipy.linalg import get_lapack_funcs
 __all__ = [
     "SingularSystemError",
     "BandedMatrix",
-    "BandedSystem",
     "BandedLU",
-    "solve_banded",
 ]
 
 
@@ -99,18 +97,13 @@ class BandedMatrix:
         return defect
 
 
-@dataclass
-class BandedSystem:
-    matrix: BandedMatrix
-    rhs: np.ndarray
-
-
 class BandedLU:
     """LU factorisation of a BandedMatrix, reusable for repeated solves.
 
     Rows are equilibrated (scaled to unit max) before factorisation: the
     assemblies here mix O(1/h^2) stencil rows with O(1) boundary rows, and
     pivot-size diagnostics are meaningless without a common row scale.
+    A zero or machine-scale pivot raises SingularSystemError with its index.
     """
 
     def __init__(self, matrix: BandedMatrix):
@@ -154,18 +147,12 @@ class BandedLU:
         self._row_scale = row_scale
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != self._row_scale.shape:
+            raise ValueError(f"rhs shape {rhs.shape} is not ({self._row_scale.shape[0]},)")
         gbtrs, = get_lapack_funcs(("gbtrs",), (self._lu,))
-        b = np.asarray(rhs, dtype=float) * self._row_scale
+        b = rhs * self._row_scale
         x, info = gbtrs(self._lu, self._bw, self._bw, b, self._piv)
         if info != 0:
             raise ValueError(f"gbtrs: illegal argument {-info}")
         return x
-
-
-def solve_banded(system: BandedSystem) -> np.ndarray:
-    """Solve the banded system, raising SingularSystemError with the pivot
-    index when the factorisation hits a zero or machine-scale pivot."""
-    rhs = np.asarray(system.rhs, dtype=float)
-    if rhs.shape[0] != system.matrix.dim:
-        raise ValueError("rhs length does not match matrix dimension")
-    return BandedLU(system.matrix).solve(rhs)

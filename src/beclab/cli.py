@@ -16,16 +16,13 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .asymptotics import build_composite, measure_errors
 from .banded import SingularSystemError
-from .calculus import resample
 from .energy import expansion_residual
 from .heteroclinic import (
-    FieldPair,
     HeteroclinicSolution,
     StepUnderflow,
+    _seed_on_grid,
     continue_in_lambda,
     default_domain_halfwidth,
     default_grid,
@@ -165,13 +162,8 @@ def _solve_at(cfg: RunConfig, lam: float) -> HeteroclinicSolution:
     if cfg.seed is not None:
         z, v1, v2 = read_seed_csv(cfg.seed)
         L = cfg.L if cfg.L is not None else default_domain_halfwidth(lam)
-        grid = default_grid(lam, L, n)
-        at = np.clip(grid.nodes, z[0], z[-1])
-        s1 = np.clip(resample(z, v1, at), 0.0, 1.0)
-        s2 = np.clip(resample(z, v2, at), 0.0, 1.0)
-        s1[0], s1[-1] = 0.0, 1.0
-        s2[0], s2[-1] = 1.0, 0.0
-        return solve_heteroclinic(lam, L=L, n=n, init=FieldPair(v1=s1, v2=s2))
+        seed = _seed_on_grid(z, v1, v2, default_grid(lam, L, n))
+        return solve_heteroclinic(lam, L=L, n=n, init=seed)
     if _DIRECT_WINDOW[0] <= lam <= _DIRECT_WINDOW[1]:
         return solve_heteroclinic(lam, L=cfg.L, n=n)
     start = solve_heteroclinic(3.0, L=cfg.L, n=n)

@@ -9,9 +9,12 @@ strength beta = (n-1)*log(ratio).
 
 Derivatives are second-order three-point stencils: for a node with
 neighbours, the derivative of the local interpolating quadratic; at the two
-boundary nodes, the same quadratic evaluated one-sidedly. On smoothly
-graded meshes (spacing varying by O(h) between cells) the second-difference
-stencil retains second-order accuracy.
+boundary nodes, the same quadratic evaluated one-sidedly. Second
+derivatives appear only in flux form (FluxStencil): the difference of the
+two one-sided slopes at a node, which is the cell weight times the second
+difference. On smoothly graded meshes (spacing varying by O(h) between
+cells) it retains second-order accuracy, and its rows scale like 1/h
+rather than 1/h^2, which keeps the evaluation rounding floor low.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .banded import BandedMatrix
 
 __all__ = [
     "RATIO_CAP",
@@ -31,7 +36,8 @@ __all__ = [
     "beta_for_center_spacing",
     "ratio_from_beta",
     "differentiate",
-    "second_difference_weights",
+    "FluxStencil",
+    "flux_stencil",
     "first_difference_weights",
     "edge_first_weights",
 ]
@@ -198,16 +204,6 @@ def first_difference_weights(grid: Grid):
     return _lagrange3_first(x[:-2], x[1:-1], x[2:], x[1:-1])
 
 
-def second_difference_weights(grid: Grid):
-    """Interior second-derivative weights (w_lo, w_mid, w_hi), index k=1..n-2."""
-    x = grid.nodes
-    x0, x1, x2 = x[:-2], x[1:-1], x[2:]
-    w0 = 2.0 / ((x0 - x1) * (x0 - x2))
-    w1 = 2.0 / ((x1 - x0) * (x1 - x2))
-    w2 = 2.0 / ((x2 - x0) * (x2 - x1))
-    return w0, w1, w2
-
-
 def edge_first_weights(x0: float, x1: float, x2: float):
     """One-sided first-derivative weights at x0 from nodes x0, x1, x2."""
     return _lagrange3_first(x0, x1, x2, x0)
@@ -227,3 +223,54 @@ def differentiate(values: np.ndarray, grid: Grid) -> np.ndarray:
     wr = edge_first_weights(x[-1], x[-2], x[-3])
     out[-1] = wr[0] * values[-1] + wr[1] * values[-2] + wr[2] * values[-3]
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class FluxStencil:
+    """Flux form of the second difference on the interior nodes k = 1..n-2.
+
+    hm and hp are the widths of the cells left and right of node k, and
+    w = (hm + hp)/2 is its cell weight. apply(v) is
+    (v_{k+1} - v_k)/hp - (v_k - v_{k-1})/hm, which approximates w*v''; lo,
+    mid and hi are its coefficients of v_{k-1}, v_k and v_{k+1}.
+    """
+
+    hm: np.ndarray
+    hp: np.ndarray
+    w: np.ndarray
+    lo: np.ndarray
+    mid: np.ndarray
+    hi: np.ndarray
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return (v[2:] - v[1:-1]) / self.hp - (v[1:-1] - v[:-2]) / self.hm
+
+    def fill_pair_rows(self, mat: BandedMatrix, first: int, diag1, diag2, cross) -> None:
+        """Write the interior rows of a two-component system into mat.
+
+        Unknowns are interleaved per node, (v1, v2); the v1 row of node k
+        is first + 2*(k-1). Each row holds the stencil on its own
+        component with the diagonal replaced by diag1 or diag2, and the
+        node-local coupling cross to the other component. A neighbour
+        whose column lies outside mat is an eliminated Dirichlet value and
+        gets no entry.
+        """
+        data, bw = mat.data, mat.bandwidth
+        m = self.w.shape[0]
+        start = 0 if first >= 2 else 1  # first node with a left neighbour column
+        stop = m if first + 2 * m < mat.dim else m - 1  # nodes with a right one
+        # data[bw - d, i + d] holds entry (i, i + d)
+        data[bw - 1, first + 1 : first + 2 * m : 2] = cross
+        data[bw + 1, first : first + 2 * m : 2] = cross
+        for col, diag in ((first, diag1), (first + 1, diag2)):
+            data[bw, col : col + 2 * m : 2] = diag
+            data[bw + 2, col - 2 + 2 * start : col - 2 + 2 * m : 2] = self.lo[start:]
+            data[bw - 2, col + 2 : col + 2 + 2 * stop : 2] = self.hi[:stop]
+
+
+def flux_stencil(grid: Grid) -> FluxStencil:
+    """Cell widths, cell weights and flux coefficients of grid's interior."""
+    x = grid.nodes
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    return FluxStencil(hm, hp, 0.5 * (hm + hp), 1.0 / hm, -1.0 / hm - 1.0 / hp, 1.0 / hp)

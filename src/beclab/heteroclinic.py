@@ -41,10 +41,11 @@ from .grids import (
     differentiate,
     beta_for_center_spacing,
     beta_for_half_window,
+    flux_stencil,
     make_grid,
     ratio_from_beta,
 )
-from .newton import NewtonSettings, NonConvergenceError, newton_solve
+from .newton import NewtonSettings, NonConvergenceError, SingularJacobianError, newton_solve
 
 __all__ = [
     "FieldPair",
@@ -56,6 +57,7 @@ __all__ = [
     "TraceEntry",
     "ContinuationTrace",
     "StepUnderflow",
+    "SignViolationError",
     "RescaleResult",
     "explicit_lambda3",
     "explicit_lambda3_derivative",
@@ -203,6 +205,11 @@ class StepUnderflow(RuntimeError):
         )
 
 
+class SignViolationError(RuntimeError):
+    """Newton converged to an iterate with a component below the sign
+    noise floor, off the positive branch."""
+
+
 @dataclass(frozen=True)
 class RescaleResult:
     valid: bool
@@ -266,10 +273,8 @@ def _interior_residual_jacobian(grid: Grid, lam: float):
     the Newton tolerance on the finest meshes (see module docstring).
     """
     n = grid.n
-    x = grid.nodes
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    w = 0.5 * (hm + hp)
+    st = flux_stencil(grid)
+    w = st.w
     m = n - 2
 
     def full_fields(u: np.ndarray):
@@ -284,33 +289,28 @@ def _interior_residual_jacobian(grid: Grid, lam: float):
     def residual(u: np.ndarray) -> np.ndarray:
         V1, V2 = full_fields(u)
         r = np.empty(2 * m)
-        flux1 = (V1[2:] - V1[1:-1]) / hp - (V1[1:-1] - V1[:-2]) / hm
-        flux2 = (V2[2:] - V2[1:-1]) / hp - (V2[1:-1] - V2[:-2]) / hm
         c1, c2 = V1[1:-1], V2[1:-1]
-        r[0::2] = flux1 - w * (c1**3 - c1 + lam * c2**2 * c1)
-        r[1::2] = flux2 - w * (c2**3 - c2 + lam * c1**2 * c2)
+        r[0::2] = st.apply(V1) - w * (c1**3 - c1 + lam * c2**2 * c1)
+        r[1::2] = st.apply(V2) - w * (c2**3 - c2 + lam * c1**2 * c2)
         return r
 
     def jacobian(u: np.ndarray) -> BandedMatrix:
         c1, c2 = u[0::2], u[1::2]
         jac = BandedMatrix.zeros(2 * m, 2)
-        data, bw = jac.data, 2
-        rows1 = np.arange(0, 2 * m, 2)
-        rows2 = rows1 + 1
-        # data[bw - d, i + d] holds entry (i, i + d)
-        data[bw, rows1] = -1.0 / hm - 1.0 / hp - w * (3.0 * c1**2 - 1.0 + lam * c2**2)
-        data[bw, rows2] = -1.0 / hm - 1.0 / hp - w * (3.0 * c2**2 - 1.0 + lam * c1**2)
-        cross = -2.0 * lam * w * c1 * c2
-        data[bw - 1, rows1 + 1] = cross
-        data[bw + 1, rows2 - 1] = cross
-        # neighbour couplings skip the Dirichlet boundary columns
-        data[bw + 2, rows1[1:] - 2] = 1.0 / hm[1:]
-        data[bw - 2, rows1[:-1] + 2] = 1.0 / hp[:-1]
-        data[bw + 2, rows2[1:] - 2] = 1.0 / hm[1:]
-        data[bw - 2, rows2[:-1] + 2] = 1.0 / hp[:-1]
+        d1 = st.mid - w * (3.0 * c1**2 - 1.0 + lam * c2**2)
+        d2 = st.mid - w * (3.0 * c2**2 - 1.0 + lam * c1**2)
+        st.fill_pair_rows(jac, 0, d1, d2, -2.0 * lam * w * c1 * c2)
         return jac
 
     return residual, jacobian, full_fields
+
+
+def _interior_state(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Interleaved interior unknowns of _interior_residual_jacobian."""
+    u = np.empty(2 * (v1.shape[0] - 2))
+    u[0::2] = v1[1:-1]
+    u[1::2] = v2[1:-1]
+    return u
 
 
 def _monotone_flag(v: np.ndarray, increasing: bool) -> bool:
@@ -378,8 +378,8 @@ def solve_heteroclinic(
     When init is omitted the explicit lam=3 branch seeds the iteration;
     that works for couplings near 3 while large couplings should be
     reached through continue_in_lambda. A converged iterate whose interior
-    dips below the sign noise floor is rejected (the branch of interest is
-    positive).
+    dips below the sign noise floor raises SignViolationError (the branch
+    of interest is positive).
     """
     if not lam > 1.0:
         raise ValueError(f"coupling must exceed 1, got lam={lam}")
@@ -401,14 +401,12 @@ def solve_heteroclinic(
         raise ValueError("init must be nonnegative")
 
     residual, jacobian, full_fields = _interior_residual_jacobian(grid, lam)
-    u0 = np.empty(2 * (n - 2))
-    u0[0::2] = init.v1[1:-1]
-    u0[1::2] = init.v2[1:-1]
+    u0 = _interior_state(init.v1, init.v2)
     u, _, final_res = newton_solve(residual, jacobian, u0, settings)
     v1, v2 = full_fields(u)
 
     if float(np.min(v1)) < -_SIGN_FLOOR or float(np.min(v2)) < -_SIGN_FLOOR:
-        raise RuntimeError(
+        raise SignViolationError(
             f"component sign violation after convergence at lam={lam:.6g}"
         )
     dv1 = differentiate(v1, grid)
@@ -436,11 +434,12 @@ def solve_heteroclinic(
     )
 
 
-def _seed_on_grid(sol: HeteroclinicSolution, grid: Grid) -> FieldPair:
-    # constant extension beyond the source domain, then clamp into [0, 1]
-    at = np.clip(grid.nodes, sol.grid.a, sol.grid.b)
-    v1 = np.clip(resample(sol.grid.nodes, sol.v1, at), 0.0, 1.0)
-    v2 = np.clip(resample(sol.grid.nodes, sol.v2, at), 0.0, 1.0)
+def _seed_on_grid(z: np.ndarray, v1: np.ndarray, v2: np.ndarray, grid: Grid) -> FieldPair:
+    # cubic resampling of node samples, constant extension beyond the
+    # source domain, clamp into [0, 1], exact limit values at both ends
+    at = np.clip(grid.nodes, z[0], z[-1])
+    v1 = np.clip(resample(z, v1, at), 0.0, 1.0)
+    v2 = np.clip(resample(z, v2, at), 0.0, 1.0)
     v1[0], v1[-1] = 0.0, 1.0
     v2[0], v2[-1] = 1.0, 0.0
     return FieldPair(v1=v1, v2=v2)
@@ -457,9 +456,8 @@ def refine_solution(
     new_L = sol.L if L is None else float(L)
     new_n = sol.n if n is None else int(n)
     grid = default_grid(sol.lam, new_L, new_n)
-    return solve_heteroclinic(
-        sol.lam, L=new_L, n=new_n, init=_seed_on_grid(sol, grid), settings=settings
-    )
+    seed = _seed_on_grid(sol.grid.nodes, sol.v1, sol.v2, grid)
+    return solve_heteroclinic(sol.lam, L=new_L, n=new_n, init=seed, settings=settings)
 
 
 def _trace_entry(sol: HeteroclinicSolution) -> TraceEntry:
@@ -486,10 +484,12 @@ def continue_in_lambda(
     downward in lam), reseeding each solve from the previous solution
     resampled onto the target grid.
 
-    Steps are log-uniform with ratio policy.initial_step_factor; a failed
-    solve halves the log-step (geometric midpoint) up to
-    policy.max_halvings times, then raises StepUnderflow. The trace
-    records every accepted solve including the start.
+    Steps are log-uniform with ratio policy.initial_step_factor; a solve
+    that fails numerically (NonConvergenceError, SingularJacobianError,
+    SignViolationError) halves the log-step (geometric midpoint) up to
+    policy.max_halvings times, then raises StepUnderflow. Any other error
+    propagates. The trace records every accepted solve including the
+    start.
     """
     targets = [float(t) for t in targets]
     if not targets:
@@ -520,12 +520,12 @@ def continue_in_lambda(
                 if (upward and proposal > target) or (not upward and proposal < target):
                     proposal = target
                 grid = default_grid(proposal, halfwidth(proposal), n)
-                seed = _seed_on_grid(current, grid)
+                seed = _seed_on_grid(current.grid.nodes, current.v1, current.v2, grid)
                 try:
                     sol = solve_heteroclinic(
                         proposal, L=float(grid.b), n=n, init=seed, settings=settings
                     )
-                except (NonConvergenceError, RuntimeError):
+                except (NonConvergenceError, SingularJacobianError, SignViolationError):
                     halvings += 1
                     if halvings > policy.max_halvings:
                         raise StepUnderflow(at_lambda=current.lam) from None

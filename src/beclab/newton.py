@@ -11,11 +11,11 @@ any tuning per problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .banded import BandedMatrix, BandedSystem, SingularSystemError, solve_banded
+from .banded import BandedLU, BandedMatrix, SingularSystemError
 
 __all__ = [
     "NewtonSettings",
@@ -74,23 +74,17 @@ def _sup(r: np.ndarray) -> float:
     return float(np.max(np.abs(r), initial=0.0))
 
 
-def _solve_step(jac: Union[BandedMatrix, np.ndarray], rhs: np.ndarray) -> np.ndarray:
-    if isinstance(jac, BandedMatrix):
-        return solve_banded(BandedSystem(matrix=jac, rhs=rhs))
-    jac = np.asarray(jac, dtype=float)
-    return np.linalg.solve(jac, rhs)
-
-
 def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], Union[BandedMatrix, np.ndarray]],
+    jacobian: Callable[[np.ndarray], BandedMatrix],
     init: np.ndarray,
     settings: NewtonSettings = NewtonSettings(),
 ) -> NewtonResult:
     """Run damped Newton from `init` until the sup-norm residual falls below
     settings.residual_tol.
 
-    The jacobian callback may return a BandedMatrix or a dense array.
+    The jacobian callback returns a BandedMatrix; each step is one banded
+    LU factorisation and solve.
     Raises NonConvergenceError (carrying iterations and best residual) when
     the iteration budget or the backtracking floor is exhausted, and
     SingularJacobianError when the linear solve reports a singular pivot.
@@ -103,8 +97,8 @@ def newton_solve(
         if rnorm <= settings.residual_tol:
             return NewtonResult(u, it, rnorm)
         try:
-            step = _solve_step(jacobian(u), -r)
-        except (SingularSystemError, np.linalg.LinAlgError) as exc:
+            step = BandedLU(jacobian(u)).solve(-r)
+        except SingularSystemError as exc:
             raise SingularJacobianError(it) from exc
         t = 1.0
         while True:

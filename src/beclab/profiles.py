@@ -34,12 +34,11 @@ from .calculus import resample
 from .grids import (
     Graded,
     Grid,
-    Uniform,
     differentiate,
     edge_first_weights,
+    flux_stencil,
     make_grid,
     ratio_from_beta,
-    second_difference_weights,
 )
 from .newton import NewtonSettings, newton_solve
 
@@ -146,19 +145,16 @@ def _core_residual_jacobian(grid: Grid):
     """
     n = grid.n
     x = grid.nodes
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    w = 0.5 * (hm + hp)
+    st = flux_stencil(grid)
+    w = st.w
     el = edge_first_weights(x[0], x[1], x[2])
     er = edge_first_weights(x[-1], x[-2], x[-3])
 
     def residual(u: np.ndarray) -> np.ndarray:
         V1, V2 = u[0::2], u[1::2]
         r = np.empty(2 * n)
-        flux1 = (V1[2:] - V1[1:-1]) / hp - (V1[1:-1] - V1[:-2]) / hm
-        flux2 = (V2[2:] - V2[1:-1]) / hp - (V2[1:-1] - V2[:-2]) / hm
-        r[2 : 2 * n - 2 : 2] = flux1 - w * V2[1:-1] ** 2 * V1[1:-1]
-        r[3 : 2 * n - 2 : 2] = flux2 - w * V1[1:-1] ** 2 * V2[1:-1]
+        r[2 : 2 * n - 2 : 2] = st.apply(V1) - w * V2[1:-1] ** 2 * V1[1:-1]
+        r[3 : 2 * n - 2 : 2] = st.apply(V2) - w * V1[1:-1] ** 2 * V2[1:-1]
         r[0] = V1[0]
         r[1] = el[0] * V2[0] + el[1] * V2[1] + el[2] * V2[2] + PSI0
         r[2 * n - 2] = er[0] * V1[-1] + er[1] * V1[-2] + er[2] * V1[-3] - PSI0
@@ -168,18 +164,8 @@ def _core_residual_jacobian(grid: Grid):
     def jacobian(u: np.ndarray) -> BandedMatrix:
         V1, V2 = u[0::2], u[1::2]
         jac = BandedMatrix.zeros(2 * n, 4)
-        data, bw = jac.data, 4
-        rows1 = np.arange(2, 2 * n - 2, 2)  # V1 rows, nodes 1..n-2
-        rows2 = rows1 + 1
-        # data[bw - d, i + d] holds entry (i, i + d)
-        data[bw + 2, rows1 - 2] = 1.0 / hm
-        data[bw, rows1] = -1.0 / hm - 1.0 / hp - w * V2[1:-1] ** 2
-        data[bw - 2, rows1 + 2] = 1.0 / hp
-        data[bw - 1, rows1 + 1] = -2.0 * w * V1[1:-1] * V2[1:-1]
-        data[bw + 2, rows2 - 2] = 1.0 / hm
-        data[bw, rows2] = -1.0 / hm - 1.0 / hp - w * V1[1:-1] ** 2
-        data[bw - 2, rows2 + 2] = 1.0 / hp
-        data[bw + 1, rows2 - 1] = -2.0 * w * V1[1:-1] * V2[1:-1]
+        d1, d2 = st.mid - w * V2[1:-1] ** 2, st.mid - w * V1[1:-1] ** 2
+        st.fill_pair_rows(jac, 2, d1, d2, -2.0 * w * V1[1:-1] * V2[1:-1])
         jac.set_entry(0, 0, 1.0)
         jac.set_entry(1, 1, el[0])
         jac.set_entry(1, 3, el[1])

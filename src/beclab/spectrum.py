@@ -11,14 +11,14 @@ line; on the truncated Dirichlet interval the corresponding discrete
 eigenvalue is near zero (it shrinks under domain and mesh refinement),
 and the rest of the spectrum stays above a coupling-independent gap.
 
-Discretisation: the flux-form second difference on a graded mesh is
-D^{-1} A with A symmetric tridiagonal and D = diag(cell weights). The
-assembled matrix is the similarity transform D^{-1/2} A D^{-1/2} + Q
-(diagonal potentials and coupling commute with D^{1/2}), which is
-exactly symmetric and has the same eigenvalues as the natural
-finite-difference operator. Eigenvectors returned to callers are mapped
-back to natural variables and normalized in the lumped-mass inner
-product, which is the quadrature approximation of the L^2 pairing.
+Discretisation: M is the Hessian of the energy, so it is the Jacobian of
+the Euler-Lagrange residual. The interface solver's Newton Jacobian J of
+the flux-form residual is symmetric, and the natural finite-difference
+operator is -W^{-1} J with W = diag(cell weights). The assembled matrix
+is the similarity transform S = -W^{-1/2} J W^{-1/2}, which is exactly
+symmetric and has the same eigenvalues. Eigenvectors returned to callers
+are mapped back to natural variables and normalized in the lumped-mass
+inner product, which is the quadrature approximation of the L^2 pairing.
 
 The low eigenpairs come from one shift-invert Lanczos solve (ARPACK via
 scipy.sparse.linalg.eigsh; Ericsson & Ruhe 1980, Lehoucq, Sorensen & Yang
@@ -44,8 +44,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .banded import BandedLU, BandedMatrix
-from .grids import Grid
-from .heteroclinic import HeteroclinicSolution
+from .grids import Grid, flux_stencil
+from .heteroclinic import HeteroclinicSolution, _interior_residual_jacobian, _interior_state
 
 __all__ = [
     "EigenCertificate",
@@ -107,18 +107,9 @@ class LinearizedOperator:
     def apply_natural(self, phi1: np.ndarray, phi2: np.ndarray):
         """Apply M in natural variables to full-length arrays; returns the
         interior residual components (boundary entries enter as data)."""
-        x = self.grid.nodes
-        hm = x[1:-1] - x[:-2]
-        hp = x[2:] - x[1:-1]
-        w = self.weights
-
-        def second(phi):
-            return (
-                (phi[1:-1] - phi[:-2]) / hm - (phi[2:] - phi[1:-1]) / hp
-            ) / w
-
-        r1 = second(phi1) + self.q1 * phi1[1:-1] + self.coupling * phi2[1:-1]
-        r2 = second(phi2) + self.q2 * phi2[1:-1] + self.coupling * phi1[1:-1]
+        st = flux_stencil(self.grid)
+        r1 = -st.apply(phi1) / self.weights + self.q1 * phi1[1:-1] + self.coupling * phi2[1:-1]
+        r2 = -st.apply(phi2) / self.weights + self.q2 * phi2[1:-1] + self.coupling * phi1[1:-1]
         return r1, r2
 
 
@@ -168,8 +159,10 @@ def assemble_operator(
     """Build the symmetrized interior operator from nodal potential and
     coupling samples (full-length arrays; boundary entries unused).
 
-    The operator keeps read-only copies of the interior samples; the
-    caller's arrays are not modified."""
+    The samples fill the Jacobian band of the interface solver's flux-form
+    residual, which is then symmetrized as in assemble_linearized. The
+    operator keeps read-only copies of the interior samples; the caller's
+    arrays are not modified."""
     n = grid.n
     interior = {}
     for name, arr in (("q1", q1), ("q2", q2), ("coupling", coupling)):
@@ -177,39 +170,41 @@ def assemble_operator(
         if a.shape != (n,):
             raise ValueError(f"{name} must be a full nodal array of length {n}")
         interior[name] = a[1:-1].copy()
-        interior[name].flags.writeable = False
-    x = grid.nodes
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    w = 0.5 * (hm + hp)
-    m = n - 2
-    diag_fd = (1.0 / hm + 1.0 / hp) / w
-    # off-diagonal between interior nodes k and k+1: -(1/hp_k)/sqrt(w_k w_{k+1})
-    off_fd = -(1.0 / hp[:-1]) / np.sqrt(w[:-1] * w[1:])
-
-    mat = BandedMatrix.zeros(2 * m, 2)
-    data, bw = mat.data, 2
-    rows1 = np.arange(0, 2 * m, 2)
-    rows2 = rows1 + 1
-    data[bw, rows1] = diag_fd + interior["q1"]
-    data[bw, rows2] = diag_fd + interior["q2"]
-    c = interior["coupling"]
-    data[bw - 1, rows1 + 1] = c
-    data[bw + 1, rows2 - 1] = c
-    data[bw - 2, rows1[:-1] + 2] = off_fd
-    data[bw + 2, rows1[1:] - 2] = off_fd
-    data[bw - 2, rows2[:-1] + 2] = off_fd
-    data[bw + 2, rows2[1:] - 2] = off_fd
-    return LinearizedOperator(lam=lam, grid=grid, matrix=mat, weights=w, **interior)
+    st = flux_stencil(grid)
+    jac = BandedMatrix.zeros(2 * (n - 2), 2)
+    d1, d2 = st.mid - st.w * interior["q1"], st.mid - st.w * interior["q2"]
+    st.fill_pair_rows(jac, 0, d1, d2, -st.w * interior["coupling"])
+    return _symmetrized(grid, lam, st.w, jac, **interior)
 
 
 def assemble_linearized(sol: HeteroclinicSolution) -> LinearizedOperator:
-    """Linearized operator about a converged heteroclinic."""
-    lam = sol.lam
-    q1 = 3.0 * sol.v1**2 - 1.0 + lam * sol.v2**2
-    q2 = 3.0 * sol.v2**2 - 1.0 + lam * sol.v1**2
-    coupling = 2.0 * lam * sol.v1 * sol.v2
-    return assemble_operator(sol.grid, lam, q1, q2, coupling)
+    """Linearized operator about a converged heteroclinic: the interface
+    solver's Newton Jacobian at sol, symmetrized. The stored potentials
+    and coupling are read off the Jacobian's diagonal blocks."""
+    _, jacobian, _ = _interior_residual_jacobian(sol.grid, sol.lam)
+    jac = jacobian(_interior_state(sol.v1, sol.v2))
+    st = flux_stencil(sol.grid)
+    bw = jac.bandwidth  # data[bw - d, i + d] holds entry (i, i + d)
+    diag, cross = jac.data[bw], jac.data[bw - 1, 1::2]
+    q1 = (st.mid - diag[0::2]) / st.w
+    q2 = (st.mid - diag[1::2]) / st.w
+    return _symmetrized(sol.grid, sol.lam, st.w, jac, q1, q2, -cross / st.w)
+
+
+def _symmetrized(
+    grid: Grid, lam: float, w: np.ndarray, jac: BandedMatrix, q1, q2, coupling
+) -> LinearizedOperator:
+    """Operator with matrix S = -W^{-1/2} J W^{-1/2}, W the cell weights w,
+    computed in place in jac. Each entry is scaled by the product s_i*s_j,
+    which is commutative, so a symmetric J gives an exactly symmetric S."""
+    s = np.repeat(1.0 / np.sqrt(w), 2)
+    bw, dim = jac.bandwidth, jac.dim
+    for d in range(-bw, bw + 1):
+        i0, j0, length = max(0, -d), max(0, d), dim - abs(d)
+        jac.data[bw - d, j0 : j0 + length] *= -(s[i0 : i0 + length] * s[j0 : j0 + length])
+    for arr in (q1, q2, coupling):
+        arr.flags.writeable = False
+    return LinearizedOperator(lam, grid, jac, w, q1, q2, coupling)
 
 
 def _norm_inf(matrix: BandedMatrix) -> float:

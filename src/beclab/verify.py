@@ -12,9 +12,9 @@ slope- and band-type criteria fail by construction and so doubles as a
 negative control of the harness itself.
 
 Independent coupling points of the sweep are post-processed in parallel
-worker threads (the heavy kernels run in LAPACK outside the
-interpreter lock); results are keyed and aggregated in sorted coupling
-order, so the output is independent of scheduling.
+worker threads, one per CPU up to one per coupling (the heavy kernels run
+in LAPACK outside the interpreter lock); results are keyed and aggregated
+in sorted coupling order, so the output is independent of scheduling.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ from .energy import (
     blowup_energy_coefficient,
     expansion_residual,
     partition_constant,
-    sigma_full_form,
-    sigma_gradient_form,
 )
 from .grids import make_grid
 from .heteroclinic import (
     HeteroclinicSolution,
     _interior_residual_jacobian,
+    _interior_state,
+    _value_at_zero,
     continue_in_lambda,
     default_grid,
     explicit_lambda3,
@@ -126,10 +126,7 @@ def _hygiene_states() -> list[float]:
 
     grid = default_grid(50.0, 20.0, 41)
     residual, jacobian, _ = _interior_residual_jacobian(grid, 50.0)
-    v1, v2 = explicit_lambda3(grid.nodes)
-    base = np.empty(2 * (grid.n - 2))
-    base[0::2] = v1[1:-1]
-    base[1::2] = v2[1:-1]
+    base = _interior_state(*explicit_lambda3(grid.nodes))
     state = base + 0.05 * rng.uniform(-1.0, 1.0, base.shape)
     errors.append(jacobian_fd_error(residual, jacobian, state))
 
@@ -162,15 +159,6 @@ class _PointResult:
     sigma_full: float
     residual: float
     first_order: float
-    crossing: float
-
-
-def _max_workers(requested: int | None) -> int:
-    cap = os.environ.get("BEC_LAB_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    if requested is not None:
-        limit = min(limit, requested)
-    return max(1, limit)
 
 
 def run_verification(
@@ -178,7 +166,6 @@ def run_verification(
     X: float = 15.0,
     n: int = 8193,
     scale: float = 1.0,
-    workers: int | None = None,
 ) -> VerificationReport:
     """Run the full sweep and evaluate every acceptance criterion.
 
@@ -271,7 +258,9 @@ def run_verification(
         s.flags.monotone and s.flags.bounded for s in solutions.values()
     )
     scaled_crossing = {
-        lam: _crossing(solutions[lam]) * lam**0.25 for lam in sweep if lam >= 100.0
+        lam: _value_at_zero(s.grid, s.v1) * lam**0.25
+        for lam, s in solutions.items()
+        if lam >= 100.0
     }
     band = max(scaled_crossing.values()) / min(scaled_crossing.values())
     sweep_pass = (
@@ -309,10 +298,9 @@ def run_verification(
             sigma_full=energy.sigma_full,
             residual=energy.residual,
             first_order=energy.first_order,
-            crossing=_crossing(sol),
         )
 
-    with ThreadPoolExecutor(max_workers=_max_workers(workers)) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(sweep), os.cpu_count() or 1)) as pool:
         points = sorted(pool.map(job, sweep), key=lambda p: p.lam)
 
     fit_lams = [p.lam for p in points if p.lam >= 100.0]
@@ -469,8 +457,3 @@ def run_verification(
         passed=all(v.passed for v in verdicts),
         tables=tables,
     )
-
-
-def _crossing(sol: HeteroclinicSolution) -> float:
-    idx = int(np.argmin(np.abs(sol.grid.nodes)))
-    return float(sol.v1[idx])

@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from beclab import BandedMatrix, BandedSystem, SingularSystemError, solve_banded
-from beclab.banded import BandedLU
+from beclab import BandedLU, BandedMatrix, SingularSystemError
 
 
 def dirichlet_laplacian(m: int, h: float) -> BandedMatrix:
@@ -19,7 +18,7 @@ def test_identity_solve():
     a = BandedMatrix.zeros(8, 1)
     a.add_diagonal(0, np.ones(8))
     rhs = np.arange(8.0)
-    x = solve_banded(BandedSystem(matrix=a, rhs=rhs))
+    x = BandedLU(a).solve(rhs)
     assert np.allclose(x, rhs, atol=1e-15)
 
 
@@ -28,7 +27,7 @@ def test_poisson_closed_form():
     # the quadratic solution x(1-x)/2, so the discrete answer is nodal-exact.
     m = 199
     h = 1.0 / (m + 1)
-    x = solve_banded(BandedSystem(matrix=dirichlet_laplacian(m, h), rhs=np.ones(m)))
+    x = BandedLU(dirichlet_laplacian(m, h)).solve(np.ones(m))
     nodes = h * np.arange(1, m + 1)
     assert np.allclose(x, nodes * (1.0 - nodes) / 2.0, atol=1e-12)
 
@@ -39,7 +38,7 @@ def test_zero_row_reports_index():
     a.data[a.bandwidth + 1, 2] = 0.0
     a.data[a.bandwidth - 1, 4] = 0.0  # row 3 now identically zero
     with pytest.raises(SingularSystemError) as exc:
-        solve_banded(BandedSystem(matrix=a, rhs=np.ones(10)))
+        BandedLU(a).solve(np.ones(10))
     assert exc.value.index == 3
 
 
@@ -49,7 +48,7 @@ def test_dependent_rows_singular():
     a.add_diagonal(1, np.ones(1))
     a.add_diagonal(-1, np.ones(1))
     with pytest.raises(SingularSystemError):
-        solve_banded(BandedSystem(matrix=a, rhs=np.ones(2)))
+        BandedLU(a).solve(np.ones(2))
 
 
 def test_dense_reference_agreement():
@@ -62,7 +61,7 @@ def test_dense_reference_agreement():
             values += 10.0  # diagonal dominance keeps the test well-posed
         a.add_diagonal(offset, values)
     rhs = rng.uniform(-1.0, 1.0, dim)
-    x = solve_banded(BandedSystem(matrix=a, rhs=rhs))
+    x = BandedLU(a).solve(rhs)
     x_ref = np.linalg.solve(a.to_dense(), rhs)
     assert float(np.max(np.abs(x - x_ref))) <= 1e-10
 
@@ -70,7 +69,7 @@ def test_dense_reference_agreement():
 def test_solution_residual_bound():
     a = dirichlet_laplacian(50, 1.0 / 51.0)
     rhs = np.sin(np.arange(50.0))
-    x = solve_banded(BandedSystem(matrix=a, rhs=rhs))
+    x = BandedLU(a).solve(rhs)
     res = float(np.max(np.abs(a.matvec(x) - rhs)))
     assert res <= 1e-10 * (1.0 + float(np.max(np.abs(rhs))))
 
@@ -105,9 +104,10 @@ def test_symmetry_defect():
 
 
 def test_rhs_length_mismatch():
-    a = dirichlet_laplacian(10, 0.1)
-    with pytest.raises(ValueError):
-        solve_banded(BandedSystem(matrix=a, rhs=np.ones(9)))
+    lu = BandedLU(dirichlet_laplacian(10, 0.1))
+    for rhs in (np.ones(9), np.ones(11), np.ones((10, 1)), 1.0):
+        with pytest.raises(ValueError):
+            lu.solve(rhs)
 
 
 def test_lu_reusable_across_right_hand_sides():

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from beclab import Graded, Uniform, differentiate, make_grid
+from beclab import BandedMatrix, Graded, Uniform, differentiate, make_grid
 from beclab.grids import (
     RATIO_CAP,
     beta_for_center_spacing,
     beta_for_half_window,
+    flux_stencil,
     ratio_from_beta,
 )
 
@@ -108,3 +109,46 @@ def test_differentiate_second_order():
 
     e1, e2 = sup_error(101), sup_error(201)
     assert 3.4 <= e1 / e2 <= 4.6
+
+
+def test_flux_stencil_exact_on_quadratics():
+    # the flux difference of x^2 is hp + hm = 2w, i.e. w times (x^2)''
+    grid = make_grid(-2.0, 3.0, 41, Graded(center=0.5, ratio=1.1))
+    st = flux_stencil(grid)
+    x = grid.nodes
+    assert np.allclose(st.apply(x**2 - 3.0 * x + 1.0), 2.0 * st.w, rtol=1e-12)
+    assert np.allclose(st.apply(x), 0.0, atol=1e-12)
+    assert np.allclose(st.lo + st.mid + st.hi, 0.0, atol=1e-9)
+
+
+def test_pair_rows_apply_the_stencil():
+    rng = np.random.default_rng(5)
+    grid = make_grid(-1.0, 2.0, 21, Graded(center=0.3, ratio=1.1))
+    st = flux_stencil(grid)
+    n, m = grid.n, grid.n - 2
+    v1, v2 = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    d1, d2, cross = (rng.uniform(-1.0, 1.0, m) for _ in range(3))
+    expect1 = st.apply(v1) + (d1 - st.mid) * v1[1:-1] + cross * v2[1:-1]
+    expect2 = st.apply(v2) + (d2 - st.mid) * v2[1:-1] + cross * v1[1:-1]
+
+    def interleave(a, b):
+        u = np.empty(2 * a.shape[0])
+        u[0::2], u[1::2] = a, b
+        return u
+
+    # boundary nodes are unknowns: interior rows start at row 2
+    full = BandedMatrix.zeros(2 * n, 2)
+    st.fill_pair_rows(full, 2, d1, d2, cross)
+    r = full.matvec(interleave(v1, v2))
+    assert np.allclose(r[2:-2:2], expect1, atol=1e-12)
+    assert np.allclose(r[3:-2:2], expect2, atol=1e-12)
+    assert np.all(full.to_dense()[[0, 1, -2, -1]] == 0.0)  # boundary rows untouched
+
+    # boundary values eliminated: they enter as data, not as columns
+    inner = BandedMatrix.zeros(2 * m, 2)
+    st.fill_pair_rows(inner, 0, d1, d2, cross)
+    r = inner.matvec(interleave(v1[1:-1], v2[1:-1]))
+    r[:2] += st.lo[0] * np.array([v1[0], v2[0]])
+    r[-2:] += st.hi[-1] * np.array([v1[-1], v2[-1]])
+    assert np.allclose(r[0::2], expect1, atol=1e-12)
+    assert np.allclose(r[1::2], expect2, atol=1e-12)

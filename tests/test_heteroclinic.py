@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from beclab import (
     ContinuationPolicy,
     FieldPair,
     NewtonSettings,
+    NonConvergenceError,
+    SignViolationError,
+    SingularJacobianError,
     StepUnderflow,
     continue_in_lambda,
     default_domain_halfwidth,
@@ -18,6 +23,7 @@ from beclab import (
     rescale_general,
     solve_heteroclinic,
 )
+from beclab import heteroclinic
 from beclab.heteroclinic import ContinuationTrace, TraceEntry
 
 SWEEP = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
@@ -137,6 +143,46 @@ def test_step_underflow_reports_last_converged():
     with pytest.raises(StepUnderflow) as exc:
         continue_in_lambda(start, [1e6], policy=policy, settings=settings)
     assert exc.value.at_lambda == 3.0
+
+
+def test_continuation_propagates_non_solver_errors(sol3, monkeypatch):
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise NotImplementedError("not a solver failure")
+
+    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", broken)
+    with pytest.raises(NotImplementedError):
+        continue_in_lambda(sol3, [10.0])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        NonConvergenceError(1, 1.0),
+        SingularJacobianError(0),
+        SignViolationError("negative component"),
+    ],
+)
+def test_continuation_halves_step_on_solver_failure(failure, monkeypatch):
+    start = solve_heteroclinic(3.0, n=1025)
+    real = heteroclinic.solve_heteroclinic
+    proposals = []
+
+    def fail_first(lam, *args, **kwargs):
+        proposals.append(lam)
+        if len(proposals) == 1:
+            raise failure
+        return real(lam, *args, **kwargs)
+
+    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", fail_first)
+    policy = ContinuationPolicy(initial_step_factor=4.0 / 3.0)
+    trace = continue_in_lambda(start, [4.0], policy=policy)
+    assert [s.halvings for s in trace.steps] == [1, 0]
+    assert proposals[1] == pytest.approx(math.sqrt(12.0), rel=1e-12)  # geometric midpoint
+    assert trace.solutions[-1].lam == 4.0
 
 
 def test_continuation_target_validation(sol3):

@@ -15,12 +15,18 @@ from beclab import (
 )
 
 
+def scalar_jacobian(value: float) -> BandedMatrix:
+    jac = BandedMatrix.zeros(1, 0)
+    jac.set_entry(0, 0, value)
+    return jac
+
+
 def scalar_problem():
     def residual(u):
         return u**2 - 2.0
 
     def jacobian(u):
-        return np.array([[2.0 * u[0]]])
+        return scalar_jacobian(2.0 * u[0])
 
     return residual, jacobian
 
@@ -41,7 +47,7 @@ def test_damping_rescues_overshooting_iteration():
         return np.arctan(u)
 
     def jacobian(u):
-        return np.array([[1.0 / (1.0 + u[0] ** 2)]])
+        return scalar_jacobian(1.0 / (1.0 + u[0] ** 2))
 
     u = 2.0
     for _ in range(6):
@@ -62,18 +68,23 @@ def test_iteration_budget_exhaustion():
     assert exc.value.best_residual > 0.0
 
 
-def test_singular_jacobian_dense_and_banded():
-    def residual(u):
-        return u**2
+def test_singular_jacobian():
+    # a zero row and a vanishing pivot are both reported at the iteration
+    # where the step solve fails
+    with pytest.raises(SingularJacobianError) as exc:
+        newton_solve(lambda u: u**2, lambda u: scalar_jacobian(0.0), np.array([1.0]))
+    assert exc.value.iteration == 0
 
-    with pytest.raises(SingularJacobianError):
-        newton_solve(residual, lambda u: np.array([[0.0]]), np.array([1.0]))
+    def dependent_rows(u):
+        jac = BandedMatrix.zeros(2, 1)
+        for i in range(2):
+            for j in range(2):
+                jac.set_entry(i, j, 1.0)
+        return jac
 
-    def banded_zero(u):
-        return BandedMatrix.zeros(1, 0)
-
-    with pytest.raises(SingularJacobianError):
-        newton_solve(residual, banded_zero, np.array([1.0]))
+    with pytest.raises(SingularJacobianError) as exc:
+        newton_solve(lambda u: u + 1.0, dependent_rows, np.array([1.0, 2.0]))
+    assert exc.value.iteration == 0
 
 
 def test_banded_jacobian_path():

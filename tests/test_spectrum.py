@@ -155,6 +155,25 @@ def test_eigenpairs_deterministic(sol3):
         assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
 
 
+@pytest.mark.parametrize("lam", [3.0, 1e4])
+def test_operator_from_jacobian_matches_paper_potentials(lam, sol3, sweep_solutions):
+    # S = -W^{-1/2} J W^{-1/2} from the Newton Jacobian equals the operator
+    # assembled from the potentials of the linearization
+    sol = sol3 if lam == 3.0 else sweep_solutions[lam]
+    v1, v2 = sol.v1, sol.v2
+    from_jacobian = assemble_linearized(sol).matrix
+    from_potentials = assemble_operator(
+        sol.grid,
+        lam,
+        3.0 * v1**2 - 1.0 + lam * v2**2,
+        3.0 * v2**2 - 1.0 + lam * v1**2,
+        2.0 * lam * v1 * v2,
+    ).matrix
+    norm = float(np.max(np.sum(np.abs(from_potentials.data), axis=0)))
+    diff = float(np.max(np.abs(from_jacobian.data - from_potentials.data)))
+    assert diff <= 1e-15 * norm
+
+
 def test_symmetrized_assembly_is_exactly_symmetric(sol3):
     op = assemble_linearized(sol3)
     assert op.matrix.symmetry_defect() == 0.0
