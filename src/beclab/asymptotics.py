@@ -43,10 +43,13 @@ __all__ = [
     "shift_estimate",
 ]
 
+# Rate c of the exponential weight e^{c|z|} of the outer sup norms.
+_C_WEIGHT = 1.0
+
 # Cap on the exponential weight budget of outer sup norms. The genuine
 # outer error decays like e^{-sqrt(2)|z|}, faster than the e^{c|z|} weight
-# grows (c = 1 default), so the weighted sup is attained near the match
-# point. Evaluating the weight beyond |z| = 15/c would amplify the
+# grows, so the weighted sup is attained near the match point.
+# Evaluating the weight beyond |z| = 15/c would amplify the
 # machine-precision floor (~1e-15, plus the domain-truncation bump at the
 # Dirichlet boundary) above the signal; the cap bounds the amplification
 # at e^15 ~ 3.3e6, keeping the floor near 3e-9 while losing only an
@@ -221,7 +224,6 @@ def _crossing_point(grid: Grid, v1: np.ndarray, v2: np.ndarray) -> float:
 def measure_errors(
     sol: HeteroclinicSolution,
     approx: CompositeApproximation,
-    c_weight: float = 1.0,
 ) -> ErrorReport:
     """Region-wise deviations of sol from approx on sol's own grid.
 
@@ -229,20 +231,18 @@ def measure_errors(
     the report is unchanged by a global translation. Each component's
     outer error is taken on its own saturation side, matching the regions
     where the expansion states uniform bounds; the weighted sup region is
-    capped at |z| = _WEIGHT_BUDGET / c_weight (see the constant's note).
+    capped at |z| = _WEIGHT_BUDGET / _C_WEIGHT (see the constants' notes).
     """
     if sol.lam != approx.lam:
         raise ValueError(
             f"solution lam {sol.lam} does not match composite lam {approx.lam}"
         )
-    if c_weight < 0.0:
-        raise ValueError("c_weight must be nonnegative")
     zeta = sol.grid.nodes - _crossing_point(sol.grid, sol.v1, sol.v2)
     m = approx.match_point
     inner = np.abs(zeta) <= m
     if int(np.count_nonzero(inner)) < 16:
         raise ValueError("solution grid does not resolve the inner window")
-    cap = _WEIGHT_BUDGET / c_weight if c_weight > 0.0 else math.inf
+    cap = _WEIGHT_BUDGET / _C_WEIGHT
     right = (zeta > m) & (zeta <= cap)
     left = (zeta < -m) & (zeta >= -cap)
 
@@ -253,7 +253,7 @@ def measure_errors(
     g1 = np.abs(sol.dv1 - d1)
     g2 = np.abs(sol.dv2 - d2)
 
-    wexp = np.exp(c_weight * np.abs(zeta))
+    wexp = np.exp(_C_WEIGHT * np.abs(zeta))
     deriv_scale = np.abs(zeta) + approx.lam**-0.25
     outer_sup = max(
         float(np.max(e1[right] * wexp[right])),
@@ -268,7 +268,7 @@ def measure_errors(
     core = np.abs(zeta) <= approx.lam**-0.25
     return ErrorReport(
         lam=sol.lam,
-        c_weight=c_weight,
+        c_weight=_C_WEIGHT,
         outer_sup_weighted=outer_sup,
         outer_deriv_weighted=outer_deriv,
         inner_sup=float(np.max(inner_err[inner])),

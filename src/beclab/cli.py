@@ -31,7 +31,7 @@ from .heteroclinic import (
 from .newton import NonConvergenceError
 from .profiles import solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
-from .spectrum import assemble_linearized, lowest_eigenpairs, spectrum_report
+from .spectrum import REPORT_PAIRS, assemble_linearized, lowest_eigenpairs, spectrum_report
 from .verify import run_verification
 from . import __version__
 
@@ -44,7 +44,8 @@ _DIRECT_WINDOW = (2.0, 30.0)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved per-command parameters (flags over config file over defaults)."""
+    """Resolved per-command parameters (flags over config file over
+    defaults); a field the command does not read stays None."""
 
     command: str
     lam: float | None = None
@@ -53,9 +54,9 @@ class RunConfig:
     L: float | None = None
     n: int | None = None
     tol: float | None = None
-    out: str = "."
+    out: str | None = None
     seed: str | None = None
-    variant: str = "shifted"
+    variant: str | None = None
 
     def asdict(self) -> dict:
         resolved = {}
@@ -77,6 +78,12 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return lo, hi, per
 
 
+def _variant(text: str) -> str:
+    if text not in ("leading", "shifted"):
+        raise ValueError(f"variant must be 'leading' or 'shifted', got {text!r}")
+    return text
+
+
 def range_couplings(rng: tuple[float, float, int]) -> list[float]:
     """Log-uniform couplings from a to b inclusive at per_decade points."""
     lo, hi, per = rng
@@ -87,65 +94,78 @@ def range_couplings(rng: tuple[float, float, int]) -> list[float]:
     return sorted(set(lams))
 
 
+# field -> (flag, conversion of the flag's text, JSON type of the config
+# value); the config key is the flag without dashes, '-' read as '_'
+_FLAGS = {
+    "lam": ("--lambda", float, (int, float)),
+    "lam_range": ("--lambda-range", _parse_range, str),
+    "X": ("--X", float, (int, float)),
+    "L": ("--L", float, (int, float)),
+    "n": ("--n", int, int),
+    "tol": ("--tol", float, (int, float)),
+    "out": ("--out", str, str),
+    "seed": ("--seed", str, str),
+    "variant": ("--variant", _variant, str),
+}
+
+# command -> the fields it reads and their defaults (None: no default)
+_COMMAND_FIELDS = {
+    "blowup": {"X": 12.0, "n": 4097, "out": "."},
+    "solve": {"lam": None, "L": None, "n": 8193, "seed": None, "out": "."},
+    "continue": {"lam_range": None, "n": 8193, "out": "."},
+    "composite": {
+        "lam": None, "X": 15.0, "L": None, "n": 8193, "seed": None,
+        "variant": "shifted", "out": ".",
+    },
+    "spectrum": {"lam": None, "L": None, "n": 8193, "seed": None, "out": "."},
+    "energy": {
+        "lam": None, "lam_range": None, "X": 15.0, "L": None, "n": 8193,
+        "seed": None, "out": ".",
+    },
+    "verify": {
+        "lam_range": (10.0, 1e6, 1), "X": 15.0, "n": 8193, "tol": 1.0, "out": ".",
+    },
+}
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems are exit code 1 under the CLI contract
     def error(self, message: str):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_DEFAULTS = {
-    "blowup": {"X": 12.0, "n": 4097},
-    "solve": {"n": 8193},
-    "continue": {"n": 8193},
-    "composite": {"X": 15.0, "n": 8193},
-    "spectrum": {"n": 8193},
-    "energy": {"X": 15.0, "n": 8193},
-    "verify": {"X": 15.0, "n": 8193, "tol": 1.0, "lam_range": (10.0, 1e6, 1)},
-}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="beclab")
     parser.add_argument("--version", action="version", version=f"beclab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DEFAULTS:
-        p = sub.add_parser(name, add_help=True)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--lambda-range", dest="lam_range", type=str, default=None)
-        p.add_argument("--X", type=float, default=None)
-        p.add_argument("--L", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--seed", type=str, default=None)
-        p.add_argument("--variant", choices=("leading", "shifted"), default=None)
+    for name, reads in _COMMAND_FIELDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for field in reads:
+            flag, convert, _ = _FLAGS[field]
+            p.add_argument(flag, dest=field, type=convert, default=None)
         p.add_argument("--config", type=str, default=None)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    merged: dict = dict(_DEFAULTS[args.command])
+    reads = _COMMAND_FIELDS[args.command]
+    merged = dict(reads)
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        known = {"lambda": "lam", "lambda_range": "lam_range"}
+        by_key = {_FLAGS[f][0].lstrip("-").replace("-", "_"): f for f in reads}
         for key, value in loaded.items():
-            field = known.get(key, key)
-            if field not in RunConfig.__dataclass_fields__ or field == "command":
-                raise ValueError(f"unknown config key {key!r}")
-            merged[field] = value
-    for field in ("lam", "lam_range", "X", "L", "n", "tol", "out", "seed", "variant"):
+            if key not in by_key:
+                raise ValueError(f"{args.command} does not read config key {key!r}")
+            flag, convert, kind = _FLAGS[by_key[key]]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"config key {key!r}: {value!r} is not a valid {flag} value")
+            merged[by_key[key]] = convert(value)
+    for field in reads:
         value = getattr(args, field)
         if value is not None:
             merged[field] = value
-    if isinstance(merged.get("lam_range"), str):
-        merged["lam_range"] = _parse_range(merged["lam_range"])
-    elif isinstance(merged.get("lam_range"), (list, tuple)):
-        lo, hi, per = merged["lam_range"]
-        merged["lam_range"] = (float(lo), float(hi), int(per))
-    merged.setdefault("out", ".")
-    merged.setdefault("variant", "shifted")
     return RunConfig(command=args.command, **merged)
 
 
@@ -158,7 +178,7 @@ def _outdir(cfg: RunConfig) -> Path:
 def _solve_at(cfg: RunConfig, lam: float) -> HeteroclinicSolution:
     """Direct solve near the explicit coupling, continuation otherwise,
     or a direct solve from a user seed file when one is given."""
-    n = cfg.n or 8193
+    n = cfg.n
     if cfg.seed is not None:
         z, v1, v2 = read_seed_csv(cfg.seed)
         L = cfg.L if cfg.L is not None else default_domain_halfwidth(lam)
@@ -191,7 +211,7 @@ def _solution_files(cfg: RunConfig, sol: HeteroclinicSolution, outdir: Path) -> 
 
 
 def _cmd_blowup(cfg: RunConfig) -> int:
-    profile = solve_blowup(X=cfg.X or 12.0, n=cfg.n or 4097)
+    profile = solve_blowup(X=cfg.X, n=cfg.n)
     outdir = _outdir(cfg)
     write_csv(
         outdir / "blowup_profile.csv",
@@ -230,8 +250,8 @@ def _cmd_continue(cfg: RunConfig) -> int:
     lams = [lam for lam in range_couplings(cfg.lam_range) if lam > 3.0]
     if not lams:
         raise ValueError("continuation range must reach beyond the seed coupling 3")
-    start = solve_heteroclinic(3.0, n=cfg.n or 8193)
-    trace = continue_in_lambda(start, lams, n=cfg.n or 8193)
+    start = solve_heteroclinic(3.0, n=cfg.n)
+    trace = continue_in_lambda(start, lams, n=cfg.n)
     outdir = _outdir(cfg)
     entries = trace.entries
     write_csv(
@@ -262,7 +282,7 @@ def _cmd_continue(cfg: RunConfig) -> int:
 def _cmd_composite(cfg: RunConfig) -> int:
     if cfg.lam is None:
         raise ValueError("composite requires --lambda")
-    profile = solve_blowup(X=cfg.X or 15.0, n=4097)
+    profile = solve_blowup(X=cfg.X, n=4097)
     sol = _solve_at(cfg, cfg.lam)
     approx = build_composite(cfg.lam, profile, variant=cfg.variant)
     report = measure_errors(sol, approx)
@@ -288,7 +308,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
         raise ValueError("spectrum requires --lambda")
     sol = _solve_at(cfg, cfg.lam)
     op = assemble_linearized(sol)
-    pairs = lowest_eigenpairs(op, 4)
+    pairs = lowest_eigenpairs(op, REPORT_PAIRS)
     report = spectrum_report(sol, op, pairs)
     outdir = _outdir(cfg)
     columns = {"z": sol.grid.nodes}
@@ -301,16 +321,18 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def _cmd_energy(cfg: RunConfig) -> int:
-    if cfg.lam is None and cfg.lam_range is None:
-        raise ValueError("energy requires --lambda or --lambda-range")
-    profile = solve_blowup(X=cfg.X or 15.0, n=4097)
+    if (cfg.lam is None) == (cfg.lam_range is None):
+        raise ValueError("energy requires exactly one of --lambda and --lambda-range")
+    if cfg.lam_range is not None and (cfg.L is not None or cfg.seed is not None):
+        raise ValueError("energy reads --L and --seed only with --lambda")
+    profile = solve_blowup(X=cfg.X, n=4097)
     if cfg.lam_range is not None:
         lams = range_couplings(cfg.lam_range)
         upward = [lam for lam in lams if lam > 3.0]
         if len(upward) != len(lams):
             raise ValueError("energy sweep couplings must exceed the seed coupling 3")
-        start = solve_heteroclinic(3.0, n=cfg.n or 8193)
-        trace = continue_in_lambda(start, upward, n=cfg.n or 8193)
+        start = solve_heteroclinic(3.0, n=cfg.n)
+        trace = continue_in_lambda(start, upward, n=cfg.n)
         sols = [s for s in trace.solutions if s.lam in set(upward)]
     else:
         sols = [_solve_at(cfg, cfg.lam)]
@@ -331,12 +353,8 @@ def _cmd_energy(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
-    lams = range_couplings(cfg.lam_range) if cfg.lam_range else None
     report = run_verification(
-        lams=lams,
-        X=cfg.X or 15.0,
-        n=cfg.n or 8193,
-        scale=1.0 if cfg.tol is None else cfg.tol,
+        lams=range_couplings(cfg.lam_range), X=cfg.X, n=cfg.n, scale=cfg.tol
     )
     outdir = _outdir(cfg)
     for name, table in report.tables.items():

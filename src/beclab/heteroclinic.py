@@ -45,7 +45,7 @@ from .grids import (
     make_grid,
     ratio_from_beta,
 )
-from .newton import NewtonSettings, NonConvergenceError, SingularJacobianError, newton_solve
+from .newton import NonConvergenceError, SingularJacobianError, newton_solve
 
 __all__ = [
     "FieldPair",
@@ -370,7 +370,6 @@ def solve_heteroclinic(
     L: float | None = None,
     n: int = 8193,
     init: FieldPair | None = None,
-    settings: NewtonSettings = NewtonSettings(),
 ) -> HeteroclinicSolution:
     """Damped-Newton collocation solve of the interface system at coupling
     lam on [-L, L] with exact limit Dirichlet data.
@@ -402,7 +401,7 @@ def solve_heteroclinic(
 
     residual, jacobian, full_fields = _interior_residual_jacobian(grid, lam)
     u0 = _interior_state(init.v1, init.v2)
-    u, _, final_res = newton_solve(residual, jacobian, u0, settings)
+    u, _, final_res = newton_solve(residual, jacobian, u0)
     v1, v2 = full_fields(u)
 
     if float(np.min(v1)) < -_SIGN_FLOOR or float(np.min(v2)) < -_SIGN_FLOOR:
@@ -449,7 +448,6 @@ def refine_solution(
     sol: HeteroclinicSolution,
     L: float | None = None,
     n: int | None = None,
-    settings: NewtonSettings = NewtonSettings(),
 ) -> HeteroclinicSolution:
     """Re-solve at the same coupling on a wider domain and/or finer mesh,
     seeding Newton from the given solution."""
@@ -457,7 +455,7 @@ def refine_solution(
     new_n = sol.n if n is None else int(n)
     grid = default_grid(sol.lam, new_L, new_n)
     seed = _seed_on_grid(sol.grid.nodes, sol.v1, sol.v2, grid)
-    return solve_heteroclinic(sol.lam, L=new_L, n=new_n, init=seed, settings=settings)
+    return solve_heteroclinic(sol.lam, L=new_L, n=new_n, init=seed)
 
 
 def _trace_entry(sol: HeteroclinicSolution) -> TraceEntry:
@@ -476,8 +474,6 @@ def continue_in_lambda(
     start: HeteroclinicSolution,
     targets,
     policy: ContinuationPolicy = ContinuationPolicy(),
-    settings: NewtonSettings = NewtonSettings(),
-    halfwidth=default_domain_halfwidth,
     n: int | None = None,
 ) -> ContinuationTrace:
     """Walk the branch from start through the targets (monotone upward or
@@ -519,12 +515,10 @@ def continue_in_lambda(
                 proposal = math.exp(math.log(current.lam) + step)
                 if (upward and proposal > target) or (not upward and proposal < target):
                     proposal = target
-                grid = default_grid(proposal, halfwidth(proposal), n)
+                grid = default_grid(proposal, default_domain_halfwidth(proposal), n)
                 seed = _seed_on_grid(current.grid.nodes, current.v1, current.v2, grid)
                 try:
-                    sol = solve_heteroclinic(
-                        proposal, L=float(grid.b), n=n, init=seed, settings=settings
-                    )
+                    sol = solve_heteroclinic(proposal, L=float(grid.b), n=n, init=seed)
                 except (NonConvergenceError, SingularJacobianError, SignViolationError):
                     halvings += 1
                     if halvings > policy.max_halvings:

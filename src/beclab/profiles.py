@@ -40,11 +40,10 @@ from .grids import (
     make_grid,
     ratio_from_beta,
 )
-from .newton import NewtonSettings, newton_solve
+from .newton import newton_solve
 
 __all__ = [
     "PSI0",
-    "OuterProfile",
     "outer_value",
     "outer_derivative",
     "BlowupProfile",
@@ -94,17 +93,6 @@ def outer_derivative(branch: int, z):
     s = 1.0 if branch == 1 else -1.0
     out = s / (math.sqrt(2.0) * np.cosh(z_arr / math.sqrt(2.0)) ** 2)
     return float(out) if np.ndim(z) == 0 else out
-
-
-@dataclass(frozen=True)
-class OuterProfile:
-    branch: int
-
-    def value(self, z):
-        return outer_value(self.branch, z)
-
-    def derivative(self, z):
-        return outer_derivative(self.branch, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +168,7 @@ def _core_residual_jacobian(grid: Grid):
     return residual, jacobian
 
 
-def solve_blowup(
-    X: float = 12.0, n: int = 4097, settings: NewtonSettings = NewtonSettings()
-) -> BlowupProfile:
+def solve_blowup(X: float = 12.0, n: int = 4097) -> BlowupProfile:
     """Solve the core system on [-X, X] by damped Newton collocation.
 
     Initialisation is the smooth ramp (psi0/2)*(x + sqrt(x^2+1)) and its
@@ -202,7 +188,7 @@ def solve_blowup(
     init[0::2] = ramp
     init[1::2] = 0.5 * PSI0 * (-x + np.sqrt(x**2 + 1.0))
     residual, jacobian = _core_residual_jacobian(grid)
-    u, _, final_res = newton_solve(residual, jacobian, init, settings)
+    u, _, final_res = newton_solve(residual, jacobian, init)
     V1, V2 = u[0::2].copy(), u[1::2].copy()
 
     if float(np.min(V1[1:-1])) < -_SIGN_FLOOR or float(np.min(V2[1:-1])) < -_SIGN_FLOOR:

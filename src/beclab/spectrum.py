@@ -51,6 +51,7 @@ __all__ = [
     "EigenCertificate",
     "Eigenpairs",
     "LinearizedOperator",
+    "REPORT_PAIRS",
     "SpectrumReport",
     "assemble_operator",
     "assemble_linearized",
@@ -65,6 +66,9 @@ __all__ = [
 _START_SEED = 0xBEC1AB
 
 _MAX_EIGENPAIRS = 8
+
+# Eigenpairs behind every spectrum report (verify and `beclab spectrum`).
+REPORT_PAIRS = 4
 
 # Shift-invert pole. The operators of interest are Hessians at energy
 # minimisers (lowest eigenvalue the near-zero translation mode), so a pole
@@ -398,8 +402,8 @@ def spectrum_report(
     )
 
 
-def nondegeneracy_report(sol: HeteroclinicSolution, k: int = 4) -> SpectrumReport:
-    """Bottom-of-spectrum summary about a converged solution from its k
-    lowest eigenpairs; see spectrum_report."""
+def nondegeneracy_report(sol: HeteroclinicSolution) -> SpectrumReport:
+    """Bottom-of-spectrum summary about a converged solution from its
+    REPORT_PAIRS lowest eigenpairs; see spectrum_report."""
     op = assemble_linearized(sol)
-    return spectrum_report(sol, op, lowest_eigenpairs(op, k))
+    return spectrum_report(sol, op, lowest_eigenpairs(op, REPORT_PAIRS))

@@ -32,7 +32,7 @@ from .banded import BandedMatrix
 from .calculus import fit_loglog
 from .energy import (
     LEADING_TENSION,
-    blowup_energy_coefficient,
+    EnergyReport,
     expansion_residual,
     partition_constant,
 )
@@ -48,7 +48,7 @@ from .heteroclinic import (
     refine_solution,
     solve_heteroclinic,
 )
-from .profiles import PSI0, _core_residual_jacobian, extract_kappa, outer_derivative, solve_blowup
+from .profiles import PSI0, _core_residual_jacobian, outer_derivative, solve_blowup
 from .shooting import kappa_shooting
 from .spectrum import SpectrumReport, nondegeneracy_report
 
@@ -155,10 +155,7 @@ class _PointResult:
     lam: float
     errors: ErrorReport
     spectrum: SpectrumReport
-    sigma_gradient: float
-    sigma_full: float
-    residual: float
-    first_order: float
+    energy: EnergyReport
 
 
 def run_verification(
@@ -204,8 +201,9 @@ def run_verification(
         return float(max(np.max(np.abs(sol.v1 - e1)), np.max(np.abs(sol.v2 - e2))))
 
     base_n = (n - 1) // 2 + 1
+    start = solve_heteroclinic(3.0, n=n)
     sup_base = explicit_sup(solve_heteroclinic(3.0, n=base_n))
-    sup_doubled = explicit_sup(solve_heteroclinic(3.0, n=n))
+    sup_doubled = explicit_sup(start)
     anchors_pass = (
         abs(du0 - PSI0) <= 1e-12 * scale
         and abs(pc - LEADING_TENSION) <= 1e-8 * scale
@@ -227,7 +225,7 @@ def run_verification(
     # -- blow-up profile ----------------------------------------------------
     blowup = solve_blowup(X=X, n=4097)
     shot = kappa_shooting()
-    kappa_colloc = extract_kappa(blowup)
+    kappa_colloc = blowup.kappa
     mirror = float(np.max(np.abs(blowup.V1 - blowup.V2[::-1])))
     blowup_pass = (
         blowup.hamiltonian_dev <= 1e-6 * scale
@@ -250,7 +248,6 @@ def run_verification(
     )
 
     # -- heteroclinic sweep -------------------------------------------------
-    start = solve_heteroclinic(3.0, n=n)
     trace = continue_in_lambda(start, sweep, n=n)
     solutions = {s.lam: s for s in trace.solutions if s.lam in sweep}
     ham_max = max(s.hamiltonian_dev for s in solutions.values())
@@ -288,17 +285,9 @@ def run_verification(
         sol = solutions[lam]
         approx = build_composite(lam, blowup)
         err = measure_errors(sol, approx)
-        spec = nondegeneracy_report(sol, k=4)
+        spec = nondegeneracy_report(sol)
         energy = expansion_residual(sol, blowup)
-        return _PointResult(
-            lam=lam,
-            errors=err,
-            spectrum=spec,
-            sigma_gradient=energy.sigma_gradient,
-            sigma_full=energy.sigma_full,
-            residual=energy.residual,
-            first_order=energy.first_order,
-        )
+        return _PointResult(lam=lam, errors=err, spectrum=spec, energy=energy)
 
     with ThreadPoolExecutor(max_workers=min(len(sweep), os.cpu_count() or 1)) as pool:
         points = sorted(pool.map(job, sweep), key=lambda p: p.lam)
@@ -334,7 +323,7 @@ def run_verification(
     )
 
     # -- interface shift ---------------------------------------------------------
-    target = PSI0 ** (-1) * extract_kappa(blowup)
+    target = PSI0 ** (-1) * kappa_colloc
     shift_details = {}
     shift_pass = True
     for lam_ref, tol in ((1e4, 0.10), (1e6, 0.05)):
@@ -356,10 +345,11 @@ def run_verification(
     lam2 = [p.spectrum.lambda2 for p in fit_points]
     lam2_band = max(lam2) / min(lam2)
     lam2_slope = fit_loglog(list(zip(fit_lams, lam2))).slope
-    base = solutions[min(solutions, key=lambda lam: abs(lam - 1e3))]
+    base_point = min(points, key=lambda p: abs(p.lam - 1e3))
+    base = solutions[base_point.lam]
     refined = refine_solution(base, L=base.L + 6.0, n=2 * base.n - 1)
-    l1_base = abs(nondegeneracy_report(base, k=2).lambda1)
-    l1_refined = abs(nondegeneracy_report(refined, k=2).lambda1)
+    l1_base = abs(base_point.spectrum.lambda1)
+    l1_refined = abs(nondegeneracy_report(refined).lambda1)
     gap_pass = (
         gap_ok
         and align_ok
@@ -384,8 +374,8 @@ def run_verification(
 
     # -- tension expansion coefficient --------------------------------------------
     top = points[-1]
-    i1 = blowup_energy_coefficient(blowup)
-    coeff_ratio = (top.sigma_gradient - LEADING_TENSION) * top.lam**0.25 / (2.0 * i1)
+    i1 = top.energy.I1
+    coeff_ratio = (top.energy.sigma_gradient - LEADING_TENSION) * top.lam**0.25 / (2.0 * i1)
     verdicts.append(
         CriterionVerdict(
             "corollary_1_4_coefficient",
@@ -396,9 +386,9 @@ def run_verification(
 
     # -- tension expansion remainder ------------------------------------------------
     residual_slope = fit_loglog(
-        [(p.lam, abs(p.residual)) for p in fit_points]
+        [(p.lam, abs(p.energy.residual)) for p in fit_points]
     ).slope
-    form_gap = max(abs(p.sigma_gradient - p.sigma_full) for p in points)
+    form_gap = max(abs(p.energy.sigma_gradient - p.energy.sigma_full) for p in points)
     residual_pass = (
         residual_slope <= -0.6 * (2.0 - scale) and i1 < 0.0 and form_gap <= 1e-6 * scale
     )
@@ -429,9 +419,9 @@ def run_verification(
     tables = {
         "energy": {
             "lambda": [p.lam for p in points],
-            "sigma": [p.sigma_gradient for p in points],
-            "first_order": [p.first_order for p in points],
-            "residual": [p.residual for p in points],
+            "sigma": [p.energy.sigma_gradient for p in points],
+            "first_order": [p.energy.first_order for p in points],
+            "residual": [p.energy.residual for p in points],
         },
         "errors": {
             "lambda": [p.lam for p in points],

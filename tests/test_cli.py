@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from beclab import cli
 from beclab.cli import main, range_couplings
@@ -34,8 +35,141 @@ def assert_readme_outputs(command, out):
     assert sorted(p.name for p in out.iterdir()) == readme_outputs()[command]
 
 
+def readme_flags() -> dict:
+    """command -> {flag: default text, '' for none}, parsed from the README
+    flag table."""
+    text = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and re.fullmatch(r"`[a-z]+`", cells[0]):
+            table[cells[0].strip("`")] = dict(re.findall(r"`(--[\w-]+) ?([^`]*)`", cells[1]))
+    return table
+
+
+ALL_FLAGS = (
+    "--lambda", "--lambda-range", "--X", "--L", "--n", "--tol", "--out", "--seed", "--variant",
+)
+
+# the flags each command reads besides --config
+READS = {
+    "blowup": ("--X", "--n", "--out"),
+    "solve": ("--lambda", "--L", "--n", "--seed", "--out"),
+    "continue": ("--lambda-range", "--n", "--out"),
+    "composite": ("--lambda", "--X", "--L", "--n", "--seed", "--variant", "--out"),
+    "spectrum": ("--lambda", "--L", "--n", "--seed", "--out"),
+    "energy": ("--lambda", "--lambda-range", "--X", "--L", "--n", "--seed", "--out"),
+    "verify": ("--lambda-range", "--X", "--n", "--tol", "--out"),
+}
+
+DROPPED = [(c, f) for c, reads in READS.items() for f in ALL_FLAGS if f not in reads]
+
+# a value each flag accepts, and the arguments each command needs to run
+FLAG_VALUE = {
+    "--lambda": "20",
+    "--lambda-range": "10:100:1",
+    "--X": "12",
+    "--L": "25",
+    "--n": "1025",
+    "--tol": "1",
+    "--seed": "seed.csv",
+    "--variant": "leading",
+}
+NEEDS = {
+    "blowup": [],
+    "solve": ["--lambda", "20"],
+    "continue": ["--lambda-range", "10:100:1"],
+    "composite": ["--lambda", "20"],
+    "spectrum": ["--lambda", "20"],
+    "energy": ["--lambda", "20"],
+    "verify": [],
+}
+
+
 def test_readme_table_lists_every_command():
     assert sorted(readme_outputs()) == sorted(cli._COMMANDS)
+
+
+def test_cli_table_reads_the_documented_flags():
+    assert sorted(cli._COMMAND_FIELDS) == sorted(cli._COMMANDS)
+    for command, reads in cli._COMMAND_FIELDS.items():
+        assert sorted(cli._FLAGS[f][0] for f in reads) == sorted(READS[command])
+    assert sum(len(r) + 1 for r in READS.values()) == 42  # with --config
+    assert len(DROPPED) == 28
+
+
+def test_readme_flag_table_matches_cli():
+    by_flag = {flag: convert for flag, convert, _ in cli._FLAGS.values()}
+    table = readme_flags()
+    assert sorted(table) == sorted(cli._COMMAND_FIELDS)
+    for command, reads in cli._COMMAND_FIELDS.items():
+        defaults = {cli._FLAGS[field][0]: value for field, value in reads.items()}
+        assert sorted(table[command]) == sorted(defaults)
+        for flag, text in table[command].items():
+            if defaults[flag] is None:
+                assert text == "", (command, flag)
+            else:
+                assert by_flag[flag](text) == defaults[flag], (command, flag)
+
+
+@pytest.mark.parametrize("command,flag", DROPPED)
+def test_flag_the_command_does_not_read_exits_one(command, flag, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = [command, *NEEDS[command], flag, FLAG_VALUE[flag], "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [("blowup", {"lambda": 3.0}), ("continue", {"seed": "seed.csv"}), ("solve", {"config": "x"})],
+)
+def test_config_key_the_command_does_not_read_exits_one(command, config, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main([command, *NEEDS[command], "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "does not read config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(["--X", "0"], "need X >= 10"), (["--n", "0"], "need n >= 513")],
+)
+def test_blowup_zero_values_reach_the_solver(argv, message, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["blowup", *argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lambda", "20", "--lambda-range", "10:100:1"],
+        [],
+        ["--lambda-range", "10:100:1", "--L", "25"],
+        ["--lambda-range", "10:100:1", "--seed", "seed.csv"],
+    ],
+)
+def test_energy_flag_rules_exit_one(argv, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["energy", *argv, "--n", "1025", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "energy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{"n": "1025"}, {"n": 1025.5}, {"n": True}, {"X": None}])
+def test_mistyped_config_value_exits_one(config, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"lambda": 3.0, **config}))
+    out = tmp_path / "run"
+    command = "composite" if "X" in config else "solve"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "is not a valid" in capsys.readouterr().err
 
 
 def test_range_couplings_decades():
@@ -52,7 +186,7 @@ def test_blowup_command(tmp_path):
     assert code == 0
     assert_readme_outputs("blowup", out)
     summary = read_json(out / "blowup_summary.json")
-    assert summary["config"]["X"] == 12.0
+    assert summary["config"] == {"command": "blowup", "X": 12.0, "n": 2049, "out": str(out)}
     assert abs(summary["report"]["kappa"] - 0.545271399338) <= 1e-6
     assert summary["report"]["hamiltonian_dev"] <= 1e-6
     header = (out / "blowup_profile.csv").read_text().splitlines()
@@ -199,6 +333,17 @@ def test_config_file_merge_and_flag_override(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"lambda": 3.0, "bogus": 1}))
     assert main(["solve", "--config", str(bad), "--out", str(out)]) == 1
+
+
+def test_config_range_goes_through_the_flag_conversion(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"lambda_range": "10:100:1", "n": 1025}))
+    out = tmp_path / "run"
+    assert main(["continue", "--config", str(cfg), "--out", str(out)]) == 0
+    config = read_json(out / "trace_summary.json")["config"]
+    assert config == {
+        "command": "continue", "lam_range": [10.0, 100.0, 1], "n": 1025, "out": str(out),
+    }
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

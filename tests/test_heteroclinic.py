@@ -8,7 +8,6 @@ import pytest
 from beclab import (
     ContinuationPolicy,
     FieldPair,
-    NewtonSettings,
     NonConvergenceError,
     SignViolationError,
     SingularJacobianError,
@@ -136,13 +135,19 @@ def test_qualitative_checks(sweep_solutions):
     assert rep.symmetric_dev <= 1e-6
 
 
-def test_step_underflow_reports_last_converged():
-    start = solve_heteroclinic(3.0, n=1025)
-    policy = ContinuationPolicy(initial_step_factor=1e5, max_halvings=1)
-    settings = NewtonSettings(max_iters=4)
+def test_step_underflow_reports_last_converged(sol3, monkeypatch):
+    calls = []
+
+    def never_converges(lam, *args, **kwargs):
+        calls.append(lam)
+        raise NonConvergenceError(1, 1.0)
+
+    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", never_converges)
+    policy = ContinuationPolicy(max_halvings=1)
     with pytest.raises(StepUnderflow) as exc:
-        continue_in_lambda(start, [1e6], policy=policy, settings=settings)
+        continue_in_lambda(sol3, [1e6], policy=policy)
     assert exc.value.at_lambda == 3.0
+    assert len(calls) == 2  # the first proposal and one halving
 
 
 def test_continuation_propagates_non_solver_errors(sol3, monkeypatch):

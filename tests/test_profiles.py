@@ -16,7 +16,6 @@ from beclab import (
     rescale_blowup,
     solve_blowup,
 )
-from beclab.profiles import OuterProfile
 
 # Frozen oracle values from the mirror-symmetric shooting integration
 # (DOP853, rtol 1e-13): center value a = V1(0) and far-field offset kappa.
@@ -58,13 +57,6 @@ def test_outer_branch_validation():
         outer_value(3, 0.0)
     with pytest.raises(ValueError):
         outer_derivative(0, 0.0)
-
-
-def test_outer_profile_object_delegates():
-    p = OuterProfile(branch=1)
-    z = np.linspace(0.0, 2.0, 9)
-    assert np.array_equal(p.value(z), outer_value(1, z))
-    assert np.array_equal(p.derivative(z), outer_derivative(1, z))
 
 
 def test_outer_satisfies_scalar_front_equation():

@@ -59,7 +59,7 @@ def test_laplacian_eigenvector_shape():
 
 
 def test_lambda3_spectrum(sol3):
-    rep = nondegeneracy_report(sol3, k=4)
+    rep = nondegeneracy_report(sol3)
     assert abs(rep.lambda1) <= 1e-6
     # difference channel bottom of the explicit branch sits at 3/2 exactly
     assert abs(rep.lambda2 - 1.5) <= 1e-5
@@ -79,8 +79,8 @@ def test_quasi_continuum_onset(sol3):
 def test_essential_edge_unresolved_at_low_k(sol3, sweep_solutions):
     # the first few modes above the gap are extended scattering states, not
     # edge-localized; the report returns NaN rather than a fake edge value
-    assert math.isnan(nondegeneracy_report(sol3, k=4).essential_edge_estimate)
-    rep = nondegeneracy_report(sweep_solutions[1e2], k=4)
+    assert math.isnan(nondegeneracy_report(sol3).essential_edge_estimate)
+    rep = nondegeneracy_report(sweep_solutions[1e2])
     assert math.isnan(rep.essential_edge_estimate)
 
 
@@ -186,8 +186,6 @@ def test_k_validation(sol3):
         lowest_eigenpairs(op, 0)
     with pytest.raises(ValueError):
         lowest_eigenpairs(op, 9)
-    with pytest.raises(ValueError):
-        nondegeneracy_report(sol3, k=0)
 
 
 def test_assembly_leaves_caller_arrays_alone():
@@ -285,7 +283,7 @@ def test_report_from_given_pairs_matches_full_report(sol3):
     op = assemble_linearized(sol3)
     pairs = lowest_eigenpairs(op, 4)
     rep = spectrum_report(sol3, op, pairs)
-    assert rep == nondegeneracy_report(sol3, k=4)
+    assert rep == nondegeneracy_report(sol3)
     assert rep.inertia_count == 4 and rep.inertia_shift == pairs.certificate.shift
     assert rep.lambda2 < rep.inertia_shift
     assert 0.0 < rep.max_residual <= residual_tolerance(op)
