@@ -15,7 +15,7 @@ nondegeneracy of the linearization, and the interface-tension expansion.
 
 from .banded import BandedLU, BandedMatrix, SingularSystemError
 from .calculus import OrderFit, fit_loglog, golden_minimize, quadrature, resample
-from .grids import Graded, Grid, Uniform, differentiate, make_grid
+from .grids import Grid, differentiate, make_grid
 from .newton import (
     NewtonResult,
     NewtonSettings,
@@ -36,7 +36,6 @@ from .shooting import ShootingResult, kappa_shooting
 from .heteroclinic import (
     ContinuationPolicy,
     ContinuationTrace,
-    FieldPair,
     HeteroclinicSolution,
     QualitativeReport,
     RescaleResult,

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .calculus import OrderFit, fit_loglog, golden_minimize, resample
 from .grids import Grid
 from .heteroclinic import HeteroclinicSolution
-from .profiles import PSI0, BlowupProfile, outer_value, outer_derivative, solve_blowup
+from .profiles import PSI0, BlowupProfile, outer_value, outer_derivative
 
 __all__ = [
     "CompositeApproximation",
@@ -305,24 +304,17 @@ def fit_error_orders(reports) -> ErrorOrders:
     )
 
 
-@lru_cache(maxsize=1)
-def _default_kappa() -> float:
-    return solve_blowup().kappa
-
-
-def shift_estimate(sol: HeteroclinicSolution, kappa: float | None = None) -> float:
+def shift_estimate(sol: HeteroclinicSolution, kappa: float) -> float:
     """Best-fit outer shift: argmin over xi of the sup deviation between
     v1 and U1(. + xi) on z >= match_point.
 
     The bracket is [0, 4*kappa/psi0*lam^{-1/4}] around the predicted value
     kappa/psi0*lam^{-1/4}; a minimizer pinned at either bracket edge means
     the shift law does not describe the data and raises RuntimeError.
-    kappa defaults to the core profile's computed offset.
+    kappa is the core profile's offset (BlowupProfile.kappa).
     """
     if sol.lam < 100.0:
         raise ValueError(f"shift estimate needs lam >= 100, got {sol.lam}")
-    if kappa is None:
-        kappa = _default_kappa()
     match = math.log(sol.lam) * sol.lam**-0.25
     region = sol.grid.nodes >= match
     z = sol.grid.nodes[region]

@@ -22,10 +22,7 @@ from .energy import expansion_residual
 from .heteroclinic import (
     HeteroclinicSolution,
     StepUnderflow,
-    _seed_on_grid,
     continue_in_lambda,
-    default_domain_halfwidth,
-    default_grid,
     solve_heteroclinic,
 )
 from .newton import NonConvergenceError
@@ -85,13 +82,13 @@ def _variant(text: str) -> str:
 
 
 def range_couplings(rng: tuple[float, float, int]) -> list[float]:
-    """Log-uniform couplings from a to b inclusive at per_decade points."""
+    """Couplings a and b plus every log-uniform point 10**(k/per_decade)
+    strictly between them, in increasing order."""
     lo, hi, per = rng
-    k0 = round(per * math.log10(lo))
-    k1 = round(per * math.log10(hi))
-    lams = [10.0 ** (k / per) for k in range(k0, k1 + 1)]
-    lams[0], lams[-1] = lo, hi
-    return sorted(set(lams))
+    k0 = math.floor(per * math.log10(lo))
+    k1 = math.ceil(per * math.log10(hi))
+    grid = (10.0 ** (k / per) for k in range(k0, k1 + 1))
+    return sorted({lo, hi, *(lam for lam in grid if lo < lam < hi)})
 
 
 # field -> (flag, conversion of the flag's text, JSON type of the config
@@ -180,10 +177,7 @@ def _solve_at(cfg: RunConfig, lam: float) -> HeteroclinicSolution:
     or a direct solve from a user seed file when one is given."""
     n = cfg.n
     if cfg.seed is not None:
-        z, v1, v2 = read_seed_csv(cfg.seed)
-        L = cfg.L if cfg.L is not None else default_domain_halfwidth(lam)
-        seed = _seed_on_grid(z, v1, v2, default_grid(lam, L, n))
-        return solve_heteroclinic(lam, L=L, n=n, init=seed)
+        return solve_heteroclinic(lam, L=cfg.L, n=n, init=read_seed_csv(cfg.seed))
     if _DIRECT_WINDOW[0] <= lam <= _DIRECT_WINDOW[1]:
         return solve_heteroclinic(lam, L=cfg.L, n=n)
     start = solve_heteroclinic(3.0, L=cfg.L, n=n)

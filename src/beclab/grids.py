@@ -1,11 +1,12 @@
 """One-dimensional meshes and the finite-difference stencils shared by
 every assembly in the package.
 
-Graded grids use a sinh map: with u uniform on [0, 1], nodes are placed at
-x(u) = c + A*sinh(beta*(u - u_c)). The map clusters nodes around the
-declared center while bounding the spacing quotient of adjacent cells by
-exp(beta/(n-1)), so a user-facing `ratio` translates directly into the map
-strength beta = (n-1)*log(ratio).
+A grid on [a, b] is fixed by its node count n and the bound `ratio` on the
+spacing quotient of adjacent cells. With ratio = 1 the nodes are equally
+spaced. Otherwise they follow a sinh map symmetric about the midpoint c:
+with u uniform on [0, 1], x(u) = c + A*sinh(beta*(u - 1/2)), which clusters
+nodes at c while bounding the spacing quotient by exp(beta/(n-1)), so the
+map strength is beta = (n-1)*log(ratio).
 
 Derivatives are second-order three-point stencils: for a node with
 neighbours, the derivative of the local interpolating quadratic; at the two
@@ -28,8 +29,6 @@ from .banded import BandedMatrix
 
 __all__ = [
     "RATIO_CAP",
-    "Uniform",
-    "Graded",
     "Grid",
     "make_grid",
     "beta_for_half_window",
@@ -46,27 +45,9 @@ __all__ = [
 RATIO_CAP = 1.2
 
 
-@dataclass(frozen=True)
-class Uniform:
-    """Equally spaced nodes."""
-
-
-@dataclass(frozen=True)
-class Graded:
-    """Sinh-graded spacing, finest at ``center``.
-
-    ``ratio`` is the bound on the spacing quotient of adjacent cells and
-    must lie in (1, RATIO_CAP].
-    """
-
-    center: float
-    ratio: float
-
-
 @dataclass(frozen=True, eq=False)
 class Grid:
     nodes: np.ndarray
-    grading: Uniform | Graded
 
     @property
     def n(self) -> int:
@@ -84,61 +65,34 @@ class Grid:
         return np.diff(self.nodes)
 
 
-def _sinh_nodes(a: float, b: float, n: int, center: float, beta: float) -> np.ndarray:
-    # Solve for the map parameters so that x(0)=a, x(1)=b, x(u_c)=center.
-    # The center equation reduces to a one-dimensional root find for u_c.
-    u = np.linspace(0.0, 1.0, n)
-    if abs((center - a) - (b - center)) <= 1e-14 * (b - a):
-        u_c = 0.5
-    else:
-        lo, hi = 0.0, 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            g = (center - a) * math.sinh(beta * (1.0 - mid)) - (b - center) * math.sinh(
-                beta * mid
-            )
-            if g > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        u_c = 0.5 * (lo + hi)
-    amp = (b - center) / math.sinh(beta * (1.0 - u_c))
-    nodes = center + amp * np.sinh(beta * (u - u_c))
-    nodes[0] = a
-    nodes[-1] = b
-    return nodes
+def make_grid(a: float, b: float, n: int, ratio: float = 1.0) -> Grid:
+    """Build a grid on [a, b] with n nodes and adjacent-cell spacing
+    quotient at most ratio: uniform for ratio = 1, otherwise sinh-graded
+    and finest at the midpoint.
 
-
-def make_grid(a: float, b: float, n: int, grading: Uniform | Graded = Uniform()) -> Grid:
-    """Build a grid on [a, b] with n nodes.
-
-    Raises ValueError for a >= b, n < 16, or a grading descriptor violating
-    its constraints (center outside (a, b), ratio outside (1, RATIO_CAP]).
+    Raises ValueError for a >= b, n < 16, ratio outside [1, RATIO_CAP], or
+    a map strength beta = (n-1)*log(ratio) above 50.
     """
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     if n < 16:
         raise ValueError(f"need n >= 16, got n={n}")
-    if isinstance(grading, Uniform):
+    if not (1.0 <= ratio <= RATIO_CAP + 1e-12):
+        raise ValueError(f"grading ratio {ratio} outside [1, {RATIO_CAP}]")
+    beta = (n - 1) * math.log(ratio)
+    if beta > 50.0:
+        raise ValueError(f"grading too strong: beta={beta:.1f} would degenerate the map")
+    if beta == 0.0:
         nodes = np.linspace(a, b, n)
-    elif isinstance(grading, Graded):
-        if not (a < grading.center < b):
-            raise ValueError(f"grading center {grading.center} outside ({a}, {b})")
-        if not (1.0 < grading.ratio <= RATIO_CAP + 1e-12):
-            raise ValueError(
-                f"grading ratio {grading.ratio} outside (1, {RATIO_CAP}]"
-            )
-        beta = (n - 1) * math.log(grading.ratio)
-        if beta > 50.0:
-            raise ValueError(
-                f"grading too strong: beta={beta:.1f} would degenerate the map"
-            )
-        nodes = _sinh_nodes(a, b, n, grading.center, beta)
     else:
-        raise ValueError(f"unknown grading descriptor {grading!r}")
+        c = 0.5 * (a + b)
+        amp = (b - c) / math.sinh(0.5 * beta)
+        nodes = c + amp * np.sinh(beta * (np.linspace(0.0, 1.0, n) - 0.5))
+        nodes[0] = a
+        nodes[-1] = b
     if not np.all(np.diff(nodes) > 0.0):
         raise ValueError("grid construction produced non-increasing nodes")
-    return Grid(nodes=nodes, grading=grading)
+    return Grid(nodes=nodes)
 
 
 def beta_for_half_window(length: float, half_width: float) -> float:

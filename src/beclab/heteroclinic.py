@@ -35,9 +35,7 @@ import numpy as np
 from .banded import BandedMatrix
 from .calculus import quadrature, resample
 from .grids import (
-    Graded,
     Grid,
-    Uniform,
     differentiate,
     beta_for_center_spacing,
     beta_for_half_window,
@@ -48,7 +46,6 @@ from .grids import (
 from .newton import NonConvergenceError, SingularJacobianError, newton_solve
 
 __all__ = [
-    "FieldPair",
     "SolutionFlags",
     "HeteroclinicSolution",
     "QualitativeReport",
@@ -83,22 +80,6 @@ _TAIL_FLOOR = 1e-13
 
 # Hard error threshold for genuine sign violations after convergence.
 _SIGN_FLOOR = 1e-11
-
-
-@dataclass(frozen=True)
-class FieldPair:
-    """Nodal values of both components; the Newton seed container."""
-
-    v1: np.ndarray
-    v2: np.ndarray
-
-    def __post_init__(self):
-        v1 = np.asarray(self.v1, dtype=float)
-        v2 = np.asarray(self.v2, dtype=float)
-        if v1.shape != v2.shape or v1.ndim != 1:
-            raise ValueError("FieldPair components must be 1-d arrays of equal length")
-        object.__setattr__(self, "v1", v1)
-        object.__setattr__(self, "v2", v2)
 
 
 @dataclass(frozen=True)
@@ -249,18 +230,22 @@ def default_domain_halfwidth(lam: float) -> float:
 
 
 def default_grid(lam: float, L: float, n: int) -> Grid:
-    """Sinh-graded mesh on [-L, L]: at least half the nodes inside
-    |z| <= max(4*(ln lam)*lam^{-1/4}, 2) and center spacing at most
-    2.5e-3*lam^{-1/4}."""
+    """Sinh-graded mesh on [-L, L], symmetric about 0.
+
+    The map strength is the larger of the ones that put half the nodes
+    inside |z| <= max(4*(ln lam)*lam^{-1/4}, 2) and that make the center
+    spacing 2.5e-3*lam^{-1/4}; a strength of 0 gives the uniform mesh.
+    The adjacent-cell ratio is capped at RATIO_CAP, and on coarse meshes
+    the cap binds: at n = 41 and L = 20 (the Jacobian hygiene mesh) the center
+    spacing is about 0.19, not the requested 2.5e-3*lam^{-1/4}.
+    """
     half_window = max(4.0 * math.log(lam) * lam**-0.25, 2.0)
     h_center = 2.5e-3 * lam**-0.25
     beta = max(
         beta_for_half_window(L, half_window),
         beta_for_center_spacing(L, n, h_center),
     )
-    if beta <= 0.0:
-        return make_grid(-L, L, n, Uniform())
-    return make_grid(-L, L, n, Graded(center=0.0, ratio=ratio_from_beta(beta, n)))
+    return make_grid(-L, L, n, ratio_from_beta(beta, n))
 
 
 def _interior_residual_jacobian(grid: Grid, lam: float):
@@ -369,16 +354,20 @@ def solve_heteroclinic(
     lam: float,
     L: float | None = None,
     n: int = 8193,
-    init: FieldPair | None = None,
+    init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> HeteroclinicSolution:
     """Damped-Newton collocation solve of the interface system at coupling
-    lam on [-L, L] with exact limit Dirichlet data.
+    lam on [-L, L] (L defaults to default_domain_halfwidth(lam)) with exact
+    limit Dirichlet data, on the mesh default_grid(lam, L, n).
 
-    When init is omitted the explicit lam=3 branch seeds the iteration;
-    that works for couplings near 3 while large couplings should be
-    reached through continue_in_lambda. A converged iterate whose interior
-    dips below the sign noise floor raises SignViolationError (the branch
-    of interest is positive).
+    init, when given, is node samples (z, v1, v2) on any strictly
+    increasing node set, such as another solution's grid; they are
+    resampled onto the mesh to seed Newton. When init is omitted the
+    explicit lam=3 branch seeds the iteration; that works for couplings
+    near 3 while large couplings should be reached through
+    continue_in_lambda. A converged iterate whose interior dips below the
+    sign noise floor raises SignViolationError (the branch of interest is
+    positive).
     """
     if not lam > 1.0:
         raise ValueError(f"coupling must exceed 1, got lam={lam}")
@@ -389,18 +378,13 @@ def solve_heteroclinic(
     if n < 513:
         raise ValueError(f"need n >= 513, got {n}")
     grid = default_grid(lam, L, n)
-    x = grid.nodes
-
     if init is None:
-        s1, s2 = explicit_lambda3(x)
-        init = FieldPair(v1=s1, v2=s2)
-    if init.v1.shape[0] != n:
-        raise ValueError(f"init has {init.v1.shape[0]} nodes, grid has {n}")
-    if np.any(init.v1 < 0.0) or np.any(init.v2 < 0.0):
-        raise ValueError("init must be nonnegative")
+        seed = explicit_lambda3(grid.nodes)
+    else:
+        seed = _seed_on_grid(*init, grid)
 
     residual, jacobian, full_fields = _interior_residual_jacobian(grid, lam)
-    u0 = _interior_state(init.v1, init.v2)
+    u0 = _interior_state(*seed)
     u, _, final_res = newton_solve(residual, jacobian, u0)
     v1, v2 = full_fields(u)
 
@@ -433,7 +417,7 @@ def solve_heteroclinic(
     )
 
 
-def _seed_on_grid(z: np.ndarray, v1: np.ndarray, v2: np.ndarray, grid: Grid) -> FieldPair:
+def _seed_on_grid(z: np.ndarray, v1: np.ndarray, v2: np.ndarray, grid: Grid):
     # cubic resampling of node samples, constant extension beyond the
     # source domain, clamp into [0, 1], exact limit values at both ends
     at = np.clip(grid.nodes, z[0], z[-1])
@@ -441,7 +425,7 @@ def _seed_on_grid(z: np.ndarray, v1: np.ndarray, v2: np.ndarray, grid: Grid) -> 
     v2 = np.clip(resample(z, v2, at), 0.0, 1.0)
     v1[0], v1[-1] = 0.0, 1.0
     v2[0], v2[-1] = 1.0, 0.0
-    return FieldPair(v1=v1, v2=v2)
+    return v1, v2
 
 
 def refine_solution(
@@ -449,13 +433,14 @@ def refine_solution(
     L: float | None = None,
     n: int | None = None,
 ) -> HeteroclinicSolution:
-    """Re-solve at the same coupling on a wider domain and/or finer mesh,
-    seeding Newton from the given solution."""
+    """Re-solve at the same coupling on a wider domain and/or finer mesh
+    (L and n default to the solution's own), seeding Newton from the
+    solution's node samples."""
     new_L = sol.L if L is None else float(L)
     new_n = sol.n if n is None else int(n)
-    grid = default_grid(sol.lam, new_L, new_n)
-    seed = _seed_on_grid(sol.grid.nodes, sol.v1, sol.v2, grid)
-    return solve_heteroclinic(sol.lam, L=new_L, n=new_n, init=seed)
+    return solve_heteroclinic(
+        sol.lam, L=new_L, n=new_n, init=(sol.grid.nodes, sol.v1, sol.v2)
+    )
 
 
 def _trace_entry(sol: HeteroclinicSolution) -> TraceEntry:
@@ -515,10 +500,9 @@ def continue_in_lambda(
                 proposal = math.exp(math.log(current.lam) + step)
                 if (upward and proposal > target) or (not upward and proposal < target):
                     proposal = target
-                grid = default_grid(proposal, default_domain_halfwidth(proposal), n)
-                seed = _seed_on_grid(current.grid.nodes, current.v1, current.v2, grid)
+                seed = (current.grid.nodes, current.v1, current.v2)
                 try:
-                    sol = solve_heteroclinic(proposal, L=float(grid.b), n=n, init=seed)
+                    sol = solve_heteroclinic(proposal, n=n, init=seed)
                 except (NonConvergenceError, SingularJacobianError, SignViolationError):
                     halvings += 1
                     if halvings > policy.max_halvings:

@@ -32,7 +32,6 @@ import numpy as np
 from .banded import BandedMatrix
 from .calculus import resample
 from .grids import (
-    Graded,
     Grid,
     differentiate,
     edge_first_weights,
@@ -181,7 +180,7 @@ def solve_blowup(X: float = 12.0, n: int = 4097) -> BlowupProfile:
         raise ValueError(f"need X >= 10 for a converged far field, got {X}")
     if n < 513:
         raise ValueError(f"need n >= 513, got {n}")
-    grid = make_grid(-X, X, n, Graded(center=0.0, ratio=ratio_from_beta(_CORE_BETA, n)))
+    grid = make_grid(-X, X, n, ratio_from_beta(_CORE_BETA, n))
     x = grid.nodes
     ramp = 0.5 * PSI0 * (x + np.sqrt(x**2 + 1.0))
     init = np.empty(2 * n)
@@ -267,11 +266,7 @@ def rescale_blowup(profile: BlowupProfile, mu: float, h: float) -> BlowupProfile
     if int(np.count_nonzero(sel)) < 16:
         raise ValueError("mapped domain exceeds source data")
     nodes = x[sel].copy()
-    grading = profile.grid.grading
-    if isinstance(grading, Graded):
-        center = min(max(grading.center, float(nodes[0])), float(nodes[-1]))
-        grading = Graded(center=center, ratio=grading.ratio)
-    grid = Grid(nodes=nodes, grading=grading)
+    grid = Grid(nodes)
     at = mu * (nodes - h)
     V1 = mu * resample(x, profile.V1, at)
     V2 = mu * resample(x, profile.V2, at)

@@ -90,14 +90,9 @@ def test_shift_estimate_accuracy(sweep_solutions, blowup_wide):
     assert rel4 <= 0.01 and rel6 <= 0.01
 
 
-def test_shift_estimate_default_kappa(sweep_solutions):
-    xi = shift_estimate(sweep_solutions[1e4])
-    assert xi * 1e4**0.25 == pytest.approx(0.545271 / PSI0, rel=0.01)
-
-
-def test_shift_estimate_precondition(sweep_solutions):
+def test_shift_estimate_precondition(sweep_solutions, blowup_wide):
     with pytest.raises(ValueError):
-        shift_estimate(sweep_solutions[1e1])
+        shift_estimate(sweep_solutions[1e1], kappa=blowup_wide.kappa)
 
 
 def test_build_composite_preconditions(blowup_wide):
@@ -129,7 +124,7 @@ def test_measure_errors_translation_invariant(sweep_solutions, blowup_wide):
     sol = sweep_solutions[1e4]
     approx = build_composite(1e4, blowup_wide)
     base = measure_errors(sol, approx)
-    shifted_grid = Grid(nodes=sol.grid.nodes + 0.5, grading=sol.grid.grading)
+    shifted_grid = Grid(nodes=sol.grid.nodes + 0.5)
     shifted = dataclasses.replace(sol, grid=shifted_grid)
     moved = measure_errors(shifted, approx)
     assert moved.outer_sup_weighted == pytest.approx(

@@ -178,6 +178,11 @@ def test_range_couplings_decades():
     lams = range_couplings((10.0, 100.0, 2))
     assert lams[0] == 10.0 and lams[-1] == 100.0
     assert len(lams) == 3
+    # both endpoints are kept, with every grid point strictly between
+    assert range_couplings((4.0, 5.0, 1)) == [4.0, 5.0]
+    assert range_couplings((10.0, 15.0, 1)) == [10.0, 15.0]
+    assert range_couplings((40.0, 1e3, 1)) == [40.0, 100.0, 1e3]
+    assert range_couplings((10.0, 250.0, 1)) == [10.0, 100.0, 250.0]
 
 
 def test_blowup_command(tmp_path):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beclab import BandedMatrix, Graded, Uniform, differentiate, make_grid
+from beclab import BandedMatrix, differentiate, make_grid
 from beclab.grids import (
     RATIO_CAP,
     beta_for_center_spacing,
@@ -13,6 +15,7 @@ from beclab.grids import (
     flux_stencil,
     ratio_from_beta,
 )
+from beclab.heteroclinic import default_domain_halfwidth, default_grid
 
 
 def test_uniform_nodes_closed_form():
@@ -23,7 +26,7 @@ def test_uniform_nodes_closed_form():
 
 
 def test_graded_min_spacing_at_center():
-    grid = make_grid(-30.0, 30.0, 2049, Graded(center=0.0, ratio=1.02))
+    grid = make_grid(-30.0, 30.0, 2049, 1.02)
     h = grid.spacing()
     mid = int(np.argmin(h))
     assert abs(mid - (2049 - 1) // 2) <= 1
@@ -34,7 +37,7 @@ def test_graded_min_spacing_at_center():
 
 
 def test_graded_ratio_cap_small_grid():
-    grid = make_grid(0.0, 1.0, 33, Graded(center=0.5, ratio=1.2))
+    grid = make_grid(0.0, 1.0, 33, 1.2)
     h = grid.spacing()
     quotient = np.maximum(h[1:] / h[:-1], h[:-1] / h[1:])
     assert float(np.max(quotient)) <= 1.2 + 1e-12
@@ -42,11 +45,13 @@ def test_graded_ratio_cap_small_grid():
 
 
 def test_graded_off_center():
-    grid = make_grid(0.0, 1.0, 65, Graded(center=0.25, ratio=1.1))
+    # an interval not centred on 0 is graded about its own midpoint
+    grid = make_grid(-1.0, 3.0, 65, 1.1)
     h = grid.spacing()
     mid = int(np.argmin(h))
     cell_center = 0.5 * (grid.nodes[mid] + grid.nodes[mid + 1])
-    assert abs(cell_center - 0.25) < 0.05
+    assert abs(cell_center - 1.0) < 0.05
+    assert np.allclose(grid.nodes + grid.nodes[::-1], 2.0, rtol=0.0, atol=1e-14)
     quotient = np.maximum(h[1:] / h[:-1], h[:-1] / h[1:])
     assert float(np.max(quotient)) <= 1.1 + 1e-12
 
@@ -57,14 +62,85 @@ def test_make_grid_validation():
     with pytest.raises(ValueError):
         make_grid(0.0, 1.0, 15)
     with pytest.raises(ValueError):
-        make_grid(0.0, 1.0, 17, Graded(center=2.0, ratio=1.1))
+        make_grid(0.0, 1.0, 17, 0.9)
     with pytest.raises(ValueError):
-        make_grid(0.0, 1.0, 17, Graded(center=0.5, ratio=1.0))
-    with pytest.raises(ValueError):
-        make_grid(0.0, 1.0, 17, Graded(center=0.5, ratio=1.5))
+        make_grid(0.0, 1.0, 17, 1.5)
     with pytest.raises(ValueError):
         # per-cell ratio at large n would degenerate the sinh map
-        make_grid(-30.0, 30.0, 2049, Graded(center=0.0, ratio=1.2))
+        make_grid(-30.0, 30.0, 2049, 1.2)
+    # ratio 1 is the uniform grid
+    assert make_grid(0.0, 1.0, 17, 1.0).nodes.tobytes() == np.linspace(0.0, 1.0, 17).tobytes()
+
+
+def _sinh_reference(L: float, n: int, beta: float) -> np.ndarray:
+    # The symmetric construction the meshes have always used: beta goes
+    # through the capped ratio and back, then the sinh map about 0.
+    ratio = ratio_from_beta(beta, n)
+    beta = (n - 1) * math.log(ratio)
+    if beta <= 0.0:
+        return np.linspace(-L, L, n)
+    u = np.linspace(0.0, 1.0, n)
+    nodes = L / math.sinh(0.5 * beta) * np.sinh(beta * (u - 0.5))
+    nodes[0], nodes[-1] = -L, L
+    return nodes
+
+
+@pytest.mark.parametrize("n", [41, 1025, 8193])
+@pytest.mark.parametrize("lam", [3.0, 10.0, 1e3, 1e6])
+def test_default_grid_bitwise_reference(lam, n):
+    L = default_domain_halfwidth(lam)
+    beta = max(
+        beta_for_half_window(L, max(4.0 * math.log(lam) * lam**-0.25, 2.0)),
+        beta_for_center_spacing(L, n, 2.5e-3 * lam**-0.25),
+    )
+    expect = _sinh_reference(L, n, beta)
+    assert default_grid(lam, L, n).nodes.tobytes() == expect.tobytes()
+
+
+def test_core_grid_bitwise_reference(blowup_wide):
+    # solve_blowup(X=15, n=4097) grades its mesh with map strength 6
+    expect = _sinh_reference(15.0, 4097, 6.0)
+    assert blowup_wide.grid.nodes.tobytes() == expect.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c=st.floats(-10.0, 10.0),
+    half=st.floats(1.0, 100.0),
+    n=st.integers(16, 4097),
+    beta=st.floats(0.0, 49.0),  # 50 itself may round up past the limit
+)
+def test_make_grid_properties(c, half, n, beta):
+    a, b = c - half, c + half
+    ratio = ratio_from_beta(beta, n)
+    x = make_grid(a, b, n, ratio).nodes
+    assert x.shape == (n,)
+    assert x[0] == a and x[-1] == b
+    h = np.diff(x)
+    assert np.all(h > 0.0)
+    # rounding: the map argument carries about beta ulps, so each node
+    # carries about (1 + beta) ulps of max|x|
+    slack = 4.0 * (1.0 + (n - 1) * math.log(ratio)) * np.finfo(float).eps * max(abs(a), abs(b))
+    assert np.all(h[1:] <= ratio * h[:-1] + slack)
+    assert np.all(h[:-1] <= ratio * h[1:] + slack)
+    assert np.max(np.abs(x + x[::-1] - (a + b))) <= slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(16, 8193),
+    low=st.floats(0.0, 1.0, exclude_max=True),
+    high=st.floats(RATIO_CAP + 1e-9, 10.0),
+    beta=st.floats(50.001, 200.0),
+)
+def test_make_grid_rejects_bad_ratios(n, low, high, beta):
+    for ratio in (low, high):
+        with pytest.raises(ValueError):
+            make_grid(-1.0, 1.0, n, ratio)
+    strong = math.exp(beta / (n - 1))
+    if strong <= RATIO_CAP:  # beta > 50 within the cap needs n > 275
+        with pytest.raises(ValueError, match="too strong"):
+            make_grid(-1.0, 1.0, n, strong)
 
 
 def test_beta_for_half_window():
@@ -95,7 +171,7 @@ def test_ratio_from_beta_cap():
 
 def test_differentiate_exact_on_quadratics():
     # 3-point Lagrange differentiation reproduces polynomials of degree 2
-    grid = make_grid(-2.0, 3.0, 41, Graded(center=0.5, ratio=1.1))
+    grid = make_grid(-2.0, 3.0, 41, 1.1)
     x = grid.nodes
     d = differentiate(x**2 - 3.0 * x + 1.0, grid)
     assert np.allclose(d, 2.0 * x - 3.0, atol=1e-11)
@@ -113,7 +189,7 @@ def test_differentiate_second_order():
 
 def test_flux_stencil_exact_on_quadratics():
     # the flux difference of x^2 is hp + hm = 2w, i.e. w times (x^2)''
-    grid = make_grid(-2.0, 3.0, 41, Graded(center=0.5, ratio=1.1))
+    grid = make_grid(-2.0, 3.0, 41, 1.1)
     st = flux_stencil(grid)
     x = grid.nodes
     assert np.allclose(st.apply(x**2 - 3.0 * x + 1.0), 2.0 * st.w, rtol=1e-12)
@@ -123,7 +199,7 @@ def test_flux_stencil_exact_on_quadratics():
 
 def test_pair_rows_apply_the_stencil():
     rng = np.random.default_rng(5)
-    grid = make_grid(-1.0, 2.0, 21, Graded(center=0.3, ratio=1.1))
+    grid = make_grid(-1.0, 2.0, 21, 1.1)
     st = flux_stencil(grid)
     n, m = grid.n, grid.n - 2
     v1, v2 = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)

@@ -7,7 +7,6 @@ import pytest
 
 from beclab import (
     ContinuationPolicy,
-    FieldPair,
     NonConvergenceError,
     SignViolationError,
     SingularJacobianError,
@@ -206,11 +205,11 @@ def test_solve_preconditions():
         solve_heteroclinic(3.0, L=10.0)
     with pytest.raises(ValueError):
         solve_heteroclinic(3.0, n=256)
-    bad = FieldPair(v1=np.zeros(100), v2=np.zeros(100))
-    with pytest.raises(ValueError):
-        solve_heteroclinic(3.0, n=1025, init=bad)
-    with pytest.raises(ValueError):
-        FieldPair(v1=np.zeros(5), v2=np.zeros(7))
+    z = np.linspace(-20.0, 20.0, 100)
+    v1, v2 = explicit_lambda3(z)
+    z[50] = z[49]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        solve_heteroclinic(3.0, n=1025, init=(z, v1, v2))
 
 
 def test_refine_solution_tightens():
@@ -222,6 +221,35 @@ def test_refine_solution_tightens():
     assert fine.n == 2 * base.n - 1
     assert fine.newton_residual <= 1e-10
     assert fine.hamiltonian_dev < base.hamiltonian_dev / 3.0
+
+
+def test_seed_from_a_coarser_solution():
+    coarse = solve_heteroclinic(10.0, n=1025)
+    fine = solve_heteroclinic(10.0, n=2049, init=(coarse.grid.nodes, coarse.v1, coarse.v2))
+    assert fine.n == 2049 and fine.L == coarse.L
+    assert fine.newton_residual <= 1e-10
+    direct = solve_heteroclinic(10.0, n=2049)
+    assert np.max(np.abs(fine.v1 - direct.v1)) <= 1e-9
+
+
+def test_one_mesh_per_solve_attempt(monkeypatch):
+    start = solve_heteroclinic(3.0, n=1025)
+    meshes, attempts = [], []
+    real_grid, real_solve = heteroclinic.default_grid, heteroclinic.solve_heteroclinic
+
+    def counting_grid(*args):
+        meshes.append(args)
+        return real_grid(*args)
+
+    def counting_solve(*args, **kwargs):
+        attempts.append(args[0])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(heteroclinic, "default_grid", counting_grid)
+    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", counting_solve)
+    trace = continue_in_lambda(start, [10.0], n=1025)
+    assert len(attempts) == len(trace.steps) + sum(s.halvings for s in trace.steps)
+    assert len(meshes) == len(attempts) > 0
 
 
 def test_refine_solution_widens_domain(sweep_solutions):
