@@ -265,7 +265,12 @@ def _cmd_continue(cfg: RunConfig) -> int:
         "final_lambda": entries[-1].lam,
         "total_halvings": sum(s.halvings for s in trace.steps),
         "steps": [
-            {"from": s.lam_from, "to": s.lam_to, "halvings": s.halvings}
+            {
+                "from": s.lam_from,
+                "to": s.lam_to,
+                "halvings": s.halvings,
+                "iterations": s.iterations,
+            }
             for s in trace.steps
         ],
     }

@@ -28,6 +28,7 @@ to closure elsewhere; see _SAT_EPS below.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,13 @@ _TAIL_FLOOR = 1e-13
 # Hard error threshold for genuine sign violations after convergence.
 _SIGN_FLOOR = 1e-11
 
+# A continuation proposal this close to its target (relative) is the
+# target: exp(log(lam) + step) carries a relative rounding error of up to
+# about eps*|log lam| (7.2 eps for the decade step 1e6 -> 1e5), so a
+# decade step would otherwise land an ulp short and spend one more solve
+# on the last ulp.
+_SNAP_RTOL = 64.0 * sys.float_info.epsilon
+
 
 @dataclass(frozen=True)
 class SolutionFlags:
@@ -99,6 +107,7 @@ class HeteroclinicSolution:
     dv1: np.ndarray
     dv2: np.ndarray
     newton_residual: float
+    newton_iterations: int
     hamiltonian_dev: float
     flags: SolutionFlags
 
@@ -133,10 +142,10 @@ class QualitativeReport:
 @dataclass(frozen=True)
 class ContinuationPolicy:
     """Log-space stepping: multiply lam by initial_step_factor each leg
-    (10 steps per decade by default); on failure the log-step is halved
+    (one decade per step by default); on failure the log-step is halved
     up to max_halvings times before StepUnderflow."""
 
-    initial_step_factor: float = 10.0**0.1
+    initial_step_factor: float = 10.0
     max_halvings: int = 8
 
     def __post_init__(self):
@@ -148,9 +157,13 @@ class ContinuationPolicy:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One accepted continuation step: the halvings spent before it and
+    the Newton iterations of its accepted solve."""
+
     lam_from: float
     lam_to: float
     halvings: int
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -385,7 +398,7 @@ def solve_heteroclinic(
 
     residual, jacobian, full_fields = _interior_residual_jacobian(grid, lam)
     u0 = _interior_state(*seed)
-    u, _, final_res = newton_solve(residual, jacobian, u0)
+    u, iterations, final_res = newton_solve(residual, jacobian, u0)
     v1, v2 = full_fields(u)
 
     if float(np.min(v1)) < -_SIGN_FLOOR or float(np.min(v2)) < -_SIGN_FLOOR:
@@ -412,6 +425,7 @@ def solve_heteroclinic(
         dv1=dv1,
         dv2=dv2,
         newton_residual=final_res,
+        newton_iterations=iterations,
         hamiltonian_dev=ham_dev,
         flags=flags,
     )
@@ -469,8 +483,11 @@ def continue_in_lambda(
     that fails numerically (NonConvergenceError, SingularJacobianError,
     SignViolationError) halves the log-step (geometric midpoint) up to
     policy.max_halvings times, then raises StepUnderflow. Any other error
-    propagates. The trace records every accepted solve including the
-    start.
+    propagates. A proposal that passes the next target, or lies within a
+    relative _SNAP_RTOL (64 eps) of it, is replaced by the
+    target itself, before and after halvings and in either direction, so
+    every target is solved at exactly its requested value and only once.
+    The trace records every accepted solve including the start.
     """
     targets = [float(t) for t in targets]
     if not targets:
@@ -498,7 +515,8 @@ def continue_in_lambda(
             halvings = 0
             while True:
                 proposal = math.exp(math.log(current.lam) + step)
-                if (upward and proposal > target) or (not upward and proposal < target):
+                passed = proposal > target if upward else proposal < target
+                if passed or math.isclose(proposal, target, rel_tol=_SNAP_RTOL):
                     proposal = target
                 seed = (current.grid.nodes, current.v1, current.v2)
                 try:
@@ -510,7 +528,12 @@ def continue_in_lambda(
                     step *= 0.5
                     continue
                 steps.append(
-                    StepRecord(lam_from=current.lam, lam_to=proposal, halvings=halvings)
+                    StepRecord(
+                        lam_from=current.lam,
+                        lam_to=proposal,
+                        halvings=halvings,
+                        iterations=sol.newton_iterations,
+                    )
                 )
                 current = sol
                 break

@@ -205,7 +205,11 @@ def solve_blowup(X: float = 12.0, n: int = 4097) -> BlowupProfile:
     dV2 = differentiate(V2, grid)
     ham_dev = _hamiltonian_dev(V1, V2, dV1, dV2, PSI0**2)
     if ham_dev > 1e-6:
-        raise RuntimeError(f"first-integral deviation {ham_dev:.3e} exceeds 1e-6")
+        raise RuntimeError(
+            f"first-integral deviation {ham_dev:.3e} exceeds 1e-6 on the core "
+            f"mesh n={n}, X={X:g}; refine the core mesh (n of about 2049 or "
+            "more for X up to 15)"
+        )
 
     for arr in (V1, V2, dV1, dV2):
         arr.flags.writeable = False

@@ -245,6 +245,9 @@ def test_continue_command(tmp_path):
     summary = read_json(out / "trace_summary.json")
     assert summary["report"]["final_lambda"] == 100.0
     assert summary["report"]["points"] == len(lams)
+    steps = summary["report"]["steps"]
+    assert [(s["from"], s["to"]) for s in steps] == list(zip(lams, lams[1:]))
+    assert all(s["halvings"] == 0 and s["iterations"] >= 1 for s in steps)
 
 
 def test_composite_command(tmp_path):
@@ -380,6 +383,14 @@ def test_nonconvergence_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "solve" in capsys.readouterr().err
+
+
+def test_blowup_coarse_mesh_exits_two_naming_n(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["blowup", "--n", "1025", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "first-integral deviation" in err
+    assert "n=1025, X=12" in err and "refine the core mesh" in err
 
 
 def test_seeded_solve_succeeds(tmp_path):

@@ -21,7 +21,7 @@ from beclab import (
     rescale_general,
     solve_heteroclinic,
 )
-from beclab import heteroclinic
+from beclab import heteroclinic, newton
 from beclab.heteroclinic import ContinuationTrace, TraceEntry
 
 SWEEP = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
@@ -89,15 +89,42 @@ def test_sweep_crossing_scaling(sweep_solutions):
 
 
 def test_sweep_tension_monotone(sweep_trace):
-    # the trace records both the approach step and the exact target for each
-    # requested coupling, so compare only entries separated in lambda
     pairs = zip(sweep_trace.entries, sweep_trace.entries[1:])
     for a, b in pairs:
-        if b.lam > a.lam * (1.0 + 1e-6):
-            assert b.sigma_lambda > a.sigma_lambda
+        assert b.sigma_lambda > a.sigma_lambda
     targets = {e.lam: e.sigma_lambda for e in sweep_trace.entries}
     sigma = [targets[lam] for lam in SWEEP]
     assert all(b > a for a, b in zip(sigma, sigma[1:]))
+
+
+def test_sweep_takes_one_decade_per_step(sweep_trace):
+    assert tuple(e.lam for e in sweep_trace.entries) == (3.0,) + SWEEP
+    assert len(sweep_trace.steps) == 6
+    assert [s.halvings for s in sweep_trace.steps] == [0] * 6
+    for step, sol in zip(sweep_trace.steps, sweep_trace.solutions[1:]):
+        assert step.lam_to == sol.lam
+        assert step.iterations == sol.newton_iterations >= 1
+
+
+def test_sweep_work_budget(sol3, monkeypatch):
+    # counted, not timed: a return to small steps fails here first
+    solves, factorizations = [], []
+    real_solve, real_lu = heteroclinic.solve_heteroclinic, newton.BandedLU
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args[0])
+        return real_solve(*args, **kwargs)
+
+    def counting_lu(matrix):
+        factorizations.append(matrix.dim)
+        return real_lu(matrix)
+
+    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", counting_solve)
+    monkeypatch.setattr(newton, "BandedLU", counting_lu)
+    trace = continue_in_lambda(sol3, SWEEP)
+    assert trace.solutions[-1].lam == 1e6
+    assert solves == list(SWEEP)
+    assert len(factorizations) <= 42
 
 
 def test_interface_width_saturates_upward(sweep_solutions):
@@ -187,6 +214,48 @@ def test_continuation_halves_step_on_solver_failure(failure, monkeypatch):
     assert [s.halvings for s in trace.steps] == [1, 0]
     assert proposals[1] == pytest.approx(math.sqrt(12.0), rel=1e-12)  # geometric midpoint
     assert trace.solutions[-1].lam == 4.0
+
+
+@pytest.fixture(scope="module")
+def coarse_sweep():
+    start = solve_heteroclinic(3.0, n=1025)
+    return {s.lam: s for s in continue_in_lambda(start, SWEEP).solutions}
+
+
+def record_proposals(monkeypatch, failures=0):
+    """Route continuation through the real solver, recording each proposed
+    coupling; the first `failures` proposals fail as non-convergence."""
+    real = heteroclinic.solve_heteroclinic
+    proposals = []
+
+    def recording(lam, *args, **kwargs):
+        proposals.append(lam)
+        if len(proposals) <= failures:
+            raise NonConvergenceError(1, 1.0)
+        return real(lam, *args, **kwargs)
+
+    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", recording)
+    return proposals
+
+
+@pytest.mark.parametrize("start,target", [(1e5, 1e6), (1e6, 1e5), (1e5, 1e4)])
+def test_decade_step_snaps_onto_target(coarse_sweep, monkeypatch, start, target):
+    # a decade step from start rounds to 999999.9999999995, 99999.99999999984
+    # and 10000.00000000001: an ulp short of 1e6, just past 1e5, an ulp short of 1e4
+    proposals = record_proposals(monkeypatch)
+    trace = continue_in_lambda(coarse_sweep[start], [target])
+    assert proposals == [target]
+    assert [e.lam for e in trace.entries] == [start, target]
+
+
+def test_halved_step_snaps_onto_target(coarse_sweep, monkeypatch):
+    # the halved hundredfold step from 1e5 lands an ulp short of 1e6
+    assert math.exp(math.log(1e5) + 0.5 * math.log(100.0)) != 1e6
+    proposals = record_proposals(monkeypatch, failures=1)
+    policy = ContinuationPolicy(initial_step_factor=100.0)
+    trace = continue_in_lambda(coarse_sweep[1e5], [1e6], policy=policy)
+    assert proposals == [1e6, 1e6]
+    assert [s.halvings for s in trace.steps] == [1]
 
 
 def test_continuation_target_validation(sol3):

@@ -116,6 +116,12 @@ def test_blowup_first_integral_second_order():
     assert 3.4 <= dev_coarse / dev_fine <= 4.6
 
 
+def test_blowup_coarse_core_mesh_names_the_remedy():
+    # at n = 1025 the first integral misses 1e-6 (1.45e-6 at X = 12)
+    with pytest.raises(RuntimeError, match=r"n=1025, X=12; refine the core mesh"):
+        solve_blowup(12.0, 1025)
+
+
 def test_kappa_against_shooting(blowup_default):
     shot = kappa_shooting()
     assert abs(shot.kappa - KAPPA_FROZEN) <= 1e-9
