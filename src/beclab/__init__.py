@@ -18,7 +18,6 @@ from .calculus import OrderFit, fit_loglog, golden_minimize, quadrature, resampl
 from .grids import Grid, differentiate, make_grid
 from .newton import (
     NewtonResult,
-    NewtonSettings,
     NonConvergenceError,
     SingularJacobianError,
     newton_solve,
@@ -29,16 +28,12 @@ from .profiles import (
     extract_kappa,
     outer_derivative,
     outer_value,
-    rescale_blowup,
     solve_blowup,
 )
 from .shooting import ShootingResult, kappa_shooting
 from .heteroclinic import (
-    ContinuationPolicy,
     ContinuationTrace,
     HeteroclinicSolution,
-    QualitativeReport,
-    RescaleResult,
     SignViolationError,
     SolutionFlags,
     StepUnderflow,
@@ -46,11 +41,7 @@ from .heteroclinic import (
     default_domain_halfwidth,
     default_grid,
     explicit_lambda3,
-    hamiltonian_along,
-    interface_width,
-    qualitative_checks,
     refine_solution,
-    rescale_general,
     solve_heteroclinic,
 )
 from .asymptotics import (

@@ -35,8 +35,8 @@ class BandedMatrix:
 
     @classmethod
     def zeros(cls, dim: int, bandwidth: int) -> "BandedMatrix":
-        if bandwidth < 0 or dim <= 0:
-            raise ValueError("need dim > 0 and bandwidth >= 0")
+        if not 0 <= bandwidth < dim:
+            raise ValueError(f"need 0 <= bandwidth < dim, got {bandwidth} and {dim}")
         return cls(bandwidth=bandwidth, data=np.zeros((2 * bandwidth + 1, dim)))
 
     @property
@@ -47,21 +47,6 @@ class BandedMatrix:
         if abs(i - j) > self.bandwidth:
             raise ValueError(f"entry ({i}, {j}) outside bandwidth {self.bandwidth}")
         self.data[self.bandwidth + i - j, j] = value
-
-    def get_entry(self, i: int, j: int) -> float:
-        if abs(i - j) > self.bandwidth:
-            return 0.0
-        return float(self.data[self.bandwidth + i - j, j])
-
-    def add_diagonal(self, offset: int, values: np.ndarray) -> None:
-        """Add `values` along diagonal j - i = offset (column-indexed)."""
-        if abs(offset) > self.bandwidth:
-            raise ValueError(f"offset {offset} outside bandwidth {self.bandwidth}")
-        col0 = max(0, offset)
-        length = self.dim - abs(offset)
-        if len(values) != length:
-            raise ValueError(f"diagonal length {len(values)} != {length}")
-        self.data[self.bandwidth - offset, col0 : col0 + length] += values
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -75,26 +60,6 @@ class BandedMatrix:
                 self.data[bw - offset, col0 : col0 + length] * x[col0 : col0 + length]
             )
         return y
-
-    def to_dense(self) -> np.ndarray:
-        bw, dim = self.bandwidth, self.dim
-        dense = np.zeros((dim, dim))
-        for offset in range(-bw, bw + 1):
-            col0 = max(0, offset)
-            row0 = max(0, -offset)
-            length = dim - abs(offset)
-            idx = np.arange(length)
-            dense[row0 + idx, col0 + idx] = self.data[bw - offset, col0 : col0 + length]
-        return dense
-
-    def symmetry_defect(self) -> float:
-        """max |A - A^T| over stored entries."""
-        defect = 0.0
-        for offset in range(1, self.bandwidth + 1):
-            upper = self.data[self.bandwidth - offset, offset:]
-            lower = self.data[self.bandwidth + offset, : self.dim - offset]
-            defect = max(defect, float(np.max(np.abs(upper - lower), initial=0.0)))
-        return defect
 
 
 class BandedLU:

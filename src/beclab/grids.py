@@ -61,9 +61,6 @@ class Grid:
     def b(self) -> float:
         return float(self.nodes[-1])
 
-    def spacing(self) -> np.ndarray:
-        return np.diff(self.nodes)
-
 
 def make_grid(a: float, b: float, n: int, ratio: float = 1.0) -> Grid:
     """Build a grid on [a, b] with n nodes and adjacent-cell spacing

@@ -49,35 +49,23 @@ from .newton import NonConvergenceError, SingularJacobianError, newton_solve
 __all__ = [
     "SolutionFlags",
     "HeteroclinicSolution",
-    "QualitativeReport",
-    "ContinuationPolicy",
     "StepRecord",
     "TraceEntry",
     "ContinuationTrace",
     "StepUnderflow",
     "SignViolationError",
-    "RescaleResult",
     "explicit_lambda3",
-    "explicit_lambda3_derivative",
     "default_domain_halfwidth",
     "default_grid",
     "solve_heteroclinic",
     "refine_solution",
     "continue_in_lambda",
     "hamiltonian_values",
-    "hamiltonian_along",
-    "qualitative_checks",
-    "interface_width",
-    "rescale_general",
 ]
 
 # Values closer than this to a limit state (0 or 1) are treated as
 # saturated: strict inequalities are not certifiable there in floats.
 _SAT_EPS = 1e-13
-
-# A component below this magnitude sits inside the linear-solve noise
-# floor; log-envelope fits must not consume such nodes.
-_TAIL_FLOOR = 1e-13
 
 # Hard error threshold for genuine sign violations after convergence.
 _SIGN_FLOOR = 1e-11
@@ -88,6 +76,11 @@ _SIGN_FLOOR = 1e-11
 # decade step would otherwise land an ulp short and spend one more solve
 # on the last ulp.
 _SNAP_RTOL = 64.0 * sys.float_info.epsilon
+
+# Continuation multiplies lam by _STEP_FACTOR per step (one decade); a
+# failed solve halves the log-step it tried, at most _MAX_HALVINGS times.
+_STEP_FACTOR = 10.0
+_MAX_HALVINGS = 8
 
 
 @dataclass(frozen=True)
@@ -118,41 +111,6 @@ class HeteroclinicSolution:
     @property
     def L(self) -> float:
         return float(self.grid.b)
-
-
-@dataclass(frozen=True)
-class QualitativeReport:
-    """Diagnostic flags beyond the ones stored on the solution.
-
-    envelope_coeff is the slope of log v2 against sqrt(lam)*z^2 over the
-    inner decay window; negative means Gaussian-type decay. It is NaN when
-    fewer than 8 window nodes sit above the tail noise floor.
-    """
-
-    monotone_v1: bool
-    monotone_v2: bool
-    half_monotone_consistent: bool
-    bounded: bool
-    envelope_coeff: float
-    envelope_nodes: int
-    pinning_dev: float
-    symmetric_dev: float
-
-
-@dataclass(frozen=True)
-class ContinuationPolicy:
-    """Log-space stepping: multiply lam by initial_step_factor each leg
-    (one decade per step by default); on failure the log-step is halved
-    up to max_halvings times before StepUnderflow."""
-
-    initial_step_factor: float = 10.0
-    max_halvings: int = 8
-
-    def __post_init__(self):
-        if self.initial_step_factor <= 1.0:
-            raise ValueError("initial_step_factor must exceed 1")
-        if self.max_halvings < 0:
-            raise ValueError("max_halvings must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -190,7 +148,7 @@ class ContinuationTrace:
 
 
 class StepUnderflow(RuntimeError):
-    """Continuation step halved below the policy floor without converging."""
+    """Continuation step halved _MAX_HALVINGS times without converging."""
 
     def __init__(self, at_lambda: float):
         self.at_lambda = at_lambda
@@ -204,13 +162,6 @@ class SignViolationError(RuntimeError):
     noise floor, off the positive branch."""
 
 
-@dataclass(frozen=True)
-class RescaleResult:
-    valid: bool
-    canonical_lambda: float
-    scaling: tuple[float, float, float, float]
-
-
 def explicit_lambda3(z):
     """Closed-form branch at lam = 3: v1 = (1 + tanh(z/sqrt(2)))/2 and
     v2 = 1 - v1."""
@@ -220,16 +171,6 @@ def explicit_lambda3(z):
     if np.ndim(z) == 0:
         return float(v1), float(v2)
     return v1, v2
-
-
-def explicit_lambda3_derivative(z):
-    """Analytic derivative of the lam = 3 branch: dv1 = sech^2(z/sqrt(2)) /
-    (2*sqrt(2)), dv2 = -dv1."""
-    z_arr = np.asarray(z, dtype=float)
-    dv1 = 1.0 / (2.0 * math.sqrt(2.0) * np.cosh(z_arr / math.sqrt(2.0)) ** 2)
-    if np.ndim(z) == 0:
-        return float(dv1), float(-dv1)
-    return dv1, -dv1
 
 
 def default_domain_halfwidth(lam: float) -> float:
@@ -357,12 +298,6 @@ def hamiltonian_values(v1, v2, dv1, dv2, lam: float) -> np.ndarray:
     )
 
 
-def hamiltonian_along(sol: HeteroclinicSolution):
-    """Nodal Hamiltonian values and the maximal deviation from -1/4."""
-    values = hamiltonian_values(sol.v1, sol.v2, sol.dv1, sol.dv2, sol.lam)
-    return values, float(np.max(np.abs(values + 0.25)))
-
-
 def solve_heteroclinic(
     lam: float,
     L: float | None = None,
@@ -472,21 +407,22 @@ def _trace_entry(sol: HeteroclinicSolution) -> TraceEntry:
 def continue_in_lambda(
     start: HeteroclinicSolution,
     targets,
-    policy: ContinuationPolicy = ContinuationPolicy(),
     n: int | None = None,
 ) -> ContinuationTrace:
     """Walk the branch from start through the targets (monotone upward or
     downward in lam), reseeding each solve from the previous solution
     resampled onto the target grid.
 
-    Steps are log-uniform with ratio policy.initial_step_factor; a solve
+    Steps are log-uniform with ratio _STEP_FACTOR (one decade); a solve
     that fails numerically (NonConvergenceError, SingularJacobianError,
-    SignViolationError) halves the log-step (geometric midpoint) up to
-    policy.max_halvings times, then raises StepUnderflow. Any other error
+    SignViolationError) halves the log-step it tried (next proposal: the
+    geometric midpoint of the current coupling and the failed one) up to
+    _MAX_HALVINGS times, then raises StepUnderflow. Any other error
     propagates. A proposal that passes the next target, or lies within a
-    relative _SNAP_RTOL (64 eps) of it, is replaced by the
-    target itself, before and after halvings and in either direction, so
-    every target is solved at exactly its requested value and only once.
+    relative _SNAP_RTOL (64 eps) of it, is replaced by the target itself,
+    in either direction, so every target is solved at exactly its
+    requested value; a halved proposal lies strictly between the current
+    coupling and the one that failed, so no failed solve is repeated.
     The trace records every accepted solve including the start.
     """
     targets = [float(t) for t in targets]
@@ -502,7 +438,7 @@ def continue_in_lambda(
     if n is None:
         n = start.grid.n
 
-    log_step = math.log(policy.initial_step_factor)
+    log_step = math.log(_STEP_FACTOR)
     if not upward:
         log_step = -log_step
     entries = [_trace_entry(start)]
@@ -523,9 +459,9 @@ def continue_in_lambda(
                     sol = solve_heteroclinic(proposal, n=n, init=seed)
                 except (NonConvergenceError, SingularJacobianError, SignViolationError):
                     halvings += 1
-                    if halvings > policy.max_halvings:
+                    if halvings > _MAX_HALVINGS:
                         raise StepUnderflow(at_lambda=current.lam) from None
-                    step *= 0.5
+                    step = 0.5 * (math.log(proposal) - math.log(current.lam))
                     continue
                 steps.append(
                     StepRecord(
@@ -541,91 +477,4 @@ def continue_in_lambda(
             solutions.append(current)
     return ContinuationTrace(
         entries=tuple(entries), steps=tuple(steps), solutions=tuple(solutions)
-    )
-
-
-def qualitative_checks(sol: HeteroclinicSolution) -> QualitativeReport:
-    """Monotonicity of both components, the half-monotonicity implication,
-    containment, the Gaussian-envelope coefficient of the vanishing
-    component over the inner decay window, and the pinning deviation."""
-    mono1 = _monotone_flag(sol.v1, True)
-    mono2 = _monotone_flag(sol.v2, False)
-    lam = sol.lam
-    z = sol.grid.nodes
-    w_lo = lam**-0.25
-    w_hi = math.log(lam) * lam**-0.25
-    if w_hi <= w_lo:
-        # window degenerates for lam <= e; use a 1-wide fallback so the
-        # diagnostic stays defined on downward continuations
-        w_hi = w_lo + 1.0
-    window = (z >= w_lo) & (z <= w_hi) & (sol.v2 > _TAIL_FLOOR)
-    count = int(np.count_nonzero(window))
-    if count >= 8:
-        s = math.sqrt(lam) * z[window] ** 2
-        coeff = float(np.polyfit(s, np.log(sol.v2[window]), 1)[0])
-    else:
-        coeff = math.nan
-    return QualitativeReport(
-        monotone_v1=mono1,
-        monotone_v2=mono2,
-        half_monotone_consistent=(not mono1) or mono2,
-        bounded=_bounded_flag(sol.v1, sol.v2),
-        envelope_coeff=coeff,
-        envelope_nodes=count,
-        pinning_dev=abs(
-            _value_at_zero(sol.grid, sol.v1) - _value_at_zero(sol.grid, sol.v2)
-        ),
-        symmetric_dev=_symmetric_dev(sol.v1, sol.v2),
-    )
-
-
-def interface_width(sol: HeteroclinicSolution) -> float:
-    """Distance between the interpolated v1 = 0.1 and v1 = 0.9 crossings."""
-    v = sol.v1
-    z = sol.grid.nodes
-
-    def crossing(level: float) -> float:
-        idx = int(np.searchsorted(v, level))
-        if idx <= 0 or idx >= v.shape[0]:
-            raise ValueError(f"level {level} not crossed")
-        z0, z1 = z[idx - 1], z[idx]
-        f0, f1 = v[idx - 1], v[idx]
-        return float(z0 + (level - f0) * (z1 - z0) / (f1 - f0))
-
-    return crossing(0.9) - crossing(0.1)
-
-
-def rescale_general(
-    g1: float, g2: float, lambda1: float, lambda2: float, nu: float, Lambda: float
-) -> RescaleResult:
-    """Reduce the general-constant system to canonical form.
-
-    A solution pair of the canonical system yields
-    sqrt(g1/lambda1)*v1(sqrt(1/lambda1)*z), sqrt(g2/lambda2)*v2(sqrt(nu/lambda2)*z)
-    provided lambda1^2/g1 = lambda2^2/g2 (Hamiltonian compatibility of the
-    limit states); the coupling maps to lambda2*Lambda/(lambda1*g2).
-    Incompatibility is reported, not raised.
-    """
-    for name, value in (
-        ("g1", g1),
-        ("g2", g2),
-        ("lambda1", lambda1),
-        ("lambda2", lambda2),
-        ("nu", nu),
-        ("Lambda", Lambda),
-    ):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
-    q1 = lambda1**2 / g1
-    q2 = lambda2**2 / g2
-    valid = abs(q1 - q2) <= 1e-12 * max(abs(q1), abs(q2))
-    return RescaleResult(
-        valid=valid,
-        canonical_lambda=lambda2 * Lambda / (lambda1 * g2),
-        scaling=(
-            math.sqrt(g1 / lambda1),
-            math.sqrt(1.0 / lambda1),
-            math.sqrt(g2 / lambda2),
-            math.sqrt(nu / lambda2),
-        ),
     )

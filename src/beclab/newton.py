@@ -1,16 +1,15 @@
 """Damped Newton iteration for nonlinear systems.
 
 The step is globalised by backtracking: a step multiplier t starts at 1 and
-is multiplied by `damping` until the Armijo-style residual decrease
+is multiplied by _DAMPING until the Armijo-style residual decrease
 ``|r(u + t*s)| <= (1 - c*t)*|r(u)|`` holds (sup norm, c = 1e-4) or the
-multiplier falls below `min_step`. The interface problems here make plain
+multiplier falls below _MIN_STEP. The interface problems here make plain
 Newton overshoot near strong layers; damping recovers convergence without
 any tuning per problem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .banded import BandedLU, BandedMatrix, SingularSystemError
 
 __all__ = [
-    "NewtonSettings",
     "NewtonResult",
     "NonConvergenceError",
     "SingularJacobianError",
@@ -27,23 +25,12 @@ __all__ = [
 
 _ARMIJO = 1e-4
 
-
-@dataclass(frozen=True)
-class NewtonSettings:
-    residual_tol: float = 1e-10
-    max_iters: int = 50
-    damping: float = 0.5
-    min_step: float = 2.0**-20
-
-    def __post_init__(self):
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping must lie in (0, 1)")
-        if not 0.0 < self.min_step <= 1.0:
-            raise ValueError("min_step must lie in (0, 1]")
+# Stop when the sup-norm residual is at most _RESIDUAL_TOL, or fail after
+# _MAX_ITERS steps or when backtracking shrinks a step below _MIN_STEP.
+_RESIDUAL_TOL = 1e-10
+_MAX_ITERS = 50
+_DAMPING = 0.5
+_MIN_STEP = 2.0**-20
 
 
 class NewtonResult(NamedTuple):
@@ -78,10 +65,9 @@ def newton_solve(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], BandedMatrix],
     init: np.ndarray,
-    settings: NewtonSettings = NewtonSettings(),
 ) -> NewtonResult:
     """Run damped Newton from `init` until the sup-norm residual falls below
-    settings.residual_tol.
+    _RESIDUAL_TOL.
 
     The jacobian callback returns a BandedMatrix; each step is one banded
     LU factorisation and solve.
@@ -93,8 +79,8 @@ def newton_solve(
     r = residual(u)
     rnorm = _sup(r)
     best = rnorm
-    for it in range(settings.max_iters):
-        if rnorm <= settings.residual_tol:
+    for it in range(_MAX_ITERS):
+        if rnorm <= _RESIDUAL_TOL:
             return NewtonResult(u, it, rnorm)
         try:
             step = BandedLU(jacobian(u)).solve(-r)
@@ -105,13 +91,13 @@ def newton_solve(
             trial = u + t * step
             r_trial = residual(trial)
             rn_trial = _sup(r_trial)
-            if rn_trial <= (1.0 - _ARMIJO * t) * rnorm or rn_trial <= settings.residual_tol:
+            if rn_trial <= (1.0 - _ARMIJO * t) * rnorm or rn_trial <= _RESIDUAL_TOL:
                 break
-            t *= settings.damping
-            if t < settings.min_step:
+            t *= _DAMPING
+            if t < _MIN_STEP:
                 raise NonConvergenceError(it + 1, min(best, rn_trial))
         u, r, rnorm = trial, r_trial, rn_trial
         best = min(best, rnorm)
-    if rnorm <= settings.residual_tol:
-        return NewtonResult(u, settings.max_iters, rnorm)
-    raise NonConvergenceError(settings.max_iters, best)
+    if rnorm <= _RESIDUAL_TOL:
+        return NewtonResult(u, _MAX_ITERS, rnorm)
+    raise NonConvergenceError(_MAX_ITERS, best)

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .banded import BandedMatrix
-from .calculus import resample
 from .grids import (
     Grid,
     differentiate,
@@ -48,7 +47,6 @@ __all__ = [
     "BlowupProfile",
     "solve_blowup",
     "extract_kappa",
-    "rescale_blowup",
 ]
 
 # Slope of the outer front at its zero: psi0 = 1/sqrt(2).
@@ -127,8 +125,8 @@ def _core_residual_jacobian(grid: Grid):
     Interior rows use the flux form (difference of one-sided slopes minus
     the cell-weighted source), equivalent to the second-difference stencil
     times the cell weight. The raw stencil rows scale like 1/h^2 and their
-    evaluation roundoff would sit above residual_tol on fine meshes; the
-    flux form keeps the rounding floor near eps/h.
+    evaluation roundoff would sit above the Newton tolerance on fine
+    meshes; the flux form keeps the rounding floor near eps/h.
     """
     n = grid.n
     x = grid.nodes
@@ -247,49 +245,3 @@ def extract_kappa(profile: BlowupProfile) -> float:
             f"far-field window estimates disagree: {k_end:.9f} vs {k_win:.9f}"
         )
     return 0.5 * (k_end + k_win)
-
-
-def rescale_blowup(profile: BlowupProfile, mu: float, h: float) -> BlowupProfile:
-    """Map the profile through the scaling family (mu*V(mu*(x-h))).
-
-    The result is sampled on the subset of source nodes whose mapped
-    coordinate stays inside the source data; values and derivatives are
-    cubic-resampled, so downstream identities hold to interpolation
-    accuracy (~1e-4 for mu=2 on the default mesh) rather than solver
-    accuracy. The far-field slope becomes mu^2*psi0 and the offset
-    mu*kappa - mu^2*psi0*h; both are stored so extract_kappa stays
-    consistent on the result.
-    """
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
-    x = profile.grid.nodes
-    a, b = float(x[0]), float(x[-1])
-    slack = 1e-12 * (1.0 + abs(a) + abs(b))
-    mapped = mu * (x - h)
-    sel = (mapped >= a - slack) & (mapped <= b + slack)
-    if int(np.count_nonzero(sel)) < 16:
-        raise ValueError("mapped domain exceeds source data")
-    nodes = x[sel].copy()
-    grid = Grid(nodes)
-    at = mu * (nodes - h)
-    V1 = mu * resample(x, profile.V1, at)
-    V2 = mu * resample(x, profile.V2, at)
-    dV1 = mu**2 * resample(x, profile.dV1, at)
-    dV2 = mu**2 * resample(x, profile.dV2, at)
-    psi0 = mu**2 * profile.psi0
-    kappa = mu * profile.kappa - profile.psi0 * mu**2 * h
-    ham_dev = _hamiltonian_dev(V1, V2, dV1, dV2, psi0**2)
-    for arr in (V1, V2, dV1, dV2):
-        arr.flags.writeable = False
-    return BlowupProfile(
-        grid=grid,
-        V1=V1,
-        V2=V2,
-        dV1=dV1,
-        dV2=dV2,
-        psi0=psi0,
-        kappa=kappa,
-        X=float(nodes[-1]),
-        residual=profile.residual,
-        hamiltonian_dev=ham_dev,
-    )

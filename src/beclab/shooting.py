@@ -29,6 +29,13 @@ from .profiles import PSI0
 
 __all__ = ["ShootingResult", "kappa_shooting"]
 
+# kappa is read at x = _READ_AT on orbits integrated to _HORIZON. The read
+# point trades truncation against separatrix instability: the Gaussian
+# remainder is negligible beyond x ~ 5 while the bisection residue grows
+# like exp(psi0 x^2 / 2), so mid-single-digit x reads kappa to ~1e-9.
+_READ_AT = 6.5
+_HORIZON = 12.0
+
 
 @dataclass(frozen=True)
 class ShootingResult:
@@ -58,11 +65,11 @@ _turned.terminal = True
 _turned.direction = 1.0
 
 
-def _integrate(a: float, horizon: float):
+def _integrate(a: float):
     b = math.sqrt((PSI0**2 + a**4) / 2.0)
     return solve_ivp(
         _rhs,
-        (0.0, horizon),
+        (0.0, _HORIZON),
         (a, a, b, -b),
         method="DOP853",
         rtol=1e-13,
@@ -80,24 +87,16 @@ def _classify(sol) -> int:
     return 0  # tracked the separatrix to the horizon
 
 
-def kappa_shooting(read_at: float = 6.5, horizon: float = 12.0) -> ShootingResult:
-    """Bisect the shooting parameter and read off kappa.
-
-    read_at trades truncation against separatrix instability: the
-    Gaussian remainder is negligible beyond x ~ 5 while the bisection
-    residue grows like exp(psi0 x^2 / 2), so mid-single-digit x reads
-    kappa to ~1e-9.
-    """
-    if not 4.0 <= read_at <= horizon:
-        raise ValueError(f"need 4 <= read_at <= horizon, got {read_at}")
+def kappa_shooting() -> ShootingResult:
+    """Bisect the shooting parameter and read off kappa at _READ_AT."""
     lo, hi = 0.55, 0.68
-    s_lo = _classify(_integrate(lo, horizon))
-    s_hi = _classify(_integrate(hi, horizon))
+    s_lo = _classify(_integrate(lo))
+    s_hi = _classify(_integrate(hi))
     if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
         raise RuntimeError("shooting bracket does not straddle the separatrix")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        s = _classify(_integrate(mid, horizon))
+        s = _classify(_integrate(mid))
         if s == s_lo:
             lo = mid
         else:
@@ -105,8 +104,8 @@ def kappa_shooting(read_at: float = 6.5, horizon: float = 12.0) -> ShootingResul
         if hi - lo <= 2.0 * math.ulp(lo):
             break
     a = 0.5 * (lo + hi)
-    sol = _integrate(a, horizon)
-    t_read = min(read_at, 0.95 * sol.t[-1])
+    sol = _integrate(a)
+    t_read = min(_READ_AT, 0.95 * sol.t[-1])
     v1 = float(sol.sol(t_read)[0])
     return ShootingResult(
         crossing=a,

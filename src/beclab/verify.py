@@ -10,18 +10,11 @@ Every threshold is multiplied by a single scale factor (default 1):
 scale 0 collapses all tolerance windows to points, which makes the
 slope- and band-type criteria fail by construction and so doubles as a
 negative control of the harness itself.
-
-Independent coupling points of the sweep are post-processed in parallel
-worker threads, one per CPU up to one per coupling (the heavy kernels run
-in LAPACK outside the interpreter lock); results are keyed and aggregated
-in sorted coupling order, so the output is independent of scheduling.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -280,7 +273,7 @@ def run_verification(
         )
     )
 
-    # -- per-coupling post-processing (parallel) ------------------------------
+    # -- per-coupling post-processing ----------------------------------------
     def job(lam: float) -> _PointResult:
         sol = solutions[lam]
         approx = build_composite(lam, blowup)
@@ -289,8 +282,7 @@ def run_verification(
         energy = expansion_residual(sol, blowup)
         return _PointResult(lam=lam, errors=err, spectrum=spec, energy=energy)
 
-    with ThreadPoolExecutor(max_workers=min(len(sweep), os.cpu_count() or 1)) as pool:
-        points = sorted(pool.map(job, sweep), key=lambda p: p.lam)
+    points = [job(lam) for lam in sweep]
 
     fit_lams = [p.lam for p in points if p.lam >= 100.0]
     fit_points = [p for p in points if p.lam >= 100.0]

@@ -2,21 +2,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from banded_helpers import add_diagonal, get_entry, symmetry_defect, to_dense
 from beclab import BandedLU, BandedMatrix, SingularSystemError
 
 
 def dirichlet_laplacian(m: int, h: float) -> BandedMatrix:
     a = BandedMatrix.zeros(m, 1)
-    a.add_diagonal(0, np.full(m, 2.0 / h**2))
-    a.add_diagonal(1, np.full(m - 1, -1.0 / h**2))
-    a.add_diagonal(-1, np.full(m - 1, -1.0 / h**2))
+    add_diagonal(a, 0, np.full(m, 2.0 / h**2))
+    add_diagonal(a, 1, np.full(m - 1, -1.0 / h**2))
+    add_diagonal(a, -1, np.full(m - 1, -1.0 / h**2))
     return a
 
 
 def test_identity_solve():
     a = BandedMatrix.zeros(8, 1)
-    a.add_diagonal(0, np.ones(8))
+    add_diagonal(a, 0, np.ones(8))
     rhs = np.arange(8.0)
     x = BandedLU(a).solve(rhs)
     assert np.allclose(x, rhs, atol=1e-15)
@@ -44,9 +47,9 @@ def test_zero_row_reports_index():
 
 def test_dependent_rows_singular():
     a = BandedMatrix.zeros(2, 1)
-    a.add_diagonal(0, np.ones(2))
-    a.add_diagonal(1, np.ones(1))
-    a.add_diagonal(-1, np.ones(1))
+    add_diagonal(a, 0, np.ones(2))
+    add_diagonal(a, 1, np.ones(1))
+    add_diagonal(a, -1, np.ones(1))
     with pytest.raises(SingularSystemError):
         BandedLU(a).solve(np.ones(2))
 
@@ -59,10 +62,10 @@ def test_dense_reference_agreement():
         values = rng.uniform(-1.0, 1.0, dim - abs(offset))
         if offset == 0:
             values += 10.0  # diagonal dominance keeps the test well-posed
-        a.add_diagonal(offset, values)
+        add_diagonal(a, offset, values)
     rhs = rng.uniform(-1.0, 1.0, dim)
     x = BandedLU(a).solve(rhs)
-    x_ref = np.linalg.solve(a.to_dense(), rhs)
+    x_ref = np.linalg.solve(to_dense(a), rhs)
     assert float(np.max(np.abs(x - x_ref))) <= 1e-10
 
 
@@ -77,30 +80,30 @@ def test_solution_residual_bound():
 def test_entry_access_respects_bandwidth():
     a = BandedMatrix.zeros(6, 1)
     a.set_entry(2, 3, 5.0)
-    assert a.get_entry(2, 3) == 5.0
-    assert a.get_entry(0, 5) == 0.0
+    assert get_entry(a, 2, 3) == 5.0
+    assert get_entry(a, 0, 5) == 0.0
     with pytest.raises(ValueError):
         a.set_entry(0, 5, 1.0)
     with pytest.raises(ValueError):
-        a.add_diagonal(2, np.ones(4))
+        add_diagonal(a, 2, np.ones(4))
     with pytest.raises(ValueError):
-        a.add_diagonal(0, np.ones(5))
+        add_diagonal(a, 0, np.ones(5))
 
 
 def test_matvec_matches_dense():
     rng = np.random.Generator(np.random.PCG64(11))
     a = BandedMatrix.zeros(25, 2)
     for offset in range(-2, 3):
-        a.add_diagonal(offset, rng.uniform(-1.0, 1.0, 25 - abs(offset)))
+        add_diagonal(a, offset, rng.uniform(-1.0, 1.0, 25 - abs(offset)))
     x = rng.uniform(-1.0, 1.0, 25)
-    assert np.allclose(a.matvec(x), a.to_dense() @ x, atol=1e-13)
+    assert np.allclose(a.matvec(x), to_dense(a) @ x, atol=1e-13)
 
 
 def test_symmetry_defect():
     a = dirichlet_laplacian(10, 0.1)
-    assert a.symmetry_defect() == 0.0
+    assert symmetry_defect(a) == 0.0
     a.set_entry(1, 2, -99.0)
-    assert a.symmetry_defect() == pytest.approx(1.0, abs=1e-12)
+    assert symmetry_defect(a) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rhs_length_mismatch():
@@ -118,3 +121,37 @@ def test_lu_reusable_across_right_hand_sides():
         rhs = rng.uniform(-1.0, 1.0, 30)
         x = lu.solve(rhs)
         assert float(np.max(np.abs(a.matvec(x) - rhs))) <= 1e-10
+
+
+def test_bandwidth_must_fit_the_dimension():
+    # offsets beyond dim - 1 have no entries; band storage for them is rejected
+    BandedMatrix.zeros(5, 4)
+    for dim, bw in ((5, 5), (2, 3), (0, 0), (3, -1)):
+        with pytest.raises(ValueError):
+            BandedMatrix.zeros(dim, bw)
+
+
+@st.composite
+def dominant_banded(draw):
+    """Random strictly row-diagonally-dominant matrix, bandwidth 0-4, dim <= 40."""
+    bw = draw(st.integers(0, 4))
+    dim = draw(st.integers(bw + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = BandedMatrix.zeros(dim, bw)
+    for offset in range(-bw, bw + 1):
+        add_diagonal(a, offset, rng.uniform(-1.0, 1.0, dim - abs(offset)))
+    # off-diagonal row sums stay below 2*bw, so every row is dominant by a
+    # margin above 1 and the inverse has sup-norm below 1
+    sign = np.where(rng.uniform(size=dim) < 0.5, -1.0, 1.0)
+    add_diagonal(a, 0, sign * (2.0 * bw + 2.0))
+    return a, rng.uniform(-1.0, 1.0, dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dominant_banded())
+def test_lu_and_matvec_match_dense_oracle(case):
+    a, rhs = case
+    dense = to_dense(a)
+    assert np.allclose(a.matvec(rhs), dense @ rhs, rtol=0.0, atol=1e-13)
+    x = BandedLU(a).solve(rhs)
+    assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=0.0, atol=1e-12)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from beclab import (
-    ContinuationPolicy,
     NonConvergenceError,
     SignViolationError,
     SingularJacobianError,
@@ -14,15 +13,11 @@ from beclab import (
     continue_in_lambda,
     default_domain_halfwidth,
     explicit_lambda3,
-    hamiltonian_along,
-    interface_width,
-    qualitative_checks,
     refine_solution,
-    rescale_general,
     solve_heteroclinic,
 )
 from beclab import heteroclinic, newton
-from beclab.heteroclinic import ContinuationTrace, TraceEntry
+from beclab.heteroclinic import ContinuationTrace, TraceEntry, hamiltonian_values
 
 SWEEP = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 
@@ -30,6 +25,20 @@ SWEEP = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 def explicit_sup(sol) -> float:
     e1, e2 = explicit_lambda3(sol.grid.nodes)
     return float(max(np.max(np.abs(sol.v1 - e1)), np.max(np.abs(sol.v2 - e2))))
+
+
+def interface_width(sol) -> float:
+    """Distance between the interpolated v1 = 0.1 and v1 = 0.9 crossings."""
+    v, z = sol.v1, sol.grid.nodes
+
+    def crossing(level: float) -> float:
+        idx = int(np.searchsorted(v, level))
+        assert 0 < idx < v.shape[0], f"level {level} not crossed"
+        z0, z1 = z[idx - 1], z[idx]
+        f0, f1 = v[idx - 1], v[idx]
+        return float(z0 + (level - f0) * (z1 - z0) / (f1 - f0))
+
+    return crossing(0.9) - crossing(0.1)
 
 
 def test_explicit_branch_identities():
@@ -59,10 +68,10 @@ def test_lambda3_anchor_tightens_under_doubling(sol3):
 
 
 def test_hamiltonian_along(sol3):
-    ham, dev = hamiltonian_along(sol3)
+    ham = hamiltonian_values(sol3.v1, sol3.v2, sol3.dv1, sol3.dv2, sol3.lam)
     assert ham.shape == sol3.grid.nodes.shape
-    assert dev == float(np.max(np.abs(ham + 0.25)))
-    assert dev <= 1e-6
+    assert sol3.hamiltonian_dev == float(np.max(np.abs(ham + 0.25)))
+    assert sol3.hamiltonian_dev <= 1e-6
 
 
 def test_sweep_every_solve_converges(sweep_trace, sweep_solutions):
@@ -151,14 +160,10 @@ def test_domain_halfwidth_grows_toward_unit_coupling():
 
 
 def test_qualitative_checks(sweep_solutions):
-    rep = qualitative_checks(sweep_solutions[1e4])
-    assert rep.monotone_v1 and rep.monotone_v2
-    assert rep.half_monotone_consistent
-    assert rep.bounded
-    assert rep.envelope_nodes >= 8
-    assert rep.envelope_coeff < 0.0
-    assert rep.pinning_dev <= 1e-6
-    assert rep.symmetric_dev <= 1e-6
+    flags = sweep_solutions[1e4].flags
+    assert flags.monotone and flags.bounded
+    assert flags.pinning_dev <= 1e-6
+    assert flags.symmetric_dev <= 1e-6
 
 
 def test_step_underflow_reports_last_converged(sol3, monkeypatch):
@@ -169,11 +174,10 @@ def test_step_underflow_reports_last_converged(sol3, monkeypatch):
         raise NonConvergenceError(1, 1.0)
 
     monkeypatch.setattr(heteroclinic, "solve_heteroclinic", never_converges)
-    policy = ContinuationPolicy(max_halvings=1)
     with pytest.raises(StepUnderflow) as exc:
-        continue_in_lambda(sol3, [1e6], policy=policy)
+        continue_in_lambda(sol3, [1e6])
     assert exc.value.at_lambda == 3.0
-    assert len(calls) == 2  # the first proposal and one halving
+    assert len(calls) == 9  # the first proposal and eight halvings
 
 
 def test_continuation_propagates_non_solver_errors(sol3, monkeypatch):
@@ -209,8 +213,7 @@ def test_continuation_halves_step_on_solver_failure(failure, monkeypatch):
         return real(lam, *args, **kwargs)
 
     monkeypatch.setattr(heteroclinic, "solve_heteroclinic", fail_first)
-    policy = ContinuationPolicy(initial_step_factor=4.0 / 3.0)
-    trace = continue_in_lambda(start, [4.0], policy=policy)
+    trace = continue_in_lambda(start, [4.0])
     assert [s.halvings for s in trace.steps] == [1, 0]
     assert proposals[1] == pytest.approx(math.sqrt(12.0), rel=1e-12)  # geometric midpoint
     assert trace.solutions[-1].lam == 4.0
@@ -248,14 +251,17 @@ def test_decade_step_snaps_onto_target(coarse_sweep, monkeypatch, start, target)
     assert [e.lam for e in trace.entries] == [start, target]
 
 
-def test_halved_step_snaps_onto_target(coarse_sweep, monkeypatch):
-    # the halved hundredfold step from 1e5 lands an ulp short of 1e6
-    assert math.exp(math.log(1e5) + 0.5 * math.log(100.0)) != 1e6
-    proposals = record_proposals(monkeypatch, failures=1)
-    policy = ContinuationPolicy(initial_step_factor=100.0)
-    trace = continue_in_lambda(coarse_sweep[1e5], [1e6], policy=policy)
-    assert proposals == [1e6, 1e6]
-    assert [s.halvings for s in trace.steps] == [1]
+def test_halving_shrinks_the_step_actually_tried(sol3, monkeypatch):
+    # the decade step from 3 is clipped to the target 4; a failure there
+    # must halve 3 -> 4, not the decade, or the same solve is retried
+    proposals = record_proposals(monkeypatch, failures=9)
+    with pytest.raises(StepUnderflow):
+        continue_in_lambda(sol3, [4.0])
+    assert len(proposals) == 9
+    assert len(set(proposals)) == 9
+    assert proposals[0] == 4.0
+    assert proposals[1] == pytest.approx(math.sqrt(12.0), rel=1e-12)
+    assert all(3.0 < b < a for a, b in zip(proposals, proposals[1:]))
 
 
 def test_continuation_target_validation(sol3):
@@ -328,21 +334,6 @@ def test_refine_solution_widens_domain(sweep_solutions):
     assert wide.newton_residual <= 1e-10
     assert wide.hamiltonian_dev <= 1e-6
     assert wide.flags.monotone and wide.flags.bounded
-
-
-def test_rescale_general_canonical_map():
-    res = rescale_general(1.0, 4.0, 1.0, 2.0, 1.0, 12.0)
-    assert res.valid
-    assert res.canonical_lambda == pytest.approx(6.0, abs=1e-14)
-    s1, s2, s3, s4 = res.scaling
-    assert s1 == pytest.approx(1.0)
-    assert s3 == pytest.approx(np.sqrt(2.0))
-
-    res_bad = rescale_general(1.0, 1.0, 1.0, 2.0, 1.0, 12.0)
-    assert not res_bad.valid
-
-    with pytest.raises(ValueError):
-        rescale_general(0.0, 1.0, 1.0, 1.0, 1.0, 3.0)
 
 
 def test_trace_requires_monotone_couplings(sol3):

@@ -8,7 +8,6 @@ from scipy.optimize import bisect
 
 from beclab import (
     BandedMatrix,
-    NewtonSettings,
     NonConvergenceError,
     SingularJacobianError,
     newton_solve,
@@ -33,11 +32,11 @@ def scalar_problem():
 
 def test_sqrt_two_from_unit_start():
     residual, jacobian = scalar_problem()
-    settings = NewtonSettings(residual_tol=1e-13)
-    result = newton_solve(residual, jacobian, np.array([1.0]), settings)
-    assert abs(result.solution[0] - math.sqrt(2.0)) <= 1e-12
+    result = newton_solve(residual, jacobian, np.array([1.0]))
     assert result.iterations < 10
-    assert result.residual_norm <= 1e-13
+    assert result.residual_norm <= 1e-10
+    # the residual fixes the error: |u - sqrt(2)| = |u^2 - 2| / (u + sqrt(2))
+    assert abs(result.solution[0] - math.sqrt(2.0)) <= result.residual_norm / 2.0
 
 
 def test_damping_rescues_overshooting_iteration():
@@ -60,11 +59,12 @@ def test_damping_rescues_overshooting_iteration():
 
 
 def test_iteration_budget_exhaustion():
+    # from 1e30 each full step only halves u: about 100 halvings are needed
+    # to reach sqrt(2), twice the 50-step budget
     residual, jacobian = scalar_problem()
     with pytest.raises(NonConvergenceError) as exc:
-        newton_solve(residual, jacobian, np.array([100.0]),
-                     NewtonSettings(max_iters=1))
-    assert exc.value.iterations == 1
+        newton_solve(residual, jacobian, np.array([1e30]))
+    assert exc.value.iterations == 50
     assert exc.value.best_residual > 0.0
 
 
@@ -109,22 +109,3 @@ def test_converged_at_start_takes_no_step():
     residual, jacobian = scalar_problem()
     result = newton_solve(residual, jacobian, np.array([math.sqrt(2.0)]))
     assert result.iterations == 0
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        NewtonSettings(residual_tol=0.0)
-    with pytest.raises(ValueError):
-        NewtonSettings(max_iters=0)
-    with pytest.raises(ValueError):
-        NewtonSettings(damping=1.0)
-    with pytest.raises(ValueError):
-        NewtonSettings(min_step=0.0)
-
-
-def test_settings_defaults():
-    s = NewtonSettings()
-    assert s.residual_tol == 1e-10
-    assert s.max_iters == 50
-    assert s.damping == 0.5
-    assert s.min_step == 2.0**-20

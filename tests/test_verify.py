@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from banded_helpers import add_diagonal
 from beclab import BandedMatrix, default_sweep, run_verification
 from beclab.verify import _hygiene_states, jacobian_fd_error
 
@@ -67,7 +68,7 @@ def test_jacobian_fd_error_flags_wrong_jacobian():
 
     def wrong_jacobian(u):
         jac = BandedMatrix.zeros(u.shape[0], 0)
-        jac.add_diagonal(0, 3.0 * u)  # should be 2u
+        add_diagonal(jac, 0, 3.0 * u)  # should be 2u
         return jac
 
     err = jacobian_fd_error(residual, wrong_jacobian, np.array([1.0, 2.0]))
