@@ -59,12 +59,10 @@ from .spectrum import (
     LinearizedOperator,
     SpectrumReport,
     assemble_linearized,
-    assemble_operator,
     count_below,
     lowest_eigenpairs,
     nondegeneracy_report,
     spectrum_report,
-    translation_residual,
 )
 from .energy import (
     LEADING_TENSION,

@@ -20,15 +20,17 @@ from .asymptotics import build_composite, measure_errors
 from .banded import SingularSystemError
 from .energy import expansion_residual
 from .heteroclinic import (
+    ContinuationTrace,
     HeteroclinicSolution,
     StepUnderflow,
     continue_in_lambda,
+    refine_solution,
     solve_heteroclinic,
 )
 from .newton import NonConvergenceError
 from .profiles import solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
-from .spectrum import REPORT_PAIRS, assemble_linearized, lowest_eigenpairs, spectrum_report
+from .spectrum import assemble_linearized, lowest_eigenpairs, spectrum_report
 from .verify import run_verification
 from . import __version__
 
@@ -174,15 +176,32 @@ def _outdir(cfg: RunConfig) -> Path:
 
 def _solve_at(cfg: RunConfig, lam: float) -> HeteroclinicSolution:
     """Direct solve near the explicit coupling, continuation otherwise,
-    or a direct solve from a user seed file when one is given."""
+    or a direct solve from a user seed file when one is given. A given
+    --L holds at lam: continuation solves each step on its own default
+    half-width, so its end point is re-solved on [-L, L]."""
     n = cfg.n
     if cfg.seed is not None:
         return solve_heteroclinic(lam, L=cfg.L, n=n, init=read_seed_csv(cfg.seed))
     if _DIRECT_WINDOW[0] <= lam <= _DIRECT_WINDOW[1]:
         return solve_heteroclinic(lam, L=cfg.L, n=n)
     start = solve_heteroclinic(3.0, L=cfg.L, n=n)
-    trace = continue_in_lambda(start, [lam], n=n)
-    return trace.solutions[-1]
+    sol = continue_in_lambda(start, [lam], n=n).solutions[-1]
+    return sol if cfg.L is None else refine_solution(sol, L=cfg.L)
+
+
+def _sweep_from_seed(lams: list[float], n: int) -> ContinuationTrace:
+    """The upward branch from the lam = 3 solve through the increasing
+    couplings lams; a coupling of 3 is that solve itself. A coupling below
+    3, or no coupling above it, is a usage error."""
+    if lams[0] < 3.0:
+        raise ValueError(
+            f"coupling {lams[0]:g} lies below the seed coupling 3, "
+            "from which sweeps continue upward"
+        )
+    if lams[-1] == 3.0:
+        raise ValueError("a sweep must reach above the seed coupling 3")
+    start = solve_heteroclinic(3.0, n=n)
+    return continue_in_lambda(start, [lam for lam in lams if lam > 3.0], n=n)
 
 
 def _solution_files(cfg: RunConfig, sol: HeteroclinicSolution, outdir: Path) -> None:
@@ -241,11 +260,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
 def _cmd_continue(cfg: RunConfig) -> int:
     if cfg.lam_range is None:
         raise ValueError("continue requires --lambda-range a:b:per_decade")
-    lams = [lam for lam in range_couplings(cfg.lam_range) if lam > 3.0]
-    if not lams:
-        raise ValueError("continuation range must reach beyond the seed coupling 3")
-    start = solve_heteroclinic(3.0, n=cfg.n)
-    trace = continue_in_lambda(start, lams, n=cfg.n)
+    trace = _sweep_from_seed(range_couplings(cfg.lam_range), cfg.n)
     outdir = _outdir(cfg)
     entries = trace.entries
     write_csv(
@@ -307,7 +322,7 @@ def _cmd_spectrum(cfg: RunConfig) -> int:
         raise ValueError("spectrum requires --lambda")
     sol = _solve_at(cfg, cfg.lam)
     op = assemble_linearized(sol)
-    pairs = lowest_eigenpairs(op, REPORT_PAIRS)
+    pairs = lowest_eigenpairs(op)
     report = spectrum_report(sol, op, pairs)
     outdir = _outdir(cfg)
     columns = {"z": sol.grid.nodes}
@@ -327,12 +342,8 @@ def _cmd_energy(cfg: RunConfig) -> int:
     profile = solve_blowup(X=cfg.X, n=4097)
     if cfg.lam_range is not None:
         lams = range_couplings(cfg.lam_range)
-        upward = [lam for lam in lams if lam > 3.0]
-        if len(upward) != len(lams):
-            raise ValueError("energy sweep couplings must exceed the seed coupling 3")
-        start = solve_heteroclinic(3.0, n=cfg.n)
-        trace = continue_in_lambda(start, upward, n=cfg.n)
-        sols = [s for s in trace.solutions if s.lam in set(upward)]
+        wanted = set(lams)
+        sols = [s for s in _sweep_from_seed(lams, cfg.n).solutions if s.lam in wanted]
     else:
         sols = [_solve_at(cfg, cfg.lam)]
     reports = [expansion_residual(s, profile) for s in sols]

@@ -53,19 +53,15 @@ __all__ = [
     "LinearizedOperator",
     "REPORT_PAIRS",
     "SpectrumReport",
-    "assemble_operator",
     "assemble_linearized",
     "count_below",
     "lowest_eigenpairs",
     "nondegeneracy_report",
     "spectrum_report",
-    "translation_residual",
 ]
 
 # Deterministic seed for the Lanczos start vector.
 _START_SEED = 0xBEC1AB
-
-_MAX_EIGENPAIRS = 8
 
 # Eigenpairs behind every spectrum report (verify and `beclab spectrum`).
 REPORT_PAIRS = 4
@@ -87,13 +83,9 @@ class LinearizedOperator:
     weights holds the interior cell weights w_k.
     """
 
-    lam: float
     grid: Grid
     matrix: BandedMatrix
     weights: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-    coupling: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -107,14 +99,6 @@ class LinearizedOperator:
         return float(
             np.sum(w * (f1[1:-1] * g1[1:-1] + f2[1:-1] * g2[1:-1]))
         )
-
-    def apply_natural(self, phi1: np.ndarray, phi2: np.ndarray):
-        """Apply M in natural variables to full-length arrays; returns the
-        interior residual components (boundary entries enter as data)."""
-        st = flux_stencil(self.grid)
-        r1 = -st.apply(phi1) / self.weights + self.q1 * phi1[1:-1] + self.coupling * phi2[1:-1]
-        r2 = -st.apply(phi2) / self.weights + self.q2 * phi2[1:-1] + self.coupling * phi1[1:-1]
-        return r1, r2
 
 
 @dataclass(frozen=True)
@@ -157,58 +141,21 @@ class SpectrumReport:
     max_residual: float
 
 
-def assemble_operator(
-    grid: Grid, lam: float, q1: np.ndarray, q2: np.ndarray, coupling: np.ndarray
-) -> LinearizedOperator:
-    """Build the symmetrized interior operator from nodal potential and
-    coupling samples (full-length arrays; boundary entries unused).
-
-    The samples fill the Jacobian band of the interface solver's flux-form
-    residual, which is then symmetrized as in assemble_linearized. The
-    operator keeps read-only copies of the interior samples; the caller's
-    arrays are not modified."""
-    n = grid.n
-    interior = {}
-    for name, arr in (("q1", q1), ("q2", q2), ("coupling", coupling)):
-        a = np.asarray(arr, dtype=float)
-        if a.shape != (n,):
-            raise ValueError(f"{name} must be a full nodal array of length {n}")
-        interior[name] = a[1:-1].copy()
-    st = flux_stencil(grid)
-    jac = BandedMatrix.zeros(2 * (n - 2), 2)
-    d1, d2 = st.mid - st.w * interior["q1"], st.mid - st.w * interior["q2"]
-    st.fill_pair_rows(jac, 0, d1, d2, -st.w * interior["coupling"])
-    return _symmetrized(grid, lam, st.w, jac, **interior)
-
-
 def assemble_linearized(sol: HeteroclinicSolution) -> LinearizedOperator:
     """Linearized operator about a converged heteroclinic: the interface
-    solver's Newton Jacobian at sol, symmetrized. The stored potentials
-    and coupling are read off the Jacobian's diagonal blocks."""
+    solver's Newton Jacobian J at sol, scaled in place to
+    S = -W^{-1/2} J W^{-1/2}, W the cell weights. Each entry is scaled by
+    the product s_i*s_j, which is commutative, so the symmetric J gives an
+    exactly symmetric S."""
     _, jacobian, _ = _interior_residual_jacobian(sol.grid, sol.lam)
     jac = jacobian(_interior_state(sol.v1, sol.v2))
-    st = flux_stencil(sol.grid)
-    bw = jac.bandwidth  # data[bw - d, i + d] holds entry (i, i + d)
-    diag, cross = jac.data[bw], jac.data[bw - 1, 1::2]
-    q1 = (st.mid - diag[0::2]) / st.w
-    q2 = (st.mid - diag[1::2]) / st.w
-    return _symmetrized(sol.grid, sol.lam, st.w, jac, q1, q2, -cross / st.w)
-
-
-def _symmetrized(
-    grid: Grid, lam: float, w: np.ndarray, jac: BandedMatrix, q1, q2, coupling
-) -> LinearizedOperator:
-    """Operator with matrix S = -W^{-1/2} J W^{-1/2}, W the cell weights w,
-    computed in place in jac. Each entry is scaled by the product s_i*s_j,
-    which is commutative, so a symmetric J gives an exactly symmetric S."""
+    w = flux_stencil(sol.grid).w
     s = np.repeat(1.0 / np.sqrt(w), 2)
     bw, dim = jac.bandwidth, jac.dim
     for d in range(-bw, bw + 1):
         i0, j0, length = max(0, -d), max(0, d), dim - abs(d)
         jac.data[bw - d, j0 : j0 + length] *= -(s[i0 : i0 + length] * s[j0 : j0 + length])
-    for arr in (q1, q2, coupling):
-        arr.flags.writeable = False
-    return LinearizedOperator(lam, grid, jac, w, q1, q2, coupling)
+    return LinearizedOperator(sol.grid, jac, w)
 
 
 def _norm_inf(matrix: BandedMatrix) -> float:
@@ -263,8 +210,8 @@ def count_below(op: LinearizedOperator, mu: float) -> int:
     return count
 
 
-def lowest_eigenpairs(op: LinearizedOperator, k: int) -> Eigenpairs:
-    """k smallest eigenpairs of the symmetrized operator.
+def lowest_eigenpairs(op: LinearizedOperator) -> Eigenpairs:
+    """The k = REPORT_PAIRS smallest eigenpairs of the symmetrized operator.
 
     One shift-invert Lanczos solve for k + 1 pairs about a pole below the
     spectrum (one banded LU of S - sigma I, seeded start vector), then two
@@ -282,8 +229,7 @@ def lowest_eigenpairs(op: LinearizedOperator, k: int) -> Eigenpairs:
     inner product, sign-fixed so the largest-magnitude entry is positive.
     The list carries the EigenCertificate as `.certificate`.
     """
-    if not 1 <= k <= _MAX_EIGENPAIRS:
-        raise ValueError(f"need 1 <= k <= {_MAX_EIGENPAIRS}, got {k}")
+    k = REPORT_PAIRS
     dim = op.dim
     if k + 2 > dim:
         raise ValueError(f"operator dimension {dim} too small for k={k}")
@@ -348,18 +294,11 @@ def lowest_eigenpairs(op: LinearizedOperator, k: int) -> Eigenpairs:
     return Eigenpairs(pairs, EigenCertificate(mu, found, max_res, tol))
 
 
-def translation_residual(op: LinearizedOperator, dv1: np.ndarray, dv2: np.ndarray) -> float:
-    """Sup-norm of M applied to the sampled translation mode (v1', v2');
-    zero in the continuum, pure discretization error numerically."""
-    r1, r2 = op.apply_natural(np.asarray(dv1, dtype=float), np.asarray(dv2, dtype=float))
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-
-
 def spectrum_report(
     sol: HeteroclinicSolution, op: LinearizedOperator, pairs: Eigenpairs
 ) -> SpectrumReport:
     """Bottom-of-spectrum summary from eigenpairs already computed by
-    lowest_eigenpairs(op, k) with k >= 2, op the operator about sol.
+    lowest_eigenpairs(op), op the operator about sol.
 
     alignment is the normalized lumped-mass pairing of the bottom
     eigenvector with the translation mode (v1', v2'); the essential edge
@@ -406,4 +345,4 @@ def nondegeneracy_report(sol: HeteroclinicSolution) -> SpectrumReport:
     """Bottom-of-spectrum summary about a converged solution from its
     REPORT_PAIRS lowest eigenpairs; see spectrum_report."""
     op = assemble_linearized(sol)
-    return spectrum_report(sol, op, lowest_eigenpairs(op, REPORT_PAIRS))
+    return spectrum_report(sol, op, lowest_eigenpairs(op))

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beclab import cli
 from beclab.cli import main, range_couplings
@@ -343,6 +347,76 @@ def test_config_file_merge_and_flag_override(tmp_path):
     assert main(["solve", "--config", str(bad), "--out", str(out)]) == 1
 
 
+# field -> strategy of (flag text, JSON config value, resolved value)
+_FLOAT = st.floats(1.5, 1e6).map(lambda v: (repr(v), v, v))
+_PATH = st.text("abcxyz019_./", min_size=1, max_size=12).map(lambda v: (v, v, v))
+
+
+@st.composite
+def _lambda_range(draw):
+    a, b = draw(st.floats(1.01, 1e6)), draw(st.floats(1.01, 1e6))
+    value = (min(a, b), max(a, b), draw(st.integers(1, 5)))
+    text = "{!r}:{!r}:{}".format(*value)
+    return text, text, value
+
+
+FIELD_VALUES = {
+    "lam": _FLOAT,
+    "lam_range": _lambda_range(),
+    "X": _FLOAT,
+    "L": _FLOAT,
+    "n": st.integers(513, 10**6).map(lambda v: (str(v), v, v)),
+    "tol": _FLOAT,
+    "out": _PATH,
+    "seed": _PATH,
+    "variant": st.sampled_from(["leading", "shifted"]).map(lambda v: (v, v, v)),
+}
+
+
+def _config_key(field):
+    return cli._FLAGS[field][0].lstrip("-").replace("-", "_")
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(cli._COMMAND_FIELDS)), data=st.data())
+def test_resolve_takes_flag_over_config_over_default(command, data, tmp_path_factory):
+    # each field comes from the table default, the config, a flag, or both
+    path = tmp_path_factory.getbasetemp() / "merge.json"
+    config, argv, expected = {}, [command], {}
+    for field, default in cli._COMMAND_FIELDS[command].items():
+        source = data.draw(st.sampled_from(["default", "config", "flag", "both"]), label=field)
+        expected[field] = default
+        if source in ("config", "both"):
+            _, value, expected[field] = data.draw(FIELD_VALUES[field])
+            config[_config_key(field)] = value
+        if source in ("flag", "both"):
+            text, _, expected[field] = data.draw(FIELD_VALUES[field])
+            argv += [cli._FLAGS[field][0], text]
+    path.write_text(json.dumps(config))
+    args = cli._build_parser().parse_args([*argv, "--config", str(path)])
+    assert cli._resolve(args) == cli.RunConfig(command=command, **expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(cli._COMMAND_FIELDS)), data=st.data())
+def test_config_key_outside_the_command_exits_one(command, data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "unread.json"
+    out = tmp_path_factory.getbasetemp() / "unread"
+    reads = cli._COMMAND_FIELDS[command]
+    config = {
+        _config_key(f): data.draw(FIELD_VALUES[f])[1]
+        for f in data.draw(st.lists(st.sampled_from(sorted(reads)), unique=True))
+    }
+    field = data.draw(st.sampled_from(sorted(set(cli._FLAGS) - set(reads))))
+    config[_config_key(field)] = data.draw(FIELD_VALUES[field])[1]
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"does not read config key {_config_key(field)!r}" in err.getvalue()
+
+
 def test_config_range_goes_through_the_flag_conversion(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"lambda_range": "10:100:1", "n": 1025}))
@@ -352,6 +426,49 @@ def test_config_range_goes_through_the_flag_conversion(tmp_path):
     assert config == {
         "command": "continue", "lam_range": [10.0, 100.0, 1], "n": 1025, "out": str(out),
     }
+
+
+@pytest.mark.parametrize("command", ["solve", "spectrum"])
+def test_domain_flag_holds_after_continuation(command, tmp_path):
+    # lam = 1e3 lies outside the direct window; continuation solves its
+    # steps on the default half-width (20.77 at 1e3), yet --L sets the
+    # domain of the reported solution
+    out = tmp_path / "run"
+    argv = [command, "--lambda", "1e3", "--L", "30", "--n", "1025", "--out", str(out)]
+    assert main(argv) == 0
+    if command == "solve":
+        assert read_json(out / "solution_summary.json")["config"]["resolved_L"] == 30.0
+    else:
+        assert read_json(out / "spectrum.json")["report"]["L"] == 30.0
+
+
+@pytest.mark.parametrize("command", ["continue", "energy"])
+@pytest.mark.parametrize(
+    "lam_range,message",
+    [
+        ("2:100:1", "coupling 2 lies below the seed coupling 3"),
+        ("3:3:1", "must reach above the seed coupling 3"),
+    ],
+)
+def test_sweep_that_does_not_climb_from_the_seed_exits_one(
+    command, lam_range, message, tmp_path, capsys
+):
+    out = tmp_path / "run"
+    argv = [command, "--lambda-range", lam_range, "--n", "1025", "--out", str(out)]
+    assert main(argv) == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["continue", "energy"])
+def test_sweep_from_the_seed_coupling_reports_it(command, tmp_path):
+    # lam = 3 is the solve every sweep starts from
+    out = tmp_path / "run"
+    argv = [command, "--lambda-range", "3:10:1", "--n", "1025", "--out", str(out)]
+    assert main(argv) == 0
+    name = "energy.csv" if command == "energy" else "trace.csv"
+    rows = (out / name).read_text().splitlines()[2:]
+    assert [float(r.split(",")[0]) for r in rows] == [3.0, 10.0]
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):

@@ -11,10 +11,6 @@ import beclab
 
 MODULES = sorted(f"beclab.{m.name}" for m in pkgutil.iter_modules(beclab.__path__))
 
-# Exported only as oracles: the spectrum tests check the operator taken
-# from the Newton Jacobian against the one these assemble from potentials.
-TEST_ORACLES = {"assemble_operator", "translation_residual"}
-
 
 def _referenced_names() -> set[str]:
     """Every Name and Attribute in the package source outside __init__.py."""
@@ -50,4 +46,4 @@ def test_all_names_resolve(name):
 def test_every_export_has_a_caller(name):
     # a public name that only tests use is deleted or moved into the tests
     exported = importlib.import_module(name).__all__
-    assert [n for n in exported if n not in REFERENCED | TEST_ORACLES] == []
+    assert [n for n in exported if n not in REFERENCED] == []

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 from banded_helpers import symmetry_defect, to_dense
 from beclab import (
     assemble_linearized,
-    assemble_operator,
     lowest_eigenpairs,
     make_grid,
     nondegeneracy_report,
     solve_heteroclinic,
-    translation_residual,
 )
 from beclab import spectrum
 from beclab.spectrum import count_below, residual_tolerance, spectrum_report
+from spectrum_oracle import apply_natural, operator, potentials
 
 
 def explicit_lambda3_derivative(z):
@@ -31,25 +30,25 @@ def explicit_lambda3_derivative(z):
 def laplacian_operator(n: int):
     grid = make_grid(0.0, math.pi, n)
     zero = np.zeros(n)
-    return assemble_operator(grid, 1.0, zero, zero, zero)
+    return operator(grid, zero, zero, zero)
 
 
 def test_laplacian_oracle_eigenvalues():
     # two decoupled Dirichlet Laplacians on (0, pi): eigenvalues k^2, each twice
     op = laplacian_operator(201)
-    values = [theta for theta, _ in lowest_eigenpairs(op, 6)]
-    assert np.allclose(values, [1.0, 1.0, 4.0, 4.0, 9.0, 9.0], atol=5e-3)
+    values = [theta for theta, _ in lowest_eigenpairs(op)]
+    assert np.allclose(values, [1.0, 1.0, 4.0, 4.0], atol=5e-3)
 
 
 def test_laplacian_second_order_convergence():
-    e_coarse = abs(lowest_eigenpairs(laplacian_operator(101), 1)[0][0] - 1.0)
-    e_fine = abs(lowest_eigenpairs(laplacian_operator(201), 1)[0][0] - 1.0)
+    e_coarse = abs(lowest_eigenpairs(laplacian_operator(101))[0][0] - 1.0)
+    e_fine = abs(lowest_eigenpairs(laplacian_operator(201))[0][0] - 1.0)
     assert 3.4 <= e_coarse / e_fine <= 4.6
 
 
 def test_laplacian_eigenvector_shape():
     op = laplacian_operator(201)
-    pairs = lowest_eigenpairs(op, 2)
+    pairs = lowest_eigenpairs(op)
     phi1, phi2 = pairs[0][1]
     # bottom eigenspace is span{(sin, 0), (0, sin)}; project onto it
     grid_z = np.linspace(0.0, math.pi, 201)
@@ -77,7 +76,7 @@ def test_lambda3_spectrum(sol3):
 def test_quasi_continuum_onset(sol3):
     # above the gap the discrete spectrum crowds toward the essential edge 2
     op = assemble_linearized(sol3)
-    thetas = [t for t, _ in lowest_eigenpairs(op, 4)]
+    thetas = [t for t, _ in lowest_eigenpairs(op)]
     assert 1.95 <= thetas[2] <= 2.2
     assert 1.95 <= thetas[3] <= 2.2
 
@@ -96,43 +95,39 @@ def test_constant_state_edge_value():
     grid = make_grid(-20.0, 20.0, 801)
     q1 = np.full(801, 2.0)
     q2 = np.full(801, 2.0)
-    op = assemble_operator(grid, 3.0, q1, q2, np.zeros(801))
-    bottom = lowest_eigenpairs(op, 1)[0][0]
+    op = operator(grid, q1, q2, np.zeros(801))
+    bottom = lowest_eigenpairs(op)[0][0]
     assert bottom == pytest.approx(2.0, abs=0.05)
 
 
 def test_translation_mode_second_order():
     def residual_at(n: int) -> float:
+        # sup-norm of M applied to the sampled translation mode (v1', v2'):
+        # zero in the continuum, pure discretization error numerically
         sol = solve_heteroclinic(3.0, n=n)
-        op = assemble_linearized(sol)
         d1, d2 = explicit_lambda3_derivative(sol.grid.nodes)
-        return translation_residual(op, d1, d2)
+        r1, r2 = apply_natural(sol.grid, *potentials(sol), d1, d2)
+        return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
     r_coarse, r_fine = residual_at(2049), residual_at(4097)
     assert r_fine < r_coarse / 3.0
 
 
 def test_reflection_symmetry_of_spectrum(sol3):
-    op = assemble_linearized(sol3)
-    # swapping components and reflecting z maps the operator to itself;
-    # stored potentials are interior-only, pad with unused boundary zeros
-    def pad(interior: np.ndarray) -> np.ndarray:
-        return np.concatenate(([0.0], interior, [0.0]))
-
-    q1r = pad(op.q2[::-1])
-    q2r = pad(op.q1[::-1])
-    cr = pad(op.coupling[::-1])
-    mirrored = assemble_operator(sol3.grid, sol3.lam, q1r, q2r, cr)
-    a = [t for t, _ in lowest_eigenpairs(op, 4)]
-    b = [t for t, _ in lowest_eigenpairs(mirrored, 4)]
+    # swapping components and reflecting z maps the operator to itself
+    q1, q2, coupling = potentials(sol3)
+    mirrored = operator(sol3.grid, q2[::-1], q1[::-1], coupling[::-1])
+    a = [t for t, _ in lowest_eigenpairs(assemble_linearized(sol3))]
+    b = [t for t, _ in lowest_eigenpairs(mirrored)]
     assert np.allclose(a, b, atol=1e-10)
 
 
 def test_rayleigh_and_residual_certificates(sol3):
     op = assemble_linearized(sol3)
     tol = residual_tolerance(op)
-    for theta, (phi1, phi2) in lowest_eigenpairs(op, 3):
-        r1, r2 = op.apply_natural(phi1, phi2)
+    q = potentials(sol3)
+    for theta, (phi1, phi2) in lowest_eigenpairs(op):
+        r1, r2 = apply_natural(sol3.grid, *q, phi1, phi2)
         res1 = r1 - theta * phi1[1:-1]
         res2 = r2 - theta * phi2[1:-1]
         assert max(np.max(np.abs(res1)), np.max(np.abs(res2))) <= tol
@@ -145,7 +140,7 @@ def test_rayleigh_and_residual_certificates(sol3):
 
 def test_eigenvector_orthonormality(sol3):
     op = assemble_linearized(sol3)
-    pairs = lowest_eigenpairs(op, 4)
+    pairs = lowest_eigenpairs(op)
     for i, (_, u) in enumerate(pairs):
         for j, (_, v) in enumerate(pairs):
             expected = 1.0 if i == j else 0.0
@@ -154,8 +149,8 @@ def test_eigenvector_orthonormality(sol3):
 
 def test_eigenpairs_deterministic(sol3):
     op = assemble_linearized(sol3)
-    first = lowest_eigenpairs(op, 2)
-    second = lowest_eigenpairs(op, 2)
+    first = lowest_eigenpairs(op)
+    second = lowest_eigenpairs(op)
     for (ta, (a1, a2)), (tb, (b1, b2)) in zip(first, second):
         assert ta == tb
         assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
@@ -166,15 +161,8 @@ def test_operator_from_jacobian_matches_paper_potentials(lam, sol3, sweep_soluti
     # S = -W^{-1/2} J W^{-1/2} from the Newton Jacobian equals the operator
     # assembled from the potentials of the linearization
     sol = sol3 if lam == 3.0 else sweep_solutions[lam]
-    v1, v2 = sol.v1, sol.v2
     from_jacobian = assemble_linearized(sol).matrix
-    from_potentials = assemble_operator(
-        sol.grid,
-        lam,
-        3.0 * v1**2 - 1.0 + lam * v2**2,
-        3.0 * v2**2 - 1.0 + lam * v1**2,
-        2.0 * lam * v1 * v2,
-    ).matrix
+    from_potentials = operator(sol.grid, *potentials(sol)).matrix
     norm = float(np.max(np.sum(np.abs(from_potentials.data), axis=0)))
     diff = float(np.max(np.abs(from_jacobian.data - from_potentials.data)))
     assert diff <= 1e-15 * norm
@@ -184,27 +172,6 @@ def test_symmetrized_assembly_is_exactly_symmetric(sol3):
     op = assemble_linearized(sol3)
     assert symmetry_defect(op.matrix) == 0.0
     assert op.matrix.dim == 2 * (sol3.n - 2)
-
-
-def test_k_validation(sol3):
-    op = assemble_linearized(sol3)
-    with pytest.raises(ValueError):
-        lowest_eigenpairs(op, 0)
-    with pytest.raises(ValueError):
-        lowest_eigenpairs(op, 9)
-
-
-def test_assembly_leaves_caller_arrays_alone():
-    grid = make_grid(-5.0, 5.0, 41)
-    q1, q2, coupling = np.full(41, 2.0), np.linspace(0.0, 1.0, 41), np.full(41, 0.5)
-    before = [a.copy() for a in (q1, q2, coupling)]
-    op = assemble_operator(grid, 3.0, q1, q2, coupling)
-    for arr, old in zip((q1, q2, coupling), before):
-        assert arr.flags.writeable
-        assert np.array_equal(arr, old)
-    q1[:] = -7.0  # the operator holds its own copy
-    assert np.all(op.q1 == 2.0)
-    assert not op.q1.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,40 +185,44 @@ def test_inertia_count_matches_dense_eigenvalues(n, seed, scale, mu):
     rng = np.random.default_rng(seed)
     grid = make_grid(-1.0, 1.0, n)
     q1, q2, coupling = (scale * rng.uniform(-1.0, 1.0, n) for _ in range(3))
-    op = assemble_operator(grid, 1.0, q1, q2, coupling)
+    op = operator(grid, q1, q2, coupling)
     eigenvalues = np.linalg.eigvalsh(to_dense(op.matrix))
     # keep mu clear of the spectrum; at an eigenvalue the count is ill-posed
     assume(np.min(np.abs(eigenvalues - mu)) > 1e-9 * np.max(np.abs(eigenvalues)))
     assert count_below(op, mu) == int(np.sum(eigenvalues < mu))
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
-def test_inertia_certificate_spans_double_eigenvalues(k):
-    # theta_k and theta_{k+1} are the two copies of one Laplacian eigenvalue,
-    # so the count is taken above the pair
-    op = laplacian_operator(201)
-    pairs = lowest_eigenpairs(op, k)
+def test_inertia_certificate_spans_double_eigenvalues():
+    # mu_j = (4/h^2) sin^2(jh/2) are the discrete Dirichlet eigenvalues on
+    # (0, pi); the constant potential mu_4 - mu_1 on component 2 lifts its
+    # bottom onto mu_4, so theta_4 = theta_5 and the count is taken above
+    # the pair
+    n = 201
+    h = math.pi / (n - 1)
+    mu = [4.0 / h**2 * math.sin(j * h / 2.0) ** 2 for j in (1, 2, 3, 4)]
+    zero = np.zeros(n)
+    op = operator(make_grid(0.0, math.pi, n), zero, np.full(n, mu[3] - mu[0]), zero)
+    pairs = lowest_eigenpairs(op)
     cert = pairs.certificate
-    expected = [1.0, 1.0, 4.0, 4.0, 9.0, 9.0][:k]
-    assert np.allclose([t for t, _ in pairs], expected, atol=5e-3)
-    assert cert.count_below == k + 1
+    assert np.allclose([t for t, _ in pairs], mu, rtol=0.0, atol=1e-9)
+    assert cert.count_below == 5
     assert pairs[-1][0] < cert.shift < pairs[-1][0] + 2.0 * cert.tolerance
     assert cert.max_residual <= cert.tolerance
 
 
 def test_inertia_certificate_between_simple_eigenvalues():
     op = laplacian_operator(201)
-    pairs = lowest_eigenpairs(op, 2)
+    pairs = lowest_eigenpairs(op)
     cert = pairs.certificate
-    assert cert.count_below == 2
-    assert 1.0 < cert.shift < 4.0
+    assert cert.count_below == 4
+    assert 4.0 < cert.shift < 9.0
 
 
 def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
     # distinct diagonal potentials split every Laplacian double eigenvalue
     grid = make_grid(0.0, math.pi, 201)
     zero = np.zeros(201)
-    op = assemble_operator(grid, 1.0, zero, np.full(201, 0.5), zero)
+    op = operator(grid, zero, np.full(201, 0.5), zero)
     real_eigsh = spectrum.eigsh
 
     def skipping_eigsh(A, k, **kwargs):
@@ -261,16 +232,16 @@ def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
 
     monkeypatch.setattr(spectrum, "eigsh", skipping_eigsh)
     with pytest.raises(RuntimeError, match="inertia count"):
-        lowest_eigenpairs(op, 3)
+        lowest_eigenpairs(op)
 
 
 def test_concurrent_calls_match_serial(sol3):
     op = assemble_linearized(sol3)
-    serial = lowest_eigenpairs(op, 4)
+    serial = lowest_eigenpairs(op)
     results = [None, None]
 
     def worker(slot):
-        results[slot] = lowest_eigenpairs(op, 4)
+        results[slot] = lowest_eigenpairs(op)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
     for t in threads:
@@ -287,7 +258,7 @@ def test_concurrent_calls_match_serial(sol3):
 
 def test_report_from_given_pairs_matches_full_report(sol3):
     op = assemble_linearized(sol3)
-    pairs = lowest_eigenpairs(op, 4)
+    pairs = lowest_eigenpairs(op)
     rep = spectrum_report(sol3, op, pairs)
     assert rep == nondegeneracy_report(sol3)
     assert rep.inertia_count == 4 and rep.inertia_shift == pairs.certificate.shift
