@@ -192,22 +192,31 @@ def test_inertia_count_matches_dense_eigenvalues(n, seed, scale, mu):
     assert count_below(op, mu) == int(np.sum(eigenvalues < mu))
 
 
-def test_inertia_certificate_spans_double_eigenvalues():
+@pytest.mark.parametrize("k", [1, 3, 4, 5])
+def test_inertia_certificate_spans_double_eigenvalues(k):
     # mu_j = (4/h^2) sin^2(jh/2) are the discrete Dirichlet eigenvalues on
-    # (0, pi); the constant potential mu_4 - mu_1 on component 2 lifts its
-    # bottom onto mu_4, so theta_4 = theta_5 and the count is taken above
-    # the pair
+    # (0, pi); the constant potential mu_k - mu_1 on component 2 lifts its
+    # bottom onto mu_k, so theta_k = theta_{k+1}. The count holds both
+    # copies: below the shift when the pair lies among the four computed
+    # values (k = 1, 3), above it when the pair starts past them (k = 5),
+    # and when the pair is theta_4 = theta_5 the count is taken above it
     n = 201
     h = math.pi / (n - 1)
-    mu = [4.0 / h**2 * math.sin(j * h / 2.0) ** 2 for j in (1, 2, 3, 4)]
+    mu = np.array([4.0 / h**2 * math.sin(j * h / 2.0) ** 2 for j in range(1, 7)])
+    lift = mu[k - 1] - mu[0]
     zero = np.zeros(n)
-    op = operator(make_grid(0.0, math.pi, n), zero, np.full(n, mu[3] - mu[0]), zero)
+    op = operator(make_grid(0.0, math.pi, n), zero, np.full(n, lift), zero)
+    exact = np.sort(np.concatenate([mu, mu + lift]))
     pairs = lowest_eigenpairs(op)
     cert = pairs.certificate
-    assert np.allclose([t for t, _ in pairs], mu, rtol=0.0, atol=1e-9)
-    assert cert.count_below == 5
-    assert pairs[-1][0] < cert.shift < pairs[-1][0] + 2.0 * cert.tolerance
+    assert np.allclose([t for t, _ in pairs], exact[:4], rtol=0.0, atol=1e-9)
     assert cert.max_residual <= cert.tolerance
+    if k == 4:
+        assert cert.count_below == 5
+        assert pairs[-1][0] < cert.shift < pairs[-1][0] + 2.0 * cert.tolerance
+    else:
+        assert cert.count_below == 4
+        assert pairs[-1][0] < cert.shift < exact[4]
 
 
 def test_inertia_certificate_between_simple_eigenvalues():
