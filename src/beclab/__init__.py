@@ -14,7 +14,7 @@ nondegeneracy of the linearization, and the interface-tension expansion.
 """
 
 from .banded import BandedLU, BandedMatrix, SingularSystemError
-from .calculus import OrderFit, fit_loglog, golden_minimize, quadrature, resample
+from .calculus import fit_loglog, golden_minimize, quadrature, resample
 from .grids import Grid, differentiate, make_grid
 from .newton import (
     NewtonResult,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import OrderFit, fit_loglog, golden_minimize, resample
+from .calculus import fit_loglog, golden_minimize, resample
 from .grids import Grid
 from .heteroclinic import HeteroclinicSolution
 from .profiles import PSI0, BlowupProfile, outer_value, outer_derivative
@@ -179,11 +179,11 @@ class ErrorReport:
 
 @dataclass(frozen=True)
 class ErrorOrders:
-    outer: OrderFit
-    inner: OrderFit
-    outer_deriv: OrderFit
-    inner_deriv: OrderFit
-    jump: OrderFit
+    """Fitted log-log slopes of the region-wise errors."""
+
+    outer: float
+    inner: float
+    outer_deriv: float
 
 
 def build_composite(
@@ -282,8 +282,8 @@ def fit_error_orders(reports) -> ErrorOrders:
     """Log-log slopes of the region-wise errors across a coupling sweep.
 
     Requires at least 4 couplings spanning at least 3 decades. The inner
-    order is fitted on the core sub-window values (clean lam^{-3/4} and
-    lam^{-1/2} scales); full-window values are reported but not fitted.
+    order is fitted on the core sub-window values (clean lam^{-3/4} scale);
+    full-window values are reported but not fitted.
     """
     reports = list(reports)
     lams = [r.lam for r in reports]
@@ -292,15 +292,13 @@ def fit_error_orders(reports) -> ErrorOrders:
     if max(lams) < 1000.0 * min(lams):
         raise ValueError("couplings must span at least 3 decades")
 
-    def fit(field: str) -> OrderFit:
+    def fit(field: str) -> float:
         return fit_loglog([(r.lam, getattr(r, field)) for r in reports])
 
     return ErrorOrders(
         outer=fit("outer_sup_weighted"),
         inner=fit("inner_sup_core"),
         outer_deriv=fit("outer_deriv_weighted"),
-        inner_deriv=fit("inner_deriv_core"),
-        jump=fit("jump"),
     )
 
 

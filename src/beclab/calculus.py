@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -12,7 +11,6 @@ from .grids import Grid
 
 __all__ = [
     "quadrature",
-    "OrderFit",
     "fit_loglog",
     "resample",
     "golden_minimize",
@@ -35,18 +33,10 @@ def quadrature(values: np.ndarray, grid: Grid) -> float:
     return float(np.trapezoid(values, grid.nodes))
 
 
-@dataclass(frozen=True)
-class OrderFit:
-    slope: float
-    intercept: float
-    r_squared: float
+def fit_loglog(samples: Sequence[tuple[float, float]]) -> float:
+    """Slope of the least-squares line through (log x, log y).
 
-
-def fit_loglog(samples: Sequence[tuple[float, float]]) -> OrderFit:
-    """Least-squares line through (log x, log y).
-
-    Requires at least 3 strictly positive samples. r_squared is defined as
-    1 when the y-values are constant (zero total variance).
+    Requires at least 3 strictly positive samples.
     """
     if len(samples) < 3:
         raise ValueError(f"need >= 3 samples for a fit, got {len(samples)}")
@@ -59,15 +49,7 @@ def fit_loglog(samples: Sequence[tuple[float, float]]) -> OrderFit:
     sxx = float(np.dot(lxm, lxm))
     if sxx == 0.0:
         raise ValueError("all x values coincide")
-    slope = float(np.dot(lxm, lym)) / sxx
-    intercept = float(ly.mean() - slope * lx.mean())
-    ss_tot = float(np.dot(lym, lym))
-    if ss_tot <= 1e-30:
-        r_squared = 1.0
-    else:
-        res = ly - (intercept + slope * lx)
-        r_squared = 1.0 - float(np.dot(res, res)) / ss_tot
-    return OrderFit(slope=slope, intercept=intercept, r_squared=r_squared)
+    return float(np.dot(lxm, lym)) / sxx
 
 
 def resample(nodes: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:

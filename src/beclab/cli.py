@@ -13,8 +13,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .asymptotics import build_composite, measure_errors
 from .banded import SingularSystemError
@@ -28,43 +28,17 @@ from .heteroclinic import (
     solve_heteroclinic,
 )
 from .newton import NonConvergenceError
-from .profiles import solve_blowup
+from .profiles import CORE_N, solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
 from .spectrum import assemble_linearized, lowest_eigenpairs, spectrum_report
 from .verify import run_verification
 from . import __version__
 
-__all__ = ["RunConfig", "main", "entry"]
+__all__ = ["main", "entry"]
 
 # Couplings reachable by a direct Newton solve from the explicit seed;
 # outside this window `solve` routes through continuation automatically.
 _DIRECT_WINDOW = (2.0, 30.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-command parameters (flags over config file over
-    defaults); a field the command does not read stays None."""
-
-    command: str
-    lam: float | None = None
-    lam_range: tuple[float, float, int] | None = None
-    X: float | None = None
-    L: float | None = None
-    n: int | None = None
-    tol: float | None = None
-    out: str | None = None
-    seed: str | None = None
-    variant: str | None = None
-
-    def asdict(self) -> dict:
-        resolved = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            resolved[f.name] = list(value) if isinstance(value, tuple) else value
-        return resolved
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -72,8 +46,8 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ValueError(f"expected a:b:per_decade, got {text!r}")
     lo, hi, per = float(parts[0]), float(parts[1]), int(parts[2])
-    if not (1.0 < lo <= hi) or per < 1:
-        raise ValueError(f"need 1 < a <= b and per_decade >= 1, got {text!r}")
+    if not (1.0 < lo <= hi < math.inf) or per < 1:
+        raise ValueError(f"need 1 < a <= b < inf and per_decade >= 1, got {text!r}")
     return lo, hi, per
 
 
@@ -109,7 +83,7 @@ _FLAGS = {
 
 # command -> the fields it reads and their defaults (None: no default)
 _COMMAND_FIELDS = {
-    "blowup": {"X": 12.0, "n": 4097, "out": "."},
+    "blowup": {"X": 12.0, "n": CORE_N, "out": "."},
     "solve": {"lam": None, "L": None, "n": 8193, "seed": None, "out": "."},
     "continue": {"lam_range": None, "n": 8193, "out": "."},
     "composite": {
@@ -146,7 +120,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """The command and its fields: flags over config file over defaults."""
     reads = _COMMAND_FIELDS[args.command]
     merged = dict(reads)
     if args.config is not None:
@@ -165,16 +140,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, field)
         if value is not None:
             merged[field] = value
-    return RunConfig(command=args.command, **merged)
+    return argparse.Namespace(command=args.command, **merged)
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    path = Path(cfg.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _solve_at(cfg: RunConfig, lam: float) -> HeteroclinicSolution:
+def _solve_at(cfg: argparse.Namespace, lam: float) -> HeteroclinicSolution:
     """Direct solve near the explicit coupling, continuation otherwise,
     or a direct solve from a user seed file when one is given. A given
     --L holds at lam: continuation solves each step on its own default
@@ -204,13 +173,41 @@ def _sweep_from_seed(lams: list[float], n: int) -> ContinuationTrace:
     return continue_in_lambda(start, [lam for lam in lams if lam > 3.0], n=n)
 
 
-def _solution_files(cfg: RunConfig, sol: HeteroclinicSolution, outdir: Path) -> None:
-    header = dict(cfg.asdict(), resolved_L=sol.L, resolved_n=sol.n)
-    write_csv(
-        outdir / "solution.csv",
-        {"z": sol.grid.nodes, "v1": sol.v1, "v2": sol.v2, "dv1": sol.dv1, "dv2": sol.dv2},
-        config=header,
-    )
+class _Output(NamedTuple):
+    """What a command leaves for main to write: file name -> payload (CSV
+    columns for .csv, a report object for .json), entries added to the
+    config header, and the exit code."""
+
+    files: dict
+    header: dict = {}
+    code: int = 0
+
+
+def _cmd_blowup(cfg: argparse.Namespace) -> _Output:
+    profile = solve_blowup(X=cfg.X, n=cfg.n)
+    columns = {
+        "x": profile.grid.nodes,
+        "V1": profile.V1,
+        "V2": profile.V2,
+        "dV1": profile.dV1,
+        "dV2": profile.dV2,
+    }
+    summary = {
+        "kappa": profile.kappa,
+        "psi0": profile.psi0,
+        "hamiltonian_dev": profile.hamiltonian_dev,
+        "residual": profile.residual,
+        "X": profile.X,
+        "n": profile.grid.n,
+    }
+    return _Output({"blowup_profile.csv": columns, "blowup_summary.json": summary})
+
+
+def _cmd_solve(cfg: argparse.Namespace) -> _Output:
+    if cfg.lam is None:
+        raise ValueError("solve requires --lambda")
+    sol = _solve_at(cfg, cfg.lam)
+    columns = {"z": sol.grid.nodes, "v1": sol.v1, "v2": sol.v2, "dv1": sol.dv1, "dv2": sol.dv2}
     summary = {
         "lambda": sol.lam,
         "newton_residual": sol.newton_residual,
@@ -220,61 +217,25 @@ def _solution_files(cfg: RunConfig, sol: HeteroclinicSolution, outdir: Path) -> 
         "symmetric_dev": sol.flags.symmetric_dev,
         "pinning_dev": sol.flags.pinning_dev,
     }
-    write_json(outdir / "solution_summary.json", summary, config=header)
-
-
-def _cmd_blowup(cfg: RunConfig) -> int:
-    profile = solve_blowup(X=cfg.X, n=cfg.n)
-    outdir = _outdir(cfg)
-    write_csv(
-        outdir / "blowup_profile.csv",
-        {
-            "x": profile.grid.nodes,
-            "V1": profile.V1,
-            "V2": profile.V2,
-            "dV1": profile.dV1,
-            "dV2": profile.dV2,
-        },
-        config=cfg.asdict(),
+    return _Output(
+        {"solution.csv": columns, "solution_summary.json": summary},
+        header={"resolved_L": sol.L, "resolved_n": sol.n},
     )
-    summary = {
-        "kappa": profile.kappa,
-        "psi0": profile.psi0,
-        "hamiltonian_dev": profile.hamiltonian_dev,
-        "residual": profile.residual,
-        "X": profile.X,
-        "n": profile.grid.n,
-    }
-    write_json(outdir / "blowup_summary.json", summary, config=cfg.asdict())
-    return 0
 
 
-def _cmd_solve(cfg: RunConfig) -> int:
-    if cfg.lam is None:
-        raise ValueError("solve requires --lambda")
-    sol = _solve_at(cfg, cfg.lam)
-    _solution_files(cfg, sol, _outdir(cfg))
-    return 0
-
-
-def _cmd_continue(cfg: RunConfig) -> int:
+def _cmd_continue(cfg: argparse.Namespace) -> _Output:
     if cfg.lam_range is None:
         raise ValueError("continue requires --lambda-range a:b:per_decade")
     trace = _sweep_from_seed(range_couplings(cfg.lam_range), cfg.n)
-    outdir = _outdir(cfg)
     entries = trace.entries
-    write_csv(
-        outdir / "trace.csv",
-        {
-            "lambda": [e.lam for e in entries],
-            "newton_residual": [e.newton_residual for e in entries],
-            "hamiltonian_dev": [e.hamiltonian_dev for e in entries],
-            "sigma_lambda": [e.sigma_lambda for e in entries],
-            "crossing_value": [e.crossing_value for e in entries],
-            "min_component": [e.min_component for e in entries],
-        },
-        config=cfg.asdict(),
-    )
+    columns = {
+        "lambda": [e.lam for e in entries],
+        "newton_residual": [e.newton_residual for e in entries],
+        "hamiltonian_dev": [e.hamiltonian_dev for e in entries],
+        "sigma_lambda": [e.sigma_lambda for e in entries],
+        "crossing_value": [e.crossing_value for e in entries],
+        "min_component": [e.min_component for e in entries],
+    }
     summary = {
         "points": len(entries),
         "final_lambda": entries[-1].lam,
@@ -289,57 +250,41 @@ def _cmd_continue(cfg: RunConfig) -> int:
             for s in trace.steps
         ],
     }
-    write_json(outdir / "trace_summary.json", summary, config=cfg.asdict())
-    return 0
+    return _Output({"trace.csv": columns, "trace_summary.json": summary})
 
 
-def _cmd_composite(cfg: RunConfig) -> int:
+def _cmd_composite(cfg: argparse.Namespace) -> _Output:
     if cfg.lam is None:
         raise ValueError("composite requires --lambda")
-    profile = solve_blowup(X=cfg.X, n=4097)
+    profile = solve_blowup(X=cfg.X, n=CORE_N)
     sol = _solve_at(cfg, cfg.lam)
     approx = build_composite(cfg.lam, profile, variant=cfg.variant)
     report = measure_errors(sol, approx)
-    outdir = _outdir(cfg)
     a1, a2 = approx.values(sol.grid.nodes)
-    write_csv(
-        outdir / "composite.csv",
-        {
-            "z": sol.grid.nodes,
-            "v1": sol.v1,
-            "v2": sol.v2,
-            "approx1": a1,
-            "approx2": a2,
-        },
-        config=cfg.asdict(),
-    )
-    write_json(outdir / "error_report.json", report, config=cfg.asdict())
-    return 0
+    columns = {"z": sol.grid.nodes, "v1": sol.v1, "v2": sol.v2, "approx1": a1, "approx2": a2}
+    return _Output({"composite.csv": columns, "error_report.json": report})
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
+def _cmd_spectrum(cfg: argparse.Namespace) -> _Output:
     if cfg.lam is None:
         raise ValueError("spectrum requires --lambda")
     sol = _solve_at(cfg, cfg.lam)
     op = assemble_linearized(sol)
     pairs = lowest_eigenpairs(op)
     report = spectrum_report(sol, op, pairs)
-    outdir = _outdir(cfg)
     columns = {"z": sol.grid.nodes}
     for i, (_value, (phi1, phi2)) in enumerate(pairs, start=1):
         columns[f"phi1_{i}"] = phi1
         columns[f"phi2_{i}"] = phi2
-    write_csv(outdir / "modes.csv", columns, config=cfg.asdict())
-    write_json(outdir / "spectrum.json", report, config=cfg.asdict())
-    return 0
+    return _Output({"modes.csv": columns, "spectrum.json": report})
 
 
-def _cmd_energy(cfg: RunConfig) -> int:
+def _cmd_energy(cfg: argparse.Namespace) -> _Output:
     if (cfg.lam is None) == (cfg.lam_range is None):
         raise ValueError("energy requires exactly one of --lambda and --lambda-range")
     if cfg.lam_range is not None and (cfg.L is not None or cfg.seed is not None):
         raise ValueError("energy reads --L and --seed only with --lambda")
-    profile = solve_blowup(X=cfg.X, n=4097)
+    profile = solve_blowup(X=cfg.X, n=CORE_N)
     if cfg.lam_range is not None:
         lams = range_couplings(cfg.lam_range)
         wanted = set(lams)
@@ -347,29 +292,21 @@ def _cmd_energy(cfg: RunConfig) -> int:
     else:
         sols = [_solve_at(cfg, cfg.lam)]
     reports = [expansion_residual(s, profile) for s in sols]
-    outdir = _outdir(cfg)
-    write_csv(
-        outdir / "energy.csv",
-        {
-            "lambda": [r.lam for r in reports],
-            "sigma": [r.sigma_gradient for r in reports],
-            "first_order": [r.first_order for r in reports],
-            "residual": [r.residual for r in reports],
-        },
-        config=cfg.asdict(),
-    )
-    write_json(outdir / "energy.json", reports, config=cfg.asdict())
-    return 0
+    columns = {
+        "lambda": [r.lam for r in reports],
+        "sigma": [r.sigma_gradient for r in reports],
+        "first_order": [r.first_order for r in reports],
+        "residual": [r.residual for r in reports],
+    }
+    return _Output({"energy.csv": columns, "energy.json": reports})
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg: argparse.Namespace) -> _Output:
     report = run_verification(
         lams=range_couplings(cfg.lam_range), X=cfg.X, n=cfg.n, scale=cfg.tol
     )
-    outdir = _outdir(cfg)
-    for name, table in report.tables.items():
-        write_csv(outdir / f"verify_{name}.csv", table, config=cfg.asdict())
-    payload = {
+    files = {f"verify_{name}.csv": table for name, table in report.tables.items()}
+    files["verdict.json"] = {
         "passed": report.passed,
         "scale": report.scale,
         "couplings": list(report.lams),
@@ -378,7 +315,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
             for v in report.verdicts
         ],
     }
-    write_json(outdir / "verdict.json", payload, config=cfg.asdict())
     for verdict in report.verdicts:
         state = "PASS" if verdict.passed else "FAIL"
         print(f"[{state}] {verdict.name}")
@@ -386,8 +322,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         print(
             "verification failed: " + ", ".join(report.failures()), file=sys.stderr
         )
-        return 3
-    return 0
+    return _Output(files, code=0 if report.passed else 3)
 
 
 _COMMANDS = {
@@ -402,6 +337,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and write its files into --out: nothing is written
+    unless the command succeeds. Each file carries the resolved config
+    (the fields that are set) plus the command's own header entries."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -409,7 +347,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(stop.code or 0)
     try:
         cfg = _resolve(args)
-        return _COMMANDS[cfg.command](cfg)
+        output = _COMMANDS[cfg.command](cfg)
+        outdir = Path(cfg.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        header = {k: v for k, v in vars(cfg).items() if v is not None} | output.header
+        for name, payload in output.files.items():
+            # looked up per call, so a wrapped cli.write_csv/write_json is seen
+            write = write_csv if name.endswith(".csv") else write_json
+            write(outdir / name, payload, config=header)
+        return output.code
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"beclab {args.command}: {exc}", file=sys.stderr)
         return 1

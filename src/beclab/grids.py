@@ -54,10 +54,6 @@ class Grid:
         return self.nodes.shape[0]
 
     @property
-    def a(self) -> float:
-        return float(self.nodes[0])
-
-    @property
     def b(self) -> float:
         return float(self.nodes[-1])
 

@@ -300,8 +300,8 @@ def hamiltonian_values(v1, v2, dv1, dv2, lam: float) -> np.ndarray:
 
 def solve_heteroclinic(
     lam: float,
+    n: int,
     L: float | None = None,
-    n: int = 8193,
     init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> HeteroclinicSolution:
     """Damped-Newton collocation solve of the interface system at coupling

@@ -42,6 +42,7 @@ from .newton import newton_solve
 
 __all__ = [
     "PSI0",
+    "CORE_N",
     "outer_value",
     "outer_derivative",
     "BlowupProfile",
@@ -51,6 +52,10 @@ __all__ = [
 
 # Slope of the outer front at its zero: psi0 = 1/sqrt(2).
 PSI0 = 1.0 / math.sqrt(2.0)
+
+# Node count of the core mesh: the blowup command's default, and the mesh
+# under every composite, energy and verify run.
+CORE_N = 4097
 
 # Default sinh-map strength for the core grid; resolves the corner region
 # near x=0 where curvature peaks while keeping far-field cells coarse.
@@ -165,7 +170,7 @@ def _core_residual_jacobian(grid: Grid):
     return residual, jacobian
 
 
-def solve_blowup(X: float = 12.0, n: int = 4097) -> BlowupProfile:
+def solve_blowup(X: float, n: int) -> BlowupProfile:
     """Solve the core system on [-X, X] by damped Newton collocation.
 
     Initialisation is the smooth ramp (psi0/2)*(x + sqrt(x^2+1)) and its

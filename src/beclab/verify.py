@@ -34,14 +34,13 @@ from .heteroclinic import (
     HeteroclinicSolution,
     _interior_residual_jacobian,
     _interior_state,
-    _value_at_zero,
     continue_in_lambda,
     default_grid,
     explicit_lambda3,
     refine_solution,
     solve_heteroclinic,
 )
-from .profiles import PSI0, _core_residual_jacobian, outer_derivative, solve_blowup
+from .profiles import CORE_N, PSI0, _core_residual_jacobian, outer_derivative, solve_blowup
 from .shooting import kappa_shooting
 from .spectrum import SpectrumReport, nondegeneracy_report
 
@@ -216,7 +215,7 @@ def run_verification(
     )
 
     # -- blow-up profile ----------------------------------------------------
-    blowup = solve_blowup(X=X, n=4097)
+    blowup = solve_blowup(X=X, n=CORE_N)
     shot = kappa_shooting()
     kappa_colloc = blowup.kappa
     mirror = float(np.max(np.abs(blowup.V1 - blowup.V2[::-1])))
@@ -247,12 +246,12 @@ def run_verification(
     qualitative = all(
         s.flags.monotone and s.flags.bounded for s in solutions.values()
     )
-    scaled_crossing = {
-        lam: _value_at_zero(s.grid, s.v1) * lam**0.25
-        for lam, s in solutions.items()
-        if lam >= 100.0
-    }
-    band = max(scaled_crossing.values()) / min(scaled_crossing.values())
+    scaled_crossing = [
+        e.crossing_value * e.lam**0.25
+        for e in trace.entries
+        if e.lam in sweep and e.lam >= 100.0
+    ]
+    band = max(scaled_crossing) / min(scaled_crossing)
     sweep_pass = (
         len(solutions) == len(sweep)
         and ham_max <= 1e-6 * scale
@@ -289,15 +288,15 @@ def run_verification(
     orders = fit_error_orders([p.errors for p in fit_points])
 
     # -- expansion error orders (outer weighted sup) --------------------------
-    outer_pass = _window(orders.outer.slope, -0.75, 0.15, scale)
+    outer_pass = _window(orders.outer, -0.75, 0.15, scale)
     verdicts.append(
         CriterionVerdict(
             "theorem_1_1_outer_order",
             outer_pass,
             {
-                "outer_slope": orders.outer.slope,
-                "outer_deriv_slope": orders.outer_deriv.slope,
-                "inner_slope": orders.inner.slope,
+                "outer_slope": orders.outer,
+                "outer_deriv_slope": orders.outer_deriv,
+                "inner_slope": orders.inner,
                 "fit_couplings": fit_lams,
             },
         )
@@ -336,7 +335,7 @@ def run_verification(
     align_ok = all(p.spectrum.alignment >= 1.0 - 1e-3 * scale for p in points)
     lam2 = [p.spectrum.lambda2 for p in fit_points]
     lam2_band = max(lam2) / min(lam2)
-    lam2_slope = fit_loglog(list(zip(fit_lams, lam2))).slope
+    lam2_slope = fit_loglog(list(zip(fit_lams, lam2)))
     base_point = min(points, key=lambda p: abs(p.lam - 1e3))
     base = solutions[base_point.lam]
     refined = refine_solution(base, L=base.L + 6.0, n=2 * base.n - 1)
@@ -377,9 +376,7 @@ def run_verification(
     )
 
     # -- tension expansion remainder ------------------------------------------------
-    residual_slope = fit_loglog(
-        [(p.lam, abs(p.energy.residual)) for p in fit_points]
-    ).slope
+    residual_slope = fit_loglog([(p.lam, abs(p.energy.residual)) for p in fit_points])
     form_gap = max(abs(p.energy.sigma_gradient - p.energy.sigma_full) for p in points)
     residual_pass = (
         residual_slope <= -0.6 * (2.0 - scale) and i1 < 0.0 and form_gap <= 1e-6 * scale

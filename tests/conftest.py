@@ -15,7 +15,7 @@ SWEEP = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 
 @pytest.fixture(scope="session")
 def blowup_default():
-    return solve_blowup()
+    return solve_blowup(X=12.0, n=4097)
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +25,7 @@ def blowup_wide():
 
 @pytest.fixture(scope="session")
 def sol3():
-    return solve_heteroclinic(3.0)
+    return solve_heteroclinic(3.0, n=8193)
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from beclab import cli
 from beclab.cli import main, range_couplings
 from beclab.runio import write_csv
 from beclab.heteroclinic import explicit_lambda3
+from beclab.newton import NonConvergenceError
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -174,6 +175,23 @@ def test_mistyped_config_value_exits_one(config, tmp_path, capsys):
     assert main([command, "--config", str(path), "--out", str(out)]) == 1
     assert not out.exists()
     assert "is not a valid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["continue", "energy", "verify"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+@pytest.mark.parametrize("text", ["10:inf:1", "10:1e400:1", "10:Infinity:1"])
+def test_infinite_range_bound_exits_one(command, form, text, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = [command, "--out", str(out)]
+    if form == "flag":
+        argv += ["--lambda-range", text]
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"lambda_range": text}))
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    assert not out.exists()
+    assert repr(text) in capsys.readouterr().err
 
 
 def test_range_couplings_decades():
@@ -394,7 +412,7 @@ def test_resolve_takes_flag_over_config_over_default(command, data, tmp_path_fac
             argv += [cli._FLAGS[field][0], text]
     path.write_text(json.dumps(config))
     args = cli._build_parser().parse_args([*argv, "--config", str(path)])
-    assert cli._resolve(args) == cli.RunConfig(command=command, **expected)
+    assert vars(cli._resolve(args)) == {"command": command, **expected}
 
 
 @settings(max_examples=60, deadline=None)
@@ -500,6 +518,30 @@ def test_nonconvergence_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "solve" in capsys.readouterr().err
+
+
+# the numerical entry point of each command, as cli names it
+ENTRY_POINT = {
+    "blowup": "solve_blowup",
+    "solve": "solve_heteroclinic",
+    "continue": "continue_in_lambda",
+    "composite": "measure_errors",
+    "spectrum": "lowest_eigenpairs",
+    "energy": "expansion_residual",
+    "verify": "run_verification",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENTRY_POINT))
+def test_numerical_failure_writes_nothing(command, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NonConvergenceError(iterations=7, best_residual=1.0)
+
+    monkeypatch.setattr(cli, ENTRY_POINT[command], fail)
+    out = tmp_path / "run"
+    assert main([command, *NEEDS[command], "--n", "1025", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "Newton did not converge after 7 iterations" in capsys.readouterr().err
 
 
 def test_blowup_coarse_mesh_exits_two_naming_n(tmp_path, capsys):

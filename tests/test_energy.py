@@ -118,7 +118,7 @@ def test_expansion_residual_order(sweep_solutions, blowup_wide):
             continue
         rep = expansion_residual(sweep_solutions[lam], blowup_wide)
         samples.append((lam, abs(rep.residual)))
-    slope = fit_loglog(samples).slope
+    slope = fit_loglog(samples)
     assert slope <= -0.6
     assert slope == pytest.approx(-0.78, abs=0.05)
 

@@ -23,7 +23,7 @@ def test_uniform_nodes_closed_form():
     grid = make_grid(0.0, 1.0, 17)
     assert np.allclose(grid.nodes, np.arange(17) / 16.0, rtol=0.0, atol=1e-15)
     assert grid.nodes[0] == 0.0 and grid.nodes[-1] == 1.0
-    assert grid.n == 17 and grid.a == 0.0 and grid.b == 1.0
+    assert grid.n == 17 and grid.b == 1.0
 
 
 def test_graded_min_spacing_at_center():

@@ -275,9 +275,9 @@ def test_continuation_target_validation(sol3):
 
 def test_solve_preconditions():
     with pytest.raises(ValueError):
-        solve_heteroclinic(1.0)
+        solve_heteroclinic(1.0, n=1025)
     with pytest.raises(ValueError):
-        solve_heteroclinic(3.0, L=10.0)
+        solve_heteroclinic(3.0, L=10.0, n=1025)
     with pytest.raises(ValueError):
         solve_heteroclinic(3.0, n=256)
     z = np.linspace(-20.0, 20.0, 100)

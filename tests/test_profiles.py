@@ -156,6 +156,6 @@ def test_extract_kappa_rejects_unconverged_far_field(blowup_default):
 
 def test_solve_blowup_preconditions():
     with pytest.raises(ValueError):
-        solve_blowup(X=3.0)
+        solve_blowup(X=3.0, n=4097)
     with pytest.raises(ValueError):
         solve_blowup(X=12.0, n=256)
