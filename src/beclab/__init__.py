@@ -59,6 +59,7 @@ from .spectrum import (
     LinearizedOperator,
     SpectrumReport,
     assemble_linearized,
+    bound_state_shift,
     count_below,
     lowest_eigenpairs,
     nondegeneracy_report,

@@ -30,7 +30,7 @@ from .heteroclinic import (
 from .newton import NonConvergenceError
 from .profiles import CORE_N, solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
-from .spectrum import assemble_linearized, lowest_eigenpairs, spectrum_report
+from .spectrum import assemble_linearized, bound_state_shift, lowest_eigenpairs, spectrum_report
 from .verify import run_verification
 from . import __version__
 
@@ -270,7 +270,7 @@ def _cmd_spectrum(cfg: argparse.Namespace) -> _Output:
         raise ValueError("spectrum requires --lambda")
     sol = _solve_at(cfg, cfg.lam)
     op = assemble_linearized(sol)
-    pairs = lowest_eigenpairs(op)
+    pairs = lowest_eigenpairs(op, bound_state_shift(sol.lam))
     report = spectrum_report(sol, op, pairs)
     columns = {"z": sol.grid.nodes}
     for i, (_value, (phi1, phi2)) in enumerate(pairs, start=1):

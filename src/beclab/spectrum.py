@@ -9,7 +9,11 @@ symmetric operator
 Translation invariance makes (v1', v2') an exact kernel element on the
 line; on the truncated Dirichlet interval the corresponding discrete
 eigenvalue is near zero (it shrinks under domain and mesh refinement),
-and the rest of the spectrum stays above a coupling-independent gap.
+and the rest of the spectrum stays above a coupling-independent gap. Far
+from the interface (v1, v2) -> (1, 0) on one side, where phi1 sees the
+potential 3*1^2 - 1 = 2 and phi2 sees lam*1^2 - 1, so the essential
+spectrum of M starts at e(lam) = min(2, lam - 1) (the mirror side is the
+same with the components swapped).
 
 Discretisation: M is the Hessian of the energy, so it is the Jacobian of
 the Euler-Lagrange residual. The interface solver's Newton Jacobian J of
@@ -20,10 +24,11 @@ symmetric and has the same eigenvalues. Eigenvectors returned to callers
 are mapped back to natural variables and normalized in the lumped-mass
 inner product, which is the quadrature approximation of the L^2 pairing.
 
-The low eigenpairs come from one shift-invert Lanczos solve (ARPACK via
-scipy.sparse.linalg.eigsh; Ericsson & Ruhe 1980, Lehoucq, Sorensen & Yang
-1998): S - sigma I is factored once by banded LU with the pole sigma below
-the spectrum, so the eigenvalues nearest the pole are the lowest ones.
+The two lowest eigenpairs come from one shift-invert Lanczos solve
+(ARPACK via scipy.sparse.linalg.eigsh; Ericsson & Ruhe 1980, Lehoucq,
+Sorensen & Yang 1998): S - sigma I is factored once by banded LU with the
+pole sigma below the spectrum, so the eigenvalues nearest the pole are the
+lowest ones.
 The Lanczos start vector is a seeded PCG64 draw, which makes the result
 deterministic. Every computed pair is certified by its residual
 ||S psi - theta psi||; the certification floor scales with eps*||S||
@@ -31,8 +36,10 @@ because at large coupling and fine meshes ||S|| ~ 1/h^2 + lam makes an
 absolute 1e-8 residual unreachable in doubles. A Lanczos solve can miss an
 eigenvalue without any residual showing it, so a Sylvester inertia count
 of S - mu I (block LDL^T over the 2x2 node blocks; Parlett, The Symmetric
-Eigenvalue Problem) with mu in the gap above the returned values then
-certifies that no eigenvalue below mu was skipped.
+Eigenvalue Problem) then certifies that no eigenvalue below mu was
+skipped. For a solution the count is taken just below the essential edge,
+mu = e(lam) - delta, where it is the number of bound states: Theorem 1.2
+as a count, the zero mode and lambda2 and nothing else.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ __all__ = [
     "REPORT_PAIRS",
     "SpectrumReport",
     "assemble_linearized",
+    "bound_state_shift",
     "count_below",
     "lowest_eigenpairs",
     "nondegeneracy_report",
@@ -63,8 +71,13 @@ __all__ = [
 # Deterministic seed for the Lanczos start vector.
 _START_SEED = 0xBEC1AB
 
-# Eigenpairs behind every spectrum report (verify and `beclab spectrum`).
-REPORT_PAIRS = 4
+# Eigenpairs behind every spectrum report (verify and `beclab spectrum`):
+# the translation mode and lambda2.
+REPORT_PAIRS = 2
+
+# Margin delta below the essential edge e(lam) at which bound states are
+# counted.
+_EDGE_MARGIN = 1e-3
 
 # Shift-invert pole. The operators of interest are Hessians at energy
 # minimisers (lowest eigenvalue the near-zero translation mode), so a pole
@@ -109,12 +122,14 @@ class EigenCertificate:
     count_below eigenvalues of S lie below shift (Sylvester inertia), and
     exactly that many computed values do; max_residual is the largest
     ||S psi - theta psi|| over the computed pairs, each at most tolerance.
+    solves counts the shift-invert solves the Lanczos run took.
     """
 
     shift: float
     count_below: int
     max_residual: float
     tolerance: float
+    solves: int
 
 
 class Eigenpairs(list):
@@ -139,6 +154,12 @@ class SpectrumReport:
     inertia_shift: float
     inertia_count: int
     max_residual: float
+    solves: int
+
+
+def bound_state_shift(lam: float) -> float:
+    """Shift e(lam) - delta just below the essential edge e = min(2, lam - 1)."""
+    return min(2.0, lam - 1.0) - _EDGE_MARGIN
 
 
 def assemble_linearized(sol: HeteroclinicSolution) -> LinearizedOperator:
@@ -210,19 +231,17 @@ def count_below(op: LinearizedOperator, mu: float) -> int:
     return count
 
 
-def lowest_eigenpairs(op: LinearizedOperator) -> Eigenpairs:
+def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
     """The k = REPORT_PAIRS smallest eigenpairs of the symmetrized operator.
 
-    One shift-invert Lanczos solve for k + 1 pairs about a pole below the
+    One shift-invert Lanczos solve for k pairs about a pole below the
     spectrum (one banded LU of S - sigma I, seeded start vector), then two
     certificates, either of which raises RuntimeError when it fails:
 
     - every computed pair has ||S psi - theta psi|| <= residual_tolerance(op),
       with theta the Rayleigh quotient;
-    - a Sylvester inertia count of S - mu I, mu in the gap above theta_k,
-      finds exactly as many eigenvalues below mu as were computed. When
-      theta_{k+1} - theta_k is within the residual tolerance the two form a
-      cluster and mu is placed above theta_{k+1} instead.
+    - a Sylvester inertia count of S - shift I finds exactly as many
+      eigenvalues below shift as there are computed values below it.
 
     Returned eigenvectors are natural-variable full-length component pairs
     (phi1, phi2) with zero boundary entries, normalized in the lumped-mass
@@ -233,24 +252,30 @@ def lowest_eigenpairs(op: LinearizedOperator) -> Eigenpairs:
     dim = op.dim
     if k + 2 > dim:
         raise ValueError(f"operator dimension {dim} too small for k={k}")
-    m = k + 1  # one extra pair locates the gap for the inertia count
     lu = BandedLU(_shifted(op.matrix, _POLE))
+    solves = 0
+
+    def shift_invert(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
+
     rng = np.random.Generator(np.random.PCG64(_START_SEED))
     v0 = rng.standard_normal(dim)
     _, vecs = eigsh(
         LinearOperator((dim, dim), matvec=op.matrix.matvec, dtype=float),
-        k=m,
+        k=k,
         sigma=_POLE,
-        OPinv=LinearOperator((dim, dim), matvec=lu.solve, dtype=float),
+        OPinv=LinearOperator((dim, dim), matvec=shift_invert, dtype=float),
         v0=v0,
-        ncv=min(2 * m + 1, dim),
+        ncv=min(2 * k + 1, dim),
         tol=0,
         rng=rng,
     )
 
     tol = residual_tolerance(op)
     thetas, vectors, max_res = [], [], 0.0
-    for i in range(m):
+    for i in range(k):
         psi = vecs[:, i] / np.linalg.norm(vecs[:, i])
         j = int(np.argmax(np.abs(psi)))
         if psi[j] < 0.0:
@@ -269,43 +294,41 @@ def lowest_eigenpairs(op: LinearizedOperator) -> Eigenpairs:
     order = np.argsort(thetas, kind="stable")
     thetas = [thetas[i] for i in order]
 
-    if thetas[k] - thetas[k - 1] > tol:
-        mu = 0.5 * (thetas[k - 1] + thetas[k])
-    else:
-        mu = thetas[k] + tol
-    expected = sum(theta < mu for theta in thetas)
-    found = count_below(op, mu)
+    expected = sum(theta < shift for theta in thetas)
+    found = count_below(op, shift)
     if found != expected:
         raise RuntimeError(
-            f"inertia count found {found} eigenvalues below {mu:.6e}, "
+            f"inertia count found {found} eigenvalues below {shift:.6e}, "
             f"but the Lanczos solve returned {expected}"
         )
 
     n = op.grid.n
     sqrt_w = np.sqrt(op.weights)
     pairs = []
-    for theta, idx in zip(thetas[:k], order[:k]):
+    for theta, idx in zip(thetas, order):
         psi = vectors[idx]
         phi1 = np.zeros(n)
         phi2 = np.zeros(n)
         phi1[1:-1] = psi[0::2] / sqrt_w
         phi2[1:-1] = psi[1::2] / sqrt_w
         pairs.append((theta, (phi1, phi2)))
-    return Eigenpairs(pairs, EigenCertificate(mu, found, max_res, tol))
+    return Eigenpairs(pairs, EigenCertificate(shift, found, max_res, tol, solves))
 
 
 def spectrum_report(
     sol: HeteroclinicSolution, op: LinearizedOperator, pairs: Eigenpairs
 ) -> SpectrumReport:
     """Bottom-of-spectrum summary from eigenpairs already computed by
-    lowest_eigenpairs(op), op the operator about sol.
+    lowest_eigenpairs(op, bound_state_shift(sol.lam)), op the operator
+    about sol.
 
     alignment is the normalized lumped-mass pairing of the bottom
     eigenvector with the translation mode (v1', v2'); the essential edge
     estimate is the smallest computed eigenvalue whose eigenvector holds
     at least half its squared mass in the outer 20% of the domain (NaN
     when no computed vector does). The certificate of the solve is copied
-    beside the eigenvalues.
+    beside the eigenvalues; with that shift its inertia_count is the number
+    of bound states below the essential edge.
     """
     u = (sol.dv1, sol.dv2)
     u_norm = math.sqrt(op.inner(u, u))
@@ -338,11 +361,13 @@ def spectrum_report(
         inertia_shift=cert.shift,
         inertia_count=cert.count_below,
         max_residual=cert.max_residual,
+        solves=cert.solves,
     )
 
 
 def nondegeneracy_report(sol: HeteroclinicSolution) -> SpectrumReport:
     """Bottom-of-spectrum summary about a converged solution from its
-    REPORT_PAIRS lowest eigenpairs; see spectrum_report."""
+    REPORT_PAIRS lowest eigenpairs, certified by the bound-state count at
+    bound_state_shift(sol.lam); see spectrum_report."""
     op = assemble_linearized(sol)
-    return spectrum_report(sol, op, lowest_eigenpairs(op))
+    return spectrum_report(sol, op, lowest_eigenpairs(op, bound_state_shift(sol.lam)))

@@ -359,6 +359,7 @@ def run_verification(
                 "lambda2_trend_slope": lam2_slope,
                 "lambda1_refinement": [l1_base, l1_refined],
                 "refinement_coupling": base.lam,
+                "bound_states": [p.spectrum.inertia_count for p in points],
             },
         )
     )
@@ -427,6 +428,7 @@ def run_verification(
             "lambda2": [p.spectrum.lambda2 for p in points],
             "alignment": [p.spectrum.alignment for p in points],
             "gap": [p.spectrum.gap for p in points],
+            "solves": [p.spectrum.solves for p in points],
         },
     }
     return VerificationReport(

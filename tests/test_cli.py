@@ -296,12 +296,14 @@ def test_spectrum_command(tmp_path):
     assert abs(report["lambda1"]) <= 1e-3
     assert report["alignment"] >= 0.999
     assert report["essential_edge_estimate"] is None  # NaN serialized as null
-    # the certificate: four eigenvalues below a shift above lambda2
-    assert report["inertia_count"] == 4
+    # the certificate: two bound states below the essential edge 2 - 1e-3
+    assert report["inertia_count"] == 2
+    assert report["inertia_shift"] == 1.999
     assert report["lambda2"] < report["inertia_shift"]
     assert 0.0 < report["max_residual"] <= 1e-6
+    assert report["solves"] > 0
     rows = (out / "modes.csv").read_text().splitlines()
-    assert rows[1] == "z,phi1_1,phi2_1,phi1_2,phi2_2,phi1_3,phi2_3,phi1_4,phi2_4"
+    assert rows[1] == "z,phi1_1,phi2_1,phi1_2,phi2_2"
 
 
 def test_energy_range_command(tmp_path):

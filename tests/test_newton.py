@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import bisect
 
 from beclab import (
@@ -37,6 +39,25 @@ def test_sqrt_two_from_unit_start():
     assert result.residual_norm <= 1e-10
     # the residual fixes the error: |u - sqrt(2)| = |u^2 - 2| / (u + sqrt(2))
     assert abs(result.solution[0] - math.sqrt(2.0)) <= result.residual_norm / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.floats(0.25, 100.0), x0=st.floats(0.5, 20.0))
+def test_scalar_square_root_property(c, x0):
+    def residual(u):
+        return u**2 - c
+
+    def jacobian(u):
+        return scalar_jacobian(2.0 * u[0])
+
+    init = np.array([x0])
+    result = newton_solve(residual, jacobian, init)
+    assert init[0] == x0
+    assert result.residual_norm <= 1e-10
+    assert float(np.max(np.abs(residual(result.solution)))) == result.residual_norm
+    # |x - sqrt(c)| = |x^2 - c| / (x + sqrt(c)), up to rounding of sqrt(c)
+    root = math.sqrt(c)
+    assert abs(result.solution[0] - root) <= result.residual_norm / root + 4e-16 * root
 
 
 def test_damping_rescues_overshooting_iteration():

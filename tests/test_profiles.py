@@ -140,6 +140,49 @@ def test_shooting_read_point_stability(monkeypatch):
     assert abs(kappas[0] - kappas[1]) <= 1e-9
 
 
+def test_multisection_bracket_straddles_the_separatrix(monkeypatch):
+    # every point classified so far, with its side of the separatrix; each
+    # round classifies points inside the previous bracket, whose ends are
+    # the nearest classified points around them and must differ in side
+    seen = {}
+    rounds = []
+    real = shooting._classify_many
+
+    def recording(points):
+        sides = real(points)
+        if seen:
+            lo = max(x for x in seen if x < points.min())
+            hi = min(x for x in seen if x > points.max())
+            rounds.append((seen[lo], seen[hi]))
+        seen.update(zip(points.tolist(), sides.tolist()))
+        return sides
+
+    monkeypatch.setattr(shooting, "_classify_many", recording)
+    shot = kappa_shooting()
+    assert len(rounds) >= 10
+    assert all(s_lo != s_hi for s_lo, s_hi in rounds)
+    # the sides change once along the parameter, and the crossing lies in
+    # that final bracket, at most two ulps wide
+    points = sorted(seen)
+    changes = [(a, b) for a, b in zip(points, points[1:]) if seen[a] != seen[b]]
+    assert len(changes) == 1
+    lo, hi = changes[0]
+    assert lo <= shot.crossing <= hi
+    assert hi - lo <= 2.0 * math.ulp(lo)
+
+
+def test_multisection_kappa_matches_bisection():
+    # value from the one-orbit-at-a-time bisection the multisection replaced
+    assert abs(kappa_shooting().kappa - 0.5452713993378442) <= 1e-13
+
+
+def test_shooting_orbit_unclassified_at_horizon_raises(monkeypatch):
+    # no orbit from the initial bracket has left the separatrix by x = 0.5
+    monkeypatch.setattr(shooting, "_HORIZON", 0.5)
+    with pytest.raises(RuntimeError, match="unclassified"):
+        kappa_shooting()
+
+
 def test_extract_kappa_window_consistency():
     ka = extract_kappa(solve_blowup(10.0, 2049))
     kb = extract_kappa(solve_blowup(14.0, 2869))

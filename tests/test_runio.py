@@ -3,9 +3,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beclab.runio import (
     format_float,
@@ -95,3 +99,54 @@ def test_write_csv_rows_full_precision(tmp_path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "x"
     assert [float(l) for l in lines[1:]] == list(x)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def seed_columns(draw):
+    z = sorted(draw(st.lists(finite, min_size=4, max_size=30, unique=True)))
+    values = st.lists(finite, min_size=len(z), max_size=len(z))
+    return np.array(z), np.array(draw(values)), np.array(draw(values))
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=seed_columns())
+def test_csv_round_trip_is_bit_exact(columns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seed.csv"
+        write_csv(path, dict(zip(("z", "v1", "v2"), columns)), config={"lam": 3.0})
+        read = read_seed_csv(path)
+    for written, back in zip(columns, read):
+        assert back.tobytes() == written.tobytes()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+def _has_non_finite(obj) -> bool:
+    if isinstance(obj, float):
+        return not math.isfinite(obj)
+    if isinstance(obj, list):
+        return any(_has_non_finite(v) for v in obj)
+    if isinstance(obj, dict):
+        return any(_has_non_finite(v) for v in obj.values())
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=json_values)
+def test_json_round_trip_equals_sanitized(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        write_json(path, obj)
+        loaded = json.loads(path.read_text())
+    assert loaded == sanitize(obj)
+    # NaN and infinities come back as null
+    assert not _has_non_finite(loaded)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from banded_helpers import symmetry_defect, to_dense
 from beclab import (
     assemble_linearized,
+    bound_state_shift,
     lowest_eigenpairs,
     make_grid,
     nondegeneracy_report,
@@ -27,6 +28,10 @@ def explicit_lambda3_derivative(z):
     return dv1, -dv1
 
 
+# shift between the Laplacian eigenvalues 1 and 4 on (0, pi)
+LAPLACIAN_SHIFT = 2.5
+
+
 def laplacian_operator(n: int):
     grid = make_grid(0.0, math.pi, n)
     zero = np.zeros(n)
@@ -36,19 +41,22 @@ def laplacian_operator(n: int):
 def test_laplacian_oracle_eigenvalues():
     # two decoupled Dirichlet Laplacians on (0, pi): eigenvalues k^2, each twice
     op = laplacian_operator(201)
-    values = [theta for theta, _ in lowest_eigenpairs(op)]
-    assert np.allclose(values, [1.0, 1.0, 4.0, 4.0], atol=5e-3)
+    values = [theta for theta, _ in lowest_eigenpairs(op, LAPLACIAN_SHIFT)]
+    assert np.allclose(values, [1.0, 1.0], atol=5e-3)
+    # the next pair, 4 and 4, lies within 5e-3 of 4
+    assert count_below(op, 4.0 - 5e-3) == 2
+    assert count_below(op, 4.0 + 5e-3) == 4
 
 
 def test_laplacian_second_order_convergence():
-    e_coarse = abs(lowest_eigenpairs(laplacian_operator(101))[0][0] - 1.0)
-    e_fine = abs(lowest_eigenpairs(laplacian_operator(201))[0][0] - 1.0)
+    e_coarse = abs(lowest_eigenpairs(laplacian_operator(101), LAPLACIAN_SHIFT)[0][0] - 1.0)
+    e_fine = abs(lowest_eigenpairs(laplacian_operator(201), LAPLACIAN_SHIFT)[0][0] - 1.0)
     assert 3.4 <= e_coarse / e_fine <= 4.6
 
 
 def test_laplacian_eigenvector_shape():
     op = laplacian_operator(201)
-    pairs = lowest_eigenpairs(op)
+    pairs = lowest_eigenpairs(op, LAPLACIAN_SHIFT)
     phi1, phi2 = pairs[0][1]
     # bottom eigenspace is span{(sin, 0), (0, sin)}; project onto it
     grid_z = np.linspace(0.0, math.pi, 201)
@@ -74,11 +82,29 @@ def test_lambda3_spectrum(sol3):
 
 
 def test_quasi_continuum_onset(sol3):
-    # above the gap the discrete spectrum crowds toward the essential edge 2
+    # above the gap the discrete spectrum crowds toward the essential edge 2:
+    # nothing but the two bound states below 1.95, at least two more by 2.2
     op = assemble_linearized(sol3)
-    thetas = [t for t, _ in lowest_eigenpairs(op)]
-    assert 1.95 <= thetas[2] <= 2.2
-    assert 1.95 <= thetas[3] <= 2.2
+    assert count_below(op, 1.95) == 2
+    assert count_below(op, 2.2) >= 4
+
+
+@pytest.mark.parametrize(("lam", "bound"), [(1.1, 1), (1.5, 2)])
+def test_bound_state_count_below_lambda_3(lam, bound):
+    # below lam = 3 the essential edge e = lam - 1 drops under 2. At 1.5,
+    # lambda2 = 0.4825 is still bound (below e - delta = 0.499); at 1.1 it
+    # sits in the discretized continuum above e = 0.1, and the count at
+    # the shift covers only the translation mode
+    sol = solve_heteroclinic(lam, n=2049)
+    shift = bound_state_shift(lam)
+    assert shift == pytest.approx(lam - 1.0 - 1e-3, abs=1e-15)
+    rep = nondegeneracy_report(sol)
+    assert rep.inertia_shift == shift
+    assert rep.inertia_count == bound
+    assert abs(rep.lambda1) <= 1e-6
+    assert rep.lambda1 < rep.lambda2
+    assert (rep.lambda2 < shift) == (bound == 2)
+    assert rep.alignment >= 0.999999
 
 
 def test_essential_edge_unresolved_at_low_k(sol3, sweep_solutions):
@@ -96,7 +122,10 @@ def test_constant_state_edge_value():
     q1 = np.full(801, 2.0)
     q2 = np.full(801, 2.0)
     op = operator(grid, q1, q2, np.zeros(801))
-    bottom = lowest_eigenpairs(op)[0][0]
+    # 2 + (pi/40)^2 twice, then 2 + (2 pi/40)^2 twice
+    pairs = lowest_eigenpairs(op, 2.015)
+    assert pairs.certificate.count_below == 2
+    bottom = pairs[0][0]
     assert bottom == pytest.approx(2.0, abs=0.05)
 
 
@@ -117,8 +146,9 @@ def test_reflection_symmetry_of_spectrum(sol3):
     # swapping components and reflecting z maps the operator to itself
     q1, q2, coupling = potentials(sol3)
     mirrored = operator(sol3.grid, q2[::-1], q1[::-1], coupling[::-1])
-    a = [t for t, _ in lowest_eigenpairs(assemble_linearized(sol3))]
-    b = [t for t, _ in lowest_eigenpairs(mirrored)]
+    shift = bound_state_shift(sol3.lam)
+    a = [t for t, _ in lowest_eigenpairs(assemble_linearized(sol3), shift)]
+    b = [t for t, _ in lowest_eigenpairs(mirrored, shift)]
     assert np.allclose(a, b, atol=1e-10)
 
 
@@ -126,7 +156,7 @@ def test_rayleigh_and_residual_certificates(sol3):
     op = assemble_linearized(sol3)
     tol = residual_tolerance(op)
     q = potentials(sol3)
-    for theta, (phi1, phi2) in lowest_eigenpairs(op):
+    for theta, (phi1, phi2) in lowest_eigenpairs(op, bound_state_shift(sol3.lam)):
         r1, r2 = apply_natural(sol3.grid, *q, phi1, phi2)
         res1 = r1 - theta * phi1[1:-1]
         res2 = r2 - theta * phi2[1:-1]
@@ -140,7 +170,7 @@ def test_rayleigh_and_residual_certificates(sol3):
 
 def test_eigenvector_orthonormality(sol3):
     op = assemble_linearized(sol3)
-    pairs = lowest_eigenpairs(op)
+    pairs = lowest_eigenpairs(op, bound_state_shift(sol3.lam))
     for i, (_, u) in enumerate(pairs):
         for j, (_, v) in enumerate(pairs):
             expected = 1.0 if i == j else 0.0
@@ -149,8 +179,10 @@ def test_eigenvector_orthonormality(sol3):
 
 def test_eigenpairs_deterministic(sol3):
     op = assemble_linearized(sol3)
-    first = lowest_eigenpairs(op)
-    second = lowest_eigenpairs(op)
+    shift = bound_state_shift(sol3.lam)
+    first = lowest_eigenpairs(op, shift)
+    second = lowest_eigenpairs(op, shift)
+    assert first.certificate == second.certificate
     for (ta, (a1, a2)), (tb, (b1, b2)) in zip(first, second):
         assert ta == tb
         assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
@@ -192,14 +224,15 @@ def test_inertia_count_matches_dense_eigenvalues(n, seed, scale, mu):
     assert count_below(op, mu) == int(np.sum(eigenvalues < mu))
 
 
-@pytest.mark.parametrize("k", [1, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_inertia_certificate_spans_double_eigenvalues(k):
     # mu_j = (4/h^2) sin^2(jh/2) are the discrete Dirichlet eigenvalues on
     # (0, pi); the constant potential mu_k - mu_1 on component 2 lifts its
-    # bottom onto mu_k, so theta_k = theta_{k+1}. The count holds both
-    # copies: below the shift when the pair lies among the four computed
-    # values (k = 1, 3), above it when the pair starts past them (k = 5),
-    # and when the pair is theta_4 = theta_5 the count is taken above it
+    # bottom onto mu_k, so mu_k is double. The count holds both copies:
+    # when the pair is theta_1 = theta_2 (k = 1) a shift above it certifies
+    # the two computed values; when the pair is theta_2 = theta_3 (k = 2) a
+    # shift above it counts the uncomputed copy and the solve is rejected,
+    # as it is when the pair lies past the computed values (k = 3, 4, 5)
     n = 201
     h = math.pi / (n - 1)
     mu = np.array([4.0 / h**2 * math.sin(j * h / 2.0) ** 2 for j in range(1, 7)])
@@ -207,24 +240,39 @@ def test_inertia_certificate_spans_double_eigenvalues(k):
     zero = np.zeros(n)
     op = operator(make_grid(0.0, math.pi, n), zero, np.full(n, lift), zero)
     exact = np.sort(np.concatenate([mu, mu + lift]))
-    pairs = lowest_eigenpairs(op)
-    cert = pairs.certificate
-    assert np.allclose([t for t, _ in pairs], exact[:4], rtol=0.0, atol=1e-9)
-    assert cert.max_residual <= cert.tolerance
-    if k == 4:
-        assert cert.count_below == 5
-        assert pairs[-1][0] < cert.shift < pairs[-1][0] + 2.0 * cert.tolerance
+    below, above = mu[k - 1] - 0.5, mu[k - 1] + 0.5  # clear of mu_{k-1}, mu_{k+1}
+    assert count_below(op, below) == k - 1
+    assert count_below(op, above) == k + 1
+
+    if k == 1:
+        shift = above  # both copies are computed
+    elif k == 2:
+        shift = below  # only theta_1 lies below the shift
     else:
-        assert cert.count_below == 4
-        assert pairs[-1][0] < cert.shift < exact[4]
+        shift = 0.5 * (exact[1] + exact[2])  # between mu_2 and mu_3
+    pairs = lowest_eigenpairs(op, shift)
+    cert = pairs.certificate
+    assert np.allclose([t for t, _ in pairs], exact[:2], rtol=0.0, atol=1e-9)
+    assert cert.max_residual <= cert.tolerance
+    assert cert.shift == shift
+    assert cert.count_below == sum(exact[:2] < shift)
+    if k > 1:
+        with pytest.raises(RuntimeError, match="inertia count"):
+            lowest_eigenpairs(op, above)
 
 
 def test_inertia_certificate_between_simple_eigenvalues():
-    op = laplacian_operator(201)
-    pairs = lowest_eigenpairs(op)
-    cert = pairs.certificate
-    assert cert.count_below == 4
-    assert 4.0 < cert.shift < 9.0
+    # the potential 0.5 on component 2 splits every Laplacian double
+    # eigenvalue: 1, 1.5, 4, 4.5, ...
+    grid = make_grid(0.0, math.pi, 201)
+    zero = np.zeros(201)
+    op = operator(grid, zero, np.full(201, 0.5), zero)
+    for shift, count in ((0.5, 0), (1.2, 1), (2.5, 2)):
+        cert = lowest_eigenpairs(op, shift).certificate
+        assert cert.shift == shift
+        assert cert.count_below == count
+    with pytest.raises(RuntimeError, match="inertia count found 3"):
+        lowest_eigenpairs(op, 4.2)
 
 
 def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
@@ -241,16 +289,17 @@ def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
 
     monkeypatch.setattr(spectrum, "eigsh", skipping_eigsh)
     with pytest.raises(RuntimeError, match="inertia count"):
-        lowest_eigenpairs(op)
+        lowest_eigenpairs(op, LAPLACIAN_SHIFT)
 
 
 def test_concurrent_calls_match_serial(sol3):
     op = assemble_linearized(sol3)
-    serial = lowest_eigenpairs(op)
+    shift = bound_state_shift(sol3.lam)
+    serial = lowest_eigenpairs(op, shift)
     results = [None, None]
 
     def worker(slot):
-        results[slot] = lowest_eigenpairs(op)
+        results[slot] = lowest_eigenpairs(op, shift)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
     for t in threads:
@@ -267,9 +316,12 @@ def test_concurrent_calls_match_serial(sol3):
 
 def test_report_from_given_pairs_matches_full_report(sol3):
     op = assemble_linearized(sol3)
-    pairs = lowest_eigenpairs(op)
+    pairs = lowest_eigenpairs(op, bound_state_shift(sol3.lam))
     rep = spectrum_report(sol3, op, pairs)
     assert rep == nondegeneracy_report(sol3)
-    assert rep.inertia_count == 4 and rep.inertia_shift == pairs.certificate.shift
+    # two bound states below e(3) - delta = 2 - 1e-3
+    assert rep.inertia_count == 2 and rep.inertia_shift == pairs.certificate.shift
+    assert rep.inertia_shift == pytest.approx(1.999, abs=1e-15)
     assert rep.lambda2 < rep.inertia_shift
     assert 0.0 < rep.max_residual <= residual_tolerance(op)
+    assert rep.solves == pairs.certificate.solves > 0

@@ -34,6 +34,16 @@ def test_full_report_passes(verification):
     assert verification.tables["energy"]["lambda"] == list(default_sweep())
 
 
+def test_gap_counts_two_bound_states(verification):
+    # Theorem 1.2 as a count: below the essential edge lie exactly the zero
+    # mode and lambda2, at every sweep coupling
+    gap = next(v for v in verification.verdicts if v.name == "theorem_1_2_gap")
+    assert gap.details["bound_states"] == [2] * len(default_sweep())
+    solves = verification.tables["spectrum"]["solves"]
+    assert len(solves) == len(default_sweep())
+    assert all(isinstance(s, int) and s > 0 for s in solves)
+
+
 def test_zero_scale_negative_control():
     # collapsing every tolerance window must fail every criterion; a gate
     # that cannot fail verifies nothing
