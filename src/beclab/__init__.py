@@ -63,7 +63,6 @@ from .spectrum import (
     count_below,
     lowest_eigenpairs,
     nondegeneracy_report,
-    spectrum_report,
 )
 from .energy import (
     LEADING_TENSION,

@@ -129,10 +129,8 @@ class CompositeApproximation:
         """Largest gluing discontinuity: inner and outer limits compared at
         both match points for both components."""
         m = self.match_point
-        x = self._inner_coords(np.array([m, -m]))
-        nodes = self.blowup.grid.nodes
-        inner_v1 = self.lam**-0.25 * resample(nodes, self.blowup.V1, x)
-        inner_v2 = self.lam**-0.25 * resample(nodes, self.blowup.V2, x)
+        # both match points belong to the inner piece
+        inner_v1, inner_v2 = self.values(np.array([m, -m]))
         defects = (
             abs(outer_value(1, m + self.xi) - inner_v1[0]),
             abs(0.0 - inner_v2[0]),

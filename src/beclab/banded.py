@@ -48,17 +48,21 @@ class BandedMatrix:
             raise ValueError(f"entry ({i}, {j}) outside bandwidth {self.bandwidth}")
         self.data[self.bandwidth + i - j, j] = value
 
+    def diagonals(self):
+        """Each stored diagonal as (offset, rows, cols, band), offset = j - i:
+        band[k] is the entry at row rows.start + k and column cols.start + k,
+        and band is a writable view into data."""
+        bw, dim = self.bandwidth, self.dim
+        for offset in range(-bw, bw + 1):
+            cols = slice(max(0, offset), dim - max(0, -offset))
+            rows = slice(max(0, -offset), dim - max(0, offset))
+            yield offset, rows, cols, self.data[bw - offset, cols]
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.zeros_like(x)
-        bw, dim = self.bandwidth, self.dim
-        for offset in range(-bw, bw + 1):
-            col0 = max(0, offset)
-            row0 = max(0, -offset)
-            length = dim - abs(offset)
-            y[row0 : row0 + length] += (
-                self.data[bw - offset, col0 : col0 + length] * x[col0 : col0 + length]
-            )
+        for _, rows, cols, band in self.diagonals():
+            y[rows] += band * x[cols]
         return y
 
 
@@ -74,25 +78,15 @@ class BandedLU:
     def __init__(self, matrix: BandedMatrix):
         bw, dim = matrix.bandwidth, matrix.dim
         row_max = np.zeros(dim)
-        for offset in range(-bw, bw + 1):
-            col0 = max(0, offset)
-            row0 = max(0, -offset)
-            length = dim - abs(offset)
-            band = np.abs(matrix.data[bw - offset, col0 : col0 + length])
-            np.maximum(row_max[row0 : row0 + length], band, out=row_max[row0 : row0 + length])
+        for _, rows, _, band in matrix.diagonals():
+            np.maximum(row_max[rows], np.abs(band), out=row_max[rows])
         if float(np.min(row_max)) == 0.0:
             raise SingularSystemError(int(np.argmin(row_max)), "zero row")
         row_scale = 1.0 / row_max
         # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j].
         ab = np.zeros((3 * bw + 1, dim))
-        for offset in range(-bw, bw + 1):
-            col0 = max(0, offset)
-            row0 = max(0, -offset)
-            length = dim - abs(offset)
-            ab[2 * bw - offset, col0 : col0 + length] = (
-                matrix.data[bw - offset, col0 : col0 + length]
-                * row_scale[row0 : row0 + length]
-            )
+        for offset, rows, cols, band in matrix.diagonals():
+            ab[2 * bw - offset, cols] = band * row_scale[rows]
         gbtrf, = get_lapack_funcs(("gbtrf",), (ab,))
         lu, piv, info = gbtrf(ab, bw, bw)
         if info > 0:

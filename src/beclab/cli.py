@@ -30,15 +30,15 @@ from .heteroclinic import (
 from .newton import NonConvergenceError
 from .profiles import CORE_N, solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
-from .spectrum import assemble_linearized, bound_state_shift, lowest_eigenpairs, spectrum_report
+from .spectrum import nondegeneracy_report
 from .verify import run_verification
 from . import __version__
 
 __all__ = ["main", "entry"]
 
-# Couplings reachable by a direct Newton solve from the explicit seed;
-# outside this window `solve` routes through continuation automatically.
-_DIRECT_WINDOW = (2.0, 30.0)
+# Couplings up to this one are reached by a direct Newton solve from the
+# explicit lam = 3 seed; larger ones by continuation upward from 3.
+_DIRECT_MAX = 30.0
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -144,14 +144,14 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _solve_at(cfg: argparse.Namespace, lam: float) -> HeteroclinicSolution:
-    """Direct solve near the explicit coupling, continuation otherwise,
-    or a direct solve from a user seed file when one is given. A given
+    """Direct solve up to _DIRECT_MAX, continuation upward from 3 above
+    it, or a direct solve from a user seed file when one is given. A given
     --L holds at lam: continuation solves each step on its own default
     half-width, so its end point is re-solved on [-L, L]."""
     n = cfg.n
     if cfg.seed is not None:
         return solve_heteroclinic(lam, L=cfg.L, n=n, init=read_seed_csv(cfg.seed))
-    if _DIRECT_WINDOW[0] <= lam <= _DIRECT_WINDOW[1]:
+    if lam <= _DIRECT_MAX:
         return solve_heteroclinic(lam, L=cfg.L, n=n)
     start = solve_heteroclinic(3.0, L=cfg.L, n=n)
     sol = continue_in_lambda(start, [lam], n=n).solutions[-1]
@@ -269,9 +269,7 @@ def _cmd_spectrum(cfg: argparse.Namespace) -> _Output:
     if cfg.lam is None:
         raise ValueError("spectrum requires --lambda")
     sol = _solve_at(cfg, cfg.lam)
-    op = assemble_linearized(sol)
-    pairs = lowest_eigenpairs(op, bound_state_shift(sol.lam))
-    report = spectrum_report(sol, op, pairs)
+    report, pairs = nondegeneracy_report(sol)
     columns = {"z": sol.grid.nodes}
     for i, (_value, (phi1, phi2)) in enumerate(pairs, start=1):
         columns[f"phi1_{i}"] = phi1

@@ -142,9 +142,8 @@ class ContinuationTrace:
 
     def __post_init__(self):
         lams = [e.lam for e in self.entries]
-        d = np.diff(lams)
-        if len(lams) >= 2 and not (np.all(d > 0.0) or np.all(d < 0.0)):
-            raise ValueError("trace lambdas must be strictly monotone")
+        if not np.all(np.diff(lams) > 0.0):
+            raise ValueError("trace lambdas must be strictly increasing")
 
 
 class StepUnderflow(RuntimeError):
@@ -409,9 +408,9 @@ def continue_in_lambda(
     targets,
     n: int | None = None,
 ) -> ContinuationTrace:
-    """Walk the branch from start through the targets (monotone upward or
-    downward in lam), reseeding each solve from the previous solution
-    resampled onto the target grid.
+    """Walk the branch upward from start through the strictly increasing
+    targets, reseeding each solve from the previous solution resampled onto
+    the target grid.
 
     Steps are log-uniform with ratio _STEP_FACTOR (one decade); a solve
     that fails numerically (NonConvergenceError, SingularJacobianError,
@@ -420,27 +419,21 @@ def continue_in_lambda(
     _MAX_HALVINGS times, then raises StepUnderflow. Any other error
     propagates. A proposal that passes the next target, or lies within a
     relative _SNAP_RTOL (64 eps) of it, is replaced by the target itself,
-    in either direction, so every target is solved at exactly its
-    requested value; a halved proposal lies strictly between the current
-    coupling and the one that failed, so no failed solve is repeated.
-    The trace records every accepted solve including the start.
+    so every target is solved at exactly its requested value; a halved
+    proposal lies strictly between the current coupling and the one that
+    failed, so no failed solve is repeated. Couplings below the start are
+    reached by a direct solve, not by continuation. The trace records
+    every accepted solve including the start.
     """
     targets = [float(t) for t in targets]
     if not targets:
         raise ValueError("targets must be nonempty")
-    lams = [start.lam] + targets
-    d = np.diff(lams)
-    upward = bool(np.all(d > 0.0))
-    if not (upward or np.all(d < 0.0)):
-        raise ValueError("targets must be strictly monotone away from start.lam")
-    if min(targets) <= 1.0:
-        raise ValueError("couplings must stay above 1")
+    if not np.all(np.diff([start.lam] + targets) > 0.0):
+        raise ValueError("targets must increase strictly from start.lam")
     if n is None:
         n = start.grid.n
 
     log_step = math.log(_STEP_FACTOR)
-    if not upward:
-        log_step = -log_step
     entries = [_trace_entry(start)]
     steps: list[StepRecord] = []
     solutions = [start]
@@ -451,8 +444,7 @@ def continue_in_lambda(
             halvings = 0
             while True:
                 proposal = math.exp(math.log(current.lam) + step)
-                passed = proposal > target if upward else proposal < target
-                if passed or math.isclose(proposal, target, rel_tol=_SNAP_RTOL):
+                if proposal > target or math.isclose(proposal, target, rel_tol=_SNAP_RTOL):
                     proposal = target
                 seed = (current.grid.nodes, current.v1, current.v2)
                 try:

@@ -16,9 +16,10 @@ one side of a*, turning back upward on the other. Multisection on that
 dichotomy determines a to machine precision: each round classifies
 _SECTIONS interior points of the bracket at once, integrated as one
 vectorized system, and keeps the sub-interval where the class changes.
-The orbit from the final a then tracks the separatrix long enough to read
-the far-field offset kappa = V1(x) - psi0*x, whose remainder decays like
-exp(-c x^2).
+The orbit from the final a is then stepped by the same integrator to the
+read point, where the far-field offset kappa = V1(x) - psi0*x is read;
+its remainder decays like exp(-c x^2). An orbit that has already crossed
+or turned by the read point has left the separatrix, and the read raises.
 """
 
 from __future__ import annotations
@@ -27,17 +28,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import DOP853
 
 from .profiles import PSI0
 
 __all__ = ["ShootingResult", "kappa_shooting"]
 
-# kappa is read at x = _READ_AT on orbits integrated to _HORIZON. The read
-# point trades truncation against separatrix instability: the Gaussian
-# remainder is negligible beyond x ~ 5 while the bracketing residue grows
-# like exp(psi0 x^2 / 2), so mid-single-digit x reads kappa to ~1e-9.
-_READ_AT = 6.5
+# Orbits are classified by integrating them to _HORIZON; kappa is read at
+# x = _READ_AT. The read point trades truncation against separatrix
+# instability: the Gaussian remainder is negligible beyond x ~ 5 while the
+# bracketing residue grows like exp(psi0 x^2 / 2), and the orbit from the
+# final bracket turns back at x = 6.46, so x = 6 reads kappa to ~1e-9.
+_READ_AT = 6.0
 _HORIZON = 12.0
 _RTOL, _ATOL = 1e-13, 1e-15
 
@@ -59,33 +61,12 @@ def _rhs(x, y):
     return np.concatenate((w1, w2, v2 * v2 * v1, v1 * v1 * v2))
 
 
-def _crossed(x, y):
-    return y[1]
-
-
-_crossed.terminal = True
-_crossed.direction = -1.0
-
-
-def _turned(x, y):
-    return y[3]
-
-
-_turned.terminal = True
-_turned.direction = 1.0
-
-
-def _integrate(a: float):
-    b = math.sqrt((PSI0**2 + a**4) / 2.0)
-    return solve_ivp(
-        _rhs,
-        (0.0, _HORIZON),
-        (a, a, b, -b),
-        method="DOP853",
-        rtol=_RTOL,
-        atol=_ATOL,
-        events=(_crossed, _turned),
-        dense_output=True,
+def _solver(a: np.ndarray, t_bound: float) -> DOP853:
+    """Hand-stepped DOP853 for the orbits from the shooting parameters a,
+    stacked as one 4K-component system, from x = 0 to t_bound."""
+    b = np.sqrt((PSI0**2 + a**4) / 2.0)
+    return DOP853(
+        _rhs, 0.0, np.concatenate((a, a, b, -b)), t_bound, rtol=_RTOL, atol=_ATOL
     )
 
 
@@ -98,10 +79,7 @@ def _classify_many(a: np.ndarray) -> np.ndarray:
     An orbit that tracks the separatrix to _HORIZON raises RuntimeError.
     """
     k = a.size
-    b = np.sqrt((PSI0**2 + a**4) / 2.0)
-    solver = DOP853(
-        _rhs, 0.0, np.concatenate((a, a, b, -b)), _HORIZON, rtol=_RTOL, atol=_ATOL
-    )
+    solver = _solver(a, _HORIZON)
     side = np.zeros(k, dtype=int)
     while solver.status == "running":
         solver.step()
@@ -117,7 +95,9 @@ def _classify_many(a: np.ndarray) -> np.ndarray:
 
 
 def kappa_shooting() -> ShootingResult:
-    """Multisect the shooting parameter and read off kappa at _READ_AT."""
+    """Multisect the shooting parameter, then step the orbit from the final
+    bracket to _READ_AT and read kappa there. Raises RuntimeError when that
+    orbit crosses (V2 <= 0) or turns (V2' >= 0) before the read point."""
     lo, hi = 0.55, 0.68
     s_lo, s_hi = _classify_many(np.array([lo, hi]))
     if s_lo == s_hi:
@@ -130,11 +110,19 @@ def kappa_shooting() -> ShootingResult:
         i = int(np.argmax(sides != s_lo))  # first point past the separatrix
         lo, hi = float(points[i - 1]), float(points[i])
     a = 0.5 * (lo + hi)
-    sol = _integrate(a)
-    t_read = min(_READ_AT, 0.95 * sol.t[-1])
-    v1 = float(sol.sol(t_read)[0])
+    solver = _solver(np.array([a]), _READ_AT)
+    while solver.status == "running":
+        solver.step()
+        _, v2, _, w2 = solver.y
+        if v2 <= 0.0 or w2 >= 0.0:
+            raise RuntimeError(
+                f"shooting orbit left the separatrix by x = {solver.t:g} "
+                f"(read point {_READ_AT:g})"
+            )
+    if solver.status != "finished":
+        raise RuntimeError(f"shooting read-out failed at x = {solver.t:g}")
     return ShootingResult(
         crossing=a,
         slope=math.sqrt((PSI0**2 + a**4) / 2.0),
-        kappa=v1 - PSI0 * t_read,
+        kappa=float(solver.y[0]) - PSI0 * _READ_AT,
     )

@@ -37,9 +37,9 @@ absolute 1e-8 residual unreachable in doubles. A Lanczos solve can miss an
 eigenvalue without any residual showing it, so a Sylvester inertia count
 of S - mu I (block LDL^T over the 2x2 node blocks; Parlett, The Symmetric
 Eigenvalue Problem) then certifies that no eigenvalue below mu was
-skipped. For a solution the count is taken just below the essential edge,
-mu = e(lam) - delta, where it is the number of bound states: Theorem 1.2
-as a count, the zero mode and lambda2 and nothing else.
+skipped. For a solution the count is taken at the essential edge,
+mu = e(lam), where it is the number of bound states: Theorem 1.2 as a
+count, the zero mode and lambda2 and nothing else.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "count_below",
     "lowest_eigenpairs",
     "nondegeneracy_report",
-    "spectrum_report",
 ]
 
 # Deterministic seed for the Lanczos start vector.
@@ -74,10 +73,6 @@ _START_SEED = 0xBEC1AB
 # Eigenpairs behind every spectrum report (verify and `beclab spectrum`):
 # the translation mode and lambda2.
 REPORT_PAIRS = 2
-
-# Margin delta below the essential edge e(lam) at which bound states are
-# counted.
-_EDGE_MARGIN = 1e-3
 
 # Shift-invert pole. The operators of interest are Hessians at energy
 # minimisers (lowest eigenvalue the near-zero translation mode), so a pole
@@ -158,8 +153,9 @@ class SpectrumReport:
 
 
 def bound_state_shift(lam: float) -> float:
-    """Shift e(lam) - delta just below the essential edge e = min(2, lam - 1)."""
-    return min(2.0, lam - 1.0) - _EDGE_MARGIN
+    """The essential edge e(lam) = min(2, lam - 1), where bound states are
+    counted."""
+    return min(2.0, lam - 1.0)
 
 
 def assemble_linearized(sol: HeteroclinicSolution) -> LinearizedOperator:
@@ -172,10 +168,8 @@ def assemble_linearized(sol: HeteroclinicSolution) -> LinearizedOperator:
     jac = jacobian(_interior_state(sol.v1, sol.v2))
     w = flux_stencil(sol.grid).w
     s = np.repeat(1.0 / np.sqrt(w), 2)
-    bw, dim = jac.bandwidth, jac.dim
-    for d in range(-bw, bw + 1):
-        i0, j0, length = max(0, -d), max(0, d), dim - abs(d)
-        jac.data[bw - d, j0 : j0 + length] *= -(s[i0 : i0 + length] * s[j0 : j0 + length])
+    for _, rows, cols, band in jac.diagonals():
+        band *= -(s[rows] * s[cols])
     return LinearizedOperator(sol.grid, jac, w)
 
 
@@ -315,12 +309,11 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
     return Eigenpairs(pairs, EigenCertificate(shift, found, max_res, tol, solves))
 
 
-def spectrum_report(
-    sol: HeteroclinicSolution, op: LinearizedOperator, pairs: Eigenpairs
-) -> SpectrumReport:
-    """Bottom-of-spectrum summary from eigenpairs already computed by
-    lowest_eigenpairs(op, bound_state_shift(sol.lam)), op the operator
-    about sol.
+def nondegeneracy_report(sol: HeteroclinicSolution) -> tuple[SpectrumReport, Eigenpairs]:
+    """Bottom-of-spectrum summary about a converged solution, with the
+    REPORT_PAIRS lowest eigenpairs it was read from: the operator is
+    assembled about sol and solved by
+    lowest_eigenpairs(op, bound_state_shift(sol.lam)).
 
     alignment is the normalized lumped-mass pairing of the bottom
     eigenvector with the translation mode (v1', v2'); the essential edge
@@ -330,6 +323,8 @@ def spectrum_report(
     beside the eigenvalues; with that shift its inertia_count is the number
     of bound states below the essential edge.
     """
+    op = assemble_linearized(sol)
+    pairs = lowest_eigenpairs(op, bound_state_shift(sol.lam))
     u = (sol.dv1, sol.dv2)
     u_norm = math.sqrt(op.inner(u, u))
     lam1, bottom = pairs[0]
@@ -362,12 +357,4 @@ def spectrum_report(
         inertia_count=cert.count_below,
         max_residual=cert.max_residual,
         solves=cert.solves,
-    )
-
-
-def nondegeneracy_report(sol: HeteroclinicSolution) -> SpectrumReport:
-    """Bottom-of-spectrum summary about a converged solution from its
-    REPORT_PAIRS lowest eigenpairs, certified by the bound-state count at
-    bound_state_shift(sol.lam); see spectrum_report."""
-    op = assemble_linearized(sol)
-    return spectrum_report(sol, op, lowest_eigenpairs(op, bound_state_shift(sol.lam)))
+    ), pairs

@@ -277,7 +277,7 @@ def run_verification(
         sol = solutions[lam]
         approx = build_composite(lam, blowup)
         err = measure_errors(sol, approx)
-        spec = nondegeneracy_report(sol)
+        spec, _ = nondegeneracy_report(sol)
         energy = expansion_residual(sol, blowup)
         return _PointResult(lam=lam, errors=err, spectrum=spec, energy=energy)
 
@@ -340,7 +340,7 @@ def run_verification(
     base = solutions[base_point.lam]
     refined = refine_solution(base, L=base.L + 6.0, n=2 * base.n - 1)
     l1_base = abs(base_point.spectrum.lambda1)
-    l1_refined = abs(nondegeneracy_report(refined).lambda1)
+    l1_refined = abs(nondegeneracy_report(refined)[0].lambda1)
     gap_pass = (
         gap_ok
         and align_ok

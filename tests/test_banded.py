@@ -99,6 +99,25 @@ def test_matvec_matches_dense():
     assert np.allclose(a.matvec(x), to_dense(a) @ x, atol=1e-13)
 
 
+@pytest.mark.parametrize(("dim", "bw"), [(1, 0), (6, 2), (7, 6)])
+def test_diagonals_walk_the_band(dim, bw):
+    # each (offset, rows, cols, band) is diagonal j - i = offset of the
+    # dense matrix, and writing through band writes into the matrix
+    rng = np.random.Generator(np.random.PCG64(5))
+    a = BandedMatrix.zeros(dim, bw)
+    a.data[:] = rng.uniform(-1.0, 1.0, a.data.shape)
+    dense = to_dense(a)
+    offsets = []
+    for offset, rows, cols, band in a.diagonals():
+        offsets.append(offset)
+        i, j = np.arange(dim)[rows], np.arange(dim)[cols]
+        assert np.array_equal(j - i, np.full(dim - abs(offset), offset))
+        assert np.array_equal(band, dense[i, j])
+        band *= 2.0
+    assert offsets == list(range(-bw, bw + 1))
+    assert np.array_equal(to_dense(a), 2.0 * dense)
+
+
 def test_symmetry_defect():
     a = dirichlet_laplacian(10, 0.1)
     assert symmetry_defect(a) == 0.0

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from beclab import cli
 from beclab.cli import main, range_couplings
-from beclab.runio import write_csv
-from beclab.heteroclinic import explicit_lambda3
+from beclab.runio import read_seed_csv, write_csv
+from beclab.heteroclinic import explicit_lambda3, solve_heteroclinic
 from beclab.newton import NonConvergenceError
 
 
@@ -238,7 +238,7 @@ def test_solve_command_and_summary(tmp_path):
 
 
 def test_solve_routes_through_continuation(tmp_path):
-    # lam outside the direct window is reached by continuation from 3
+    # lam above 30 is reached by continuation upward from 3
     out = tmp_path / "run"
     code = main(["solve", "--lambda", "50", "--n", "1025", "--out", str(out)])
     assert code == 0
@@ -247,6 +247,20 @@ def test_solve_routes_through_continuation(tmp_path):
     # n=1025 keeps this test fast; the deviation is mesh-limited there
     assert summary["report"]["hamiltonian_dev"] <= 1e-4
     assert summary["report"]["newton_residual"] <= 1e-10
+
+
+def test_solve_below_two_is_a_direct_solve(tmp_path, monkeypatch):
+    # every coupling up to 30 is a direct solve from the explicit seed;
+    # continuation only climbs from 3 to larger couplings
+    def no_continuation(*args, **kwargs):
+        raise AssertionError("continuation used for lam = 1.5")
+
+    monkeypatch.setattr(cli, "continue_in_lambda", no_continuation)
+    out = tmp_path / "run"
+    assert main(["solve", "--lambda", "1.5", "--n", "1025", "--out", str(out)]) == 0
+    _, v1, v2 = read_seed_csv(out / "solution.csv")
+    direct = solve_heteroclinic(1.5, n=1025)
+    assert np.array_equal(v1, direct.v1) and np.array_equal(v2, direct.v2)
 
 
 def test_continue_command(tmp_path):
@@ -296,9 +310,9 @@ def test_spectrum_command(tmp_path):
     assert abs(report["lambda1"]) <= 1e-3
     assert report["alignment"] >= 0.999
     assert report["essential_edge_estimate"] is None  # NaN serialized as null
-    # the certificate: two bound states below the essential edge 2 - 1e-3
+    # the certificate: two bound states below the essential edge 2
     assert report["inertia_count"] == 2
-    assert report["inertia_shift"] == 1.999
+    assert report["inertia_shift"] == 2.0
     assert report["lambda2"] < report["inertia_shift"]
     assert 0.0 < report["max_residual"] <= 1e-6
     assert report["solves"] > 0
@@ -450,9 +464,9 @@ def test_config_range_goes_through_the_flag_conversion(tmp_path):
 
 @pytest.mark.parametrize("command", ["solve", "spectrum"])
 def test_domain_flag_holds_after_continuation(command, tmp_path):
-    # lam = 1e3 lies outside the direct window; continuation solves its
-    # steps on the default half-width (20.77 at 1e3), yet --L sets the
-    # domain of the reported solution
+    # lam = 1e3 lies above 30, the largest direct solve; continuation
+    # solves its steps on the default half-width (20.77 at 1e3), yet --L
+    # sets the domain of the reported solution
     out = tmp_path / "run"
     argv = [command, "--lambda", "1e3", "--L", "30", "--n", "1025", "--out", str(out)]
     assert main(argv) == 0
@@ -528,7 +542,7 @@ ENTRY_POINT = {
     "solve": "solve_heteroclinic",
     "continue": "continue_in_lambda",
     "composite": "measure_errors",
-    "spectrum": "lowest_eigenpairs",
+    "spectrum": "nondegeneracy_report",
     "energy": "expansion_residual",
     "verify": "run_verification",
 }

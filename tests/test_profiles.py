@@ -134,10 +134,18 @@ def test_kappa_against_shooting(blowup_default):
 
 def test_shooting_read_point_stability(monkeypatch):
     kappas = []
-    for read_at in (5.0, 8.0):
+    for read_at in (5.0, 6.0):
         monkeypatch.setattr(shooting, "_READ_AT", read_at)
         kappas.append(kappa_shooting().kappa)
     assert abs(kappas[0] - kappas[1]) <= 1e-9
+
+
+def test_shooting_read_past_the_separatrix_raises(monkeypatch):
+    # the orbit from the final bracket turns back (V2' > 0) at x = 6.46, so
+    # a read point beyond it no longer lies on the connecting orbit
+    monkeypatch.setattr(shooting, "_READ_AT", 6.5)
+    with pytest.raises(RuntimeError, match="left the separatrix"):
+        kappa_shooting()
 
 
 def test_multisection_bracket_straddles_the_separatrix(monkeypatch):

@@ -18,7 +18,7 @@ from beclab import (
     solve_heteroclinic,
 )
 from beclab import spectrum
-from beclab.spectrum import count_below, residual_tolerance, spectrum_report
+from beclab.spectrum import count_below, residual_tolerance
 from spectrum_oracle import apply_natural, operator, potentials
 
 
@@ -72,7 +72,7 @@ def test_laplacian_eigenvector_shape():
 
 
 def test_lambda3_spectrum(sol3):
-    rep = nondegeneracy_report(sol3)
+    rep, _ = nondegeneracy_report(sol3)
     assert abs(rep.lambda1) <= 1e-6
     # difference channel bottom of the explicit branch sits at 3/2 exactly
     assert abs(rep.lambda2 - 1.5) <= 1e-5
@@ -89,16 +89,17 @@ def test_quasi_continuum_onset(sol3):
     assert count_below(op, 2.2) >= 4
 
 
-@pytest.mark.parametrize(("lam", "bound"), [(1.1, 1), (1.5, 2)])
+@pytest.mark.parametrize(("lam", "bound"), [(1.1, 1), (1.2, 2), (1.5, 2)])
 def test_bound_state_count_below_lambda_3(lam, bound):
     # below lam = 3 the essential edge e = lam - 1 drops under 2. At 1.5,
-    # lambda2 = 0.4825 is still bound (below e - delta = 0.499); at 1.1 it
-    # sits in the discretized continuum above e = 0.1, and the count at
-    # the shift covers only the translation mode
+    # lambda2 = 0.4825 is still bound (below e = 0.5); at 1.2, lambda2 =
+    # 0.19983 lies just below e = 0.2 and the count at the edge itself sees
+    # it; at 1.1 it sits in the discretized continuum above e = 0.1, and
+    # the count at the edge covers only the translation mode
     sol = solve_heteroclinic(lam, n=2049)
     shift = bound_state_shift(lam)
-    assert shift == pytest.approx(lam - 1.0 - 1e-3, abs=1e-15)
-    rep = nondegeneracy_report(sol)
+    assert shift == lam - 1.0
+    rep, _ = nondegeneracy_report(sol)
     assert rep.inertia_shift == shift
     assert rep.inertia_count == bound
     assert abs(rep.lambda1) <= 1e-6
@@ -110,8 +111,8 @@ def test_bound_state_count_below_lambda_3(lam, bound):
 def test_essential_edge_unresolved_at_low_k(sol3, sweep_solutions):
     # the first few modes above the gap are extended scattering states, not
     # edge-localized; the report returns NaN rather than a fake edge value
-    assert math.isnan(nondegeneracy_report(sol3).essential_edge_estimate)
-    rep = nondegeneracy_report(sweep_solutions[1e2])
+    assert math.isnan(nondegeneracy_report(sol3)[0].essential_edge_estimate)
+    rep, _ = nondegeneracy_report(sweep_solutions[1e2])
     assert math.isnan(rep.essential_edge_estimate)
 
 
@@ -315,13 +316,19 @@ def test_concurrent_calls_match_serial(sol3):
 
 
 def test_report_from_given_pairs_matches_full_report(sol3):
+    rep, pairs = nondegeneracy_report(sol3)
     op = assemble_linearized(sol3)
-    pairs = lowest_eigenpairs(op, bound_state_shift(sol3.lam))
-    rep = spectrum_report(sol3, op, pairs)
-    assert rep == nondegeneracy_report(sol3)
-    # two bound states below e(3) - delta = 2 - 1e-3
-    assert rep.inertia_count == 2 and rep.inertia_shift == pairs.certificate.shift
-    assert rep.inertia_shift == pytest.approx(1.999, abs=1e-15)
+    again = lowest_eigenpairs(op, bound_state_shift(sol3.lam))
+    assert pairs.certificate == again.certificate
+    assert [theta for theta, _ in pairs] == [theta for theta, _ in again]
+    # the report is read from the pairs it returns
+    assert (rep.lambda1, rep.lambda2) == (pairs[0][0], pairs[1][0])
+    assert rep.gap == pairs[1][0] - pairs[0][0]
+    cert = pairs.certificate
+    assert (rep.inertia_shift, rep.inertia_count) == (cert.shift, cert.count_below)
+    assert rep.max_residual == cert.max_residual
+    assert rep.solves == cert.solves > 0
+    # two bound states below e(3) = 2
+    assert rep.inertia_count == 2 and rep.inertia_shift == 2.0
     assert rep.lambda2 < rep.inertia_shift
     assert 0.0 < rep.max_residual <= residual_tolerance(op)
-    assert rep.solves == pairs.certificate.solves > 0

@@ -1,4 +1,4 @@
-"""Run ten CLI commands and print one SHA-256 per output file.
+"""Run twelve CLI commands and print one SHA-256 per output file.
 
 Usage: PYTHONPATH=src python tools/output_digests.py OUTDIR
 
@@ -23,10 +23,12 @@ RUNS = {
     "blowup": (["blowup"], 0),
     "solve": (["solve", "--lambda", "1e4"], 0),
     "solve_L": (["solve", "--lambda", "20", "--L", "25"], 0),
+    "solve_low": (["solve", "--lambda", "1.5"], 0),
     "continue": (["continue", "--lambda-range", "10:1e6:1"], 0),
     "composite": (["composite", "--lambda", "1e4"], 0),
     "composite_leading": (["composite", "--lambda", "1e3", "--variant", "leading"], 0),
     "spectrum": (["spectrum", "--lambda", "1e3"], 0),
+    "spectrum_low": (["spectrum", "--lambda", "1.2"], 0),
     "energy": (["energy", "--lambda-range", "10:1e6:1"], 0),
     "verify": (["verify"], 0),
     "verify_tol0": (["verify", "--tol", "0"], 3),
