@@ -16,6 +16,12 @@ two one-sided slopes at a node, which is the cell weight times the second
 difference. On smoothly graded meshes (spacing varying by O(h) between
 cells) it retains second-order accuracy, and its rows scale like 1/h
 rather than 1/h^2, which keeps the evaluation rounding floor low.
+
+Two-component systems on a mesh symmetric about 0 with odd n (so its
+middle node is exactly 0) commute with the swap-reflection
+(v1, v2)(z) -> (v2, v1)(-z). In the interleaved interior layout of
+FluxStencil.fill_pair_rows that map reverses the unknown vector, and
+MirrorSector folds vectors and bands onto its even and odd sectors.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ __all__ = [
     "differentiate",
     "FluxStencil",
     "flux_stencil",
+    "EVEN",
+    "ODD",
+    "mirror_defect",
     "first_difference_weights",
     "edge_first_weights",
 ]
@@ -221,3 +230,54 @@ def flux_stencil(grid: Grid) -> FluxStencil:
     hm = x[1:-1] - x[:-2]
     hp = x[2:] - x[1:-1]
     return FluxStencil(hm, hp, 0.5 * (hm + hp), 1.0 / hm, -1.0 / hm - 1.0 / hp, 1.0 / hp)
+
+
+@dataclass(frozen=True)
+class MirrorSector:
+    """One parity sector of the swap-reflection on interleaved interior
+    unknowns u (length 2m, m = n - 2 odd): entry i mirrors to entry
+    2m - 1 - i, so the middle node's v1 and v2 mirror to each other.
+
+    The fold is orthonormal: sector coordinate i < m is
+    (u_i + parity*u_{2m-1-i})/sqrt(2), and unfold is its transpose, whose
+    result is exactly (anti)symmetric under reversal. band(A) is the sector
+    block F A F^T of a band A with F the fold, built from the stored
+    diagonals alone: with T = (A + R A R)/2, R the reversal, the block is
+    T's leading m x m corner plus parity times T's upper-right entries
+    folded back through the mirror column. It is exactly symmetric when A
+    is, and it equals A's sector block when A commutes with R.
+    """
+
+    parity: int
+
+    def fold(self, u: np.ndarray) -> np.ndarray:
+        m = u.shape[0] // 2
+        return (u[:m] + self.parity * u[: m - 1 : -1]) * _SQRT_HALF
+
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate((x, self.parity * x[::-1])) * _SQRT_HALF
+
+    def band(self, mat: BandedMatrix) -> BandedMatrix:
+        bw, m = mat.bandwidth, mat.dim // 2
+        # R A R is stored as data reversed along both axes
+        t = 0.5 * (mat.data + mat.data[::-1, ::-1])
+        out = BandedMatrix.zeros(m, bw)
+        for offset, _, cols, band in out.diagonals():
+            band[:] = t[bw - offset, cols]
+        # entry (i, j) with i < m <= j lands on sector column 2m - 1 - j
+        for d in range(1, bw + 1):
+            for i in range(m - d, m):
+                k = 2 * m - 1 - (i + d)
+                out.data[bw + i - k, k] += self.parity * t[bw - d, i + d]
+        return out
+
+
+_SQRT_HALF = math.sqrt(0.5)
+EVEN = MirrorSector(1)
+ODD = MirrorSector(-1)
+
+
+def mirror_defect(mat: BandedMatrix) -> float:
+    """max |A - R A R| over the band: 0 when A commutes with the reversal R
+    of the interleaved unknowns, the swap-reflection."""
+    return float(np.max(np.abs(mat.data - mat.data[::-1, ::-1])))

@@ -9,7 +9,10 @@ connects (0, 1) at z = -inf to (1, 0) at z = +inf for every coupling
 lam > 1. At lam = 3 the branch is explicit: v1 = (1 + tanh(z/sqrt(2)))/2,
 v2 = 1 - v1. The solver works on a truncated symmetric interval [-L, L]
 with exact limit Dirichlet data; truncation error is exponentially small
-in L and is absorbed by the grid-convergence tolerances.
+in L and is absorbed by the grid-convergence tolerances. The system
+commutes with the swap-reflection (v1, v2)(z) -> (v2, v1)(-z), and Newton
+solves only for its mirror-symmetric (even) fields, which removes the
+translation freedom the far-field data alone pin only weakly.
 
 Discretisation is the flux form of the second difference on a sinh-graded
 mesh whose fine region tracks the interface core (|z| of order
@@ -36,6 +39,7 @@ import numpy as np
 from .banded import BandedMatrix
 from .calculus import quadrature, resample
 from .grids import (
+    EVEN,
     Grid,
     differentiate,
     beta_for_center_spacing,
@@ -243,6 +247,35 @@ def _interior_residual_jacobian(grid: Grid, lam: float):
     return residual, jacobian, full_fields
 
 
+def _even_sector(residual, jacobian):
+    """A residual/Jacobian pair of interleaved interior unknowns restricted
+    to mirror-symmetric states u = state(y) = (y, y reversed), with y the
+    first half of u (the nodes z < 0 and the middle node's v1).
+
+    mean(u) averages each entry of u with its mirror entry: it projects a
+    state onto the sector. The sector residual is the mean of the full
+    one; at a symmetric state each row equals its mirror row, so its sup
+    norm is the full-domain residual's and Newton stops where a
+    full-domain solve would. Its Jacobian with respect to y is the
+    orthonormal even-sector block EVEN.band(J). Returns the residual, the
+    Jacobian, mean and state.
+    """
+
+    def mean(u: np.ndarray) -> np.ndarray:
+        m = u.shape[0] // 2
+        return 0.5 * (u[:m] + u[: m - 1 : -1])
+
+    def state(y: np.ndarray) -> np.ndarray:
+        return np.concatenate((y, y[::-1]))
+
+    return (
+        lambda y: mean(residual(state(y))),
+        lambda y: EVEN.band(jacobian(state(y))),
+        mean,
+        state,
+    )
+
+
 def _interior_state(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """Interleaved interior unknowns of _interior_residual_jacobian."""
     u = np.empty(2 * (v1.shape[0] - 2))
@@ -280,10 +313,7 @@ def _symmetric_dev(v1: np.ndarray, v2: np.ndarray) -> float:
 
 
 def _value_at_zero(grid: Grid, v: np.ndarray) -> float:
-    mid = grid.n // 2
-    if abs(float(grid.nodes[mid])) <= 1e-14 * grid.b:
-        return float(v[mid])
-    return float(resample(grid.nodes, v, 0.0))
+    return float(v[grid.n // 2])  # the middle node of an odd mesh is 0
 
 
 def hamiltonian_values(v1, v2, dv1, dv2, lam: float) -> np.ndarray:
@@ -305,7 +335,14 @@ def solve_heteroclinic(
 ) -> HeteroclinicSolution:
     """Damped-Newton collocation solve of the interface system at coupling
     lam on [-L, L] (L defaults to default_domain_halfwidth(lam)) with exact
-    limit Dirichlet data, on the mesh default_grid(lam, L, n).
+    limit Dirichlet data, on the mesh default_grid(lam, L, n); n must be
+    odd, so that the mesh has a node at z = 0.
+
+    Newton runs in the even sector of the swap-reflection
+    (v1, v2)(z) -> (v2, v1)(-z), which pins the translation exactly: the
+    returned fields satisfy v1(z) = v2(-z) node for node, so
+    symmetric_dev and pinning_dev are 0 by construction. newton_residual
+    is the sup norm of the full-domain residual at the returned fields.
 
     init, when given, is node samples (z, v1, v2) on any strictly
     increasing node set, such as another solution's grid; they are
@@ -324,6 +361,8 @@ def solve_heteroclinic(
         raise ValueError(f"need L >= 20, got {L}")
     if n < 513:
         raise ValueError(f"need n >= 513, got {n}")
+    if n % 2 == 0:
+        raise ValueError(f"need odd n (a mesh node at z = 0), got n={n}")
     grid = default_grid(lam, L, n)
     if init is None:
         seed = explicit_lambda3(grid.nodes)
@@ -331,8 +370,12 @@ def solve_heteroclinic(
         seed = _seed_on_grid(*init, grid)
 
     residual, jacobian, full_fields = _interior_residual_jacobian(grid, lam)
-    u0 = _interior_state(*seed)
-    u, iterations, final_res = newton_solve(residual, jacobian, u0)
+    sector_residual, sector_jacobian, mean, state = _even_sector(residual, jacobian)
+    y, iterations, _ = newton_solve(
+        sector_residual, sector_jacobian, mean(_interior_state(*seed))
+    )
+    u = state(y)
+    final_res = float(np.max(np.abs(residual(u))))
     v1, v2 = full_fields(u)
 
     if float(np.min(v1)) < -_SIGN_FLOOR or float(np.min(v2)) < -_SIGN_FLOOR:

@@ -24,20 +24,27 @@ symmetric and has the same eigenvalues. Eigenvectors returned to callers
 are mapped back to natural variables and normalized in the lumped-mass
 inner product, which is the quadrature approximation of the L^2 pairing.
 
-The two lowest eigenpairs come from one shift-invert Lanczos solve
-(ARPACK via scipy.sparse.linalg.eigsh; Ericsson & Ruhe 1980, Lehoucq,
-Sorensen & Yang 1998): S - sigma I is factored once by banded LU with the
-pole sigma below the spectrum, so the eigenvalues nearest the pole are the
-lowest ones.
-The Lanczos start vector is a seeded PCG64 draw, which makes the result
-deterministic. Every computed pair is certified by its residual
-||S psi - theta psi||; the certification floor scales with eps*||S||
-because at large coupling and fine meshes ||S|| ~ 1/h^2 + lam makes an
-absolute 1e-8 residual unreachable in doubles. A Lanczos solve can miss an
-eigenvalue without any residual showing it, so a Sylvester inertia count
-of S - mu I (block LDL^T over the 2x2 node blocks; Parlett, The Symmetric
-Eigenvalue Problem) then certifies that no eigenvalue below mu was
-skipped. For a solution the count is taken at the essential edge,
+The swap-reflection (p1, p2)(z) -> (p2, p1)(-z) commutes with M about a
+mirror-symmetric solution, so S splits into an odd and an even sector
+block of half the dimension (grids.MirrorSector; Golubitsky, Stewart &
+Schaeffer, Singularities and Groups in Bifurcation Theory II, 1988). The
+translation mode is the bottom of the odd sector and lambda2 the bottom
+of the even one. Each comes from one shift-invert Lanczos solve in its
+sector (ARPACK via scipy.sparse.linalg.eigsh; Ericsson & Ruhe 1980,
+Lehoucq, Sorensen & Yang 1998): the sector block minus the pole is
+factored once by banded LU, and the eigenvalue nearest the pole is
+returned. The Lanczos start vector is a seeded PCG64 draw, which makes
+the result deterministic.
+
+Both certificates are taken on the full operator. Every unfolded pair is
+certified by its residual ||S psi - theta psi||; the certification floor
+scales with eps*||S|| because at large coupling and fine meshes
+||S|| ~ 1/h^2 + lam makes an absolute 1e-8 residual unreachable in
+doubles. A Lanczos solve can return an eigenvalue that is not its
+sector's bottom without any residual showing it, so a Sylvester inertia
+count of S - mu I (block LDL^T over the 2x2 node blocks; Parlett, The
+Symmetric Eigenvalue Problem) then certifies that no eigenvalue below mu
+was skipped. For a solution the count is taken at the essential edge,
 mu = e(lam), where it is the number of bound states: Theorem 1.2 as a
 count, the zero mode and lambda2 and nothing else.
 """
@@ -51,14 +58,13 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .banded import BandedLU, BandedMatrix
-from .grids import Grid, flux_stencil
+from .grids import EVEN, ODD, Grid, flux_stencil, mirror_defect
 from .heteroclinic import HeteroclinicSolution, _interior_residual_jacobian, _interior_state
 
 __all__ = [
     "EigenCertificate",
     "Eigenpairs",
     "LinearizedOperator",
-    "REPORT_PAIRS",
     "SpectrumReport",
     "assemble_linearized",
     "bound_state_shift",
@@ -70,16 +76,8 @@ __all__ = [
 # Deterministic seed for the Lanczos start vector.
 _START_SEED = 0xBEC1AB
 
-# Eigenpairs behind every spectrum report (verify and `beclab spectrum`):
-# the translation mode and lambda2.
-REPORT_PAIRS = 2
-
-# Shift-invert pole. The operators of interest are Hessians at energy
-# minimisers (lowest eigenvalue the near-zero translation mode), so a pole
-# at -1 sits an O(1) distance below the spectrum. An operator with
-# eigenvalues below the pole fails the inertia count instead of returning
-# the wrong pairs.
-_POLE = -1.0
+# Lanczos basis size of each sector solve.
+_NCV = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,28 +223,12 @@ def count_below(op: LinearizedOperator, mu: float) -> int:
     return count
 
 
-def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
-    """The k = REPORT_PAIRS smallest eigenpairs of the symmetrized operator.
-
-    One shift-invert Lanczos solve for k pairs about a pole below the
-    spectrum (one banded LU of S - sigma I, seeded start vector), then two
-    certificates, either of which raises RuntimeError when it fails:
-
-    - every computed pair has ||S psi - theta psi|| <= residual_tolerance(op),
-      with theta the Rayleigh quotient;
-    - a Sylvester inertia count of S - shift I finds exactly as many
-      eigenvalues below shift as there are computed values below it.
-
-    Returned eigenvectors are natural-variable full-length component pairs
-    (phi1, phi2) with zero boundary entries, normalized in the lumped-mass
-    inner product, sign-fixed so the largest-magnitude entry is positive.
-    The list carries the EigenCertificate as `.certificate`.
-    """
-    k = REPORT_PAIRS
-    dim = op.dim
-    if k + 2 > dim:
-        raise ValueError(f"operator dimension {dim} too small for k={k}")
-    lu = BandedLU(_shifted(op.matrix, _POLE))
+def _sector_bottom(block: BandedMatrix, pole: float):
+    """The eigenvector of a sector block whose eigenvalue lies nearest
+    pole, from one seeded shift-invert Lanczos solve, and the number of
+    solves it took."""
+    dim = block.dim
+    lu = BandedLU(_shifted(block, pole))
     solves = 0
 
     def shift_invert(x):
@@ -257,20 +239,54 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
     rng = np.random.Generator(np.random.PCG64(_START_SEED))
     v0 = rng.standard_normal(dim)
     _, vecs = eigsh(
-        LinearOperator((dim, dim), matvec=op.matrix.matvec, dtype=float),
-        k=k,
-        sigma=_POLE,
+        LinearOperator((dim, dim), matvec=block.matvec, dtype=float),
+        k=1,
+        sigma=pole,
         OPinv=LinearOperator((dim, dim), matvec=shift_invert, dtype=float),
         v0=v0,
-        ncv=min(2 * k + 1, dim),
+        ncv=_NCV,
         tol=0,
         rng=rng,
     )
+    return vecs[:, 0], solves
 
+
+def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
+    """The bottom eigenpair of each mirror sector of the symmetrized
+    operator, lowest first: the two pairs behind every spectrum report.
+
+    Raises ValueError when op does not commute with the swap-reflection to
+    within residual_tolerance(op). The poles come from shift, the essential
+    edge e of a solution's operator: the odd sector (translation mode) is
+    solved about -min(1, e), and the even sector, which holds no
+    translation mode, about e/2, next to its bottom. Two certificates on
+    the full operator S follow, either of which raises RuntimeError when
+    it fails:
+
+    - every unfolded pair has ||S psi - theta psi|| <= residual_tolerance(op),
+      with theta the Rayleigh quotient;
+    - a Sylvester inertia count of S - shift I finds exactly as many
+      eigenvalues below shift as there are computed values below it.
+
+    Returned eigenvectors are natural-variable full-length component pairs
+    (phi1, phi2) with zero boundary entries, normalized in the lumped-mass
+    inner product, sign-fixed so the first largest-magnitude entry is
+    positive. The list carries the EigenCertificate as `.certificate`.
+    """
     tol = residual_tolerance(op)
-    thetas, vectors, max_res = [], [], 0.0
-    for i in range(k):
-        psi = vecs[:, i] / np.linalg.norm(vecs[:, i])
+    defect = mirror_defect(op.matrix)
+    if not defect <= tol:
+        raise ValueError(
+            f"operator does not commute with the swap-reflection: defect "
+            f"{defect:.3e} above {tol:.3e}"
+        )
+
+    thetas, vectors, max_res, solves = [], [], 0.0, 0
+    for sector, pole in ((ODD, -min(1.0, shift)), (EVEN, 0.5 * shift)):
+        x, count = _sector_bottom(sector.band(op.matrix), pole)
+        solves += count
+        psi = sector.unfold(x)
+        psi /= np.linalg.norm(psi)
         j = int(np.argmax(np.abs(psi)))
         if psi[j] < 0.0:
             psi = -psi
@@ -279,8 +295,8 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
         res = float(np.linalg.norm(s_psi - theta * psi))
         if not res <= tol:
             raise RuntimeError(
-                f"Lanczos pair {i} (theta {theta:.6e}) has residual {res:.3e} "
-                f"above the tolerance {tol:.3e}"
+                f"Lanczos pair (theta {theta:.6e}, parity {sector.parity:+d}) has "
+                f"residual {res:.3e} above the tolerance {tol:.3e}"
             )
         max_res = max(max_res, res)
         thetas.append(theta)
@@ -293,7 +309,7 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
     if found != expected:
         raise RuntimeError(
             f"inertia count found {found} eigenvalues below {shift:.6e}, "
-            f"but the Lanczos solve returned {expected}"
+            f"but the Lanczos solves returned {expected}"
         )
 
     n = op.grid.n
@@ -311,7 +327,7 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
 
 def nondegeneracy_report(sol: HeteroclinicSolution) -> tuple[SpectrumReport, Eigenpairs]:
     """Bottom-of-spectrum summary about a converged solution, with the
-    REPORT_PAIRS lowest eigenpairs it was read from: the operator is
+    two sector eigenpairs it was read from: the operator is
     assembled about sol and solved by
     lowest_eigenpairs(op, bound_state_shift(sol.lam)).
 

@@ -161,7 +161,11 @@ def run_verification(
     lams must contain at least 4 couplings spanning at least 3 decades,
     all >= 10 (the composite construction needs a clear scale separation)
     with ln(max) <= X so the stretched window stays inside the core data.
+    n must be 1 mod 4: the closed-form anchor also solves on (n + 1)/2
+    nodes, and every interface mesh needs an odd node count.
     """
+    if n % 4 != 1:
+        raise ValueError(f"need n = 1 (mod 4) so that n and (n + 1)/2 are odd, got n={n}")
     sweep = default_sweep() if lams is None else tuple(sorted(float(v) for v in lams))
     if len(sweep) < 4:
         raise ValueError(f"need a sweep of >= 4 couplings, got {len(sweep)}")

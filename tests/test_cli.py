@@ -514,6 +514,15 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_even_node_count_exits_one(tmp_path, capsys):
+    # the interface mesh needs a node at z = 0
+    out = tmp_path / "run"
+    assert main(["solve", "--lambda", "3", "--n", "8192", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "odd n" in err and "n=8192" in err
+
+
 def test_nonconvergence_exits_two(tmp_path, capsys):
     seed = tmp_path / "flat.csv"
     z = np.linspace(-25.0, 25.0, 41)

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from banded_helpers import to_dense
 from beclab import BandedMatrix, differentiate, make_grid
 from beclab.grids import (
+    EVEN,
+    ODD,
     RATIO_CAP,
     beta_for_center_spacing,
     beta_for_half_window,
     flux_stencil,
+    mirror_defect,
     ratio_from_beta,
 )
 from beclab.heteroclinic import default_domain_halfwidth, default_grid
@@ -229,3 +232,65 @@ def test_pair_rows_apply_the_stencil():
     r[-2:] += st.hi[-1] * np.array([v1[-1], v2[-1]])
     assert np.allclose(r[0::2], expect1, atol=1e-12)
     assert np.allclose(r[1::2], expect2, atol=1e-12)
+
+
+def random_symmetric_band(rng, dim: int, bw: int) -> BandedMatrix:
+    mat = BandedMatrix.zeros(dim, bw)
+    dense = rng.uniform(-1.0, 1.0, (dim, dim))
+    dense = np.triu(np.tril(dense + dense.T, bw), -bw)
+    for i, j in zip(*np.nonzero(dense)):
+        mat.set_entry(int(i), int(j), float(dense[i, j]))
+    return mat
+
+
+def fold_matrix(sector, dim: int) -> np.ndarray:
+    """The fold as a dense (dim/2, dim) matrix, column by column."""
+    return np.array([sector.fold(e) for e in np.eye(dim)]).T
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(3, 12).map(lambda k: 2 * k + 1), seed=st.integers(0, 2**32 - 1))
+def test_mirror_sector_band_is_the_folded_block(m, seed):
+    # any symmetric band: F A F^T, exactly symmetric, from the band alone
+    rng = np.random.default_rng(seed)
+    mat = random_symmetric_band(rng, 2 * m, 2)
+    dense = to_dense(mat)
+    for sector in (EVEN, ODD):
+        f = fold_matrix(sector, 2 * m)
+        assert np.allclose(f @ f.T, np.eye(m), rtol=0.0, atol=1e-15)
+        block = to_dense(sector.band(mat))
+        assert np.allclose(block, f @ dense @ f.T, rtol=0.0, atol=1e-14)
+        assert np.array_equal(block, block.T)
+        x = rng.uniform(-1.0, 1.0, m)
+        u = sector.unfold(x)
+        assert np.array_equal(u[::-1], sector.parity * u)
+        assert np.allclose(u, f.T @ x, rtol=0.0, atol=1e-15)
+        assert np.allclose(sector.fold(u), x, rtol=0.0, atol=1e-15)
+
+
+def test_mirror_sectors_split_a_commuting_band():
+    # A commuting with the reversal R is block diagonal in the two sectors:
+    # its spectrum is the union of the sector spectra
+    rng = np.random.default_rng(11)
+    m = 9
+    mat = random_symmetric_band(rng, 2 * m, 2)
+    mat.data[:] = 0.5 * (mat.data + mat.data[::-1, ::-1])
+    assert mirror_defect(mat) == 0.0
+    dense = to_dense(mat)
+    even, odd = fold_matrix(EVEN, 2 * m), fold_matrix(ODD, 2 * m)
+    assert np.allclose(even @ dense @ odd.T, 0.0, atol=1e-14)
+    split = np.concatenate(
+        [np.linalg.eigvalsh(to_dense(s.band(mat))) for s in (EVEN, ODD)]
+    )
+    assert np.allclose(np.sort(split), np.linalg.eigvalsh(dense), atol=1e-12)
+    mat.data[2, 0] += 1.0  # one diagonal entry off its mirror
+    assert mirror_defect(mat) == 1.0
+
+
+@pytest.mark.parametrize("lam", [1.05, 3.0, 1e6])
+@pytest.mark.parametrize("n", [513, 8193])
+def test_default_grid_is_mirror_symmetric(lam, n):
+    # odd n: the middle node is exactly 0 and the nodes mirror bit for bit
+    x = default_grid(lam, default_domain_halfwidth(lam), n).nodes
+    assert x[n // 2] == 0.0
+    assert np.array_equal(x, -x[::-1])

@@ -18,7 +18,17 @@ from beclab import (
     solve_heteroclinic,
 )
 from beclab import heteroclinic, newton
-from beclab.heteroclinic import ContinuationTrace, TraceEntry, hamiltonian_values
+from beclab.grids import EVEN
+from beclab.heteroclinic import (
+    ContinuationTrace,
+    TraceEntry,
+    _even_sector,
+    _interior_residual_jacobian,
+    _interior_state,
+    default_grid,
+    hamiltonian_values,
+)
+from beclab.verify import jacobian_fd_error
 
 SWEEP = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 
@@ -287,6 +297,36 @@ def test_solve_preconditions():
     z[50] = z[49]
     with pytest.raises(ValueError, match="strictly increasing"):
         solve_heteroclinic(3.0, n=1025, init=(z, v1, v2))
+
+
+@pytest.mark.parametrize("n", [8192, 1026])
+def test_even_node_count_is_rejected(n):
+    with pytest.raises(ValueError, match=f"odd n .*n={n}"):
+        solve_heteroclinic(3.0, n=n)
+
+
+def test_solutions_are_mirror_symmetric_by_construction(sweep_solutions):
+    # Newton runs in the even sector: v1(z) = v2(-z) node for node
+    for sol in sweep_solutions.values():
+        assert np.array_equal(sol.v1, sol.v2[::-1])
+        assert sol.flags.symmetric_dev == 0.0 and sol.flags.pinning_dev == 0.0
+
+
+def test_even_sector_jacobian_matches_finite_differences():
+    rng = np.random.default_rng(13)
+    grid = default_grid(50.0, 20.0, 513)
+    residual, jacobian, _ = _interior_residual_jacobian(grid, 50.0)
+    sector_residual, sector_jacobian, mean, state = _even_sector(residual, jacobian)
+    y = mean(_interior_state(*explicit_lambda3(grid.nodes)))
+    y += 0.05 * rng.uniform(-1.0, 1.0, y.shape)
+    assert jacobian_fd_error(sector_residual, sector_jacobian, y) <= 1e-8
+    # the sector residual is the full one at the symmetric state: same sup norm
+    full = residual(state(y))
+    assert np.array_equal(full, full[::-1])
+    assert np.max(np.abs(sector_residual(y))) == np.max(np.abs(full))
+    # and its Jacobian is the orthonormal even block of the full Jacobian
+    block = sector_jacobian(y)
+    assert np.array_equal(block.data, EVEN.band(jacobian(state(y))).data)
 
 
 def test_refine_solution_tightens():

@@ -108,6 +108,39 @@ def test_bound_state_count_below_lambda_3(lam, bound):
     assert rep.alignment >= 0.999999
 
 
+def test_spectrum_near_unit_coupling_stays_cheap():
+    # at lam = 1.05 lambda2 = 0.0508 sits just above e = 0.05; the poles
+    # -0.05 (odd) and 0.025 (even) lie next to both sector bottoms, where
+    # a fixed pole at -1 needed 1007 solves at this mesh
+    rep, _ = nondegeneracy_report(solve_heteroclinic(1.05, n=2049))
+    assert rep.solves <= 200
+    assert rep.inertia_count == 1
+    assert abs(rep.lambda1) <= 1e-6
+    assert rep.lambda2 > rep.inertia_shift
+
+
+@pytest.mark.parametrize("lam", [1.1, 1.5, 3.0])
+def test_sector_bottoms_are_the_two_lowest_eigenvalues(lam):
+    sol = solve_heteroclinic(lam, n=513)
+    op = assemble_linearized(sol)
+    dense = np.linalg.eigvalsh(to_dense(op.matrix))
+    pairs = lowest_eigenpairs(op, bound_state_shift(lam))
+    assert np.allclose([theta for theta, _ in pairs], dense[:2], rtol=0.0, atol=1e-9)
+    # the bottom pair is the odd translation mode, the second the even one
+    (_, (a1, a2)), (_, (b1, b2)) = pairs
+    assert np.allclose(a1, -a2[::-1], rtol=0.0, atol=1e-12)
+    assert np.allclose(b1, b2[::-1], rtol=0.0, atol=1e-12)
+
+
+def test_operator_off_the_mirror_is_rejected():
+    # a potential on component 2 alone breaks the swap-reflection
+    grid = make_grid(0.0, math.pi, 201)
+    zero = np.zeros(201)
+    op = operator(grid, zero, np.full(201, 0.5), zero)
+    with pytest.raises(ValueError, match="swap-reflection"):
+        lowest_eigenpairs(op, LAPLACIAN_SHIFT)
+
+
 def test_essential_edge_unresolved_at_low_k(sol3, sweep_solutions):
     # the first few modes above the gap are extended scattering states, not
     # edge-localized; the report returns NaN rather than a fake edge value
@@ -225,22 +258,32 @@ def test_inertia_count_matches_dense_eigenvalues(n, seed, scale, mu):
     assert count_below(op, mu) == int(np.sum(eigenvalues < mu))
 
 
+def lifted_sum_channel(n: int, lift: float):
+    """Two Laplacians on (0, pi) coupled by the constant potential
+    (lift/2) [[1, 1], [1, 1]]: the difference channel (p, -p) keeps the
+    Dirichlet eigenvalues mu_j and the sum channel (p, p) is lifted to
+    mu_j + lift. The operator commutes with the swap-reflection; mode j of
+    the difference channel has parity (-1)^j (odd for j = 1, like the
+    translation mode) and mode j of the sum channel (-1)^(j+1)."""
+    half = np.full(n, 0.5 * lift)
+    return operator(make_grid(0.0, math.pi, n), half, half, half)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_inertia_certificate_spans_double_eigenvalues(k):
     # mu_j = (4/h^2) sin^2(jh/2) are the discrete Dirichlet eigenvalues on
-    # (0, pi); the constant potential mu_k - mu_1 on component 2 lifts its
-    # bottom onto mu_k, so mu_k is double. The count holds both copies:
-    # when the pair is theta_1 = theta_2 (k = 1) a shift above it certifies
-    # the two computed values; when the pair is theta_2 = theta_3 (k = 2) a
-    # shift above it counts the uncomputed copy and the solve is rejected,
-    # as it is when the pair lies past the computed values (k = 3, 4, 5)
+    # (0, pi); the lift mu_k - mu_1 puts the bottom of the sum channel onto
+    # mu_k, so mu_k is double. The count holds both copies: at k = 1 the
+    # copies are the two sector bottoms and a shift above them certifies
+    # both; at k = 2 both copies are even, the even solve returns one, and
+    # a shift above counts the other and rejects the solve; at k = 3, 4, 5
+    # the double lies past the two sector bottoms mu_1 and mu_2, and a
+    # shift above it is rejected too
     n = 201
     h = math.pi / (n - 1)
     mu = np.array([4.0 / h**2 * math.sin(j * h / 2.0) ** 2 for j in range(1, 7)])
-    lift = mu[k - 1] - mu[0]
-    zero = np.zeros(n)
-    op = operator(make_grid(0.0, math.pi, n), zero, np.full(n, lift), zero)
-    exact = np.sort(np.concatenate([mu, mu + lift]))
+    op = lifted_sum_channel(n, mu[k - 1] - mu[0])
+    exact = np.sort(np.concatenate([mu, mu + mu[k - 1] - mu[0]]))
     below, above = mu[k - 1] - 0.5, mu[k - 1] + 0.5  # clear of mu_{k-1}, mu_{k+1}
     assert count_below(op, below) == k - 1
     assert count_below(op, above) == k + 1
@@ -263,24 +306,22 @@ def test_inertia_certificate_spans_double_eigenvalues(k):
 
 
 def test_inertia_certificate_between_simple_eigenvalues():
-    # the potential 0.5 on component 2 splits every Laplacian double
-    # eigenvalue: 1, 1.5, 4, 4.5, ...
-    grid = make_grid(0.0, math.pi, 201)
-    zero = np.zeros(201)
-    op = operator(grid, zero, np.full(201, 0.5), zero)
+    # the lift 0.5 of the sum channel splits every Laplacian double
+    # eigenvalue: 1 (odd), 1.5 (even), 4 (even), 4.5 (odd), ...
+    op = lifted_sum_channel(201, 0.5)
     for shift, count in ((0.5, 0), (1.2, 1), (2.5, 2)):
         cert = lowest_eigenpairs(op, shift).certificate
         assert cert.shift == shift
         assert cert.count_below == count
+    # the even pole 2.1 returns 1.5, not 4, which the count at 4.2 holds
     with pytest.raises(RuntimeError, match="inertia count found 3"):
         lowest_eigenpairs(op, 4.2)
 
 
 def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
-    # distinct diagonal potentials split every Laplacian double eigenvalue
-    grid = make_grid(0.0, math.pi, 201)
-    zero = np.zeros(201)
-    op = operator(grid, zero, np.full(201, 0.5), zero)
+    # the split spectrum 1, 1.5, 4, 4.5, ...; a solver that returns the
+    # second eigenpair of each sector (4.5 and 4) computes nothing below 2.5
+    op = lifted_sum_channel(201, 0.5)
     real_eigsh = spectrum.eigsh
 
     def skipping_eigsh(A, k, **kwargs):

@@ -55,6 +55,9 @@ def test_zero_scale_negative_control():
 def test_preconditions():
     with pytest.raises(ValueError):
         run_verification(lams=(1e1, 1e2))
+    for n in (4099, 8192):  # (4099 + 1)/2 = 2050 is even
+        with pytest.raises(ValueError, match=f"1 \\(mod 4\\).*n={n}"):
+            run_verification(n=n)
     with pytest.raises(ValueError):
         run_verification(lams=(1e1, 2e1, 4e1, 8e1))
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Run twelve CLI commands and print one SHA-256 per output file.
+"""Run thirteen CLI commands and print one SHA-256 per output file.
 
 Usage: PYTHONPATH=src python tools/output_digests.py OUTDIR
 
@@ -29,6 +29,7 @@ RUNS = {
     "composite_leading": (["composite", "--lambda", "1e3", "--variant", "leading"], 0),
     "spectrum": (["spectrum", "--lambda", "1e3"], 0),
     "spectrum_low": (["spectrum", "--lambda", "1.2"], 0),
+    "spectrum_edge": (["spectrum", "--lambda", "1.05", "--n", "2049"], 0),
     "energy": (["energy", "--lambda-range", "10:1e6:1"], 0),
     "verify": (["verify"], 0),
     "verify_tol0": (["verify", "--tol", "0"], 3),
