@@ -41,7 +41,6 @@ from .heteroclinic import (
     default_domain_halfwidth,
     default_grid,
     explicit_lambda3,
-    refine_solution,
     solve_heteroclinic,
 )
 from .asymptotics import (

@@ -13,8 +13,10 @@ scales are (ln lam)*lam^{-3/4} (weighted by e^{-c|z|}) outside and
 lam^{-3/4} + |z|^3 inside; derivative analogues carry the weight
 (|z| + lam^{-1/4}) e^{-c|z|} outside and lam^{-1/2} + |z|^2 inside.
 
-Error measurement recenters on the solution's own v1 = v2 crossing so
-reports are invariant under a global translation of the solution.
+Solutions are centred by construction: solve_heteroclinic returns the
+mirror-symmetric solution v1(z) = v2(-z), whose v1 = v2 crossing is the
+node z = 0, so errors are measured on the solution's own nodes, and the
+outer errors on v1's side z > match only (v2's side is its mirror).
 The full-window inner sup mixes both scales of the inner estimate; order
 fitting therefore uses the |z| <= lam^{-1/4} core sub-window where the
 power law is clean, and reports the full-window value alongside.
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import fit_loglog, golden_minimize, resample
-from .grids import Grid
 from .heteroclinic import HeteroclinicSolution
 from .profiles import PSI0, BlowupProfile, outer_value, outer_derivative
 
@@ -81,7 +82,7 @@ class CompositeApproximation:
         return x
 
     def _eval(self, z, source1, source2, inner1, inner2, scale: float):
-        zeta = np.atleast_1d(np.asarray(z, dtype=float))
+        zeta = np.asarray(z, dtype=float)
         out1 = np.zeros_like(zeta)
         out2 = np.zeros_like(zeta)
         right = zeta > self.match_point
@@ -96,12 +97,10 @@ class CompositeApproximation:
             nodes = self.blowup.grid.nodes
             out1[inner] = scale * resample(nodes, inner1, x)
             out2[inner] = scale * resample(nodes, inner2, x)
-        if np.ndim(z) == 0:
-            return float(out1[0]), float(out2[0])
         return out1, out2
 
     def values(self, z):
-        """(v1_hat, v2_hat) at z (scalar or array)."""
+        """(v1_hat, v2_hat) at the points z."""
         b = self.blowup
         return self._eval(
             z,
@@ -208,40 +207,30 @@ def build_composite(
     )
 
 
-def _crossing_point(grid: Grid, v1: np.ndarray, v2: np.ndarray) -> float:
-    d = v1 - v2
-    idx = int(np.searchsorted(d > 0.0, True))
-    if idx <= 0 or idx >= d.shape[0]:
-        raise ValueError("components do not cross inside the domain")
-    z0, z1 = grid.nodes[idx - 1], grid.nodes[idx]
-    f0, f1 = d[idx - 1], d[idx]
-    return float(z0 - f0 * (z1 - z0) / (f1 - f0))
-
-
 def measure_errors(
     sol: HeteroclinicSolution,
     approx: CompositeApproximation,
 ) -> ErrorReport:
     """Region-wise deviations of sol from approx on sol's own grid.
 
-    Coordinates are recentered on the v1 = v2 crossing of the solution, so
-    the report is unchanged by a global translation. Each component's
-    outer error is taken on its own saturation side, matching the regions
-    where the expansion states uniform bounds; the weighted sup region is
-    capped at |z| = _WEIGHT_BUDGET / _C_WEIGHT (see the constants' notes).
+    sol is centred by construction (v1(z) = v2(-z) node for node on a
+    mirror mesh), and so is approx, so the outer errors are taken on v1's
+    saturation side z > match_point only. v2's side mirrors it: the value
+    error is the same double there, the derivative error agrees to
+    rounding. The weighted sup region is capped at
+    |z| = _WEIGHT_BUDGET / _C_WEIGHT (see the constants' notes).
     """
     if sol.lam != approx.lam:
         raise ValueError(
             f"solution lam {sol.lam} does not match composite lam {approx.lam}"
         )
-    zeta = sol.grid.nodes - _crossing_point(sol.grid, sol.v1, sol.v2)
+    zeta = sol.grid.nodes
     m = approx.match_point
     inner = np.abs(zeta) <= m
     if int(np.count_nonzero(inner)) < 16:
         raise ValueError("solution grid does not resolve the inner window")
     cap = _WEIGHT_BUDGET / _C_WEIGHT
     right = (zeta > m) & (zeta <= cap)
-    left = (zeta < -m) & (zeta >= -cap)
 
     a1, a2 = approx.values(zeta)
     d1, d2 = approx.derivatives(zeta)
@@ -252,14 +241,8 @@ def measure_errors(
 
     wexp = np.exp(_C_WEIGHT * np.abs(zeta))
     deriv_scale = np.abs(zeta) + approx.lam**-0.25
-    outer_sup = max(
-        float(np.max(e1[right] * wexp[right])),
-        float(np.max(e2[left] * wexp[left])),
-    )
-    outer_deriv = max(
-        float(np.max(g1[right] * wexp[right] / deriv_scale[right])),
-        float(np.max(g2[left] * wexp[left] / deriv_scale[left])),
-    )
+    outer_sup = float(np.max(e1[right] * wexp[right]))
+    outer_deriv = float(np.max(g1[right] * wexp[right] / deriv_scale[right]))
     inner_err = np.maximum(e1, e2)
     inner_deriv_err = np.maximum(g1, g2)
     core = np.abs(zeta) <= approx.lam**-0.25

@@ -58,16 +58,11 @@ def resample(nodes: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarra
     Points must lie inside the node range (up to 1e-12 rounding slack).
     """
     nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    at_arr = np.atleast_1d(np.asarray(at, dtype=float))
+    at = np.asarray(at, dtype=float)
     slack = 1e-12 * (1.0 + abs(nodes[0]) + abs(nodes[-1]))
-    if np.any(at_arr < nodes[0] - slack) or np.any(at_arr > nodes[-1] + slack):
+    if np.any(at < nodes[0] - slack) or np.any(at > nodes[-1] + slack):
         raise ValueError("resample target outside the data range")
-    spline = CubicSpline(nodes, values)
-    out = spline(np.clip(at_arr, nodes[0], nodes[-1]))
-    if np.isscalar(at) or np.ndim(at) == 0:
-        return float(out[0])
-    return out
+    return CubicSpline(nodes, values)(np.clip(at, nodes[0], nodes[-1]))
 
 
 def golden_minimize(

@@ -24,7 +24,6 @@ from .heteroclinic import (
     HeteroclinicSolution,
     StepUnderflow,
     continue_in_lambda,
-    refine_solution,
     solve_heteroclinic,
 )
 from .newton import NonConvergenceError
@@ -155,7 +154,9 @@ def _solve_at(cfg: argparse.Namespace, lam: float) -> HeteroclinicSolution:
         return solve_heteroclinic(lam, L=cfg.L, n=n)
     start = solve_heteroclinic(3.0, L=cfg.L, n=n)
     sol = continue_in_lambda(start, [lam], n=n).solutions[-1]
-    return sol if cfg.L is None else refine_solution(sol, L=cfg.L)
+    if cfg.L is None:
+        return sol
+    return solve_heteroclinic(lam, L=cfg.L, n=n, init=(sol.grid.nodes, sol.v1, sol.v2))
 
 
 def _sweep_from_seed(lams: list[float], n: int) -> ContinuationTrace:

@@ -17,11 +17,12 @@ difference. On smoothly graded meshes (spacing varying by O(h) between
 cells) it retains second-order accuracy, and its rows scale like 1/h
 rather than 1/h^2, which keeps the evaluation rounding floor low.
 
-Two-component systems on a mesh symmetric about 0 with odd n (so its
-middle node is exactly 0) commute with the swap-reflection
-(v1, v2)(z) -> (v2, v1)(-z). In the interleaved interior layout of
-FluxStencil.fill_pair_rows that map reverses the unknown vector, and
-MirrorSector folds vectors and bands onto its even and odd sectors.
+Two-component systems on a graded mesh of [-L, L] with odd n (an exact
+mirror about 0 whose middle node is exactly 0) commute with the
+swap-reflection (v1, v2)(z) -> (v2, v1)(-z). In the interleaved interior
+layout of FluxStencil.fill_pair_rows that map reverses the unknown
+vector, and MirrorSector folds bands onto its even and odd sectors and
+unfolds sector vectors.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ class Grid:
 def make_grid(a: float, b: float, n: int, ratio: float = 1.0) -> Grid:
     """Build a grid on [a, b] with n nodes and adjacent-cell spacing
     quotient at most ratio: uniform for ratio = 1, otherwise sinh-graded
-    and finest at the midpoint.
+    and finest at the midpoint. A graded grid with a = -b is an exact
+    mirror, nodes[k] == -nodes[n-1-k] bit for bit, and for odd n its
+    middle node is exactly 0.
 
     Raises ValueError for a >= b, n < 16, ratio outside [1, RATIO_CAP], or
     a map strength beta = (n-1)*log(ratio) above 50.
@@ -89,7 +92,10 @@ def make_grid(a: float, b: float, n: int, ratio: float = 1.0) -> Grid:
     else:
         c = 0.5 * (a + b)
         amp = (b - c) / math.sinh(0.5 * beta)
-        nodes = c + amp * np.sinh(beta * (np.linspace(0.0, 1.0, n) - 0.5))
+        # u - 1/2 as an exactly antisymmetric ramp, so that the nodes are
+        # an exact mirror about c and, for odd n, the middle node is c
+        ramp = (np.arange(n) - 0.5 * (n - 1)) / (n - 1)
+        nodes = c + amp * np.sinh(beta * ramp)
         nodes[0] = a
         nodes[-1] = b
     if not np.all(np.diff(nodes) > 0.0):
@@ -238,9 +244,9 @@ class MirrorSector:
     unknowns u (length 2m, m = n - 2 odd): entry i mirrors to entry
     2m - 1 - i, so the middle node's v1 and v2 mirror to each other.
 
-    The fold is orthonormal: sector coordinate i < m is
-    (u_i + parity*u_{2m-1-i})/sqrt(2), and unfold is its transpose, whose
-    result is exactly (anti)symmetric under reversal. band(A) is the sector
+    The fold F is orthonormal: sector coordinate i < m is
+    (u_i + parity*u_{2m-1-i})/sqrt(2). unfold applies F^T, whose result is
+    exactly (anti)symmetric under reversal. band(A) is the sector
     block F A F^T of a band A with F the fold, built from the stored
     diagonals alone: with T = (A + R A R)/2, R the reversal, the block is
     T's leading m x m corner plus parity times T's upper-right entries
@@ -249,10 +255,6 @@ class MirrorSector:
     """
 
     parity: int
-
-    def fold(self, u: np.ndarray) -> np.ndarray:
-        m = u.shape[0] // 2
-        return (u[:m] + self.parity * u[: m - 1 : -1]) * _SQRT_HALF
 
     def unfold(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate((x, self.parity * x[::-1])) * _SQRT_HALF

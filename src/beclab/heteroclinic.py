@@ -62,7 +62,6 @@ __all__ = [
     "default_domain_halfwidth",
     "default_grid",
     "solve_heteroclinic",
-    "refine_solution",
     "continue_in_lambda",
     "hamiltonian_values",
 ]
@@ -165,15 +164,11 @@ class SignViolationError(RuntimeError):
     noise floor, off the positive branch."""
 
 
-def explicit_lambda3(z):
-    """Closed-form branch at lam = 3: v1 = (1 + tanh(z/sqrt(2)))/2 and
-    v2 = 1 - v1."""
-    z_arr = np.asarray(z, dtype=float)
-    v1 = 0.5 * (1.0 + np.tanh(z_arr / math.sqrt(2.0)))
-    v2 = 1.0 - v1
-    if np.ndim(z) == 0:
-        return float(v1), float(v2)
-    return v1, v2
+def explicit_lambda3(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form branch at lam = 3 at the points z:
+    v1 = (1 + tanh(z/sqrt(2)))/2 and v2 = 1 - v1."""
+    v1 = 0.5 * (1.0 + np.tanh(np.asarray(z, dtype=float) / math.sqrt(2.0)))
+    return v1, 1.0 - v1
 
 
 def default_domain_halfwidth(lam: float) -> float:
@@ -187,7 +182,8 @@ def default_domain_halfwidth(lam: float) -> float:
 
 
 def default_grid(lam: float, L: float, n: int) -> Grid:
-    """Sinh-graded mesh on [-L, L], symmetric about 0.
+    """Sinh-graded mesh on [-L, L], an exact mirror about 0 (for odd n
+    its middle node is exactly 0).
 
     The map strength is the larger of the ones that put half the nodes
     inside |z| <= max(4*(ln lam)*lam^{-1/4}, 2) and that make the center
@@ -254,10 +250,11 @@ def _even_sector(residual, jacobian):
 
     mean(u) averages each entry of u with its mirror entry: it projects a
     state onto the sector. The sector residual is the mean of the full
-    one; at a symmetric state each row equals its mirror row, so its sup
-    norm is the full-domain residual's and Newton stops where a
-    full-domain solve would. Its Jacobian with respect to y is the
-    orthonormal even-sector block EVEN.band(J). Returns the residual, the
+    one; at a symmetric state on an exact mirror mesh each row equals its
+    mirror row bit for bit, so the sector residual is the full one's
+    first half and its sup norm is the full-domain residual's: Newton
+    stops where a full-domain solve would. Its Jacobian with respect to
+    y is the orthonormal even-sector block EVEN.band(J). Returns the residual, the
     Jacobian, mean and state.
     """
 
@@ -336,13 +333,16 @@ def solve_heteroclinic(
     """Damped-Newton collocation solve of the interface system at coupling
     lam on [-L, L] (L defaults to default_domain_halfwidth(lam)) with exact
     limit Dirichlet data, on the mesh default_grid(lam, L, n); n must be
-    odd, so that the mesh has a node at z = 0.
+    odd, so that the mesh, an exact mirror about 0, has its middle node at
+    exactly z = 0.
 
     Newton runs in the even sector of the swap-reflection
     (v1, v2)(z) -> (v2, v1)(-z), which pins the translation exactly: the
-    returned fields satisfy v1(z) = v2(-z) node for node, so
-    symmetric_dev and pinning_dev are 0 by construction. newton_residual
-    is the sup norm of the full-domain residual at the returned fields.
+    returned fields satisfy v1(z) = v2(-z) node for node, so the solution
+    is centred (v1 = v2 at z = 0) and symmetric_dev and pinning_dev are 0
+    by construction. newton_residual is Newton's final sector residual,
+    which equals the sup norm of the full-domain residual at the returned
+    fields (see _even_sector).
 
     init, when given, is node samples (z, v1, v2) on any strictly
     increasing node set, such as another solution's grid; they are
@@ -371,12 +371,10 @@ def solve_heteroclinic(
 
     residual, jacobian, full_fields = _interior_residual_jacobian(grid, lam)
     sector_residual, sector_jacobian, mean, state = _even_sector(residual, jacobian)
-    y, iterations, _ = newton_solve(
+    y, iterations, final_res = newton_solve(
         sector_residual, sector_jacobian, mean(_interior_state(*seed))
     )
-    u = state(y)
-    final_res = float(np.max(np.abs(residual(u))))
-    v1, v2 = full_fields(u)
+    v1, v2 = full_fields(state(y))
 
     if float(np.min(v1)) < -_SIGN_FLOOR or float(np.min(v2)) < -_SIGN_FLOOR:
         raise SignViolationError(
@@ -417,21 +415,6 @@ def _seed_on_grid(z: np.ndarray, v1: np.ndarray, v2: np.ndarray, grid: Grid):
     v1[0], v1[-1] = 0.0, 1.0
     v2[0], v2[-1] = 1.0, 0.0
     return v1, v2
-
-
-def refine_solution(
-    sol: HeteroclinicSolution,
-    L: float | None = None,
-    n: int | None = None,
-) -> HeteroclinicSolution:
-    """Re-solve at the same coupling on a wider domain and/or finer mesh
-    (L and n default to the solution's own), seeding Newton from the
-    solution's node samples."""
-    new_L = sol.L if L is None else float(L)
-    new_n = sol.n if n is None else int(n)
-    return solve_heteroclinic(
-        sol.lam, L=new_L, n=new_n, init=(sol.grid.nodes, sol.v1, sol.v2)
-    )
 
 
 def _trace_entry(sol: HeteroclinicSolution) -> TraceEntry:

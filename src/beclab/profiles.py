@@ -110,10 +110,6 @@ class BlowupProfile:
     residual: float
     hamiltonian_dev: float
 
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
 
 def _hamiltonian_dev(V1, V2, dV1, dV2, psi0_sq: float) -> float:
     h = dV1**2 + dV2**2 - (V1 * V2) ** 2

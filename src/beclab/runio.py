@@ -50,10 +50,9 @@ def sanitize(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def write_json(path: str | Path, obj: Any, config: Mapping[str, Any] | None = None) -> None:
-    payload = sanitize(obj)
-    if config is not None:
-        payload = {"config": sanitize(config), "report": payload}
+def write_json(path: str | Path, obj: Any, config: Mapping[str, Any]) -> None:
+    """The report obj under "report", next to the run config under "config"."""
+    payload = {"config": sanitize(config), "report": sanitize(obj)}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     Path(path).write_text(text + "\n")
 
@@ -61,7 +60,7 @@ def write_json(path: str | Path, obj: Any, config: Mapping[str, Any] | None = No
 def write_csv(
     path: str | Path,
     columns: Mapping[str, Sequence[float] | np.ndarray],
-    config: Mapping[str, Any] | None = None,
+    config: Mapping[str, Any],
 ) -> None:
     """Plain comma-separated numeric columns with a one-line config header."""
     names = list(columns)
@@ -72,10 +71,7 @@ def write_csv(
     for name, arr in zip(names, arrays):
         if arr.ndim != 1 or arr.shape[0] != length:
             raise ValueError(f"column {name} is not a 1-d array of length {length}")
-    lines = []
-    if config is not None:
-        lines.append("# config: " + json.dumps(sanitize(config), sort_keys=True))
-    lines.append(",".join(names))
+    lines = ["# config: " + json.dumps(sanitize(config), sort_keys=True), ",".join(names)]
     for i in range(length):
         lines.append(",".join(format_float(arr[i]) for arr in arrays))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -93,10 +93,6 @@ class LinearizedOperator:
     matrix: BandedMatrix
     weights: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
     def inner(self, f, g) -> float:
         """Lumped-mass inner product of full-length component pairs."""
         f1, f2 = f

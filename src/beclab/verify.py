@@ -37,7 +37,6 @@ from .heteroclinic import (
     continue_in_lambda,
     default_grid,
     explicit_lambda3,
-    refine_solution,
     solve_heteroclinic,
 )
 from .profiles import CORE_N, PSI0, _core_residual_jacobian, outer_derivative, solve_blowup
@@ -342,7 +341,9 @@ def run_verification(
     lam2_slope = fit_loglog(list(zip(fit_lams, lam2)))
     base_point = min(points, key=lambda p: abs(p.lam - 1e3))
     base = solutions[base_point.lam]
-    refined = refine_solution(base, L=base.L + 6.0, n=2 * base.n - 1)
+    refined = solve_heteroclinic(
+        base.lam, L=base.L + 6.0, n=2 * base.n - 1, init=(base.grid.nodes, base.v1, base.v2)
+    )
     l1_base = abs(base_point.spectrum.lambda1)
     l1_refined = abs(nondegeneracy_report(refined)[0].lambda1)
     gap_pass = (

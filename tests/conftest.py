@@ -39,6 +39,14 @@ def sweep_solutions(sweep_trace):
 
 
 @pytest.fixture(scope="session")
+def odd_mesh_solutions():
+    # lam = 3 direct and 1e3 by continuation on n = 1001, where n - 1 is
+    # not a power of two
+    start = solve_heteroclinic(3.0, n=1001)
+    return {s.lam: s for s in continue_in_lambda(start, [1e3]).solutions}
+
+
+@pytest.fixture(scope="session")
 def verification():
     # One full verification run shared by the acceptance gate.
     return run_verification()

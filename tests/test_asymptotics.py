@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +8,13 @@ import pytest
 from beclab import (
     PSI0,
     ErrorReport,
-    Grid,
     build_composite,
     fit_error_orders,
     fit_loglog,
     measure_errors,
     shift_estimate,
 )
+from beclab import asymptotics
 
 SWEEP = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 
@@ -112,8 +111,8 @@ def test_composite_scalar_matches_array(blowup_wide):
     z = np.array([-2.0, -0.05, 0.0, 0.05, 2.0])
     a1, a2 = approx.values(z)
     for k, zk in enumerate(z):
-        s1, s2 = approx.values(float(zk))
-        assert s1 == a1[k] and s2 == a2[k]
+        s1, s2 = approx.values(np.array([zk]))
+        assert s1[0] == a1[k] and s2[0] == a2[k]
     assert approx.jump() > 0.0
 
 
@@ -123,18 +122,36 @@ def test_measure_errors_guards(sweep_solutions, blowup_wide):
         measure_errors(sweep_solutions[1e2], approx)
 
 
-def test_measure_errors_translation_invariant(sweep_solutions, blowup_wide):
-    sol = sweep_solutions[1e4]
-    approx = build_composite(1e4, blowup_wide)
-    base = measure_errors(sol, approx)
-    shifted_grid = Grid(nodes=sol.grid.nodes + 0.5)
-    shifted = dataclasses.replace(sol, grid=shifted_grid)
-    moved = measure_errors(shifted, approx)
-    assert moved.outer_sup_weighted == pytest.approx(
-        base.outer_sup_weighted, rel=1e-9
+def _v2_side_outer_errors(sol, approx):
+    # measure_errors' outer norms, taken on v2's saturation side z < -match
+    z = sol.grid.nodes
+    cap = asymptotics._WEIGHT_BUDGET / asymptotics._C_WEIGHT
+    left = (z < -approx.match_point) & (z >= -cap)
+    _, a2 = approx.values(z)
+    _, d2 = approx.derivatives(z)
+    weight = np.exp(asymptotics._C_WEIGHT * np.abs(z[left]))
+    scale = np.abs(z[left]) + approx.lam**-0.25
+    return (
+        float(np.max(np.abs(sol.v2 - a2)[left] * weight)),
+        float(np.max(np.abs(sol.dv2 - d2)[left] * weight / scale)),
     )
-    assert moved.inner_sup == pytest.approx(base.inner_sup, rel=1e-9)
-    assert moved.inner_sup_core == pytest.approx(base.inner_sup_core, rel=1e-9)
+
+
+@pytest.mark.parametrize("variant", ["leading", "shifted"])
+def test_outer_errors_mirror_on_the_v2_side(
+    sweep_solutions, odd_mesh_solutions, blowup_wide, variant
+):
+    # solutions are centred by construction, so v1's side measures both:
+    # the value norm is the same double on v2's side; the derivative norm
+    # agrees to rounding, because the nodal derivative sums its stencil
+    # in a different order at a node and at its mirror
+    sols = list(sweep_solutions.values()) + [odd_mesh_solutions[1e3]]
+    for sol in sols:
+        approx = build_composite(sol.lam, blowup_wide, variant)
+        rep = measure_errors(sol, approx)
+        outer, deriv = _v2_side_outer_errors(sol, approx)
+        assert outer == rep.outer_sup_weighted
+        assert deriv == pytest.approx(rep.outer_deriv_weighted, rel=1e-8, abs=0.0)
 
 
 def test_fit_error_orders_preconditions(reports):

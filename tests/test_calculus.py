@@ -94,9 +94,10 @@ def test_resample_reproduces_cubics():
 def test_resample_scalar_and_range_guard():
     nodes = np.linspace(0.0, 1.0, 21)
     values = np.sin(nodes)
-    assert isinstance(resample(nodes, values, 0.5), float)
+    out = resample(nodes, values, np.array([0.5]))
+    assert out.shape == (1,) and out[0] == pytest.approx(math.sin(0.5), abs=1e-6)
     with pytest.raises(ValueError):
-        resample(nodes, values, 1.5)
+        resample(nodes, values, np.array([1.5]))
 
 
 def test_golden_minimize_parabola():

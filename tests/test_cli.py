@@ -527,7 +527,7 @@ def test_nonconvergence_exits_two(tmp_path, capsys):
     seed = tmp_path / "flat.csv"
     z = np.linspace(-25.0, 25.0, 41)
     flat = np.full(41, 0.5)
-    write_csv(seed, {"z": z, "v1": flat, "v2": flat})
+    write_csv(seed, {"z": z, "v1": flat, "v2": flat}, config={})
     code = main(
         [
             "solve",
@@ -581,7 +581,7 @@ def test_seeded_solve_succeeds(tmp_path):
     seed = tmp_path / "seed.csv"
     z = np.linspace(-20.0, 20.0, 201)
     v1, v2 = explicit_lambda3(z)
-    write_csv(seed, {"z": z, "v1": v1, "v2": v2})
+    write_csv(seed, {"z": z, "v1": v1, "v2": v2}, config={})
     out = tmp_path / "run"
     code = main(
         [

@@ -17,9 +17,9 @@ from beclab import (
     outer_value,
     partition_constant,
     quadrature,
-    refine_solution,
     sigma_full_form,
     sigma_gradient_form,
+    solve_heteroclinic,
 )
 from beclab.energy import full_form_integrand
 
@@ -58,7 +58,9 @@ def test_front_equipartition():
 def test_lambda3_tension_closed_form(sol3):
     sigma = sigma_gradient_form(sol3)
     assert abs(sigma - math.sqrt(2.0) / 3.0) <= 1e-7
-    fine = refine_solution(sol3, n=2 * sol3.n - 1)
+    fine = solve_heteroclinic(
+        3.0, L=sol3.L, n=2 * sol3.n - 1, init=(sol3.grid.nodes, sol3.v1, sol3.v2)
+    )
     assert abs(sigma_gradient_form(fine) - math.sqrt(2.0) / 3.0) <= 1e-8
 
 

@@ -76,17 +76,30 @@ def test_make_grid_validation():
     assert make_grid(0.0, 1.0, 17, 1.0).nodes.tobytes() == np.linspace(0.0, 1.0, 17).tobytes()
 
 
+def _ramp(n: int) -> np.ndarray:
+    # u - 1/2 for u uniform on [0, 1], exactly antisymmetric
+    return (np.arange(n) - 0.5 * (n - 1)) / (n - 1)
+
+
 def _sinh_reference(L: float, n: int, beta: float) -> np.ndarray:
-    # The symmetric construction the meshes have always used: beta goes
-    # through the capped ratio and back, then the sinh map about 0.
+    # The symmetric construction: beta goes through the capped ratio and
+    # back, then the sinh map about 0 of the antisymmetric ramp.
     ratio = ratio_from_beta(beta, n)
     beta = (n - 1) * math.log(ratio)
     if beta <= 0.0:
         return np.linspace(-L, L, n)
-    u = np.linspace(0.0, 1.0, n)
-    nodes = L / math.sinh(0.5 * beta) * np.sinh(beta * (u - 0.5))
+    nodes = L / math.sinh(0.5 * beta) * np.sinh(beta * _ramp(n))
     nodes[0], nodes[-1] = -L, L
     return nodes
+
+
+@pytest.mark.parametrize("n", [17, 41, 513, 1025, 4097, 8193, 32769])
+def test_ramp_matches_linspace_on_power_of_two_cells(n):
+    # when n - 1 is a power of two, the ramp is the old map argument
+    # linspace(0, 1, n) - 0.5 bit for bit, so those meshes kept their
+    # nodes; only other n (here 41) changed
+    same = _ramp(n).tobytes() == (np.linspace(0.0, 1.0, n) - 0.5).tobytes()
+    assert same == ((n - 1) & (n - 2) == 0)
 
 
 @pytest.mark.parametrize("n", [41, 1025, 8193])
@@ -244,8 +257,9 @@ def random_symmetric_band(rng, dim: int, bw: int) -> BandedMatrix:
 
 
 def fold_matrix(sector, dim: int) -> np.ndarray:
-    """The fold as a dense (dim/2, dim) matrix, column by column."""
-    return np.array([sector.fold(e) for e in np.eye(dim)]).T
+    """The fold as a dense (dim/2, dim) matrix, row by row: unfold is its
+    transpose."""
+    return np.array([sector.unfold(e) for e in np.eye(dim // 2)])
 
 
 @settings(max_examples=30, deadline=None)
@@ -265,7 +279,7 @@ def test_mirror_sector_band_is_the_folded_block(m, seed):
         u = sector.unfold(x)
         assert np.array_equal(u[::-1], sector.parity * u)
         assert np.allclose(u, f.T @ x, rtol=0.0, atol=1e-15)
-        assert np.allclose(sector.fold(u), x, rtol=0.0, atol=1e-15)
+        assert np.allclose(f @ u, x, rtol=0.0, atol=1e-15)
 
 
 def test_mirror_sectors_split_a_commuting_band():
@@ -287,10 +301,11 @@ def test_mirror_sectors_split_a_commuting_band():
     assert mirror_defect(mat) == 1.0
 
 
-@pytest.mark.parametrize("lam", [1.05, 3.0, 1e6])
-@pytest.mark.parametrize("n", [513, 8193])
+@pytest.mark.parametrize("lam", [1.05, 3.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [513, 645, 1001, 3001, 8193])
 def test_default_grid_is_mirror_symmetric(lam, n):
-    # odd n: the middle node is exactly 0 and the nodes mirror bit for bit
+    # every odd n: the middle node is exactly 0 and the nodes mirror bit
+    # for bit (also where n - 1 is not a power of two)
     x = default_grid(lam, default_domain_halfwidth(lam), n).nodes
     assert x[n // 2] == 0.0
     assert np.array_equal(x, -x[::-1])

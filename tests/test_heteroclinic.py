@@ -14,7 +14,6 @@ from beclab import (
     continue_in_lambda,
     default_domain_halfwidth,
     explicit_lambda3,
-    refine_solution,
     solve_heteroclinic,
 )
 from beclab import heteroclinic, newton
@@ -312,6 +311,18 @@ def test_solutions_are_mirror_symmetric_by_construction(sweep_solutions):
         assert sol.flags.symmetric_dev == 0.0 and sol.flags.pinning_dev == 0.0
 
 
+@pytest.mark.parametrize("lam", [3.0, 1e3])
+def test_newton_residual_is_the_full_residual_on_odd_meshes(odd_mesh_solutions, lam):
+    # on an exact mirror mesh every residual row equals its mirror row bit
+    # for bit, so Newton's sector residual norm is the full-domain one
+    sol = odd_mesh_solutions[lam]
+    residual, _, _ = _interior_residual_jacobian(sol.grid, lam)
+    full = residual(_interior_state(sol.v1, sol.v2))
+    assert np.array_equal(full, full[::-1])
+    assert sol.newton_residual == np.max(np.abs(full))
+    assert np.array_equal(sol.v1, sol.v2[::-1])
+
+
 def test_even_sector_jacobian_matches_finite_differences():
     rng = np.random.default_rng(13)
     grid = default_grid(50.0, 20.0, 513)
@@ -332,7 +343,9 @@ def test_even_sector_jacobian_matches_finite_differences():
 def test_refine_solution_tightens():
     # refine from a coarse base where the mesh error dominates the deviation
     base = solve_heteroclinic(10.0, n=1025)
-    fine = refine_solution(base, n=2 * base.n - 1)
+    fine = solve_heteroclinic(
+        base.lam, L=base.L, n=2 * base.n - 1, init=(base.grid.nodes, base.v1, base.v2)
+    )
     assert fine.lam == base.lam
     assert fine.L == base.L
     assert fine.n == 2 * base.n - 1
@@ -371,7 +384,9 @@ def test_one_mesh_per_solve_attempt(monkeypatch):
 
 def test_refine_solution_widens_domain(sweep_solutions):
     base = sweep_solutions[1e3]
-    wide = refine_solution(base, L=base.L + 6.0)
+    wide = solve_heteroclinic(
+        base.lam, L=base.L + 6.0, n=base.n, init=(base.grid.nodes, base.v1, base.v2)
+    )
     assert wide.L == base.L + 6.0
     assert wide.newton_residual <= 1e-10
     assert wide.hamiltonian_dev <= 1e-6

@@ -95,8 +95,9 @@ def test_read_seed_csv_validation(tmp_path):
 def test_write_csv_rows_full_precision(tmp_path):
     path = tmp_path / "table.csv"
     x = np.array([math.pi, 1.0 / 3.0])
-    write_csv(path, {"x": x})
-    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    write_csv(path, {"x": x}, config={})
+    header, *lines = path.read_text().splitlines()
+    assert header == "# config: {}"
     assert lines[0] == "x"
     assert [float(l) for l in lines[1:]] == list(x)
 
@@ -145,8 +146,10 @@ def _has_non_finite(obj) -> bool:
 def test_json_round_trip_equals_sanitized(obj):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
-        write_json(path, obj)
-        loaded = json.loads(path.read_text())
+        write_json(path, obj, config={})
+        payload = json.loads(path.read_text())
+    assert payload["config"] == {}
+    loaded = payload["report"]
     assert loaded == sanitize(obj)
     # NaN and infinities come back as null
     assert not _has_non_finite(loaded)

@@ -1,4 +1,4 @@
-"""Run thirteen CLI commands and print one SHA-256 per output file.
+"""Run fourteen CLI commands and print one SHA-256 per output file.
 
 Usage: PYTHONPATH=src python tools/output_digests.py OUTDIR
 
@@ -24,6 +24,7 @@ RUNS = {
     "solve": (["solve", "--lambda", "1e4"], 0),
     "solve_L": (["solve", "--lambda", "20", "--L", "25"], 0),
     "solve_low": (["solve", "--lambda", "1.5"], 0),
+    "solve_odd": (["solve", "--lambda", "1e3", "--n", "1001"], 0),
     "continue": (["continue", "--lambda-range", "10:1e6:1"], 0),
     "composite": (["composite", "--lambda", "1e4"], 0),
     "composite_leading": (["composite", "--lambda", "1e3", "--variant", "leading"], 0),
