@@ -40,7 +40,9 @@ from .heteroclinic import (
     continue_in_lambda,
     default_domain_halfwidth,
     default_grid,
+    essential_edge,
     explicit_lambda3,
+    sigma_gradient_form,
     solve_heteroclinic,
 )
 from .asymptotics import (
@@ -58,7 +60,6 @@ from .spectrum import (
     LinearizedOperator,
     SpectrumReport,
     assemble_linearized,
-    bound_state_shift,
     count_below,
     lowest_eigenpairs,
     nondegeneracy_report,
@@ -70,7 +71,6 @@ from .energy import (
     expansion_residual,
     partition_constant,
     sigma_full_form,
-    sigma_gradient_form,
 )
 from .verify import (
     CriterionVerdict,

@@ -3,11 +3,11 @@
 For large coupling lam the heteroclinic splits into three regions glued at
 the match points +-(ln lam)*lam^{-1/4}:
 
-  * outer right (z >= match): v1 ~ U1(z + xi), v2 ~ 0,
-  * outer left (z <= -match): v1 ~ 0, v2 ~ U2(z - xi),
+  * outer right (z >= match): v1 ~ U(z + xi), v2 ~ 0,
+  * outer left (z <= -match): v1 ~ 0, v2 ~ U(xi - z),
   * inner core (|z| <= match): v_i ~ lam^{-1/4} * V_i(lam^{1/4} z),
 
-where U_i are the closed-form fronts, (V1, V2) the core profile, and the
+where U is the closed-form front, (V1, V2) the core profile, and the
 first-order shift is xi = kappa/psi0 * lam^{-1/4}. The expected error
 scales are (ln lam)*lam^{-3/4} (weighted by e^{-c|z|}) outside and
 lam^{-3/4} + |z|^3 inside; derivative analogues carry the weight
@@ -68,7 +68,6 @@ class CompositeApproximation:
     lam: float
     xi: float
     match_point: float
-    variant: str
     blowup: BlowupProfile
 
     def _inner_coords(self, zeta: np.ndarray) -> np.ndarray:
@@ -81,7 +80,8 @@ class CompositeApproximation:
             )
         return x
 
-    def _eval(self, z, source1, source2, inner1, inner2, scale: float):
+    def _eval(self, z, outer, sign: float, inner1, inner2, scale: float):
+        # v1's outer piece is outer(z + xi), v2's its mirror sign*outer(xi - z)
         zeta = np.asarray(z, dtype=float)
         out1 = np.zeros_like(zeta)
         out2 = np.zeros_like(zeta)
@@ -89,9 +89,9 @@ class CompositeApproximation:
         left = zeta < -self.match_point
         inner = ~(right | left)
         if np.any(right):
-            out1[right] = source1(zeta[right] + self.xi)
+            out1[right] = outer(zeta[right] + self.xi)
         if np.any(left):
-            out2[left] = source2(zeta[left] - self.xi)
+            out2[left] = sign * outer(self.xi - zeta[left])
         if np.any(inner):
             x = self._inner_coords(zeta[inner])
             nodes = self.blowup.grid.nodes
@@ -102,27 +102,13 @@ class CompositeApproximation:
     def values(self, z):
         """(v1_hat, v2_hat) at the points z."""
         b = self.blowup
-        return self._eval(
-            z,
-            lambda s: outer_value(1, s),
-            lambda s: outer_value(2, s),
-            b.V1,
-            b.V2,
-            self.lam**-0.25,
-        )
+        return self._eval(z, outer_value, 1.0, b.V1, b.V2, self.lam**-0.25)
 
     def derivatives(self, z):
         """(v1_hat', v2_hat') at z; the inner chain rule cancels the
         amplitude factor, leaving V_i'(lam^{1/4} z)."""
         b = self.blowup
-        return self._eval(
-            z,
-            lambda s: outer_derivative(1, s),
-            lambda s: outer_derivative(2, s),
-            b.dV1,
-            b.dV2,
-            1.0,
-        )
+        return self._eval(z, outer_derivative, -1.0, b.dV1, b.dV2, 1.0)
 
     def jump(self) -> float:
         """Largest gluing discontinuity: inner and outer limits compared at
@@ -130,11 +116,12 @@ class CompositeApproximation:
         m = self.match_point
         # both match points belong to the inner piece
         inner_v1, inner_v2 = self.values(np.array([m, -m]))
+        outer = float(outer_value(m + self.xi))  # both outer limits, mirrored
         defects = (
-            abs(outer_value(1, m + self.xi) - inner_v1[0]),
+            abs(outer - inner_v1[0]),
             abs(0.0 - inner_v2[0]),
             abs(0.0 - inner_v1[1]),
-            abs(outer_value(2, -m - self.xi) - inner_v2[1]),
+            abs(outer - inner_v2[1]),
         )
         return float(max(defects))
 
@@ -202,9 +189,7 @@ def build_composite(
             f"blow-up data has X = {blowup.X}"
         )
     xi = blowup.kappa / PSI0 * lam**-0.25 if variant == "shifted" else 0.0
-    return CompositeApproximation(
-        lam=lam, xi=xi, match_point=match_point, variant=variant, blowup=blowup
-    )
+    return CompositeApproximation(lam=lam, xi=xi, match_point=match_point, blowup=blowup)
 
 
 def measure_errors(
@@ -215,9 +200,8 @@ def measure_errors(
 
     sol is centred by construction (v1(z) = v2(-z) node for node on a
     mirror mesh), and so is approx, so the outer errors are taken on v1's
-    saturation side z > match_point only. v2's side mirrors it: the value
-    error is the same double there, the derivative error agrees to
-    rounding. The weighted sup region is capped at
+    saturation side z > match_point only. v2's side mirrors it: both
+    errors are the same doubles there. The weighted sup region is capped at
     |z| = _WEIGHT_BUDGET / _C_WEIGHT (see the constants' notes).
     """
     if sol.lam != approx.lam:
@@ -285,7 +269,7 @@ def fit_error_orders(reports) -> ErrorOrders:
 
 def shift_estimate(sol: HeteroclinicSolution, kappa: float) -> float:
     """Best-fit outer shift: argmin over xi of the sup deviation between
-    v1 and U1(. + xi) on z >= match_point.
+    v1 and U(. + xi) on z >= match_point.
 
     The bracket is [0, 4*kappa/psi0*lam^{-1/4}] around the predicted value
     kappa/psi0*lam^{-1/4}; a minimizer pinned at either bracket edge means
@@ -301,7 +285,7 @@ def shift_estimate(sol: HeteroclinicSolution, kappa: float) -> float:
     hi = 4.0 * kappa / PSI0 * sol.lam**-0.25
 
     def objective(xi: float) -> float:
-        return float(np.max(np.abs(v - outer_value(1, z + xi))))
+        return float(np.max(np.abs(v - outer_value(z + xi))))
 
     xi_hat, _ = golden_minimize(objective, 0.0, hi, tol=1e-6 * hi)
     if xi_hat < 1e-3 * hi or xi_hat > (1.0 - 1e-3) * hi:

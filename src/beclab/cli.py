@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .asymptotics import build_composite, measure_errors
-from .banded import SingularSystemError
 from .energy import expansion_residual
 from .heteroclinic import (
     ContinuationTrace,
@@ -26,7 +25,6 @@ from .heteroclinic import (
     continue_in_lambda,
     solve_heteroclinic,
 )
-from .newton import NonConvergenceError
 from .profiles import CORE_N, solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
 from .spectrum import nondegeneracy_report
@@ -50,6 +48,20 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return lo, hi, per
 
 
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"need a finite value, got {text!r}")
+    return value
+
+
+def _coupling(text) -> float:
+    value = _finite(text)
+    if not value > 1.0:
+        raise ValueError(f"need a coupling above 1, got {text!r}")
+    return value
+
+
 def _variant(text: str) -> str:
     if text not in ("leading", "shifted"):
         raise ValueError(f"variant must be 'leading' or 'shifted', got {text!r}")
@@ -69,10 +81,10 @@ def range_couplings(rng: tuple[float, float, int]) -> list[float]:
 # field -> (flag, conversion of the flag's text, JSON type of the config
 # value); the config key is the flag without dashes, '-' read as '_'
 _FLAGS = {
-    "lam": ("--lambda", float, (int, float)),
+    "lam": ("--lambda", _coupling, (int, float)),
     "lam_range": ("--lambda-range", _parse_range, str),
-    "X": ("--X", float, (int, float)),
-    "L": ("--L", float, (int, float)),
+    "X": ("--X", _finite, (int, float)),
+    "L": ("--L", _finite, (int, float)),
     "n": ("--n", int, int),
     "tol": ("--tol", float, (int, float)),
     "out": ("--out", str, str),
@@ -132,9 +144,13 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             if key not in by_key:
                 raise ValueError(f"{args.command} does not read config key {key!r}")
             flag, convert, kind = _FLAGS[by_key[key]]
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"config key {key!r}: {value!r} is not a valid {flag} value")
-            merged[by_key[key]] = convert(value)
+            try:
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError("wrong JSON type")
+                merged[by_key[key]] = convert(value)
+            except ValueError as exc:
+                msg = f"config key {key!r}: {value!r} is not a valid {flag} value ({exc})"
+                raise ValueError(msg) from None
     for field in reads:
         value = getattr(args, field)
         if value is not None:
@@ -153,7 +169,7 @@ def _solve_at(cfg: argparse.Namespace, lam: float) -> HeteroclinicSolution:
     if lam <= _DIRECT_MAX:
         return solve_heteroclinic(lam, L=cfg.L, n=n)
     start = solve_heteroclinic(3.0, L=cfg.L, n=n)
-    sol = continue_in_lambda(start, [lam], n=n).solutions[-1]
+    sol = continue_in_lambda(start, [lam]).solutions[-1]
     if cfg.L is None:
         return sol
     return solve_heteroclinic(lam, L=cfg.L, n=n, init=(sol.grid.nodes, sol.v1, sol.v2))
@@ -171,7 +187,7 @@ def _sweep_from_seed(lams: list[float], n: int) -> ContinuationTrace:
     if lams[-1] == 3.0:
         raise ValueError("a sweep must reach above the seed coupling 3")
     start = solve_heteroclinic(3.0, n=n)
-    return continue_in_lambda(start, [lam for lam in lams if lam > 3.0], n=n)
+    return continue_in_lambda(start, [lam for lam in lams if lam > 3.0])
 
 
 class _Output(NamedTuple):
@@ -365,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (NonConvergenceError, SingularSystemError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"beclab {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -5,18 +5,20 @@ The tension is the minimal energy
     sigma = integral of sum_i [ (v_i')^2/2 + (1 - v_i^2)^2/4 ]
             + (lam/2) v1^2 v2^2 - 1/4  dz,
 
-renormalized so the limit states contribute nothing. Conservation of the
-first integral H = -1/4 along solutions collapses the integrand to
-(v1')^2 + (v2')^2, so the gradient form and the full form agree exactly
-on true solutions; their numerical difference is an a-posteriori quality
-indicator, and a deliberately perturbed field breaks the identity at the
-1e-3 level.
+renormalized so the limit states contribute nothing. With the pointwise
+first integral H of heteroclinic.hamiltonian_values the integrand is
+(v1')^2 + (v2')^2 - H - 1/4, and conservation of H = -1/4 along solutions
+collapses it to the gradient form (v1')^2 + (v2')^2. The two forms
+therefore agree exactly on true solutions; their numerical difference is
+an a-posteriori quality indicator, and a deliberately perturbed field
+breaks the identity at the 1e-3 level.
 
 For large coupling the tension expands as
 
     sigma = 2*sqrt(2)/3 + 2 lam^{-1/4} I1 + higher order,
 
-where 2*sqrt(2)/3 is the cost of the two decoupled half-walls and
+where 2*sqrt(2)/3 is the cost of the two decoupled half-walls (v1's
+front U on z > 0 and v2's mirror, so twice one half-wall) and
 I1 = integral of V1' (V1' - psi0) dx < 0 is the (negative) correction
 carried by the core profile.
 """
@@ -30,21 +32,19 @@ import numpy as np
 
 from .calculus import quadrature
 from .grids import make_grid
-from .heteroclinic import HeteroclinicSolution
+from .heteroclinic import HeteroclinicSolution, hamiltonian_values, sigma_gradient_form
 from .profiles import BlowupProfile, outer_derivative
 
 __all__ = [
     "LEADING_TENSION",
     "EnergyReport",
-    "sigma_gradient_form",
     "sigma_full_form",
-    "full_form_integrand",
     "blowup_energy_coefficient",
     "expansion_residual",
     "partition_constant",
 ]
 
-# Tension of two decoupled half-walls: 2 * integral_0^inf (U1')^2.
+# Tension of two decoupled half-walls: 2 * integral_0^inf (U')^2.
 LEADING_TENSION = 2.0 * math.sqrt(2.0) / 3.0
 
 
@@ -77,31 +77,15 @@ class EnergyReport:
             raise ValueError("first_order inconsistent with leading and I1")
 
 
-def sigma_gradient_form(sol: HeteroclinicSolution) -> float:
-    """Tension in gradient form: integral of (v1')^2 + (v2')^2."""
-    return quadrature(sol.dv1**2 + sol.dv2**2, sol.grid)
-
-
-def full_form_integrand(
-    v1: np.ndarray, v2: np.ndarray, dv1: np.ndarray, dv2: np.ndarray, lam: float
-) -> np.ndarray:
-    """Renormalized energy density; vanishes on the limit states."""
-    return (
-        0.5 * (dv1**2 + dv2**2)
-        + 0.25 * ((1.0 - v1**2) ** 2 + (1.0 - v2**2) ** 2)
-        + 0.5 * lam * v1**2 * v2**2
-        - 0.25
-    )
-
-
 def sigma_full_form(sol: HeteroclinicSolution) -> float:
-    """Tension from the full energy density.
+    """Tension from the full energy density (v1')^2 + (v2')^2 - H - 1/4.
 
     Equals the gradient form on converged solutions (first-integral
     conservation); the difference certifies solution quality.
     """
-    density = full_form_integrand(sol.v1, sol.v2, sol.dv1, sol.dv2, sol.lam)
-    return quadrature(density, sol.grid)
+    grad = sol.dv1**2 + sol.dv2**2
+    h = hamiltonian_values(sol.v1, sol.v2, sol.dv1, sol.dv2, sol.lam)
+    return quadrature(grad - h - 0.25, sol.grid)
 
 
 def blowup_energy_coefficient(blowup: BlowupProfile) -> float:
@@ -131,11 +115,8 @@ def expansion_residual(sol: HeteroclinicSolution, blowup: BlowupProfile) -> Ener
 
 
 def partition_constant() -> float:
-    """Two half-wall gradient integrals from the closed-form profiles:
-    (U1')^2 on [0, 40] plus (U2')^2 on [-40, 0], on 4097 uniform nodes
-    each; within 1e-8 of 2*sqrt(2)/3."""
-    right = make_grid(0.0, 40.0, 4097)
-    left = make_grid(-40.0, 0.0, 4097)
-    total = quadrature(outer_derivative(1, right.nodes) ** 2, right)
-    total += quadrature(outer_derivative(2, left.nodes) ** 2, left)
-    return total
+    """Two half-walls from the closed-form front: twice the integral of
+    (U')^2 on [0, 40] over 4097 uniform nodes; within 1e-8 of
+    2*sqrt(2)/3."""
+    half = make_grid(0.0, 40.0, 4097)
+    return 2.0 * quadrature(outer_derivative(half.nodes) ** 2, half)

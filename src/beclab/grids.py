@@ -8,14 +8,14 @@ with u uniform on [0, 1], x(u) = c + A*sinh(beta*(u - 1/2)), which clusters
 nodes at c while bounding the spacing quotient by exp(beta/(n-1)), so the
 map strength is beta = (n-1)*log(ratio).
 
-Derivatives are second-order three-point stencils: for a node with
-neighbours, the derivative of the local interpolating quadratic; at the two
-boundary nodes, the same quadratic evaluated one-sidedly. Second
-derivatives appear only in flux form (FluxStencil): the difference of the
-two one-sided slopes at a node, which is the cell weight times the second
-difference. On smoothly graded meshes (spacing varying by O(h) between
-cells) it retains second-order accuracy, and its rows scale like 1/h
-rather than 1/h^2, which keeps the evaluation rounding floor low.
+First and second differences come from one stencil (FluxStencil): the
+one-sided slopes s- and s+ over the cells left and right of an interior
+node. Their difference is the flux form of the second difference, the cell
+weight times v''. It stays second order on smoothly graded meshes, and its
+rows scale like 1/h rather than 1/h^2, which keeps the rounding floor low.
+Their mean weighted by the opposite cell widths is the nodal first
+derivative (differentiate), exact on quadratics and mirror-exact bit for
+bit; the two boundary nodes use the same quadratic one-sidedly.
 
 Two-component systems on a graded mesh of [-L, L] with odd n (an exact
 mirror about 0 whose middle node is exactly 0) commute with the
@@ -47,7 +47,6 @@ __all__ = [
     "EVEN",
     "ODD",
     "mirror_defect",
-    "first_difference_weights",
     "edge_first_weights",
 ]
 
@@ -152,34 +151,27 @@ def ratio_from_beta(beta: float, n: int) -> float:
     return min(math.exp(beta / (n - 1)), RATIO_CAP)
 
 
-def _lagrange3_first(x0, x1, x2, at):
-    # Derivative at `at` of the quadratic through x0, x1, x2 (array-capable).
-    w0 = (2.0 * at - x1 - x2) / ((x0 - x1) * (x0 - x2))
-    w1 = (2.0 * at - x0 - x2) / ((x1 - x0) * (x1 - x2))
-    w2 = (2.0 * at - x0 - x1) / ((x2 - x0) * (x2 - x1))
-    return w0, w1, w2
-
-
-def first_difference_weights(grid: Grid):
-    """Interior first-derivative weights (w_lo, w_mid, w_hi), index k=1..n-2."""
-    x = grid.nodes
-    return _lagrange3_first(x[:-2], x[1:-1], x[2:], x[1:-1])
-
-
 def edge_first_weights(x0: float, x1: float, x2: float):
     """One-sided first-derivative weights at x0 from nodes x0, x1, x2."""
-    return _lagrange3_first(x0, x1, x2, x0)
+    return (
+        (2.0 * x0 - x1 - x2) / ((x0 - x1) * (x0 - x2)),
+        (x0 - x2) / ((x1 - x0) * (x1 - x2)),
+        (x0 - x1) / ((x2 - x0) * (x2 - x1)),
+    )
 
 
 def differentiate(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Nodal first derivative, second order everywhere (one-sided at ends)."""
+    """Nodal first derivative, second order everywhere (one-sided at ends):
+    (hm*s+ + hp*s-)/(hm + hp) from the flux stencil's slopes inside. On a
+    mirror mesh differentiate(v[::-1]) == -differentiate(v)[::-1] exactly."""
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("values and grid node counts differ")
     x = grid.nodes
+    st = flux_stencil(grid)
+    s_minus, s_plus = st.slopes(values)
     out = np.empty_like(values)
-    w0, w1, w2 = first_difference_weights(grid)
-    out[1:-1] = w0 * values[:-2] + w1 * values[1:-1] + w2 * values[2:]
+    out[1:-1] = (st.hm * s_plus + st.hp * s_minus) / (st.hm + st.hp)
     wl = edge_first_weights(x[0], x[1], x[2])
     out[0] = wl[0] * values[0] + wl[1] * values[1] + wl[2] * values[2]
     wr = edge_first_weights(x[-1], x[-2], x[-3])
@@ -192,9 +184,10 @@ class FluxStencil:
     """Flux form of the second difference on the interior nodes k = 1..n-2.
 
     hm and hp are the widths of the cells left and right of node k, and
-    w = (hm + hp)/2 is its cell weight. apply(v) is
-    (v_{k+1} - v_k)/hp - (v_k - v_{k-1})/hm, which approximates w*v''; lo,
-    mid and hi are its coefficients of v_{k-1}, v_k and v_{k+1}.
+    w = (hm + hp)/2 is its cell weight. slopes(v) are the one-sided slopes
+    s- = (v_k - v_{k-1})/hm and s+ = (v_{k+1} - v_k)/hp, and apply(v) is
+    s+ - s-, which approximates w*v''; lo, mid and hi are its coefficients
+    of v_{k-1}, v_k and v_{k+1}.
     """
 
     hm: np.ndarray
@@ -204,8 +197,12 @@ class FluxStencil:
     mid: np.ndarray
     hi: np.ndarray
 
+    def slopes(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (v[1:-1] - v[:-2]) / self.hm, (v[2:] - v[1:-1]) / self.hp
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return (v[2:] - v[1:-1]) / self.hp - (v[1:-1] - v[:-2]) / self.hm
+        s_minus, s_plus = self.slopes(v)
+        return s_plus - s_minus
 
     def fill_pair_rows(self, mat: BandedMatrix, first: int, diag1, diag2, cross) -> None:
         """Write the interior rows of a two-component system into mat.

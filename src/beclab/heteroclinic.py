@@ -49,6 +49,7 @@ from .grids import (
     ratio_from_beta,
 )
 from .newton import NonConvergenceError, SingularJacobianError, newton_solve
+from .profiles import outer_value
 
 __all__ = [
     "SolutionFlags",
@@ -59,11 +60,13 @@ __all__ = [
     "StepUnderflow",
     "SignViolationError",
     "explicit_lambda3",
+    "essential_edge",
     "default_domain_halfwidth",
     "default_grid",
     "solve_heteroclinic",
     "continue_in_lambda",
     "hamiltonian_values",
+    "sigma_gradient_form",
 ]
 
 # Values closer than this to a limit state (0 or 1) are treated as
@@ -167,17 +170,25 @@ class SignViolationError(RuntimeError):
 def explicit_lambda3(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form branch at lam = 3 at the points z:
     v1 = (1 + tanh(z/sqrt(2)))/2 and v2 = 1 - v1."""
-    v1 = 0.5 * (1.0 + np.tanh(np.asarray(z, dtype=float) / math.sqrt(2.0)))
+    v1 = 0.5 * (1.0 + outer_value(z))
     return v1, 1.0 - v1
 
 
+def essential_edge(lam: float) -> float:
+    """e(lam) = min(2, lam - 1): the far-field potentials of the
+    linearization are 2 (saturating component) and lam - 1 (vanishing
+    one), so e is where its essential spectrum starts, and the far field
+    decays at rate sqrt(e)."""
+    return min(2.0, lam - 1.0)
+
+
 def default_domain_halfwidth(lam: float) -> float:
-    """Truncation half-width: the vanishing component decays at rate
-    sqrt(lam-1) (capped at the saturating component's rate sqrt(2)), and
-    the core occupies O((ln lam)*lam^{-1/4}); 20 is the global floor."""
+    """Truncation half-width: the far field decays at rate
+    sqrt(essential_edge(lam)), and the core occupies O((ln lam)*lam^{-1/4});
+    20 is the global floor."""
     if lam <= 1.0:
         raise ValueError(f"need lam > 1, got {lam}")
-    rate = math.sqrt(min(2.0, lam - 1.0))
+    rate = math.sqrt(essential_edge(lam))
     return max(20.0, 12.0 / rate + 10.0 * math.log(lam) * lam**-0.25)
 
 
@@ -281,11 +292,12 @@ def _interior_state(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     return u
 
 
-def _monotone_flag(v: np.ndarray, increasing: bool) -> bool:
-    # Pairs with both values inside a limit-state band (below _SAT_EPS or
-    # above 1 - _SAT_EPS) are skipped: the true tail there sits under the
-    # linear-solve noise floor, so node ordering is not certifiable.
-    d = np.diff(v) if increasing else -np.diff(v)
+def _monotone_flag(v: np.ndarray) -> bool:
+    # Strictly increasing. Pairs with both values inside a limit-state band
+    # (below _SAT_EPS or above 1 - _SAT_EPS) are skipped: the true tail
+    # there sits under the linear-solve noise floor, so node ordering is
+    # not certifiable.
+    d = np.diff(v)
     hi = np.maximum(v[:-1], v[1:])
     lo = np.minimum(v[:-1], v[1:])
     active = (hi >= _SAT_EPS) & (lo <= 1.0 - _SAT_EPS)
@@ -385,7 +397,7 @@ def solve_heteroclinic(
     ham = hamiltonian_values(v1, v2, dv1, dv2, lam)
     ham_dev = float(np.max(np.abs(ham + 0.25)))
     flags = SolutionFlags(
-        monotone=_monotone_flag(v1, True) and _monotone_flag(v2, False),
+        monotone=_monotone_flag(v1),  # v2 is v1 reversed, so its check is the same
         bounded=_bounded_flag(v1, v2),
         symmetric_dev=_symmetric_dev(v1, v2),
         pinning_dev=abs(_value_at_zero(grid, v1) - _value_at_zero(grid, v2)),
@@ -417,13 +429,17 @@ def _seed_on_grid(z: np.ndarray, v1: np.ndarray, v2: np.ndarray, grid: Grid):
     return v1, v2
 
 
+def sigma_gradient_form(sol: HeteroclinicSolution) -> float:
+    """Tension in gradient form: integral of (v1')^2 + (v2')^2."""
+    return quadrature(sol.dv1**2 + sol.dv2**2, sol.grid)
+
+
 def _trace_entry(sol: HeteroclinicSolution) -> TraceEntry:
-    sigma = quadrature(sol.dv1**2 + sol.dv2**2, sol.grid)
     return TraceEntry(
         lam=sol.lam,
         newton_residual=sol.newton_residual,
         hamiltonian_dev=sol.hamiltonian_dev,
-        sigma_lambda=sigma,
+        sigma_lambda=sigma_gradient_form(sol),
         crossing_value=_value_at_zero(sol.grid, sol.v1),
         min_component=float(np.min(np.maximum(sol.v1, sol.v2))),
     )

@@ -1,10 +1,11 @@
 """Closed-form outer profiles and the numerically solved core profile.
 
 Away from the interface each component follows the scalar front equation
-u'' + u - u^3 = 0; the saturating branch is tanh(z/sqrt(2)), with slope
-psi0 = 1/sqrt(2) at its zero. Inside the interface, stretching z by
-lam^{1/4} and scaling amplitudes by lam^{-1/4} removes the coupling
-constant and leaves the core system
+u'' + u - u^3 = 0, whose front through 0 is U(z) = tanh(z/sqrt(2)) on the
+whole line, with slope psi0 = 1/sqrt(2) at its zero: v1 saturates along
+U(z) for z > 0 and v2 along its mirror U(-z) for z < 0. Inside the
+interface, stretching z by lam^{1/4} and scaling amplitudes by lam^{-1/4}
+removes the coupling constant and leaves the core system
 
     V1'' = V2^2 * V1,    V2'' = V1^2 * V2,
 
@@ -67,34 +68,14 @@ _CORE_BETA = 6.0
 _SIGN_FLOOR = 1e-11
 
 
-def _check_half_line(branch: int, z: np.ndarray) -> None:
-    if branch not in (1, 2):
-        raise ValueError(f"branch must be 1 or 2, got {branch}")
-    slack = 1e-12
-    if branch == 1 and np.any(z < -slack):
-        raise ValueError("branch 1 outer profile lives on z >= 0")
-    if branch == 2 and np.any(z > slack):
-        raise ValueError("branch 2 outer profile lives on z <= 0")
+def outer_value(z) -> np.ndarray:
+    """The outer front U(z) = tanh(z/sqrt(2)) at the points z: odd, 0 at 0."""
+    return np.tanh(np.asarray(z, dtype=float) / math.sqrt(2.0))
 
 
-def outer_value(branch: int, z):
-    """Outer front value: tanh(z/sqrt(2)) for branch 1 on z >= 0 and its
-    mirror tanh(-z/sqrt(2)) for branch 2 on z <= 0."""
-    z_arr = np.asarray(z, dtype=float)
-    _check_half_line(branch, z_arr)
-    s = 1.0 if branch == 1 else -1.0
-    out = np.tanh(s * z_arr / math.sqrt(2.0))
-    return float(out) if np.ndim(z) == 0 else out
-
-
-def outer_derivative(branch: int, z):
-    """Derivative of the outer front: +-sech^2(z/sqrt(2))/sqrt(2); equals
-    psi0 at 0 for branch 1 and -psi0 for branch 2 (reflection)."""
-    z_arr = np.asarray(z, dtype=float)
-    _check_half_line(branch, z_arr)
-    s = 1.0 if branch == 1 else -1.0
-    out = s / (math.sqrt(2.0) * np.cosh(z_arr / math.sqrt(2.0)) ** 2)
-    return float(out) if np.ndim(z) == 0 else out
+def outer_derivative(z) -> np.ndarray:
+    """U'(z) = sech^2(z/sqrt(2))/sqrt(2) at the points z: even, psi0 at 0."""
+    return 1.0 / (math.sqrt(2.0) * np.cosh(np.asarray(z, dtype=float) / math.sqrt(2.0)) ** 2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,8 @@ eigenvalue is near zero (it shrinks under domain and mesh refinement),
 and the rest of the spectrum stays above a coupling-independent gap. Far
 from the interface (v1, v2) -> (1, 0) on one side, where phi1 sees the
 potential 3*1^2 - 1 = 2 and phi2 sees lam*1^2 - 1, so the essential
-spectrum of M starts at e(lam) = min(2, lam - 1) (the mirror side is the
-same with the components swapped).
+spectrum of M starts at e(lam) = min(2, lam - 1), heteroclinic.essential_edge
+(the mirror side is the same with the components swapped).
 
 Discretisation: M is the Hessian of the energy, so it is the Jacobian of
 the Euler-Lagrange residual. The interface solver's Newton Jacobian J of
@@ -59,7 +59,12 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .banded import BandedLU, BandedMatrix
 from .grids import EVEN, ODD, Grid, flux_stencil, mirror_defect
-from .heteroclinic import HeteroclinicSolution, _interior_residual_jacobian, _interior_state
+from .heteroclinic import (
+    HeteroclinicSolution,
+    _interior_residual_jacobian,
+    _interior_state,
+    essential_edge,
+)
 
 __all__ = [
     "EigenCertificate",
@@ -67,7 +72,6 @@ __all__ = [
     "LinearizedOperator",
     "SpectrumReport",
     "assemble_linearized",
-    "bound_state_shift",
     "count_below",
     "lowest_eigenpairs",
     "nondegeneracy_report",
@@ -144,12 +148,6 @@ class SpectrumReport:
     inertia_count: int
     max_residual: float
     solves: int
-
-
-def bound_state_shift(lam: float) -> float:
-    """The essential edge e(lam) = min(2, lam - 1), where bound states are
-    counted."""
-    return min(2.0, lam - 1.0)
 
 
 def assemble_linearized(sol: HeteroclinicSolution) -> LinearizedOperator:
@@ -325,7 +323,7 @@ def nondegeneracy_report(sol: HeteroclinicSolution) -> tuple[SpectrumReport, Eig
     """Bottom-of-spectrum summary about a converged solution, with the
     two sector eigenpairs it was read from: the operator is
     assembled about sol and solved by
-    lowest_eigenpairs(op, bound_state_shift(sol.lam)).
+    lowest_eigenpairs(op, essential_edge(sol.lam)).
 
     alignment is the normalized lumped-mass pairing of the bottom
     eigenvector with the translation mode (v1', v2'); the essential edge
@@ -336,7 +334,7 @@ def nondegeneracy_report(sol: HeteroclinicSolution) -> tuple[SpectrumReport, Eig
     of bound states below the essential edge.
     """
     op = assemble_linearized(sol)
-    pairs = lowest_eigenpairs(op, bound_state_shift(sol.lam))
+    pairs = lowest_eigenpairs(op, essential_edge(sol.lam))
     u = (sol.dv1, sol.dv2)
     u_norm = math.sqrt(op.inner(u, u))
     lam1, bottom = pairs[0]

@@ -188,7 +188,7 @@ def run_verification(
     verdicts: list[CriterionVerdict] = []
 
     # -- closed-form anchors ------------------------------------------------
-    du0 = float(outer_derivative(1, 0.0))
+    du0 = float(outer_derivative(0.0))
     pc = partition_constant()
 
     def explicit_sup(sol: HeteroclinicSolution) -> float:
@@ -243,7 +243,7 @@ def run_verification(
     )
 
     # -- heteroclinic sweep -------------------------------------------------
-    trace = continue_in_lambda(start, sweep, n=n)
+    trace = continue_in_lambda(start, sweep)
     solutions = {s.lam: s for s in trace.solutions if s.lam in sweep}
     ham_max = max(s.hamiltonian_dev for s in solutions.values())
     qualitative = all(

@@ -141,17 +141,52 @@ def _v2_side_outer_errors(sol, approx):
 def test_outer_errors_mirror_on_the_v2_side(
     sweep_solutions, odd_mesh_solutions, blowup_wide, variant
 ):
-    # solutions are centred by construction, so v1's side measures both:
-    # the value norm is the same double on v2's side; the derivative norm
-    # agrees to rounding, because the nodal derivative sums its stencil
-    # in a different order at a node and at its mirror
+    # solutions are centred by construction and their derivatives mirror
+    # bit for bit, so v1's side measures both: the value and derivative
+    # norms are the same doubles on v2's side
     sols = list(sweep_solutions.values()) + [odd_mesh_solutions[1e3]]
     for sol in sols:
         approx = build_composite(sol.lam, blowup_wide, variant)
         rep = measure_errors(sol, approx)
         outer, deriv = _v2_side_outer_errors(sol, approx)
         assert outer == rep.outer_sup_weighted
-        assert deriv == pytest.approx(rep.outer_deriv_weighted, rel=1e-8, abs=0.0)
+        assert deriv == rep.outer_deriv_weighted
+
+
+def _two_branch_outer(z, xi):
+    # the outer pieces as separate fronts: U1(s) = tanh(s/sqrt(2)) on the
+    # right and U2(s) = tanh(-s/sqrt(2)) on the left, at s = z + xi and
+    # s = z - xi, with their derivatives
+    r2 = math.sqrt(2.0)
+    s1, s2 = z + xi, z - xi
+    return (
+        np.tanh(1.0 * s1 / r2),
+        np.tanh(-1.0 * s2 / r2),
+        1.0 / (r2 * np.cosh(s1 / r2) ** 2),
+        -1.0 / (r2 * np.cosh(s2 / r2) ** 2),
+    )
+
+
+@pytest.mark.parametrize("variant", ["leading", "shifted"])
+@pytest.mark.parametrize("lam", [1e2, 1e4, 1e6])
+def test_composite_outer_pieces_match_two_branch_formulas(
+    sweep_solutions, blowup_wide, variant, lam
+):
+    # the whole-line front and its mirror give the two-branch pieces and
+    # the gluing jump bit for bit
+    approx = build_composite(lam, blowup_wide, variant)
+    z, m, xi = sweep_solutions[lam].grid.nodes, approx.match_point, approx.xi
+    right, left = z > m, z < -m
+    a1, a2 = approx.values(z)
+    d1, d2 = approx.derivatives(z)
+    u1, u2, du1, du2 = _two_branch_outer(z, xi)
+    assert np.array_equal(a1[right], u1[right]) and np.array_equal(a2[left], u2[left])
+    assert np.array_equal(d1[right], du1[right]) and np.array_equal(d2[left], du2[left])
+    inner1, inner2 = approx.values(np.array([m, -m]))
+    r1, _, _, _ = _two_branch_outer(np.array([m]), xi)
+    _, l2, _, _ = _two_branch_outer(np.array([-m]), xi)
+    jump = max(abs(r1[0] - inner1[0]), abs(inner2[0]), abs(inner1[1]), abs(l2[0] - inner2[1]))
+    assert approx.jump() == jump
 
 
 def test_fit_error_orders_preconditions(reports):

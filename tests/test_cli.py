@@ -166,6 +166,58 @@ def test_energy_flag_rules_exit_one(argv, tmp_path, capsys):
     assert "energy" in capsys.readouterr().err
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a rejected value reached a solver")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["solve", "--lambda", "nan"], "--lambda"),
+        (["solve", "--lambda", "inf"], "--lambda"),
+        (["solve", "--lambda", "-inf"], "--lambda"),
+        (["solve", "--lambda", "1e400"], "--lambda"),
+        (["solve", "--lambda", "1"], "--lambda"),
+        (["energy", "--lambda", "NaN"], "--lambda"),
+        (["solve", "--lambda", "3", "--L", "nan"], "--L"),
+        (["spectrum", "--lambda", "3", "--L", "inf"], "--L"),
+        (["composite", "--lambda", "1e3", "--X", "nan"], "--X"),
+        (["blowup", "--X", "inf"], "--X"),
+    ],
+)
+def test_non_finite_flag_exits_one_before_solving(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "solve_heteroclinic", _unreachable)
+    monkeypatch.setattr(cli, "solve_blowup", _unreachable)
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,config,flag",
+    [
+        ("solve", {"lambda": float("nan")}, "--lambda"),
+        ("solve", {"lambda": float("inf")}, "--lambda"),
+        ("solve", {"lambda": 0.5}, "--lambda"),
+        ("solve", {"lambda": 3.0, "L": float("nan")}, "--L"),
+        ("composite", {"lambda": 1e3, "X": float("-inf")}, "--X"),
+    ],
+)
+def test_non_finite_config_value_exits_one_before_solving(
+    command, config, flag, tmp_path, monkeypatch, capsys
+):
+    # json writes NaN and Infinity, which json.loads reads back as floats
+    monkeypatch.setattr(cli, "solve_heteroclinic", _unreachable)
+    monkeypatch.setattr(cli, "solve_blowup", _unreachable)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"is not a valid {flag} value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", [{"n": "1025"}, {"n": 1025.5}, {"n": True}, {"X": None}])
 def test_mistyped_config_value_exits_one(config, tmp_path, capsys):
     path = tmp_path / "run.json"

@@ -21,7 +21,7 @@ from beclab import (
     sigma_gradient_form,
     solve_heteroclinic,
 )
-from beclab.energy import full_form_integrand
+from beclab.heteroclinic import hamiltonian_values
 
 SWEEP = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 
@@ -41,15 +41,15 @@ def test_partition_constant():
 def test_partition_halves():
     # each saturated front contributes sqrt(2)/3 of gradient energy
     grid = make_grid(0.0, 40.0, 4097)
-    half = quadrature(outer_derivative(1, grid.nodes) ** 2, grid)
+    half = quadrature(outer_derivative(grid.nodes) ** 2, grid)
     assert abs(half - math.sqrt(2.0) / 3.0) <= 1e-8
 
 
 def test_front_equipartition():
     # first integral of the scalar front: (U')^2 = (1 - U^2)^2 / 2
     grid = make_grid(0.0, 40.0, 4097)
-    u = outer_value(1, grid.nodes)
-    du = outer_derivative(1, grid.nodes)
+    u = outer_value(grid.nodes)
+    du = outer_derivative(grid.nodes)
     grad = quadrature(du**2, grid)
     pot = quadrature(0.5 * (1.0 - u**2) ** 2, grid)
     assert abs(grad - pot) <= 1e-8
@@ -75,18 +75,21 @@ def test_full_form_detects_non_solution(sol3):
     bump = 0.05 / np.cosh(sol3.grid.nodes)
     v2 = sol3.v2 + bump
     dv2 = sol3.dv2 - 0.05 * np.sinh(sol3.grid.nodes) / np.cosh(sol3.grid.nodes) ** 2
-    grad = quadrature(sol3.dv1**2 + dv2**2, sol3.grid)
-    full = quadrature(
-        full_form_integrand(sol3.v1, v2, sol3.dv1, dv2, sol3.lam), sol3.grid
-    )
+    grad_density = sol3.dv1**2 + dv2**2
+    h = hamiltonian_values(sol3.v1, v2, sol3.dv1, dv2, sol3.lam)
+    grad = quadrature(grad_density, sol3.grid)
+    full = quadrature(grad_density - h - 0.25, sol3.grid)
     assert abs(grad - full) > 1e-3
 
 
 def test_limit_state_has_zero_excess_energy():
-    v1 = np.ones(5)
-    v2 = np.zeros(5)
-    dz = np.zeros(5)
-    assert np.allclose(full_form_integrand(v1, v2, dz, dz, 7.0), 0.0, atol=1e-15)
+    # H = -1/4 on both limit states, so the full density dv^2 - H - 1/4
+    # vanishes there
+    one, zero = np.ones(5), np.zeros(5)
+    for v1, v2 in ((one, zero), (zero, one)):
+        h = hamiltonian_values(v1, v2, zero, zero, 7.0)
+        assert np.array_equal(h, np.full(5, -0.25))
+        assert np.array_equal(zero**2 + zero**2 - h - 0.25, zero)
 
 
 def test_core_coefficient_frozen_and_stable(blowup_default, blowup_wide):

@@ -11,6 +11,7 @@ from banded_helpers import to_dense
 from beclab import BandedMatrix, differentiate, make_grid
 from beclab.grids import (
     EVEN,
+    Grid,
     ODD,
     RATIO_CAP,
     beta_for_center_spacing,
@@ -202,6 +203,79 @@ def test_differentiate_second_order():
 
     e1, e2 = sup_error(101), sup_error(201)
     assert 3.4 <= e1 / e2 <= 4.6
+
+
+def _lagrange_derivative(values, x):
+    # the three-point Lagrange weights differentiate used to carry (the
+    # derivative at `at` of the quadratic through x0, x1, x2), and the sum
+    # of the absolute terms, the scale of their rounding
+    def weights(x0, x1, x2, at):
+        return (
+            (2.0 * at - x1 - x2) / ((x0 - x1) * (x0 - x2)),
+            (2.0 * at - x0 - x2) / ((x1 - x0) * (x1 - x2)),
+            (2.0 * at - x0 - x1) / ((x2 - x0) * (x2 - x1)),
+        )
+
+    inner = (values[:-2], values[1:-1], values[2:])
+    rows = [
+        (slice(1, -1), weights(x[:-2], x[1:-1], x[2:], x[1:-1]), inner),
+        (0, weights(x[0], x[1], x[2], x[0]), values[:3]),
+        (-1, weights(x[-1], x[-2], x[-3], x[-1]), values[:-4:-1]),
+    ]
+    out, scale = np.empty_like(values), np.empty_like(values)
+    for at, (w0, w1, w2), (v0, v1, v2) in rows:
+        out[at] = w0 * v0 + w1 * v1 + w2 * v2
+        scale[at] = abs(w0 * v0) + abs(w1 * v1) + abs(w2 * v2)
+    return out, scale
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        make_grid(0.0, math.pi, 101),
+        make_grid(-2.0, 3.0, 41, 1.1),
+        default_grid(1e3, default_domain_halfwidth(1e3), 1001),
+        default_grid(1e6, default_domain_halfwidth(1e6), 8193),
+    ],
+    ids=["uniform", "graded", "lam1e3", "lam1e6"],
+)
+def test_differentiate_matches_lagrange_weights(grid):
+    # the slope form is the same quadratic's derivative: it agrees with
+    # the Lagrange weights to 1e-12 relative to the size of the stencil
+    # terms, and the end rows bit for bit
+    x = grid.nodes
+    rng = np.random.default_rng(7)
+    for values in (np.tanh(x), np.sin(3.0 * x) + x**2, rng.uniform(-1.0, 1.0, x.shape)):
+        new = differentiate(values, grid)
+        old, scale = _lagrange_derivative(values, x)
+        assert np.all(np.abs(new - old) <= 1e-12 * scale)
+        assert new[0] == old[0] and new[-1] == old[-1]
+
+
+def _mirror_mesh(half: np.ndarray) -> np.ndarray:
+    # odd node count, middle node 0.0, nodes[k] == -nodes[n-1-k]
+    return np.concatenate((-half[::-1], [0.0], half))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    half=st.integers(8, 200),
+    spread=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_differentiate_is_mirror_exact(half, spread, seed):
+    # reversing a field on a mirror mesh reverses its derivative and flips
+    # its sign, bit for bit
+    rng = np.random.default_rng(seed)
+    cells = np.exp(spread * rng.uniform(-1.0, 1.0, half))
+    grid = Grid(nodes=_mirror_mesh(np.cumsum(cells) * rng.uniform(0.1, 10.0)))
+    v = rng.uniform(-1.0, 1.0, grid.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    assert np.array_equal(differentiate(v[::-1], grid), -differentiate(v, grid)[::-1])
+    # also on the meshes the solver builds
+    lam = 10.0 ** rng.uniform(0.1, 6.0)
+    mesh = default_grid(lam, default_domain_halfwidth(lam), 2 * (half + 256) + 1)
+    w = rng.uniform(-1.0, 1.0, mesh.n)
+    assert np.array_equal(differentiate(w[::-1], mesh), -differentiate(w, mesh)[::-1])
 
 
 def test_flux_stencil_exact_on_quadratics():

@@ -311,6 +311,13 @@ def test_solutions_are_mirror_symmetric_by_construction(sweep_solutions):
         assert sol.flags.symmetric_dev == 0.0 and sol.flags.pinning_dev == 0.0
 
 
+def test_derivatives_are_mirror_exact(sweep_solutions, odd_mesh_solutions):
+    # differentiate commutes with the mirror up to sign, bit for bit, so
+    # dv1(z) = -dv2(-z) node for node (n = 8193 and n = 1001)
+    for sol in [*sweep_solutions.values(), *odd_mesh_solutions.values()]:
+        assert np.array_equal(sol.dv1, -sol.dv2[::-1])
+
+
 @pytest.mark.parametrize("lam", [3.0, 1e3])
 def test_newton_residual_is_the_full_residual_on_odd_meshes(odd_mesh_solutions, lam):
     # on an exact mirror mesh every residual row equals its mirror row bit

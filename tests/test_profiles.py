@@ -23,48 +23,37 @@ CENTER_FROZEN = 0.612175041607
 
 
 def test_outer_closed_form_at_origin():
-    assert outer_value(1, 0.0) == 0.0
-    assert outer_derivative(1, 0.0) == PSI0
-    assert outer_value(2, 0.0) == 0.0
+    assert outer_value(0.0) == 0.0
+    assert outer_derivative(0.0) == PSI0
 
 
 def test_outer_saturation():
-    assert abs(outer_value(1, 30.0) - 1.0) <= math.exp(-30.0)
-    assert abs(outer_value(2, -30.0) - 1.0) <= math.exp(-30.0)
-    assert abs(outer_derivative(1, 30.0)) <= math.exp(-20.0)
+    assert abs(outer_value(30.0) - 1.0) <= math.exp(-30.0)
+    assert abs(outer_value(-30.0) + 1.0) <= math.exp(-30.0)
+    assert abs(outer_derivative(30.0)) <= math.exp(-20.0)
+    assert abs(outer_derivative(-30.0)) <= math.exp(-20.0)
 
 
 def test_outer_mirror_between_branches():
-    # branch 1 lives on z >= 0, branch 2 on z <= 0
-    z = np.linspace(0.0, 5.0, 41)
-    assert np.allclose(outer_value(2, -z), outer_value(1, z), atol=1e-15)
-    # U2(z) = U1(-z), so the derivatives mirror with a sign flip
-    assert np.allclose(outer_derivative(2, -z), -outer_derivative(1, z), atol=1e-15)
-
-
-def test_outer_half_line_domains():
-    with pytest.raises(ValueError):
-        outer_value(1, -0.5)
-    with pytest.raises(ValueError):
-        outer_value(2, 0.5)
-    with pytest.raises(ValueError):
-        outer_derivative(1, np.array([1.0, -1.0]))
-
-
-def test_outer_branch_validation():
-    with pytest.raises(ValueError):
-        outer_value(3, 0.0)
-    with pytest.raises(ValueError):
-        outer_derivative(0, 0.0)
+    # one front on the whole line: U is odd and U' even, bit for bit, so
+    # v2's outer piece U(-z) is exactly v1's mirror
+    z = np.concatenate(
+        (np.linspace(0.0, 40.0, 4001), np.random.default_rng(3).uniform(0.0, 40.0, 1000))
+    )
+    assert np.array_equal(outer_value(-z), -outer_value(z))
+    assert np.array_equal(outer_derivative(-z), outer_derivative(z))
 
 
 def test_outer_satisfies_scalar_front_equation():
-    # -U'' + U^3 - U = 0, checked with a second difference
+    # -U'' + U^3 - U = 0 on both half-lines, checked with a second
+    # difference, and U' matches the difference quotient of U
     h = 1e-4
-    z = np.linspace(0.1, 4.0, 33)
-    u = outer_value(1, z)
-    upp = (outer_value(1, z + h) - 2.0 * u + outer_value(1, z - h)) / h**2
+    z = np.linspace(-4.0, 4.0, 65)
+    u = outer_value(z)
+    upp = (outer_value(z + h) - 2.0 * u + outer_value(z - h)) / h**2
     assert np.allclose(upp, u**3 - u, atol=1e-6)
+    up = (outer_value(z + h) - outer_value(z - h)) / (2.0 * h)
+    assert np.allclose(outer_derivative(z), up, atol=1e-8)
 
 
 def test_blowup_center_symmetry(blowup_default):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from banded_helpers import symmetry_defect, to_dense
 from beclab import (
     assemble_linearized,
-    bound_state_shift,
+    essential_edge,
     lowest_eigenpairs,
     make_grid,
     nondegeneracy_report,
@@ -97,7 +97,7 @@ def test_bound_state_count_below_lambda_3(lam, bound):
     # it; at 1.1 it sits in the discretized continuum above e = 0.1, and
     # the count at the edge covers only the translation mode
     sol = solve_heteroclinic(lam, n=2049)
-    shift = bound_state_shift(lam)
+    shift = essential_edge(lam)
     assert shift == lam - 1.0
     rep, _ = nondegeneracy_report(sol)
     assert rep.inertia_shift == shift
@@ -124,7 +124,7 @@ def test_sector_bottoms_are_the_two_lowest_eigenvalues(lam):
     sol = solve_heteroclinic(lam, n=513)
     op = assemble_linearized(sol)
     dense = np.linalg.eigvalsh(to_dense(op.matrix))
-    pairs = lowest_eigenpairs(op, bound_state_shift(lam))
+    pairs = lowest_eigenpairs(op, essential_edge(lam))
     assert np.allclose([theta for theta, _ in pairs], dense[:2], rtol=0.0, atol=1e-9)
     # the bottom pair is the odd translation mode, the second the even one
     (_, (a1, a2)), (_, (b1, b2)) = pairs
@@ -180,7 +180,7 @@ def test_reflection_symmetry_of_spectrum(sol3):
     # swapping components and reflecting z maps the operator to itself
     q1, q2, coupling = potentials(sol3)
     mirrored = operator(sol3.grid, q2[::-1], q1[::-1], coupling[::-1])
-    shift = bound_state_shift(sol3.lam)
+    shift = essential_edge(sol3.lam)
     a = [t for t, _ in lowest_eigenpairs(assemble_linearized(sol3), shift)]
     b = [t for t, _ in lowest_eigenpairs(mirrored, shift)]
     assert np.allclose(a, b, atol=1e-10)
@@ -190,7 +190,7 @@ def test_rayleigh_and_residual_certificates(sol3):
     op = assemble_linearized(sol3)
     tol = residual_tolerance(op)
     q = potentials(sol3)
-    for theta, (phi1, phi2) in lowest_eigenpairs(op, bound_state_shift(sol3.lam)):
+    for theta, (phi1, phi2) in lowest_eigenpairs(op, essential_edge(sol3.lam)):
         r1, r2 = apply_natural(sol3.grid, *q, phi1, phi2)
         res1 = r1 - theta * phi1[1:-1]
         res2 = r2 - theta * phi2[1:-1]
@@ -204,7 +204,7 @@ def test_rayleigh_and_residual_certificates(sol3):
 
 def test_eigenvector_orthonormality(sol3):
     op = assemble_linearized(sol3)
-    pairs = lowest_eigenpairs(op, bound_state_shift(sol3.lam))
+    pairs = lowest_eigenpairs(op, essential_edge(sol3.lam))
     for i, (_, u) in enumerate(pairs):
         for j, (_, v) in enumerate(pairs):
             expected = 1.0 if i == j else 0.0
@@ -213,7 +213,7 @@ def test_eigenvector_orthonormality(sol3):
 
 def test_eigenpairs_deterministic(sol3):
     op = assemble_linearized(sol3)
-    shift = bound_state_shift(sol3.lam)
+    shift = essential_edge(sol3.lam)
     first = lowest_eigenpairs(op, shift)
     second = lowest_eigenpairs(op, shift)
     assert first.certificate == second.certificate
@@ -336,7 +336,7 @@ def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
 
 def test_concurrent_calls_match_serial(sol3):
     op = assemble_linearized(sol3)
-    shift = bound_state_shift(sol3.lam)
+    shift = essential_edge(sol3.lam)
     serial = lowest_eigenpairs(op, shift)
     results = [None, None]
 
@@ -359,7 +359,7 @@ def test_concurrent_calls_match_serial(sol3):
 def test_report_from_given_pairs_matches_full_report(sol3):
     rep, pairs = nondegeneracy_report(sol3)
     op = assemble_linearized(sol3)
-    again = lowest_eigenpairs(op, bound_state_shift(sol3.lam))
+    again = lowest_eigenpairs(op, essential_edge(sol3.lam))
     assert pairs.certificate == again.certificate
     assert [theta for theta, _ in pairs] == [theta for theta, _ in again]
     # the report is read from the pairs it returns
