@@ -170,24 +170,27 @@ class ErrorOrders:
     outer_deriv: float
 
 
+def check_composite_coupling(lam: float, X: float) -> None:
+    """Raise ValueError unless lam >= 10 and ln(lam) <= X, so that the
+    stretched inner window sits inside core data on [-X, X]."""
+    if lam < 10.0:
+        raise ValueError(f"composite needs lam >= 10, got {lam}")
+    if math.log(lam) > X * (1.0 + 1e-12):
+        raise ValueError(
+            f"inner window needs X >= ln(lam) = {math.log(lam):.2f}, "
+            f"blow-up data has X = {X}"
+        )
+
+
 def build_composite(
     lam: float, blowup: BlowupProfile, variant: str = "shifted"
 ) -> CompositeApproximation:
-    """Assemble the composite at coupling lam from a converged core profile.
-
-    Requires lam >= 10 and ln(lam) <= blowup.X so the stretched inner
-    window sits inside the core data.
-    """
-    if lam < 10.0:
-        raise ValueError(f"composite needs lam >= 10, got {lam}")
+    """Assemble the composite at coupling lam from a converged core profile;
+    check_composite_coupling(lam, blowup.X) must hold."""
+    check_composite_coupling(lam, blowup.X)
     if variant not in ("leading", "shifted"):
         raise ValueError(f"variant must be 'leading' or 'shifted', got {variant!r}")
     match_point = math.log(lam) * lam**-0.25
-    if math.log(lam) > blowup.X * (1.0 + 1e-12):
-        raise ValueError(
-            f"inner window needs X >= ln(lam) = {math.log(lam):.2f}, "
-            f"blow-up data has X = {blowup.X}"
-        )
     xi = blowup.kappa / PSI0 * lam**-0.25 if variant == "shifted" else 0.0
     return CompositeApproximation(lam=lam, xi=xi, match_point=match_point, blowup=blowup)
 

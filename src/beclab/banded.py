@@ -3,7 +3,8 @@
 A square matrix with equal lower and upper bandwidth bw is held as a
 (2*bw+1, dim) array `data` with A[i, j] = data[bw + i - j, j]; row bw is the
 main diagonal. Factorisation and solves go through LAPACK's gbtrf/gbtrs so
-that a singular or near-singular pivot is reported with its index.
+that a singular or near-singular pivot is reported with its index. For a
+symmetric matrix, rows data[:bw+1] are LAPACK's upper band, for pbtrf/pbtrs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ __all__ = [
     "SingularSystemError",
     "BandedMatrix",
     "BandedLU",
+    "BandedCholesky",
 ]
 
 
@@ -114,4 +116,32 @@ class BandedLU:
         x, info = gbtrs(self._lu, self._bw, self._bw, b, self._piv)
         if info != 0:
             raise ValueError(f"gbtrs: illegal argument {-info}")
+        return x
+
+
+class BandedCholesky:
+    """Cholesky factorisation of A - shift*I for a symmetric BandedMatrix
+    A, read from its upper band alone, reusable for repeated solves. It
+    exists exactly when A - shift*I is positive definite, so one that
+    succeeds proves that A has no eigenvalue at or below shift; a pivot
+    that is not positive raises SingularSystemError with its index.
+    """
+
+    def __init__(self, matrix: BandedMatrix, shift: float):
+        bw = matrix.bandwidth
+        ab = matrix.data[: bw + 1].copy(order="F")
+        ab[bw] -= shift
+        pbtrf, self._pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+        self._factor, info = pbtrf(ab, overwrite_ab=1)
+        if info > 0:
+            raise SingularSystemError(info - 1, f"A - {shift!r} I is not positive definite")
+        if info < 0:
+            raise ValueError(f"pbtrf: illegal argument {-info}")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        if np.shape(rhs) != (self._factor.shape[1],):
+            raise ValueError(f"rhs shape {np.shape(rhs)} is not ({self._factor.shape[1]},)")
+        x, info = self._pbtrs(self._factor, rhs)
+        if info != 0:
+            raise ValueError(f"pbtrs: illegal argument {-info}")
         return x

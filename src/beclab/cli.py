@@ -16,13 +16,15 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .asymptotics import build_composite, measure_errors
+from .asymptotics import build_composite, check_composite_coupling, measure_errors
 from .energy import expansion_residual
 from .heteroclinic import (
     ContinuationTrace,
     HeteroclinicSolution,
     StepUnderflow,
     continue_in_lambda,
+    default_domain_halfwidth,
+    default_grid,
     solve_heteroclinic,
 )
 from .profiles import CORE_N, solve_blowup
@@ -158,12 +160,22 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(command=args.command, **merged)
 
 
+def _check_mesh(lam: float, L: float | None, n: int, flag: str) -> None:
+    """Build the mesh that a solve at lam ends on, so that a coupling the
+    mesh cannot resolve fails before any solve, naming the flag it came from."""
+    try:
+        default_grid(lam, default_domain_halfwidth(lam) if L is None else L, n)
+    except ValueError as exc:
+        raise ValueError(f"no mesh for {flag} {lam:g} at n = {n}: {exc}") from None
+
+
 def _solve_at(cfg: argparse.Namespace, lam: float) -> HeteroclinicSolution:
     """Direct solve up to _DIRECT_MAX, continuation upward from 3 above
     it, or a direct solve from a user seed file when one is given. A given
     --L holds at lam: continuation solves each step on its own default
     half-width, so its end point is re-solved on [-L, L]."""
     n = cfg.n
+    _check_mesh(lam, cfg.L, n, "--lambda")
     if cfg.seed is not None:
         return solve_heteroclinic(lam, L=cfg.L, n=n, init=read_seed_csv(cfg.seed))
     if lam <= _DIRECT_MAX:
@@ -186,6 +198,7 @@ def _sweep_from_seed(lams: list[float], n: int) -> ContinuationTrace:
         )
     if lams[-1] == 3.0:
         raise ValueError("a sweep must reach above the seed coupling 3")
+    _check_mesh(lams[-1], None, n, "--lambda-range")
     start = solve_heteroclinic(3.0, n=n)
     return continue_in_lambda(start, [lam for lam in lams if lam > 3.0])
 
@@ -273,6 +286,7 @@ def _cmd_continue(cfg: argparse.Namespace) -> _Output:
 def _cmd_composite(cfg: argparse.Namespace) -> _Output:
     if cfg.lam is None:
         raise ValueError("composite requires --lambda")
+    check_composite_coupling(cfg.lam, cfg.X)
     profile = solve_blowup(X=cfg.X, n=CORE_N)
     sol = _solve_at(cfg, cfg.lam)
     approx = build_composite(cfg.lam, profile, variant=cfg.variant)
@@ -299,13 +313,13 @@ def _cmd_energy(cfg: argparse.Namespace) -> _Output:
         raise ValueError("energy requires exactly one of --lambda and --lambda-range")
     if cfg.lam_range is not None and (cfg.L is not None or cfg.seed is not None):
         raise ValueError("energy reads --L and --seed only with --lambda")
-    profile = solve_blowup(X=cfg.X, n=CORE_N)
     if cfg.lam_range is not None:
         lams = range_couplings(cfg.lam_range)
         wanted = set(lams)
         sols = [s for s in _sweep_from_seed(lams, cfg.n).solutions if s.lam in wanted]
     else:
         sols = [_solve_at(cfg, cfg.lam)]
+    profile = solve_blowup(X=cfg.X, n=CORE_N)
     reports = [expansion_residual(s, profile) for s in sols]
     columns = {
         "lambda": [r.lam for r in reports],

@@ -162,16 +162,17 @@ def edge_first_weights(x0: float, x1: float, x2: float):
 
 def differentiate(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Nodal first derivative, second order everywhere (one-sided at ends):
-    (hm*s+ + hp*s-)/(hm + hp) from the flux stencil's slopes inside. On a
-    mirror mesh differentiate(v[::-1]) == -differentiate(v)[::-1] exactly."""
+    (hm*s+ + hp*s-)/(hm + hp) inside, from the cell slopes (the flux
+    stencil's s- and s+, without its coefficient arrays). On a mirror mesh
+    differentiate(v[::-1]) == -differentiate(v)[::-1] exactly."""
     values = np.asarray(values, dtype=float)
     if values.shape != grid.nodes.shape:
         raise ValueError("values and grid node counts differ")
     x = grid.nodes
-    st = flux_stencil(grid)
-    s_minus, s_plus = st.slopes(values)
+    h = np.diff(x)
+    s = np.diff(values) / h
     out = np.empty_like(values)
-    out[1:-1] = (st.hm * s_plus + st.hp * s_minus) / (st.hm + st.hp)
+    out[1:-1] = (h[:-1] * s[1:] + h[1:] * s[:-1]) / (h[:-1] + h[1:])
     wl = edge_first_weights(x[0], x[1], x[2])
     out[0] = wl[0] * values[0] + wl[1] * values[1] + wl[2] * values[2]
     wr = edge_first_weights(x[-1], x[-2], x[-3])
@@ -184,10 +185,10 @@ class FluxStencil:
     """Flux form of the second difference on the interior nodes k = 1..n-2.
 
     hm and hp are the widths of the cells left and right of node k, and
-    w = (hm + hp)/2 is its cell weight. slopes(v) are the one-sided slopes
-    s- = (v_k - v_{k-1})/hm and s+ = (v_{k+1} - v_k)/hp, and apply(v) is
-    s+ - s-, which approximates w*v''; lo, mid and hi are its coefficients
-    of v_{k-1}, v_k and v_{k+1}.
+    w = (hm + hp)/2 is its cell weight. apply(v) is s+ - s- with the
+    one-sided slopes s- = (v_k - v_{k-1})/hm and s+ = (v_{k+1} - v_k)/hp,
+    which approximates w*v''; lo, mid and hi are its coefficients of
+    v_{k-1}, v_k and v_{k+1}.
     """
 
     hm: np.ndarray
@@ -197,12 +198,8 @@ class FluxStencil:
     mid: np.ndarray
     hi: np.ndarray
 
-    def slopes(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (v[1:-1] - v[:-2]) / self.hm, (v[2:] - v[1:-1]) / self.hp
-
     def apply(self, v: np.ndarray) -> np.ndarray:
-        s_minus, s_plus = self.slopes(v)
-        return s_plus - s_minus
+        return (v[2:] - v[1:-1]) / self.hp - (v[1:-1] - v[:-2]) / self.hm
 
     def fill_pair_rows(self, mat: BandedMatrix, first: int, diag1, diag2, cross) -> None:
         """Write the interior rows of a two-component system into mat.

@@ -29,22 +29,19 @@ mirror-symmetric solution, so S splits into an odd and an even sector
 block of half the dimension (grids.MirrorSector; Golubitsky, Stewart &
 Schaeffer, Singularities and Groups in Bifurcation Theory II, 1988). The
 translation mode is the bottom of the odd sector and lambda2 the bottom
-of the even one. Each comes from one shift-invert Lanczos solve in its
-sector (ARPACK via scipy.sparse.linalg.eigsh; Ericsson & Ruhe 1980,
-Lehoucq, Sorensen & Yang 1998): the sector block minus the pole is
-factored once by banded LU, and the eigenvalue nearest the pole is
-returned. The Lanczos start vector is a seeded PCG64 draw, which makes
-the result deterministic.
+of the even one. Each comes from inverse and Rayleigh-quotient iteration
+in its sector (Parlett, The Symmetric Eigenvalue Problem, ch. 4) with
+every shift factored by banded Cholesky, which exists exactly when the
+shift lies below the sector's bottom; the solve ends when the block
+factors at theta - tol, which puts its bottom within tol of theta.
 
 Both certificates are taken on the full operator. Every unfolded pair is
 certified by its residual ||S psi - theta psi||; the certification floor
 scales with eps*||S|| because at large coupling and fine meshes
 ||S|| ~ 1/h^2 + lam makes an absolute 1e-8 residual unreachable in
-doubles. A Lanczos solve can return an eigenvalue that is not its
-sector's bottom without any residual showing it, so a Sylvester inertia
-count of S - mu I (block LDL^T over the 2x2 node blocks; Parlett, The
-Symmetric Eigenvalue Problem) then certifies that no eigenvalue below mu
-was skipped. For a solution the count is taken at the essential edge,
+doubles. A Sylvester inertia count of S - mu I (block LDL^T over the 2x2
+node blocks; Parlett) then certifies that no eigenvalue below mu was
+skipped. For a solution the count is taken at the essential edge,
 mu = e(lam), where it is the number of bound states: Theorem 1.2 as a
 count, the zero mode and lambda2 and nothing else.
 """
@@ -55,9 +52,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .banded import BandedLU, BandedMatrix
+from .banded import BandedCholesky, BandedMatrix, SingularSystemError
 from .grids import EVEN, ODD, Grid, flux_stencil, mirror_defect
 from .heteroclinic import (
     HeteroclinicSolution,
@@ -77,11 +73,8 @@ __all__ = [
     "nondegeneracy_report",
 ]
 
-# Deterministic seed for the Lanczos start vector.
-_START_SEED = 0xBEC1AB
-
-# Lanczos basis size of each sector solve.
-_NCV = 5
+# Step cap of a sector solve: solution sectors take 6-14, clustered random blocks up to 81.
+_MAX_STEPS = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +108,8 @@ class EigenCertificate:
     count_below eigenvalues of S lie below shift (Sylvester inertia), and
     exactly that many computed values do; max_residual is the largest
     ||S psi - theta psi|| over the computed pairs, each at most tolerance.
-    solves counts the shift-invert solves the Lanczos run took.
+    solves counts the factorizations, failed ones too, and solves of the
+    two sector solves.
     """
 
     shift: float
@@ -171,13 +165,6 @@ def _norm_inf(matrix: BandedMatrix) -> float:
     return float(np.max(np.sum(np.abs(matrix.data), axis=0)))
 
 
-def _shifted(matrix: BandedMatrix, shift: float) -> BandedMatrix:
-    out = BandedMatrix.zeros(matrix.dim, matrix.bandwidth)
-    out.data[:] = matrix.data
-    out.data[matrix.bandwidth, :] -= shift
-    return out
-
-
 def residual_tolerance(op: LinearizedOperator) -> float:
     """Certification tolerance for eigenpairs: 1e-8 when reachable, else
     a small multiple of the rounding floor eps*||S||_inf."""
@@ -217,32 +204,60 @@ def count_below(op: LinearizedOperator, mu: float) -> int:
     return count
 
 
-def _sector_bottom(block: BandedMatrix, pole: float):
-    """The eigenvector of a sector block whose eigenvalue lies nearest
-    pole, from one seeded shift-invert Lanczos solve, and the number of
-    solves it took."""
-    dim = block.dim
-    lu = BandedLU(_shifted(block, pole))
-    solves = 0
+def _factor(block: BandedMatrix, shift: float):
+    """Cholesky factor of block - shift*I, or None: not positive definite."""
+    try:
+        return BandedCholesky(block, shift)
+    except SingularSystemError:
+        return None
 
-    def shift_invert(x):
-        nonlocal solves
-        solves += 1
-        return lu.solve(x)
 
-    rng = np.random.Generator(np.random.PCG64(_START_SEED))
-    v0 = rng.standard_normal(dim)
-    _, vecs = eigsh(
-        LinearOperator((dim, dim), matvec=block.matvec, dtype=float),
-        k=1,
-        sigma=pole,
-        OPinv=LinearOperator((dim, dim), matvec=shift_invert, dtype=float),
-        v0=v0,
-        ncv=_NCV,
-        tol=0,
-        rng=rng,
+def _sector_bottom(block: BandedMatrix, pole: float, tol: float, parity: int):
+    """The bottom eigenpair (theta, x) of a symmetric sector block, with
+    ||B x - theta x|| <= tol and |x| = 1, and the factorizations plus
+    solves it took. Inverse iteration runs from x = (1, 0, 1, 0, ...), the
+    first component of every node, which overlaps the bottom whatever the
+    signs of its components, at the pole, stepped down until it factors.
+    Once theta settles, or converges slowly, the shift moves to
+    theta - 100 tol (theta - tol/2 at residual tol); a failed factorization
+    keeps the last good factor, and the next shift bisects towards the
+    failure. The pair returns from a solve with the block factored at
+    theta - tol or above, which puts the bottom within tol of theta.
+    """
+    count, step = 1, max(1.0, abs(pole))
+    while (chol := _factor(block, pole)) is None:
+        pole, step, count = pole - step, 2.0 * step, count + 1
+    lo, hi, failed = pole, math.inf, False
+    x = np.zeros(block.dim)
+    x[0::2] = 1.0
+    theta_old = move_old = math.inf
+    for _ in range(_MAX_STEPS):
+        x = chol.solve(x)
+        x /= np.linalg.norm(x)
+        bx = block.matvec(x)
+        theta = float(x @ bx)
+        res = float(np.linalg.norm(bx - theta * x))
+        count += 1
+        if res <= tol and theta - tol <= lo:
+            return theta, x, count
+        move = abs(theta_old - theta)
+        settled = move <= 100.0 * tol or move > 0.5 * move_old
+        theta_old, move_old = theta, move
+        shift = theta - (0.5 * tol if res <= tol else 100.0 * tol)
+        if failed or shift >= hi:
+            shift = 0.5 * (lo + hi)
+        if (failed or settled or res <= tol) and shift > lo:
+            new, count = _factor(block, shift), count + 1
+            failed = new is None
+            if failed:
+                hi = shift
+            else:
+                chol, lo = new, shift
+    raise RuntimeError(
+        f"parity {parity:+d} sector bottom not certified in {_MAX_STEPS} steps: "
+        f"residual {res:.3e} (tolerance {tol:.3e}), theta {theta:.6e}, and the "
+        f"block factors only up to {lo:.6e}"
     )
-    return vecs[:, 0], solves
 
 
 def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
@@ -255,7 +270,7 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
     solved about -min(1, e), and the even sector, which holds no
     translation mode, about e/2, next to its bottom. Two certificates on
     the full operator S follow, either of which raises RuntimeError when
-    it fails:
+    it fails, as does a sector solve that does not converge:
 
     - every unfolded pair has ||S psi - theta psi|| <= residual_tolerance(op),
       with theta the Rayleigh quotient;
@@ -277,7 +292,7 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
 
     thetas, vectors, max_res, solves = [], [], 0.0, 0
     for sector, pole in ((ODD, -min(1.0, shift)), (EVEN, 0.5 * shift)):
-        x, count = _sector_bottom(sector.band(op.matrix), pole)
+        _, x, count = _sector_bottom(sector.band(op.matrix), pole, tol, sector.parity)
         solves += count
         psi = sector.unfold(x)
         psi /= np.linalg.norm(psi)
@@ -289,7 +304,7 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
         res = float(np.linalg.norm(s_psi - theta * psi))
         if not res <= tol:
             raise RuntimeError(
-                f"Lanczos pair (theta {theta:.6e}, parity {sector.parity:+d}) has "
+                f"sector pair (theta {theta:.6e}, parity {sector.parity:+d}) has "
                 f"residual {res:.3e} above the tolerance {tol:.3e}"
             )
         max_res = max(max_res, res)
@@ -303,7 +318,7 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
     if found != expected:
         raise RuntimeError(
             f"inertia count found {found} eigenvalues below {shift:.6e}, "
-            f"but the Lanczos solves returned {expected}"
+            f"but the sector solves returned {expected}"
         )
 
     n = op.grid.n

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from banded_helpers import add_diagonal, get_entry, symmetry_defect, to_dense
 from beclab import BandedLU, BandedMatrix, SingularSystemError
+from beclab.banded import BandedCholesky
 
 
 def dirichlet_laplacian(m: int, h: float) -> BandedMatrix:
@@ -174,3 +175,34 @@ def test_lu_and_matvec_match_dense_oracle(case):
     assert np.allclose(a.matvec(rhs), dense @ rhs, rtol=0.0, atol=1e-13)
     x = BandedLU(a).solve(rhs)
     assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(3, 40),
+    bw=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.sampled_from([1e-9, 1e-3, 1.0]),
+)
+def test_cholesky_factors_exactly_below_the_bottom(dim, bw, seed, gap):
+    # Cholesky of A - shift I exists exactly when shift lies below the
+    # bottom eigenvalue, and its solve inverts A - shift I
+    rng = np.random.default_rng(seed)
+    a = BandedMatrix.zeros(dim, bw)
+    for offset in range(1, bw + 1):
+        band = rng.uniform(-1.0, 1.0, dim - offset)
+        add_diagonal(a, offset, band)
+        add_diagonal(a, -offset, band)
+    add_diagonal(a, 0, rng.uniform(-1.0, 1.0, dim))
+    dense = to_dense(a)
+    bottom = np.linalg.eigvalsh(dense)[0]
+    with pytest.raises(SingularSystemError, match="not positive definite"):
+        BandedCholesky(a, bottom + gap)
+    shift = bottom - gap
+    rhs = rng.standard_normal(dim)
+    x = BandedCholesky(a, shift).solve(rhs)
+    shifted = dense - shift * np.eye(dim)
+    assert np.linalg.norm(shifted @ x - rhs) <= 1e-12 * np.linalg.norm(shifted, 2) * np.linalg.norm(x)
+    # the lower band is not read
+    a.data[bw + 1 :] = np.nan
+    assert np.array_equal(BandedCholesky(a, shift).solve(rhs), x)

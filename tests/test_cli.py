@@ -218,6 +218,52 @@ def test_non_finite_config_value_exits_one_before_solving(
     assert f"is not a valid {flag} value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["composite", "--lambda", "5"], "composite needs lam >= 10, got 5.0"),
+        (["composite", "--lambda", "1e7"], "inner window needs X >= ln(lam) = 16.12"),
+        (["composite", "--lambda", "1e4", "--X", "9"], "blow-up data has X = 9.0"),
+    ],
+)
+def test_composite_outside_its_window_exits_one_before_solving(
+    argv, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "solve_heteroclinic", _unreachable)
+    monkeypatch.setattr(cli, "solve_blowup", _unreachable)
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["solve", "--lambda", "1e300"], "--lambda 1e+300"),
+        (["spectrum", "--lambda", "1e40"], "--lambda 1e+40"),
+        (["energy", "--lambda", "1e300"], "--lambda 1e+300"),
+        (["solve", "--lambda", "1e300", "--L", "25"], "--lambda 1e+300"),
+        (["continue", "--lambda-range", "10:1e300:1"], "--lambda-range 1e+300"),
+        (["energy", "--lambda-range", "10:1e40:1"], "--lambda-range 1e+40"),
+    ],
+)
+def test_unresolvable_coupling_exits_one_before_solving(
+    argv, flag, tmp_path, monkeypatch, capsys
+):
+    # the default mesh cannot grade finely enough for the interface width
+    # lam^(-1/4); that used to surface only after the solves below it
+    monkeypatch.setattr(cli, "solve_heteroclinic", _unreachable)
+    monkeypatch.setattr(cli, "continue_in_lambda", _unreachable)
+    monkeypatch.setattr(cli, "solve_blowup", _unreachable)
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"no mesh for {flag} at n = 8193" in err
+    assert "grading too strong" in err
+
+
 @pytest.mark.parametrize("config", [{"n": "1025"}, {"n": 1025.5}, {"n": True}, {"X": None}])
 def test_mistyped_config_value_exits_one(config, tmp_path, capsys):
     path = tmp_path / "run.json"

@@ -17,7 +17,7 @@ from beclab import (
     nondegeneracy_report,
     solve_heteroclinic,
 )
-from beclab import spectrum
+from beclab import BandedMatrix, spectrum
 from beclab.spectrum import count_below, residual_tolerance
 from spectrum_oracle import apply_natural, operator, potentials
 
@@ -322,16 +322,82 @@ def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
     # the split spectrum 1, 1.5, 4, 4.5, ...; a solver that returns the
     # second eigenpair of each sector (4.5 and 4) computes nothing below 2.5
     op = lifted_sum_channel(201, 0.5)
-    real_eigsh = spectrum.eigsh
 
-    def skipping_eigsh(A, k, **kwargs):
-        values, vectors = real_eigsh(A, k + 1, **kwargs)
-        order = np.argsort(values)[1:]
-        return values[order], vectors[:, order]
+    def second_eigenpair(block, pole, tol, parity):
+        values, vectors = np.linalg.eigh(to_dense(block))
+        return values[1], vectors[:, 1], 1
 
-    monkeypatch.setattr(spectrum, "eigsh", skipping_eigsh)
+    monkeypatch.setattr(spectrum, "_sector_bottom", second_eigenpair)
     with pytest.raises(RuntimeError, match="inertia count"):
         lowest_eigenpairs(op, LAPLACIAN_SHIFT)
+
+
+def test_sector_solver_does_not_stop_on_a_higher_eigenpair():
+    # the start (1, 0, 1, 0, ...) is an eigenvector of eigenvalue 0 up to
+    # a 1e-9 coupling to the bottom well -1 at index 1: its residual is
+    # below tol at once, and only the factorization just below theta,
+    # which fails, shows that a lower eigenvalue exists
+    block = BandedMatrix.zeros(20, 2)
+    block.data[2, 1::2] = 5.0
+    block.data[2, 1] = -1.0
+    block.data[1, 1] = block.data[3, 0] = 1e-9
+    theta, x, _ = spectrum._sector_bottom(block, -2.0, 1e-8, 1)
+    assert theta == pytest.approx(np.linalg.eigvalsh(to_dense(block))[0], abs=1e-8)
+    assert abs(x[1]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_sector_solver_that_cannot_reach_the_bottom_raises():
+    # without the coupling the start never sees the bottom well: the
+    # residual is 0, but the block never factors within tol of theta
+    block = BandedMatrix.zeros(20, 2)
+    block.data[2, 1::2] = 5.0
+    block.data[2, 1] = -1.0
+    with pytest.raises(RuntimeError, match=r"parity \+1 sector bottom not certified in 200 steps: residual 0"):
+        spectrum._sector_bottom(block, -2.0, 1e-8, 1)
+
+
+def random_block(dim, seed, scale, clustered, split):
+    """Symmetric bandwidth-2 block with random entries of size scale. A
+    clustered one is made mirror-symmetric with a diagonal well of depth
+    8*scale at each end; the far end is then raised by split, so the two
+    bottom eigenvalues, one eigenvector in each well, differ by about
+    split plus the tunnelling between the wells."""
+    rng = np.random.default_rng(seed)
+    block = BandedMatrix.zeros(dim, 2)
+    block.data[2] = scale * rng.uniform(-1.0, 1.0, dim)
+    for offset in (1, 2):
+        band = scale * rng.uniform(-1.0, 1.0, dim - offset)
+        block.data[2 - offset, offset:] = band
+        block.data[2 + offset, :-offset] = band
+    if clustered:
+        block.data[:] = 0.5 * (block.data + block.data[::-1, ::-1])
+        block.data[2, [0, -1]] -= 8.0 * scale
+        block.data[2, -1] += split
+    return block
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.integers(5, 60),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 1e3, 1e6]),
+    clustered=st.booleans(),
+    split=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1]),
+    pole_offset=st.floats(-10.0, 10.0),
+    parity=st.sampled_from([1, -1]),
+)
+def test_sector_solver_finds_the_bottom(dim, seed, scale, clustered, split, pole_offset, parity):
+    # any symmetric band, clustered bottoms included, and a pole up to ten
+    # entry sizes above or below the bottom: the solver returns the bottom
+    # eigenvalue within the residual tolerance, certified by its residual
+    block = random_block(dim, seed, scale, clustered, split * scale)
+    exact = np.linalg.eigvalsh(to_dense(block))
+    tol = max(1e-8, 64.0 * np.finfo(float).eps * float(np.max(np.sum(np.abs(block.data), axis=0))))
+    theta, x, count = spectrum._sector_bottom(block, exact[0] + pole_offset * scale, tol, parity)
+    assert abs(theta - exact[0]) <= tol
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(block.matvec(x) - theta * x) <= tol
+    assert count >= 2
 
 
 def test_concurrent_calls_match_serial(sol3):
