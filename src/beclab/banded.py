@@ -2,9 +2,10 @@
 
 A square matrix with equal lower and upper bandwidth bw is held as a
 (2*bw+1, dim) array `data` with A[i, j] = data[bw + i - j, j]; row bw is the
-main diagonal. Factorisation and solves go through LAPACK's gbtrf/gbtrs so
-that a singular or near-singular pivot is reported with its index. For a
-symmetric matrix, rows data[:bw+1] are LAPACK's upper band, for pbtrf/pbtrs.
+main diagonal. Factorisation and solves go through LAPACK's gbtrf/gbtrs
+(gttrf/gttrs when bw = 1) so that a singular or near-singular pivot is
+reported with its index. For a symmetric matrix, rows data[:bw+1] are
+LAPACK's upper band, for pbtrf/pbtrs.
 """
 
 from __future__ import annotations
@@ -85,37 +86,45 @@ class BandedLU:
         if float(np.min(row_max)) == 0.0:
             raise SingularSystemError(int(np.argmin(row_max)), "zero row")
         row_scale = 1.0 / row_max
-        # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j].
-        ab = np.zeros((3 * bw + 1, dim))
-        for offset, rows, cols, band in matrix.diagonals():
-            ab[2 * bw - offset, cols] = band * row_scale[rows]
-        gbtrf, = get_lapack_funcs(("gbtrf",), (ab,))
-        lu, piv, info = gbtrf(ab, bw, bw)
+        if bw == 1 and dim > 2:  # SciPy's gttrf wrapper rejects dim <= 2
+            # tridiagonal: gttrf pivots as gbtrf does, at a fraction of the
+            # per-column cost that dominates gbtrf and gbtrs on one band
+            sub, diag, sup = (
+                band * row_scale[rows] for _, rows, _, band in matrix.diagonals()
+            )
+            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
+            *lu, info = gttrf(sub, diag, sup)
+            udiag = lu[1]
+            self._solve = lambda b: gttrs(*lu, b)
+        else:
+            # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j].
+            ab = np.zeros((3 * bw + 1, dim))
+            for offset, rows, cols, band in matrix.diagonals():
+                ab[2 * bw - offset, cols] = band * row_scale[rows]
+            gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+            lu, piv, info = gbtrf(ab, bw, bw)
+            udiag = lu[2 * bw]
+            self._solve = lambda b: gbtrs(lu, bw, bw, b, piv)
         if info > 0:
             raise SingularSystemError(info - 1)
         if info < 0:
-            raise ValueError(f"gbtrf: illegal argument {-info}")
-        udiag = np.abs(lu[2 * bw, :])
+            raise ValueError(f"LU factorisation: illegal argument {-info}")
+        udiag = np.abs(udiag)
         threshold = dim * np.finfo(float).eps  # rows have unit max after scaling
         if float(np.min(udiag)) <= threshold:
             raise SingularSystemError(
                 int(np.argmin(udiag)),
                 f"near-singular pivot at index {int(np.argmin(udiag))}",
             )
-        self._lu = lu
-        self._piv = piv
-        self._bw = bw
         self._row_scale = row_scale
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != self._row_scale.shape:
             raise ValueError(f"rhs shape {rhs.shape} is not ({self._row_scale.shape[0]},)")
-        gbtrs, = get_lapack_funcs(("gbtrs",), (self._lu,))
-        b = rhs * self._row_scale
-        x, info = gbtrs(self._lu, self._bw, self._bw, b, self._piv)
+        x, info = self._solve(rhs * self._row_scale)
         if info != 0:
-            raise ValueError(f"gbtrs: illegal argument {-info}")
+            raise ValueError(f"LU solve: illegal argument {-info}")
         return x
 
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from .banded import BandedLU, BandedMatrix
 from .grids import Grid
 
 __all__ = [
@@ -53,16 +53,51 @@ def fit_loglog(samples: Sequence[tuple[float, float]]) -> float:
 
 
 def resample(nodes: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Cubic interpolation of (nodes, values) at the points `at`.
+    """Not-a-knot cubic spline through (nodes, values), evaluated at `at`.
 
-    Points must lie inside the node range (up to 1e-12 rounding slack).
+    The node slopes solve SciPy's CubicSpline system: the C2 rows inside
+    and the not-a-knot rows at both ends, tridiagonal, factored by
+    BandedLU. Each interval's cubic is evaluated in Horner form. Needs at
+    least 4 strictly increasing nodes, one value per node, and points
+    inside the node range (up to 1e-12 rounding slack).
     """
-    nodes = np.asarray(nodes, dtype=float)
+    x = np.asarray(nodes, dtype=float)
+    y = np.asarray(values, dtype=float)
     at = np.asarray(at, dtype=float)
-    slack = 1e-12 * (1.0 + abs(nodes[0]) + abs(nodes[-1]))
-    if np.any(at < nodes[0] - slack) or np.any(at > nodes[-1] + slack):
+    if x.ndim != 1 or x.size < 4:
+        raise ValueError(f"resample needs at least 4 nodes, got shape {x.shape}")
+    if y.shape != x.shape:
+        raise ValueError(f"{y.shape} values on nodes of shape {x.shape}")
+    dx = np.diff(x)
+    if not np.all(dx > 0.0):
+        raise ValueError("resample nodes must be strictly increasing")
+    slack = 1e-12 * (1.0 + abs(x[0]) + abs(x[-1]))
+    if np.any(at < x[0] - slack) or np.any(at > x[-1] + slack):
         raise ValueError("resample target outside the data range")
-    return CubicSpline(nodes, values)(np.clip(at, nodes[0], nodes[-1]))
+    slope = np.diff(y) / dx
+    # row i of the slope system s, in BandedMatrix storage (data[1 + i - j, j]):
+    # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs[i]
+    system = BandedMatrix.zeros(x.size, 1)
+    upper, diag, lower = system.data
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    upper[2:] = dx[:-1]
+    lower[:-2] = dx[1:]
+    rhs = np.empty_like(x)
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag[0], upper[1] = dx[1], d0
+    rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    diag[-1], lower[-2] = dx[-2], d1
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    s = BandedLU(system).solve(rhs)
+    # cubic on interval i in u = t - x[i]: ((c3 u + c2) u + s[i]) u + y[i]
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    c3 = t / dx
+    c2 = (slope - s[:-1]) / dx - t
+    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
+    u = np.clip(at, x[0], x[-1]) - x[i]
+    return ((c3[i] * u + c2[i]) * u + s[i]) * u + y[i]
 
 
 def golden_minimize(

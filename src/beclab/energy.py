@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .calculus import quadrature
 from .grids import make_grid
 from .heteroclinic import HeteroclinicSolution, hamiltonian_values, sigma_gradient_form

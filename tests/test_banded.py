@@ -47,12 +47,17 @@ def test_zero_row_reports_index():
 
 
 def test_dependent_rows_singular():
-    a = BandedMatrix.zeros(2, 1)
-    add_diagonal(a, 0, np.ones(2))
-    add_diagonal(a, 1, np.ones(1))
-    add_diagonal(a, -1, np.ones(1))
-    with pytest.raises(SingularSystemError):
-        BandedLU(a).solve(np.ones(2))
+    # rows 0 and 1 are equal, so elimination meets an exactly zero pivot
+    # at index 1: LAPACK reports it itself (gbtrf at dim 2, gttrf at dim 3),
+    # before the near-singular pivot check could
+    for dim in (2, 3):
+        a = BandedMatrix.zeros(dim, 1)
+        add_diagonal(a, 0, np.ones(dim))
+        add_diagonal(a, 1, np.eye(1, dim - 1)[0])
+        add_diagonal(a, -1, np.eye(1, dim - 1)[0])
+        with pytest.raises(SingularSystemError, match="^singular pivot at index 1$") as exc:
+            BandedLU(a)
+        assert exc.value.index == 1
 
 
 def test_dense_reference_agreement():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from beclab import (
     fit_loglog,
@@ -96,8 +99,74 @@ def test_resample_scalar_and_range_guard():
     values = np.sin(nodes)
     out = resample(nodes, values, np.array([0.5]))
     assert out.shape == (1,) and out[0] == pytest.approx(math.sin(0.5), abs=1e-6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the data range"):
         resample(nodes, values, np.array([1.5]))
+
+
+def test_resample_validation():
+    nodes = np.linspace(0.0, 1.0, 21)
+    values = np.sin(nodes)
+    at = np.array([0.5])
+    repeated = nodes.copy()
+    repeated[7] = repeated[6]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        resample(repeated, values, at)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        resample(nodes[::-1], values, at)
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        resample(nodes[:3], values[:3], at)
+    with pytest.raises(ValueError, match="values on nodes"):
+        resample(nodes, values[:-1], at)
+    with pytest.raises(ValueError, match="values on nodes"):
+        resample(nodes, np.stack((values, values)), at)
+
+
+def test_resample_writes_nothing_into_its_inputs():
+    nodes = np.linspace(-1.0, 2.0, 31)
+    values = np.exp(nodes)
+    at = np.linspace(-1.0, 2.0, 101)
+    copies = [a.copy() for a in (nodes, values, at)]
+    for a in (nodes, values, at):
+        a.flags.writeable = False
+    resample(nodes, values, at)
+    for a, copy in zip((nodes, values, at), copies):
+        assert np.array_equal(a, copy)
+
+
+def _assert_matches_scipy_spline(nodes, values):
+    # at the nodes, the cell midpoints and the two ends: agreement to
+    # rounding (the two solve the same slope system by different LU
+    # routines and evaluate the cubic in different forms)
+    at = np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:])))
+    ours = resample(nodes, values, at)
+    theirs = CubicSpline(nodes, values)(at)
+    bound = 8.0 * np.finfo(float).eps * np.max(np.abs(values))
+    assert np.max(np.abs(ours - theirs)) <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gaps=st.lists(st.floats(1.0, 2.0), min_size=3, max_size=299),
+    width=st.floats(0.1, 100.0),
+    start=st.floats(-50.0, 50.0),
+    freq=st.floats(0.1, 3.0),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_resample_matches_scipy_cubic_spline(gaps, width, start, freq, phase, scale):
+    # smooth data on 4..300 strictly increasing nodes whose gaps differ
+    # by at most a factor 2
+    offsets = np.concatenate(([0.0], np.cumsum(gaps)))
+    nodes = start + width * (offsets / offsets[-1])
+    values = scale * np.sin(freq * (nodes - start) / width + phase)
+    _assert_matches_scipy_spline(nodes, values)
+
+
+def test_resample_matches_scipy_on_the_solution_meshes(blowup_wide, sol3):
+    # the core mesh (X = 15, n = 4097) and the interface mesh (n = 8193)
+    for field in (blowup_wide.V1, blowup_wide.V2):
+        _assert_matches_scipy_spline(blowup_wide.grid.nodes, field)
+    _assert_matches_scipy_spline(sol3.grid.nodes, sol3.v1)
 
 
 def test_golden_minimize_parabola():

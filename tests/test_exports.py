@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,21 @@ def test_every_export_has_a_caller(name):
     # a public name that only tests use is deleted or moved into the tests
     exported = importlib.import_module(name).__all__
     assert [n for n in exported if n not in REFERENCED] == []
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # beclab needs NumPy and scipy.linalg alone; each of these would add
+    # tenths of a second to every start-up
+    heavy = ["scipy.integrate", "scipy.interpolate", "scipy.optimize",
+             "scipy.special", "scipy.sparse"]
+    src = str(Path(beclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        "import sys, beclab, beclab.cli; "
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from beclab import (
     PSI0,
@@ -178,6 +179,55 @@ def test_shooting_orbit_unclassified_at_horizon_raises(monkeypatch):
     monkeypatch.setattr(shooting, "_HORIZON", 0.5)
     with pytest.raises(RuntimeError, match="unclassified"):
         kappa_shooting()
+
+
+def test_stepper_tableau_is_scipys():
+    for s in range(1, 12):
+        assert np.array_equal(shooting._A[s], DOP853.A[s, :s])
+    assert np.array_equal(DOP853.A[0], np.zeros(12))
+    for ours, theirs in ((shooting._C, DOP853.C), (shooting._B, DOP853.B),
+                         (shooting._E3, DOP853.E3), (shooting._E5, DOP853.E5)):
+        assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+
+
+def _scipy_steps(a, t_bound):
+    b = np.sqrt((PSI0**2 + a**4) / 2.0)
+    ref = DOP853(
+        shooting._rhs, 0.0, np.concatenate((a, a, b, -b)), t_bound,
+        rtol=shooting._RTOL, atol=shooting._ATOL,
+    )
+    steps = []
+    while ref.status == "running":
+        ref.step()
+        if ref.status != "failed":
+            steps.append((ref.t, ref.y.copy()))
+    return steps, ref.status
+
+
+@pytest.mark.parametrize(
+    "a, t_bound",
+    [
+        # the initial bracket ends, stacked: both blow up, and both
+        # steppers give up at the same step
+        ((0.55, 0.68), shooting._HORIZON),
+        # the connecting orbit to the read point
+        ((0.6121750416071583,), shooting._READ_AT),
+    ],
+)
+def test_stepper_takes_scipys_steps(a, t_bound):
+    a = np.array(a)
+    theirs, status = _scipy_steps(a, t_bound)
+    ours = []
+    try:
+        for x, y in shooting._solver(a, t_bound):
+            ours.append((x, y))
+        assert status == "finished"
+    except RuntimeError as exc:
+        assert "step size underflow" in str(exc) and status == "failed"
+    assert len(ours) == len(theirs) > 50
+    assert [x for x, _ in ours] == [x for x, _ in theirs]
+    for (_, y), (_, ref) in zip(ours, theirs):
+        assert np.all(np.abs(y - ref) <= 2.0 * np.spacing(np.abs(ref)))
 
 
 def test_extract_kappa_window_consistency():
