@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import fit_loglog, golden_minimize, resample
+from .calculus import fit_loglog, golden_minimize
 from .heteroclinic import HeteroclinicSolution
 from .profiles import PSI0, BlowupProfile, outer_value, outer_derivative
 
@@ -81,7 +81,8 @@ class CompositeApproximation:
         return x
 
     def _eval(self, z, outer, sign: float, inner1, inner2, scale: float):
-        # v1's outer piece is outer(z + xi), v2's its mirror sign*outer(xi - z)
+        # v1's outer piece is outer(z + xi), v2's its mirror sign*outer(xi - z);
+        # inner1 and inner2 evaluate the core data at stretched points
         zeta = np.asarray(z, dtype=float)
         out1 = np.zeros_like(zeta)
         out2 = np.zeros_like(zeta)
@@ -94,21 +95,19 @@ class CompositeApproximation:
             out2[left] = sign * outer(self.xi - zeta[left])
         if np.any(inner):
             x = self._inner_coords(zeta[inner])
-            nodes = self.blowup.grid.nodes
-            out1[inner] = scale * resample(nodes, inner1, x)
-            out2[inner] = scale * resample(nodes, inner2, x)
+            out1[inner] = scale * inner1(x)
+            out2[inner] = scale * inner2(x)
         return out1, out2
 
     def values(self, z):
         """(v1_hat, v2_hat) at the points z."""
         b = self.blowup
-        return self._eval(z, outer_value, 1.0, b.V1, b.V2, self.lam**-0.25)
+        return self._eval(z, outer_value, 1.0, *b.value_splines, self.lam**-0.25)
 
     def derivatives(self, z):
         """(v1_hat', v2_hat') at z; the inner chain rule cancels the
         amplitude factor, leaving V_i'(lam^{1/4} z)."""
-        b = self.blowup
-        return self._eval(z, outer_derivative, -1.0, b.dV1, b.dV2, 1.0)
+        return self._eval(z, outer_derivative, -1.0, *self.blowup.derivative_splines, 1.0)
 
     def jump(self) -> float:
         """Largest gluing discontinuity: inner and outer limits compared at

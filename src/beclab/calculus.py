@@ -61,9 +61,14 @@ def resample(nodes: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarra
     least 4 strictly increasing nodes, one value per node, and points
     inside the node range (up to 1e-12 rounding slack).
     """
+    return _spline(nodes, values)(at)
+
+
+def _spline(nodes: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """resample's spline as an evaluator of `at`, for data that is
+    evaluated many times: its node slopes are solved once."""
     x = np.asarray(nodes, dtype=float)
     y = np.asarray(values, dtype=float)
-    at = np.asarray(at, dtype=float)
     if x.ndim != 1 or x.size < 4:
         raise ValueError(f"resample needs at least 4 nodes, got shape {x.shape}")
     if y.shape != x.shape:
@@ -72,8 +77,6 @@ def resample(nodes: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarra
     if not np.all(dx > 0.0):
         raise ValueError("resample nodes must be strictly increasing")
     slack = 1e-12 * (1.0 + abs(x[0]) + abs(x[-1]))
-    if np.any(at < x[0] - slack) or np.any(at > x[-1] + slack):
-        raise ValueError("resample target outside the data range")
     slope = np.diff(y) / dx
     # row i of the slope system s, in BandedMatrix storage (data[1 + i - j, j]):
     # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs[i]
@@ -95,9 +98,16 @@ def resample(nodes: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarra
     t = (s[:-1] + s[1:] - 2.0 * slope) / dx
     c3 = t / dx
     c2 = (slope - s[:-1]) / dx - t
-    i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
-    u = np.clip(at, x[0], x[-1]) - x[i]
-    return ((c3[i] * u + c2[i]) * u + s[i]) * u + y[i]
+
+    def evaluate(at: np.ndarray) -> np.ndarray:
+        at = np.asarray(at, dtype=float)
+        if np.any(at < x[0] - slack) or np.any(at > x[-1] + slack):
+            raise ValueError("resample target outside the data range")
+        i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
+        u = np.clip(at, x[0], x[-1]) - x[i]
+        return ((c3[i] * u + c2[i]) * u + s[i]) * u + y[i]
+
+    return evaluate
 
 
 def golden_minimize(

@@ -255,8 +255,10 @@ class MirrorSector:
 
     def band(self, mat: BandedMatrix) -> BandedMatrix:
         bw, m = mat.bandwidth, mat.dim // 2
-        # R A R is stored as data reversed along both axes
-        t = 0.5 * (mat.data + mat.data[::-1, ::-1])
+        # R A R is stored as data reversed along both axes; the block reads
+        # T's first m + bw columns only
+        keep = slice(0, m + bw)
+        t = 0.5 * (mat.data[:, keep] + mat.data[::-1, ::-1][:, keep])
         out = BandedMatrix.zeros(m, bw)
         for offset, _, cols, band in out.diagonals():
             band[:] = t[bw - offset, cols]

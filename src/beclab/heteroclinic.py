@@ -12,7 +12,11 @@ with exact limit Dirichlet data; truncation error is exponentially small
 in L and is absorbed by the grid-convergence tolerances. The system
 commutes with the swap-reflection (v1, v2)(z) -> (v2, v1)(-z), and Newton
 solves only for its mirror-symmetric (even) fields, which removes the
-translation freedom the far-field data alone pin only weakly.
+translation freedom the far-field data alone pin only weakly. Each Newton
+step does only the even sector's work: its residual evaluates the v1 rows
+alone (v2 is v1 reversed, so the v2 rows are the v1 rows mirrored), and
+its Jacobian block folds only the columns it keeps (MirrorSector.band).
+The full-domain residual serves the Jacobian hygiene check.
 
 Discretisation is the flux form of the second difference on a sinh-graded
 mesh whose fine region tracks the interface core (|z| of order
@@ -220,6 +224,9 @@ def _interior_residual_jacobian(grid: Grid, lam: float):
     the first and last interior rows. Flux form keeps row magnitudes at
     1/h rather than 1/h^2, so the evaluation rounding floor stays below
     the Newton tolerance on the finest meshes (see module docstring).
+    rows(Va, Vb) is the one row expression: component a's rows at the
+    interior nodes, from the full fields Va and Vb of a and of the other
+    component. Returns residual, jacobian, full_fields and rows.
     """
     n = grid.n
     st = flux_stencil(grid)
@@ -235,12 +242,17 @@ def _interior_residual_jacobian(grid: Grid, lam: float):
         V2[1:-1] = u[1::2]
         return V1, V2
 
+    def rows(Va: np.ndarray, Vb: np.ndarray) -> np.ndarray:
+        # the cube as products: ** 3 goes through pow, which is slow on
+        # the underflowing far-field tails
+        ca, cb = Va[1:-1], Vb[1:-1]
+        return st.apply(Va) - w * (ca * ca * ca - ca + lam * cb**2 * ca)
+
     def residual(u: np.ndarray) -> np.ndarray:
         V1, V2 = full_fields(u)
         r = np.empty(2 * m)
-        c1, c2 = V1[1:-1], V2[1:-1]
-        r[0::2] = st.apply(V1) - w * (c1**3 - c1 + lam * c2**2 * c1)
-        r[1::2] = st.apply(V2) - w * (c2**3 - c2 + lam * c1**2 * c2)
+        r[0::2] = rows(V1, V2)
+        r[1::2] = rows(V2, V1)
         return r
 
     def jacobian(u: np.ndarray) -> BandedMatrix:
@@ -251,22 +263,25 @@ def _interior_residual_jacobian(grid: Grid, lam: float):
         st.fill_pair_rows(jac, 0, d1, d2, -2.0 * lam * w * c1 * c2)
         return jac
 
-    return residual, jacobian, full_fields
+    return residual, jacobian, full_fields, rows
 
 
-def _even_sector(residual, jacobian):
+def _even_sector(jacobian, full_fields, rows):
     """A residual/Jacobian pair of interleaved interior unknowns restricted
     to mirror-symmetric states u = state(y) = (y, y reversed), with y the
     first half of u (the nodes z < 0 and the middle node's v1).
 
     mean(u) averages each entry of u with its mirror entry: it projects a
     state onto the sector. The sector residual is the mean of the full
-    one; at a symmetric state on an exact mirror mesh each row equals its
-    mirror row bit for bit, so the sector residual is the full one's
-    first half and its sup norm is the full-domain residual's: Newton
-    stops where a full-domain solve would. Its Jacobian with respect to
-    y is the orthonormal even-sector block EVEN.band(J). Returns the residual, the
-    Jacobian, mean and state.
+    one. At a symmetric state on an exact mirror mesh each full row equals
+    its mirror row bit for bit, so the mean is the full residual's first
+    half, and its sup norm is the full-domain residual's: Newton stops
+    where a full-domain solve would. The sector residual therefore
+    evaluates only the v1 rows, over the whole interior with v2 = v1
+    reversed, and reads the v2 rows of the first half off them mirrored:
+    bit for bit mean(residual(state(y))) at half the arithmetic. Its
+    Jacobian with respect to y is the orthonormal even-sector block
+    EVEN.band(J). Returns the residual, the Jacobian, mean and state.
     """
 
     def mean(u: np.ndarray) -> np.ndarray:
@@ -276,8 +291,19 @@ def _even_sector(residual, jacobian):
     def state(y: np.ndarray) -> np.ndarray:
         return np.concatenate((y, y[::-1]))
 
+    def residual(y: np.ndarray) -> np.ndarray:
+        V1, _ = full_fields(state(y))
+        r1 = rows(V1, V1[::-1])
+        # y's v1 entries are the v1 rows of nodes 1..(m+1)/2; the v2 row
+        # of node k is the v1 row of its mirror node
+        m = y.shape[0]
+        r = np.empty(m)
+        r[0::2] = r1[: (m + 1) // 2]
+        r[1::2] = r1[: (m - 1) // 2 : -1]
+        return r
+
     return (
-        lambda y: mean(residual(state(y))),
+        residual,
         lambda y: EVEN.band(jacobian(state(y))),
         mean,
         state,
@@ -381,8 +407,8 @@ def solve_heteroclinic(
     else:
         seed = _seed_on_grid(*init, grid)
 
-    residual, jacobian, full_fields = _interior_residual_jacobian(grid, lam)
-    sector_residual, sector_jacobian, mean, state = _even_sector(residual, jacobian)
+    _, jacobian, full_fields, rows = _interior_residual_jacobian(grid, lam)
+    sector_residual, sector_jacobian, mean, state = _even_sector(jacobian, full_fields, rows)
     y, iterations, final_res = newton_solve(
         sector_residual, sector_jacobian, mean(_interior_state(*seed))
     )

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .banded import BandedMatrix
+from .calculus import _spline
 from .grids import (
     Grid,
     differentiate,
@@ -90,6 +92,18 @@ class BlowupProfile:
     X: float
     residual: float
     hamiltonian_dev: float
+
+    @cached_property
+    def value_splines(self):
+        """Evaluators of the cubic splines (calculus.resample's) through V1
+        and V2, built on first use and kept: the composite reads them on
+        every evaluation."""
+        return _spline(self.grid.nodes, self.V1), _spline(self.grid.nodes, self.V2)
+
+    @cached_property
+    def derivative_splines(self):
+        """The same for dV1 and dV2."""
+        return _spline(self.grid.nodes, self.dV1), _spline(self.grid.nodes, self.dV2)
 
 
 def _hamiltonian_dev(V1, V2, dV1, dV2, psi0_sq: float) -> float:

@@ -16,11 +16,12 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["sanitize", "format_float", "write_csv", "write_json", "read_seed_csv"]
+__all__ = ["sanitize", "write_csv", "write_json", "read_seed_csv"]
 
 
 def format_float(x: float) -> str:
-    """17 significant digits round-trips doubles exactly."""
+    """One CSV cell: 17 significant digits round-trips doubles exactly.
+    write_csv spells every cell this way, with one %-format per file."""
     return format(float(x), ".17g")
 
 
@@ -71,10 +72,12 @@ def write_csv(
     for name, arr in zip(names, arrays):
         if arr.ndim != 1 or arr.shape[0] != length:
             raise ValueError(f"column {name} is not a 1-d array of length {length}")
-    lines = ["# config: " + json.dumps(sanitize(config), sort_keys=True), ",".join(names)]
-    for i in range(length):
-        lines.append(",".join(format_float(arr[i]) for arr in arrays))
-    Path(path).write_text("\n".join(lines) + "\n")
+    # "%.17g" spells a double as format_float does; one %-format over all
+    # cells costs a fraction of formatting them one by one
+    row = ",".join(["%.17g"] * len(arrays)) + "\n"
+    cells = np.column_stack(arrays).ravel().tolist()
+    header = "# config: " + json.dumps(sanitize(config), sort_keys=True)
+    Path(path).write_text(header + "\n" + ",".join(names) + "\n" + row * length % tuple(cells))
 
 
 def read_seed_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

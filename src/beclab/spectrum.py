@@ -150,7 +150,7 @@ def assemble_linearized(sol: HeteroclinicSolution) -> LinearizedOperator:
     S = -W^{-1/2} J W^{-1/2}, W the cell weights. Each entry is scaled by
     the product s_i*s_j, which is commutative, so the symmetric J gives an
     exactly symmetric S."""
-    _, jacobian, _ = _interior_residual_jacobian(sol.grid, sol.lam)
+    _, jacobian, _, _ = _interior_residual_jacobian(sol.grid, sol.lam)
     jac = jacobian(_interior_state(sol.v1, sol.v2))
     w = flux_stencil(sol.grid).w
     s = np.repeat(1.0 / np.sqrt(w), 2)

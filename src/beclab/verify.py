@@ -120,7 +120,7 @@ def _hygiene_states() -> list[float]:
     errors = []
 
     grid = default_grid(50.0, 20.0, 41)
-    residual, jacobian, _ = _interior_residual_jacobian(grid, 50.0)
+    residual, jacobian, _, _ = _interior_residual_jacobian(grid, 50.0)
     base = _interior_state(*explicit_lambda3(grid.nodes))
     state = base + 0.05 * np.sin(np.arange(base.size))
     errors.append(jacobian_fd_error(residual, jacobian, state))

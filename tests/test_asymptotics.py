@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from beclab import (
     measure_errors,
     shift_estimate,
 )
-from beclab import asymptotics
+from beclab import asymptotics, profiles
+from beclab.calculus import resample
 
 SWEEP = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 
@@ -209,3 +211,29 @@ def test_error_report_validation():
             inner_deriv_core=0.0,
             jump=0.0,
         )
+
+
+def test_composite_builds_each_core_spline_once(blowup_default, monkeypatch):
+    # the four core splines are built on first use and kept, and the inner
+    # piece is resample's, bit for bit
+    builds = []
+    real = profiles._spline
+
+    def counting(nodes, values):
+        builds.append(values)
+        return real(nodes, values)
+
+    monkeypatch.setattr(profiles, "_spline", counting)
+    b = dataclasses.replace(blowup_default)  # no splines built yet
+    lam = 1e3
+    approx = build_composite(lam, b)
+    z = np.linspace(-approx.match_point, approx.match_point, 301)
+    for _ in range(3):
+        v1, v2 = approx.values(z)
+        d1, d2 = approx.derivatives(z)
+    assert len(builds) == 4
+    x, nodes = lam**0.25 * z, b.grid.nodes
+    assert np.array_equal(v1, lam**-0.25 * resample(nodes, b.V1, x))
+    assert np.array_equal(v2, lam**-0.25 * resample(nodes, b.V2, x))
+    assert np.array_equal(d1, resample(nodes, b.dV1, x))
+    assert np.array_equal(d2, resample(nodes, b.dV2, x))

@@ -68,3 +68,38 @@ def test_import_loads_no_heavy_scipy_subpackage():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def _literal_powers(source: str) -> list[str]:
+    """Each x ** k (or x **= k) with k an integer literal >= 3, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            k = node.right if isinstance(node, ast.BinOp) else node.value
+            if isinstance(k, ast.Constant) and type(k.value) is int and k.value >= 3:
+                found.append(ast.get_source_segment(source, node))
+    return sorted(found)
+
+
+# The shooting slope sqrt((psi0^2 + a^4)/2), in the stepper and in the
+# result, on a few parameters a: with (a * a) ** 2 the multisection's sides
+# of the separatrix alternate in the last ulps
+# (test_multisection_bracket_straddles_the_separatrix fails), and pow costs
+# nothing at that size.
+_POW_ALLOWED = {"shooting.py": ["a**4", "a**4"]}
+
+
+def test_literal_powers_are_found():
+    found = _literal_powers("a = b**3\nc = d ** 2\ne **= 4\nf = g**0.5\nh = 2**k\n")
+    assert found == ["b**3", "e **= 4"]
+
+
+def test_no_power_of_an_integer_literal_three_or_more():
+    # NumPy sends c**3 to libm pow: 2-3 times the cost of c * c * c, and far
+    # more where the far-field tails underflow, so cubes are written as
+    # products (x**2 is NumPy's square, and stays)
+    found = {
+        path.name: _literal_powers(path.read_text())
+        for path in sorted(Path(beclab.__file__).parent.glob("*.py"))
+    }
+    assert {name: f for name, f in found.items() if f} == _POW_ALLOWED

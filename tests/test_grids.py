@@ -356,6 +356,40 @@ def test_mirror_sector_band_is_the_folded_block(m, seed):
         assert np.allclose(f @ u, x, rtol=0.0, atol=1e-15)
 
 
+def band_full_width(sector, mat: BandedMatrix) -> BandedMatrix:
+    """MirrorSector.band's formula with T = (A + RAR)/2 formed on all 2m
+    columns: the oracle of the one that forms only the columns it reads."""
+    bw, m = mat.bandwidth, mat.dim // 2
+    t = 0.5 * (mat.data + mat.data[::-1, ::-1])
+    out = BandedMatrix.zeros(m, bw)
+    for offset, _, cols, band in out.diagonals():
+        band[:] = t[bw - offset, cols]
+    for d in range(1, bw + 1):
+        for i in range(m - d, m):
+            k = 2 * m - 1 - (i + d)
+            out.data[bw + i - k, k] += sector.parity * t[bw - d, i + d]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bw=st.integers(1, 3),
+    extra=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mirror_sector_band_equals_the_full_width_fold(bw, extra, seed):
+    # a random band that commutes neither with the reversal nor with its
+    # transpose, every sector size m > bw, both sectors: bit for bit
+    rng = np.random.default_rng(seed)
+    m = bw + extra
+    mat = BandedMatrix.zeros(2 * m, bw)
+    for _, _, _, band in mat.diagonals():
+        band[:] = rng.uniform(-1.0, 1.0, band.shape)
+    assert mirror_defect(mat) > 0.0
+    for sector in (EVEN, ODD):
+        assert np.array_equal(sector.band(mat).data, band_full_width(sector, mat).data)
+
+
 def test_mirror_sectors_split_a_commuting_band():
     # A commuting with the reversal R is block diagonal in the two sectors:
     # its spectrum is the union of the sector spectra

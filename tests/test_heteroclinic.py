@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beclab import (
     NonConvergenceError,
@@ -323,7 +325,7 @@ def test_newton_residual_is_the_full_residual_on_odd_meshes(odd_mesh_solutions, 
     # on an exact mirror mesh every residual row equals its mirror row bit
     # for bit, so Newton's sector residual norm is the full-domain one
     sol = odd_mesh_solutions[lam]
-    residual, _, _ = _interior_residual_jacobian(sol.grid, lam)
+    residual, _, _, _ = _interior_residual_jacobian(sol.grid, lam)
     full = residual(_interior_state(sol.v1, sol.v2))
     assert np.array_equal(full, full[::-1])
     assert sol.newton_residual == np.max(np.abs(full))
@@ -333,18 +335,66 @@ def test_newton_residual_is_the_full_residual_on_odd_meshes(odd_mesh_solutions, 
 def test_even_sector_jacobian_matches_finite_differences():
     rng = np.random.default_rng(13)
     grid = default_grid(50.0, 20.0, 513)
-    residual, jacobian, _ = _interior_residual_jacobian(grid, 50.0)
-    sector_residual, sector_jacobian, mean, state = _even_sector(residual, jacobian)
+    residual, jacobian, full_fields, rows = _interior_residual_jacobian(grid, 50.0)
+    sector_residual, sector_jacobian, mean, state = _even_sector(jacobian, full_fields, rows)
     y = mean(_interior_state(*explicit_lambda3(grid.nodes)))
     y += 0.05 * rng.uniform(-1.0, 1.0, y.shape)
     assert jacobian_fd_error(sector_residual, sector_jacobian, y) <= 1e-8
-    # the sector residual is the full one at the symmetric state: same sup norm
+    # the sector residual is the full one's first half at the symmetric
+    # state, bit for bit
     full = residual(state(y))
     assert np.array_equal(full, full[::-1])
-    assert np.max(np.abs(sector_residual(y))) == np.max(np.abs(full))
+    assert np.array_equal(sector_residual(y), full[: y.shape[0]])
+    assert np.array_equal(sector_residual(y), mean(full))
     # and its Jacobian is the orthonormal even block of the full Jacobian
     block = sector_jacobian(y)
     assert np.array_equal(block.data, EVEN.band(jacobian(state(y))).data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    half=st.integers(256, 1024),
+    log_lam=st.floats(math.log(1.5), math.log(1e6)),
+    amp=st.floats(0.0, 0.3),
+    freq=st.floats(0.01, 3.0),
+)
+def test_sector_residual_is_the_mean_of_the_full_residual(half, log_lam, amp, freq):
+    # at symmetric states off the solution (the lam = 3 branch plus a sin
+    # perturbation), on every odd mesh n = 513..2049: the v1 rows alone
+    # give mean(residual(state(y))) bit for bit
+    lam, n = math.exp(log_lam), 2 * half + 1
+    grid = default_grid(lam, default_domain_halfwidth(lam), n)
+    residual, jacobian, full_fields, rows = _interior_residual_jacobian(grid, lam)
+    sector_residual, _, mean, state = _even_sector(jacobian, full_fields, rows)
+    y = mean(_interior_state(*explicit_lambda3(grid.nodes)))
+    y += amp * np.sin(freq * np.arange(y.size))
+    assert np.array_equal(sector_residual(y), mean(residual(state(y))))
+
+
+def test_solve_never_evaluates_the_full_residual(monkeypatch):
+    # Newton reads the sector residual from the v1 rows; the full-domain
+    # residual is for the hygiene check alone
+    calls = {"full": 0, "rows": 0}
+    make = heteroclinic._interior_residual_jacobian
+
+    def counting(grid, lam):
+        residual, jacobian, full_fields, rows = make(grid, lam)
+
+        def counted_residual(u):
+            calls["full"] += 1
+            return residual(u)
+
+        def counted_rows(va, vb):
+            calls["rows"] += 1
+            return rows(va, vb)
+
+        return counted_residual, jacobian, full_fields, counted_rows
+
+    monkeypatch.setattr(heteroclinic, "_interior_residual_jacobian", counting)
+    start = solve_heteroclinic(3.0, n=1025)
+    solve_heteroclinic(10.0, n=1025, init=(start.grid.nodes, start.v1, start.v2))
+    assert calls["full"] == 0
+    assert calls["rows"] > 2
 
 
 def test_refine_solution_tightens():

@@ -153,3 +153,39 @@ def test_json_round_trip_equals_sanitized(obj):
     assert loaded == sanitize(obj)
     # NaN and infinities come back as null
     assert not _has_non_finite(loaded)
+
+
+def per_cell_csv(columns, config) -> str:
+    """The CSV text written one cell at a time with format_float."""
+    arrays = [np.asarray(v, dtype=float) for v in columns.values()]
+    lines = ["# config: " + json.dumps(sanitize(config), sort_keys=True), ",".join(columns)]
+    for i in range(arrays[0].shape[0]):
+        lines.append(",".join(format_float(arr[i]) for arr in arrays))
+    return "\n".join(lines) + "\n"
+
+
+special = st.sampled_from(
+    [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310,
+     2.2250738585072009e-308, 1.7976931348623157e308, 0.1, 1e16, 1e17]
+)
+
+
+@st.composite
+def csv_tables(draw):
+    width = draw(st.integers(1, 9))
+    length = draw(st.integers(0, 40))
+    cells = st.one_of(special, st.floats(), st.floats(-1e-300, 1e-300))
+    return {f"c{j}": draw(st.lists(cells, min_size=length, max_size=length))
+            for j in range(width)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns=csv_tables())
+def test_write_csv_bytes_equal_the_per_cell_writer(columns):
+    # nan, +-inf, -0.0 and subnormals included, 1-9 columns, 0-40 rows
+    config = {"lam": 3.0, "n": 513}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write_csv(path, columns, config=config)
+        written = path.read_bytes()
+    assert written == per_cell_csv(columns, config).encode()
