@@ -276,6 +276,7 @@ def _cmd_continue(cfg: argparse.Namespace) -> _Output:
                 "to": s.lam_to,
                 "halvings": s.halvings,
                 "iterations": s.iterations,
+                "coarse_iterations": s.coarse_iterations,
             }
             for s in trace.steps
         ],

@@ -18,6 +18,14 @@ alone (v2 is v1 reversed, so the v2 rows are the v1 rows mirrored), and
 its Jacobian block folds only the columns it keeps (MirrorSector.band).
 The full-domain residual serves the Jacobian hygiene check.
 
+Continuation climbs the coupling on a coarse mesh and finishes on the
+requested one. Newton's iteration count does not depend on the mesh once
+the mesh is fine enough (Allgower, Bohmer, Potra & Rheinboldt, SIAM J.
+Numer. Anal. 23, 1986), so each step from lam to 10*lam is first solved on
+the mesh with a quarter of the intervals, and that solution seeds the
+requested mesh, where Newton then needs one iteration and ends at the
+rounding floor.
+
 Discretisation is the flux form of the second difference on a sinh-graded
 mesh whose fine region tracks the interface core (|z| of order
 (ln lam)*lam^{-1/4}); rows scale like 1/h so the evaluation rounding floor
@@ -92,6 +100,10 @@ _SNAP_RTOL = 64.0 * sys.float_info.epsilon
 _STEP_FACTOR = 10.0
 _MAX_HALVINGS = 8
 
+# Fewest mesh nodes solve_heteroclinic accepts; a continuation step has a
+# coarse stage only when its coarse mesh has at least this many.
+_MIN_N = 513
+
 
 @dataclass(frozen=True)
 class SolutionFlags:
@@ -125,13 +137,16 @@ class HeteroclinicSolution:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One accepted continuation step: the halvings spent before it and
-    the Newton iterations of its accepted solve."""
+    """One accepted continuation step: the halvings spent before it, the
+    Newton iterations of its accepted solve on the requested mesh, and
+    those of the coarse-mesh solve that seeded it (0 without a coarse
+    stage)."""
 
     lam_from: float
     lam_to: float
     halvings: int
     iterations: int
+    coarse_iterations: int
 
 
 @dataclass(frozen=True)
@@ -397,8 +412,8 @@ def solve_heteroclinic(
         L = default_domain_halfwidth(lam)
     if L < 20.0:
         raise ValueError(f"need L >= 20, got {L}")
-    if n < 513:
-        raise ValueError(f"need n >= 513, got {n}")
+    if n < _MIN_N:
+        raise ValueError(f"need n >= {_MIN_N}, got {n}")
     if n % 2 == 0:
         raise ValueError(f"need odd n (a mesh node at z = 0), got n={n}")
     grid = default_grid(lam, L, n)
@@ -477,11 +492,20 @@ def continue_in_lambda(
     n: int | None = None,
 ) -> ContinuationTrace:
     """Walk the branch upward from start through the strictly increasing
-    targets, reseeding each solve from the previous solution resampled onto
-    the target grid.
+    targets on meshes of n nodes (default: start's).
 
-    Steps are log-uniform with ratio _STEP_FACTOR (one decade); a solve
-    that fails numerically (NonConvergenceError, SingularJacobianError,
+    Each step is two solves. The proposal is first solved on the coarse
+    mesh of (n - 1)/4 + 1 nodes rounded up to odd, seeded from the previous
+    solution resampled onto it; that solution then seeds the solve on the
+    requested mesh. There is no coarse stage when the coarse mesh would
+    have fewer than 513 nodes, the fewest solve_heteroclinic accepts (odd
+    n below 2043); each step is then the one solve on n nodes. The trace
+    and its solutions are on the requested mesh;
+    StepRecord.coarse_iterations counts the coarse stage's Newton
+    iterations.
+
+    Steps are log-uniform with ratio _STEP_FACTOR (one decade); a failure
+    of either solve (NonConvergenceError, SingularJacobianError,
     SignViolationError) halves the log-step it tried (next proposal: the
     geometric midpoint of the current coupling and the failed one) up to
     _MAX_HALVINGS times, then raises StepUnderflow. Any other error
@@ -489,9 +513,10 @@ def continue_in_lambda(
     relative _SNAP_RTOL (64 eps) of it, is replaced by the target itself,
     so every target is solved at exactly its requested value; a halved
     proposal lies strictly between the current coupling and the one that
-    failed, so no failed solve is repeated. Couplings below the start are
-    reached by a direct solve, not by continuation. The trace records
-    every accepted solve including the start.
+    failed, so no failed solve is repeated. This function only climbs:
+    couplings below start.lam are not its job (the CLI solves every
+    coupling up to 30 directly, from the explicit lam = 3 seed). The trace
+    records every accepted solve including the start.
     """
     targets = [float(t) for t in targets]
     if not targets:
@@ -500,6 +525,8 @@ def continue_in_lambda(
         raise ValueError("targets must increase strictly from start.lam")
     if n is None:
         n = start.grid.n
+    # a quarter of the intervals, (n - 1)/4 + 1 nodes rounded up to odd
+    coarse_n = ((n + 2) // 4 + 1) | 1
 
     log_step = math.log(_STEP_FACTOR)
     entries = [_trace_entry(start)]
@@ -515,7 +542,12 @@ def continue_in_lambda(
                 if proposal > target or math.isclose(proposal, target, rel_tol=_SNAP_RTOL):
                     proposal = target
                 seed = (current.grid.nodes, current.v1, current.v2)
+                coarse_iterations = 0
                 try:
+                    if coarse_n >= _MIN_N:
+                        coarse = solve_heteroclinic(proposal, n=coarse_n, init=seed)
+                        coarse_iterations = coarse.newton_iterations
+                        seed = (coarse.grid.nodes, coarse.v1, coarse.v2)
                     sol = solve_heteroclinic(proposal, n=n, init=seed)
                 except (NonConvergenceError, SingularJacobianError, SignViolationError):
                     halvings += 1
@@ -529,6 +561,7 @@ def continue_in_lambda(
                         lam_to=proposal,
                         halvings=halvings,
                         iterations=sol.newton_iterations,
+                        coarse_iterations=coarse_iterations,
                     )
                 )
                 current = sol

@@ -20,6 +20,9 @@ one side of a*, turning back upward on the other. Multisection on that
 dichotomy determines a to machine precision: each round classifies
 _SECTIONS interior points of the bracket at once, integrated as one
 vectorized system, and keeps the sub-interval where the class changes.
+At ulp resolution the classes can alternate; a round that sees more than
+one change keeps the span from the first change to the last and ends the
+multisection.
 The orbit from the final a is then stepped by the same integrator to the
 read point, where the far-field offset kappa = V1(x) - psi0*x is read;
 its remainder decays like exp(-c x^2). An orbit that has already crossed
@@ -205,8 +208,10 @@ def _classify_many(a: np.ndarray) -> np.ndarray:
 
 def kappa_shooting() -> ShootingResult:
     """Multisect the shooting parameter, then step the orbit from the final
-    bracket to _READ_AT and read kappa there. Raises RuntimeError when that
-    orbit crosses (V2 <= 0) or turns (V2' >= 0) before the read point."""
+    bracket to _READ_AT and read kappa there. A round whose sides change
+    more than once ends the multisection with the bracket from the first
+    change to the last. Raises RuntimeError when the orbit crosses
+    (V2 <= 0) or turns (V2' >= 0) before the read point."""
     lo, hi = 0.55, 0.68
     s_lo, s_hi = _classify_many(np.array([lo, hi]))
     if s_lo == s_hi:
@@ -216,8 +221,10 @@ def kappa_shooting() -> ShootingResult:
             break
         points = np.linspace(lo, hi, _SECTIONS + 2)
         sides = np.concatenate(([s_lo], _classify_many(points[1:-1]), [s_hi]))
-        i = int(np.argmax(sides != s_lo))  # first point past the separatrix
-        lo, hi = float(points[i - 1]), float(points[i])
+        changes = np.flatnonzero(sides[1:] != sides[:-1])
+        lo, hi = float(points[changes[0]]), float(points[changes[-1] + 1])
+        if changes.size > 1:
+            break
     a = 0.5 * (lo + hi)
     for x, y in _solver(np.array([a]), _READ_AT):
         _, v2, _, w2 = y

@@ -382,6 +382,8 @@ def test_continue_command(tmp_path):
     steps = summary["report"]["steps"]
     assert [(s["from"], s["to"]) for s in steps] == list(zip(lams, lams[1:]))
     assert all(s["halvings"] == 0 and s["iterations"] >= 1 for s in steps)
+    # n = 1025 has no coarse stage: its mesh would have 257 nodes
+    assert all(s["coarse_iterations"] == 0 for s in steps)
 
 
 def test_composite_command(tmp_path):

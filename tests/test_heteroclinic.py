@@ -125,16 +125,18 @@ def test_sweep_takes_one_decade_per_step(sweep_trace):
     for step, sol in zip(sweep_trace.steps, sweep_trace.solutions[1:]):
         assert step.lam_to == sol.lam
         assert step.iterations == sol.newton_iterations >= 1
+        assert step.coarse_iterations >= 1
 
 
 def test_sweep_work_budget(sol3, monkeypatch):
-    # counted, not timed: a return to small steps fails here first
+    # counted, not timed: a return to small steps, or to climbing on the
+    # requested mesh, fails here first
     solves, factorizations = [], []
     real_solve, real_lu = heteroclinic.solve_heteroclinic, newton.BandedLU
 
-    def counting_solve(*args, **kwargs):
-        solves.append(args[0])
-        return real_solve(*args, **kwargs)
+    def counting_solve(lam, *args, **kwargs):
+        solves.append((lam, kwargs["n"]))
+        return real_solve(lam, *args, **kwargs)
 
     def counting_lu(matrix):
         factorizations.append(matrix.dim)
@@ -144,8 +146,70 @@ def test_sweep_work_budget(sol3, monkeypatch):
     monkeypatch.setattr(newton, "BandedLU", counting_lu)
     trace = continue_in_lambda(sol3, SWEEP)
     assert trace.solutions[-1].lam == 1e6
-    assert solves == list(SWEEP)
-    assert len(factorizations) <= 42
+    # each target is solved once on the 2049-node coarse mesh, then once on
+    # the requested 8193 nodes; a sector system has n - 2 rows
+    assert solves == [(lam, n) for lam in SWEEP for n in (2049, 8193)]
+    assert set(factorizations) == {2047, 8191}
+    assert factorizations.count(2047) <= 42
+    assert factorizations.count(8191) <= 12
+
+
+def test_two_mesh_step_matches_the_one_mesh_step(sweep_trace):
+    # oracle: the one-mesh step, solve_heteroclinic(lam, n, init=previous).
+    # The two differ by where Newton stops (the one-mesh step may stop at
+    # 1e-10); the step seeded from the coarse mesh ends at the floor
+    for prev, sol in zip(sweep_trace.solutions, sweep_trace.solutions[1:]):
+        oracle = solve_heteroclinic(
+            sol.lam, n=sol.n, init=(prev.grid.nodes, prev.v1, prev.v2)
+        )
+        assert np.max(np.abs(sol.v1 - oracle.v1)) <= 2e-8
+        assert sol.newton_residual <= 1e-12
+
+
+def test_coarse_failure_halves_the_step(sol3, monkeypatch):
+    real = heteroclinic.solve_heteroclinic
+    attempts = []
+
+    def fail_first_coarse(lam, *args, **kwargs):
+        attempts.append((lam, kwargs["n"]))
+        if len(attempts) == 1:
+            raise NonConvergenceError(1, 1.0)
+        return real(lam, *args, **kwargs)
+
+    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", fail_first_coarse)
+    trace = continue_in_lambda(sol3, SWEEP)
+    # the failed coarse solve at 10 is not followed by a fine one there
+    assert attempts[:2] == [(10.0, 2049), (pytest.approx(math.sqrt(30.0)), 2049)]
+    assert sum(s.halvings for s in trace.steps) == 1
+    assert [e.lam for e in trace.entries if e.lam in SWEEP] == list(SWEEP)
+
+
+@pytest.mark.parametrize(
+    "n,meshes",
+    [
+        (1025, [1025]),
+        (2041, [2041]),
+        (2043, [513, 2043]),
+        (2049, [513, 2049]),
+        (2051, [515, 2051]),
+    ],
+)
+def test_coarse_mesh_has_a_quarter_of_the_intervals(n, meshes, monkeypatch):
+    # (n - 1)/4 + 1 nodes rounded up to odd; none below 513 nodes, the
+    # fewest solve_heteroclinic accepts
+    start = solve_heteroclinic(3.0, n=n)
+    real = heteroclinic.solve_heteroclinic
+    calls = []
+
+    def recording(lam, *args, **kwargs):
+        calls.append(kwargs["n"])
+        return real(lam, *args, **kwargs)
+
+    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", recording)
+    trace = continue_in_lambda(start, [10.0])
+    assert calls == meshes
+    assert trace.solutions[-1].n == n
+    assert (trace.steps[0].coarse_iterations > 0) == (len(meshes) == 2)
 
 
 def test_interface_width_saturates_upward(sweep_solutions):

@@ -169,6 +169,35 @@ def test_multisection_bracket_straddles_the_separatrix(monkeypatch):
     assert hi - lo <= 2.0 * math.ulp(lo)
 
 
+def test_alternating_sides_keep_every_change_in_the_bracket(monkeypatch):
+    # at ulp resolution the sides near the separatrix may alternate: a
+    # round that changes side more than once keeps the bracket from its
+    # first change to its last and ends the multisection
+    rounds, reads = [], []
+
+    def alternating(points):
+        rounds.append(points)
+        if len(rounds) == 1:
+            return np.array([-1, 1])  # the initial bracket's ends
+        sides = np.where(np.arange(points.size) < 10, -1, 1)
+        sides[11] = -1  # interior sides ... -1 | +1 -1 +1 | +1 ...
+        return sides
+
+    def one_step(a, t_bound):
+        reads.append(float(a[0]))
+        yield t_bound, np.array([1.0, 0.5, 0.0, -0.5])  # V2 > 0, V2' < 0
+
+    monkeypatch.setattr(shooting, "_classify_many", alternating)
+    monkeypatch.setattr(shooting, "_solver", one_step)
+    shot = kappa_shooting()
+    assert len(rounds) == 2  # no round after the alternating one
+    lo, hi = rounds[0]
+    points = np.linspace(lo, hi, shooting._SECTIONS + 2)
+    # the three changes lie between points 10 and 13 (interior 9 to 12)
+    assert np.array_equal(rounds[1], points[1:-1])
+    assert reads == [shot.crossing] == [0.5 * (points[10] + points[13])]
+
+
 def test_multisection_kappa_matches_bisection():
     # value from the one-orbit-at-a-time bisection the multisection replaced
     assert abs(kappa_shooting().kappa - 0.5452713993378442) <= 1e-13

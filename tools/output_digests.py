@@ -1,4 +1,4 @@
-"""Run fourteen CLI commands and print one SHA-256 per output file.
+"""Run fifteen CLI commands and print one SHA-256 per output file.
 
 Usage: PYTHONPATH=src python tools/output_digests.py OUTDIR
 
@@ -26,6 +26,7 @@ RUNS = {
     "solve_low": (["solve", "--lambda", "1.5"], 0),
     "solve_odd": (["solve", "--lambda", "1e3", "--n", "1001"], 0),
     "continue": (["continue", "--lambda-range", "10:1e6:1"], 0),
+    "continue_fine": (["continue", "--lambda-range", "10:1e6:1", "--n", "32769"], 0),
     "composite": (["composite", "--lambda", "1e4"], 0),
     "composite_leading": (["composite", "--lambda", "1e3", "--variant", "leading"], 0),
     "spectrum": (["spectrum", "--lambda", "1e3"], 0),
