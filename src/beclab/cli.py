@@ -25,6 +25,7 @@ from .heteroclinic import (
     continue_in_lambda,
     default_domain_halfwidth,
     default_grid,
+    mesh_ladder,
     solve_heteroclinic,
 )
 from .profiles import CORE_N, solve_blowup
@@ -161,12 +162,21 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _check_mesh(lam: float, L: float | None, n: int, flag: str) -> None:
-    """Build the mesh that a solve at lam ends on, so that a coupling the
-    mesh cannot resolve fails before any solve, naming the flag it came from."""
-    try:
-        default_grid(lam, default_domain_halfwidth(lam) if L is None else L, n)
-    except ValueError as exc:
-        raise ValueError(f"no mesh for {flag} {lam:g} at n = {n}: {exc}") from None
+    """Build every mesh a solve at lam may use: each mesh of the
+    continuation ladder on its default half-width, and n on [-L, L] when L
+    is given. So a coupling that some mesh cannot resolve fails before any
+    solve, naming the flag it came from."""
+    half = default_domain_halfwidth(lam)
+    meshes = [(m, half) for m in mesh_ladder(n)]
+    if L is not None:
+        meshes.append((n, L))
+    for m, width in meshes:
+        try:
+            default_grid(lam, width, m)
+        except ValueError as exc:
+            raise ValueError(
+                f"no mesh for {flag} {lam:g} at n = {n} (its {m}-node mesh): {exc}"
+            ) from None
 
 
 def _solve_at(cfg: argparse.Namespace, lam: float) -> HeteroclinicSolution:
@@ -177,14 +187,15 @@ def _solve_at(cfg: argparse.Namespace, lam: float) -> HeteroclinicSolution:
     n = cfg.n
     _check_mesh(lam, cfg.L, n, "--lambda")
     if cfg.seed is not None:
-        return solve_heteroclinic(lam, L=cfg.L, n=n, init=read_seed_csv(cfg.seed))
+        z, v1, _ = read_seed_csv(cfg.seed)  # v2 is v1 mirrored
+        return solve_heteroclinic(lam, L=cfg.L, n=n, init=(z, v1))
     if lam <= _DIRECT_MAX:
         return solve_heteroclinic(lam, L=cfg.L, n=n)
     start = solve_heteroclinic(3.0, L=cfg.L, n=n)
     sol = continue_in_lambda(start, [lam]).solutions[-1]
     if cfg.L is None:
         return sol
-    return solve_heteroclinic(lam, L=cfg.L, n=n, init=(sol.grid.nodes, sol.v1, sol.v2))
+    return solve_heteroclinic(lam, L=cfg.L, n=n, init=(sol.grid.nodes, sol.v1))
 
 
 def _sweep_from_seed(lams: list[float], n: int) -> ContinuationTrace:

@@ -18,13 +18,16 @@ alone (v2 is v1 reversed, so the v2 rows are the v1 rows mirrored), and
 its Jacobian block folds only the columns it keeps (MirrorSector.band).
 The full-domain residual serves the Jacobian hygiene check.
 
-Continuation climbs the coupling on a coarse mesh and finishes on the
-requested one. Newton's iteration count does not depend on the mesh once
-the mesh is fine enough (Allgower, Bohmer, Potra & Rheinboldt, SIAM J.
-Numer. Anal. 23, 1986), so each step from lam to 10*lam is first solved on
-the mesh with a quarter of the intervals, and that solution seeds the
-requested mesh, where Newton then needs one iteration and ends at the
-rounding floor.
+Continuation is nested iteration on a ladder of meshes. Newton's
+iteration count does not depend on the mesh once the mesh is fine enough
+(Allgower, Bohmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986), so
+each step from lam to 10*lam climbs on the coarsest mesh of the ladder
+(each mesh has a quarter of the intervals of the next, none below 513
+nodes), seeded from the previous step's coarsest solution, and each finer
+mesh is seeded from the solution just below it at the same coupling. On
+every finer mesh Newton then needs about one iteration, and the requested
+mesh ends at the rounding floor. A seed is v1 alone: v2 is v1 mirrored,
+the even-sector state Newton starts from.
 
 Discretisation is the flux form of the second difference on a sinh-graded
 mesh whose fine region tracks the interface core (|z| of order
@@ -76,6 +79,7 @@ __all__ = [
     "default_domain_halfwidth",
     "default_grid",
     "solve_heteroclinic",
+    "mesh_ladder",
     "continue_in_lambda",
     "hamiltonian_values",
     "sigma_gradient_form",
@@ -100,8 +104,8 @@ _SNAP_RTOL = 64.0 * sys.float_info.epsilon
 _STEP_FACTOR = 10.0
 _MAX_HALVINGS = 8
 
-# Fewest mesh nodes solve_heteroclinic accepts; a continuation step has a
-# coarse stage only when its coarse mesh has at least this many.
+# Fewest mesh nodes solve_heteroclinic accepts, and the coarsest mesh a
+# continuation ladder may reach.
 _MIN_N = 513
 
 
@@ -139,14 +143,14 @@ class HeteroclinicSolution:
 class StepRecord:
     """One accepted continuation step: the halvings spent before it, the
     Newton iterations of its accepted solve on the requested mesh, and
-    those of the coarse-mesh solve that seeded it (0 without a coarse
-    stage)."""
+    those on each coarser mesh of its ladder, coarsest first (() when the
+    ladder is the requested mesh alone)."""
 
     lam_from: float
     lam_to: float
     halvings: int
     iterations: int
-    coarse_iterations: int
+    coarse_iterations: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -381,7 +385,7 @@ def solve_heteroclinic(
     lam: float,
     n: int,
     L: float | None = None,
-    init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> HeteroclinicSolution:
     """Damped-Newton collocation solve of the interface system at coupling
     lam on [-L, L] (L defaults to default_domain_halfwidth(lam)) with exact
@@ -397,9 +401,10 @@ def solve_heteroclinic(
     which equals the sup norm of the full-domain residual at the returned
     fields (see _even_sector).
 
-    init, when given, is node samples (z, v1, v2) on any strictly
+    init, when given, is node samples (z, v1) of v1 on any strictly
     increasing node set, such as another solution's grid; they are
-    resampled onto the mesh to seed Newton. When init is omitted the
+    resampled onto the mesh, and with v2 = v1 mirrored they are the
+    even-sector state that seeds Newton. When init is omitted the
     explicit lam=3 branch seeds the iteration; that works for couplings
     near 3 while large couplings should be reached through
     continue_in_lambda. A converged iterate whose interior dips below the
@@ -434,7 +439,9 @@ def solve_heteroclinic(
             f"component sign violation after convergence at lam={lam:.6g}"
         )
     dv1 = differentiate(v1, grid)
-    dv2 = differentiate(v2, grid)
+    # differentiate(v2) bit for bit: differentiate commutes with the mirror
+    # up to sign, and 0.0 - x (unlike -x) keeps its zeros positive
+    dv2 = 0.0 - dv1[::-1]
     ham = hamiltonian_values(v1, v2, dv1, dv2, lam)
     ham_dev = float(np.max(np.abs(ham + 0.25)))
     flags = SolutionFlags(
@@ -459,15 +466,14 @@ def solve_heteroclinic(
     )
 
 
-def _seed_on_grid(z: np.ndarray, v1: np.ndarray, v2: np.ndarray, grid: Grid):
-    # cubic resampling of node samples, constant extension beyond the
-    # source domain, clamp into [0, 1], exact limit values at both ends
+def _seed_on_grid(z: np.ndarray, v1: np.ndarray, grid: Grid):
+    # cubic resampling of v1's node samples, constant extension beyond the
+    # source domain, clamp into [0, 1], exact limit values at both ends;
+    # v2 is v1 mirrored, so the seed is its own even-sector mean
     at = np.clip(grid.nodes, z[0], z[-1])
     v1 = np.clip(resample(z, v1, at), 0.0, 1.0)
-    v2 = np.clip(resample(z, v2, at), 0.0, 1.0)
     v1[0], v1[-1] = 0.0, 1.0
-    v2[0], v2[-1] = 1.0, 0.0
-    return v1, v2
+    return v1, v1[::-1]
 
 
 def sigma_gradient_form(sol: HeteroclinicSolution) -> float:
@@ -486,6 +492,19 @@ def _trace_entry(sol: HeteroclinicSolution) -> TraceEntry:
     )
 
 
+def mesh_ladder(n: int) -> tuple[int, ...]:
+    """The meshes a continuation step onto n nodes solves on, coarsest
+    first and ending with n: each has a quarter of the intervals of the
+    next, (m - 1)/4 + 1 nodes rounded up to odd, and none has fewer than
+    _MIN_N (513) nodes. So 32769 gives (513, 2049, 8193, 32769) and 8193
+    gives (513, 2049, 8193); odd n from 2043 to 8161 give two meshes, and
+    odd n below 2043 the one mesh n."""
+    ladder = [n]
+    while (coarser := ((ladder[-1] + 2) // 4 + 1) | 1) >= _MIN_N:
+        ladder.append(coarser)
+    return tuple(reversed(ladder))
+
+
 def continue_in_lambda(
     start: HeteroclinicSolution,
     targets,
@@ -494,18 +513,18 @@ def continue_in_lambda(
     """Walk the branch upward from start through the strictly increasing
     targets on meshes of n nodes (default: start's).
 
-    Each step is two solves. The proposal is first solved on the coarse
-    mesh of (n - 1)/4 + 1 nodes rounded up to odd, seeded from the previous
-    solution resampled onto it; that solution then seeds the solve on the
-    requested mesh. There is no coarse stage when the coarse mesh would
-    have fewer than 513 nodes, the fewest solve_heteroclinic accepts (odd
-    n below 2043); each step is then the one solve on n nodes. The trace
+    Each step solves its proposal on every mesh of mesh_ladder(n),
+    coarsest first. The coarsest solve is seeded from the previous step's
+    coarsest solution (the first step's from start), and each finer one
+    from the solution just below it at the same coupling, so only the
+    coarsest solution is kept from one step to the next and, after the
+    first step, no seed is resampled from the requested mesh. The trace
     and its solutions are on the requested mesh;
-    StepRecord.coarse_iterations counts the coarse stage's Newton
-    iterations.
+    StepRecord.coarse_iterations counts the Newton iterations on each
+    coarser mesh.
 
     Steps are log-uniform with ratio _STEP_FACTOR (one decade); a failure
-    of either solve (NonConvergenceError, SingularJacobianError,
+    of a solve on any mesh (NonConvergenceError, SingularJacobianError,
     SignViolationError) halves the log-step it tried (next proposal: the
     geometric midpoint of the current coupling and the failed one) up to
     _MAX_HALVINGS times, then raises StepUnderflow. Any other error
@@ -523,16 +542,13 @@ def continue_in_lambda(
         raise ValueError("targets must be nonempty")
     if not np.all(np.diff([start.lam] + targets) > 0.0):
         raise ValueError("targets must increase strictly from start.lam")
-    if n is None:
-        n = start.grid.n
-    # a quarter of the intervals, (n - 1)/4 + 1 nodes rounded up to odd
-    coarse_n = ((n + 2) // 4 + 1) | 1
+    coarsest, *finer = mesh_ladder(start.grid.n if n is None else n)
 
     log_step = math.log(_STEP_FACTOR)
     entries = [_trace_entry(start)]
     steps: list[StepRecord] = []
     solutions = [start]
-    current = start
+    current = climbed = start
     for target in targets:
         while current.lam != target:
             step = log_step
@@ -541,14 +557,14 @@ def continue_in_lambda(
                 proposal = math.exp(math.log(current.lam) + step)
                 if proposal > target or math.isclose(proposal, target, rel_tol=_SNAP_RTOL):
                     proposal = target
-                seed = (current.grid.nodes, current.v1, current.v2)
-                coarse_iterations = 0
                 try:
-                    if coarse_n >= _MIN_N:
-                        coarse = solve_heteroclinic(proposal, n=coarse_n, init=seed)
-                        coarse_iterations = coarse.newton_iterations
-                        seed = (coarse.grid.nodes, coarse.v1, coarse.v2)
-                    sol = solve_heteroclinic(proposal, n=n, init=seed)
+                    climb = sol = solve_heteroclinic(
+                        proposal, n=coarsest, init=(climbed.grid.nodes, climbed.v1)
+                    )
+                    iterations = [sol.newton_iterations]
+                    for m in finer:
+                        sol = solve_heteroclinic(proposal, n=m, init=(sol.grid.nodes, sol.v1))
+                        iterations.append(sol.newton_iterations)
                 except (NonConvergenceError, SingularJacobianError, SignViolationError):
                     halvings += 1
                     if halvings > _MAX_HALVINGS:
@@ -560,11 +576,11 @@ def continue_in_lambda(
                         lam_from=current.lam,
                         lam_to=proposal,
                         halvings=halvings,
-                        iterations=sol.newton_iterations,
-                        coarse_iterations=coarse_iterations,
+                        iterations=iterations[-1],
+                        coarse_iterations=tuple(iterations[:-1]),
                     )
                 )
-                current = sol
+                current, climbed = sol, climb
                 break
             entries.append(_trace_entry(current))
             solutions.append(current)

@@ -341,7 +341,7 @@ def run_verification(
     base_point = min(points, key=lambda p: abs(p.lam - 1e3))
     base = solutions[base_point.lam]
     refined = solve_heteroclinic(
-        base.lam, L=base.L + 6.0, n=2 * base.n - 1, init=(base.grid.nodes, base.v1, base.v2)
+        base.lam, L=base.L + 6.0, n=2 * base.n - 1, init=(base.grid.nodes, base.v1)
     )
     l1_base = abs(base_point.spectrum.lambda1)
     l1_refined = abs(nondegeneracy_report(refined)[0].lambda1)

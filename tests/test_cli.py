@@ -11,10 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beclab import cli
+from beclab import cli, heteroclinic
+from beclab.calculus import resample
 from beclab.cli import main, range_couplings
 from beclab.runio import read_seed_csv, write_csv
-from beclab.heteroclinic import explicit_lambda3, solve_heteroclinic
+from beclab.heteroclinic import (
+    _interior_state,
+    default_domain_halfwidth,
+    default_grid,
+    explicit_lambda3,
+    solve_heteroclinic,
+)
 from beclab.newton import NonConvergenceError
 
 
@@ -246,13 +253,18 @@ def test_composite_outside_its_window_exits_one_before_solving(
         (["solve", "--lambda", "1e300", "--L", "25"], "--lambda 1e+300"),
         (["continue", "--lambda-range", "10:1e300:1"], "--lambda-range 1e+300"),
         (["energy", "--lambda-range", "10:1e40:1"], "--lambda-range 1e+40"),
+        # the requested 8193-node mesh grades these; the ladder's 513-node
+        # mesh grades only up to about 4.5e30
+        (["solve", "--lambda", "1e31"], "--lambda 1e+31"),
+        (["energy", "--lambda-range", "10:1e31:1"], "--lambda-range 1e+31"),
     ],
 )
 def test_unresolvable_coupling_exits_one_before_solving(
     argv, flag, tmp_path, monkeypatch, capsys
 ):
-    # the default mesh cannot grade finely enough for the interface width
-    # lam^(-1/4); that used to surface only after the solves below it
+    # some mesh of the continuation ladder cannot grade finely enough for
+    # the interface width lam^(-1/4); that used to surface only after the
+    # solves below it
     monkeypatch.setattr(cli, "solve_heteroclinic", _unreachable)
     monkeypatch.setattr(cli, "continue_in_lambda", _unreachable)
     monkeypatch.setattr(cli, "solve_blowup", _unreachable)
@@ -382,8 +394,8 @@ def test_continue_command(tmp_path):
     steps = summary["report"]["steps"]
     assert [(s["from"], s["to"]) for s in steps] == list(zip(lams, lams[1:]))
     assert all(s["halvings"] == 0 and s["iterations"] >= 1 for s in steps)
-    # n = 1025 has no coarse stage: its mesh would have 257 nodes
-    assert all(s["coarse_iterations"] == 0 for s in steps)
+    # n = 1025 has no coarser mesh: its quarter would have 257 nodes
+    assert all(s["coarse_iterations"] == [] for s in steps)
 
 
 def test_composite_command(tmp_path):
@@ -699,6 +711,32 @@ def test_seeded_solve_succeeds(tmp_path):
     assert code == 0
     summary = read_json(out / "solution_summary.json")
     assert summary["report"]["lambda"] == 3.5
+
+
+def test_seeded_solve_starts_from_v1_and_its_mirror(tmp_path, monkeypatch):
+    # an off-centre seed whose v2 column is not v1 mirrored: Newton starts
+    # from the file's v1 resampled onto the mesh and that resample mirrored
+    z = np.linspace(-25.0, 21.0, 301)
+    v1, _ = explicit_lambda3(z - 0.7)
+    seed = tmp_path / "seed.csv"
+    write_csv(seed, {"z": z, "v1": v1, "v2": 1.0 - v1}, config={})
+    starts = []
+    real = heteroclinic.newton_solve
+
+    def recording(residual, jacobian, init):
+        starts.append(init.copy())
+        return real(residual, jacobian, init)
+
+    monkeypatch.setattr(heteroclinic, "newton_solve", recording)
+    out = tmp_path / "run"
+    argv = ["solve", "--lambda", "3.5", "--n", "1025", "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    nodes = default_grid(3.5, default_domain_halfwidth(3.5), 1025).nodes
+    start = np.clip(resample(z, v1, np.clip(nodes, z[0], z[-1])), 0.0, 1.0)
+    start[0], start[-1] = 0.0, 1.0
+    u = _interior_state(start, start[::-1])
+    assert len(starts) == 1
+    assert np.array_equal(starts[0], u[: u.size // 2])
 
 
 def test_verify_precondition_exit_one(tmp_path, capsys):

@@ -59,7 +59,7 @@ def test_lambda3_tension_closed_form(sol3):
     sigma = sigma_gradient_form(sol3)
     assert abs(sigma - math.sqrt(2.0) / 3.0) <= 1e-7
     fine = solve_heteroclinic(
-        3.0, L=sol3.L, n=2 * sol3.n - 1, init=(sol3.grid.nodes, sol3.v1, sol3.v2)
+        3.0, L=sol3.L, n=2 * sol3.n - 1, init=(sol3.grid.nodes, sol3.v1)
     )
     assert abs(sigma_gradient_form(fine) - math.sqrt(2.0) / 3.0) <= 1e-8
 

@@ -19,7 +19,7 @@ from beclab import (
     solve_heteroclinic,
 )
 from beclab import heteroclinic, newton
-from beclab.grids import EVEN
+from beclab.grids import EVEN, differentiate
 from beclab.heteroclinic import (
     ContinuationTrace,
     TraceEntry,
@@ -28,6 +28,7 @@ from beclab.heteroclinic import (
     _interior_state,
     default_grid,
     hamiltonian_values,
+    mesh_ladder,
 )
 from beclab.verify import jacobian_fd_error
 
@@ -125,12 +126,13 @@ def test_sweep_takes_one_decade_per_step(sweep_trace):
     for step, sol in zip(sweep_trace.steps, sweep_trace.solutions[1:]):
         assert step.lam_to == sol.lam
         assert step.iterations == sol.newton_iterations >= 1
-        assert step.coarse_iterations >= 1
+        # climbed on 513 nodes, corrected on 2049, finished on 8193
+        assert len(step.coarse_iterations) == 2 and min(step.coarse_iterations) >= 1
 
 
 def test_sweep_work_budget(sol3, monkeypatch):
-    # counted, not timed: a return to small steps, or to climbing on the
-    # requested mesh, fails here first
+    # counted, not timed: a return to small steps, or to climbing on a
+    # finer mesh than the ladder's coarsest, fails here first
     solves, factorizations = [], []
     real_solve, real_lu = heteroclinic.solve_heteroclinic, newton.BandedLU
 
@@ -146,42 +148,90 @@ def test_sweep_work_budget(sol3, monkeypatch):
     monkeypatch.setattr(newton, "BandedLU", counting_lu)
     trace = continue_in_lambda(sol3, SWEEP)
     assert trace.solutions[-1].lam == 1e6
-    # each target is solved once on the 2049-node coarse mesh, then once on
-    # the requested 8193 nodes; a sector system has n - 2 rows
-    assert solves == [(lam, n) for lam in SWEEP for n in (2049, 8193)]
-    assert set(factorizations) == {2047, 8191}
-    assert factorizations.count(2047) <= 42
+    # each target is solved once per mesh of the ladder, coarsest first,
+    # ending on the requested 8193 nodes; a sector system has n - 2 rows
+    assert solves == [(lam, n) for lam in SWEEP for n in (513, 2049, 8193)]
+    assert set(factorizations) == {511, 2047, 8191}
+    assert factorizations.count(511) <= 42
+    assert factorizations.count(2047) <= 12
     assert factorizations.count(8191) <= 12
 
 
 def test_two_mesh_step_matches_the_one_mesh_step(sweep_trace):
     # oracle: the one-mesh step, solve_heteroclinic(lam, n, init=previous).
     # The two differ by where Newton stops (the one-mesh step may stop at
-    # 1e-10); the step seeded from the coarse mesh ends at the floor
+    # 1e-10); the step seeded from the coarser meshes ends at the floor
     for prev, sol in zip(sweep_trace.solutions, sweep_trace.solutions[1:]):
         oracle = solve_heteroclinic(
-            sol.lam, n=sol.n, init=(prev.grid.nodes, prev.v1, prev.v2)
+            sol.lam, n=sol.n, init=(prev.grid.nodes, prev.v1)
         )
         assert np.max(np.abs(sol.v1 - oracle.v1)) <= 2e-8
         assert sol.newton_residual <= 1e-12
 
 
-def test_coarse_failure_halves_the_step(sol3, monkeypatch):
+def fail_first_solve_on(mesh, monkeypatch):
+    """Route continuation through the real solver, recording each
+    (coupling, mesh) attempt; the first solve on `mesh` fails."""
     real = heteroclinic.solve_heteroclinic
     attempts = []
 
-    def fail_first_coarse(lam, *args, **kwargs):
+    def failing(lam, *args, **kwargs):
         attempts.append((lam, kwargs["n"]))
-        if len(attempts) == 1:
+        if kwargs["n"] == mesh and [m for _, m in attempts].count(mesh) == 1:
             raise NonConvergenceError(1, 1.0)
         return real(lam, *args, **kwargs)
 
-    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", fail_first_coarse)
+    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", failing)
+    return attempts
+
+
+def test_coarse_failure_halves_the_step(sol3, monkeypatch):
+    attempts = fail_first_solve_on(513, monkeypatch)
     trace = continue_in_lambda(sol3, SWEEP)
-    # the failed coarse solve at 10 is not followed by a fine one there
-    assert attempts[:2] == [(10.0, 2049), (pytest.approx(math.sqrt(30.0)), 2049)]
+    # the failed coarsest solve at 10 is followed by no finer one there;
+    # the halved proposal climbs the whole ladder
+    half = pytest.approx(math.sqrt(30.0))
+    assert attempts[:4] == [(10.0, 513), (half, 513), (half, 2049), (half, 8193)]
     assert sum(s.halvings for s in trace.steps) == 1
     assert [e.lam for e in trace.entries if e.lam in SWEEP] == list(SWEEP)
+
+
+@pytest.mark.parametrize("mesh", [2049, 8193])
+def test_failure_on_a_finer_mesh_halves_the_step(sol3, monkeypatch, mesh):
+    attempts = fail_first_solve_on(mesh, monkeypatch)
+    trace = continue_in_lambda(sol3, [10.0])
+    tried = [(10.0, m) for m in (513, 2049, 8193) if m <= mesh]
+    half = pytest.approx(math.sqrt(30.0))
+    assert attempts == tried + [(half, 513), (half, 2049), (half, 8193)] + [
+        (10.0, m) for m in (513, 2049, 8193)
+    ]
+    assert [s.halvings for s in trace.steps] == [1, 0]
+    assert trace.solutions[-1].lam == 10.0
+
+
+def test_only_the_first_step_resamples_the_requested_mesh(sol3, monkeypatch):
+    # the climb seeds from the previous climb: after the first step every
+    # seed comes from a coarser mesh, and each seed is one spline (v1's;
+    # v2 is its mirror)
+    sources, splines = [], []
+    real_seed, real_resample = heteroclinic._seed_on_grid, heteroclinic.resample
+
+    def counting_seed(z, *args):
+        sources.append(z.size)
+        splines.append(0)
+        return real_seed(z, *args)
+
+    def counting_resample(*args):
+        splines[-1] += 1
+        return real_resample(*args)
+
+    monkeypatch.setattr(heteroclinic, "_seed_on_grid", counting_seed)
+    monkeypatch.setattr(heteroclinic, "resample", counting_resample)
+    trace = continue_in_lambda(sol3, SWEEP)
+    assert len(trace.steps) == len(SWEEP)
+    assert sources == [8193, 513, 2049] + [513, 513, 2049] * (len(SWEEP) - 1)
+    assert 8193 not in sources[3:]
+    assert splines == [1] * len(sources)
 
 
 @pytest.mark.parametrize(
@@ -192,11 +242,14 @@ def test_coarse_failure_halves_the_step(sol3, monkeypatch):
         (2043, [513, 2043]),
         (2049, [513, 2049]),
         (2051, [515, 2051]),
+        (8161, [2041, 8161]),
+        (8163, [513, 2043, 8163]),
     ],
 )
 def test_coarse_mesh_has_a_quarter_of_the_intervals(n, meshes, monkeypatch):
-    # (n - 1)/4 + 1 nodes rounded up to odd; none below 513 nodes, the
-    # fewest solve_heteroclinic accepts
+    # each mesh of the ladder has (m - 1)/4 + 1 nodes rounded up to odd, m
+    # the next finer one; none below 513 nodes, the fewest
+    # solve_heteroclinic accepts
     start = solve_heteroclinic(3.0, n=n)
     real = heteroclinic.solve_heteroclinic
     calls = []
@@ -207,9 +260,9 @@ def test_coarse_mesh_has_a_quarter_of_the_intervals(n, meshes, monkeypatch):
 
     monkeypatch.setattr(heteroclinic, "solve_heteroclinic", recording)
     trace = continue_in_lambda(start, [10.0])
-    assert calls == meshes
+    assert calls == meshes == list(mesh_ladder(n))
     assert trace.solutions[-1].n == n
-    assert (trace.steps[0].coarse_iterations > 0) == (len(meshes) == 2)
+    assert len(trace.steps[0].coarse_iterations) == len(meshes) - 1
 
 
 def test_interface_width_saturates_upward(sweep_solutions):
@@ -358,10 +411,10 @@ def test_solve_preconditions():
     with pytest.raises(ValueError):
         solve_heteroclinic(3.0, n=256)
     z = np.linspace(-20.0, 20.0, 100)
-    v1, v2 = explicit_lambda3(z)
+    v1, _ = explicit_lambda3(z)
     z[50] = z[49]
     with pytest.raises(ValueError, match="strictly increasing"):
-        solve_heteroclinic(3.0, n=1025, init=(z, v1, v2))
+        solve_heteroclinic(3.0, n=1025, init=(z, v1))
 
 
 @pytest.mark.parametrize("n", [8192, 1026])
@@ -382,6 +435,60 @@ def test_derivatives_are_mirror_exact(sweep_solutions, odd_mesh_solutions):
     # dv1(z) = -dv2(-z) node for node (n = 8193 and n = 1001)
     for sol in [*sweep_solutions.values(), *odd_mesh_solutions.values()]:
         assert np.array_equal(sol.dv1, -sol.dv2[::-1])
+
+
+@pytest.fixture(scope="module")
+def fine_sweep():
+    return continue_in_lambda(solve_heteroclinic(3.0, n=32769), SWEEP)
+
+
+def test_every_decade_takes_one_iteration_on_the_requested_mesh(sweep_trace, fine_sweep):
+    # nested iteration: the climb is on 513 nodes, and each finer mesh of
+    # the ladder corrects in one or two iterations; the requested mesh
+    # (8193 or 32769 nodes) takes one and ends at the rounding floor
+    for trace, coarser in ((sweep_trace, 2), (fine_sweep, 3)):
+        for step, sol in zip(trace.steps, trace.solutions[1:]):
+            assert step.halvings == 0 and step.iterations == 1
+            assert len(step.coarse_iterations) == coarser
+            assert max(step.coarse_iterations[1:]) <= 2
+            assert sol.newton_residual <= 1e-12
+
+
+def assert_dv2_is_differentiated(sol):
+    # dv2 is dv1 mirrored, and equals differentiate(v2) bit for bit, the
+    # signs of its zeros included
+    expected = differentiate(sol.v2, sol.grid)
+    assert np.array_equal(sol.dv2, expected)
+    assert np.array_equal(np.signbit(sol.dv2), np.signbit(expected))
+
+
+def test_dv2_is_differentiate_v2_on_the_fine_sweep(fine_sweep):
+    for sol in fine_sweep.solutions:
+        assert_dv2_is_differentiated(sol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    half=st.integers(256, 1024),
+    log_lam=st.floats(math.log(1.5), math.log(1e6)),
+    width=st.floats(0.05, 0.8),
+    shift=st.floats(-3.0, 3.0),
+)
+def test_dv2_is_differentiate_v2_on_saturated_states(half, log_lam, width, shift):
+    # Newton "converges" at once to a tanh ramp whose tails are exactly 0
+    # and 1, so dv1 has exact zeros there: -dv1 mirrored would turn them
+    # into -0.0 where differentiate(v2) gives +0.0
+    lam, n = math.exp(log_lam), 2 * half + 1
+    grid = default_grid(lam, default_domain_halfwidth(lam), n)
+    v1 = 0.5 * (1.0 + np.tanh((grid.nodes - shift) / width))
+    assert v1[0] == 0.0 and v1[-1] == 1.0
+    u = _interior_state(v1, v1[::-1])
+    converged = lambda residual, jacobian, init: (u[: u.size // 2], 0, 0.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heteroclinic, "newton_solve", converged)
+        sol = solve_heteroclinic(lam, n=n)
+    assert np.array_equal(sol.v1, v1)
+    assert_dv2_is_differentiated(sol)
 
 
 @pytest.mark.parametrize("lam", [3.0, 1e3])
@@ -456,7 +563,7 @@ def test_solve_never_evaluates_the_full_residual(monkeypatch):
 
     monkeypatch.setattr(heteroclinic, "_interior_residual_jacobian", counting)
     start = solve_heteroclinic(3.0, n=1025)
-    solve_heteroclinic(10.0, n=1025, init=(start.grid.nodes, start.v1, start.v2))
+    solve_heteroclinic(10.0, n=1025, init=(start.grid.nodes, start.v1))
     assert calls["full"] == 0
     assert calls["rows"] > 2
 
@@ -465,7 +572,7 @@ def test_refine_solution_tightens():
     # refine from a coarse base where the mesh error dominates the deviation
     base = solve_heteroclinic(10.0, n=1025)
     fine = solve_heteroclinic(
-        base.lam, L=base.L, n=2 * base.n - 1, init=(base.grid.nodes, base.v1, base.v2)
+        base.lam, L=base.L, n=2 * base.n - 1, init=(base.grid.nodes, base.v1)
     )
     assert fine.lam == base.lam
     assert fine.L == base.L
@@ -476,7 +583,7 @@ def test_refine_solution_tightens():
 
 def test_seed_from_a_coarser_solution():
     coarse = solve_heteroclinic(10.0, n=1025)
-    fine = solve_heteroclinic(10.0, n=2049, init=(coarse.grid.nodes, coarse.v1, coarse.v2))
+    fine = solve_heteroclinic(10.0, n=2049, init=(coarse.grid.nodes, coarse.v1))
     assert fine.n == 2049 and fine.L == coarse.L
     assert fine.newton_residual <= 1e-10
     direct = solve_heteroclinic(10.0, n=2049)
@@ -506,7 +613,7 @@ def test_one_mesh_per_solve_attempt(monkeypatch):
 def test_refine_solution_widens_domain(sweep_solutions):
     base = sweep_solutions[1e3]
     wide = solve_heteroclinic(
-        base.lam, L=base.L + 6.0, n=base.n, init=(base.grid.nodes, base.v1, base.v2)
+        base.lam, L=base.L + 6.0, n=base.n, init=(base.grid.nodes, base.v1)
     )
     assert wide.L == base.L + 6.0
     assert wide.newton_residual <= 1e-10

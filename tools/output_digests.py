@@ -1,13 +1,15 @@
-"""Run fifteen CLI commands and print one SHA-256 per output file.
+"""Run sixteen CLI commands and print one SHA-256 per output file.
 
 Usage: PYTHONPATH=src python tools/output_digests.py OUTDIR
 
-Each command writes into OUTDIR/<name>. Every file's config header names
+Each command writes into OUTDIR/<name>, in the order listed; solve_seeded
+seeds from the solution that solve wrote. Every file's config header names
 that directory in its "out" entry, so the entry is removed before
-hashing; the rest of the file is hashed exactly as written (a header that
-does not re-serialize to its own bytes is an error). Two checkouts are
-compared by running this once per checkout, each with its own src on
-PYTHONPATH, and diffing the printed lines.
+hashing, and a "seed" path inside OUTDIR is hashed relative to OUTDIR;
+the rest of the file is hashed exactly as written (a header that does not
+re-serialize to its own bytes is an error). Two checkouts are compared by
+running this once per checkout, each with its own src on PYTHONPATH, and
+diffing the printed lines.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import json
 import sys
 from pathlib import Path
 
-# name -> (argv without --out, expected exit code)
+# name -> (argv without --out, expected exit code); {root} is OUTDIR
 RUNS = {
     "blowup": (["blowup"], 0),
     "solve": (["solve", "--lambda", "1e4"], 0),
+    "solve_seeded": (["solve", "--lambda", "2e4", "--seed", "{root}/solve/solution.csv"], 0),
     "solve_L": (["solve", "--lambda", "20", "--L", "25"], 0),
     "solve_low": (["solve", "--lambda", "1.5"], 0),
     "solve_odd": (["solve", "--lambda", "1e3", "--n", "1001"], 0),
@@ -39,9 +42,16 @@ RUNS = {
 
 
 def _without_out(config: dict) -> dict:
+    """config without its "out" entry, and with a "seed" path inside the
+    OUTDIR that holds "out" made relative to that OUTDIR."""
     if "out" not in config:
         raise ValueError("config header has no 'out' entry")
-    return {k: v for k, v in config.items() if k != "out"}
+    root = Path(config["out"]).parent
+    config = {k: v for k, v in config.items() if k != "out"}
+    seed = config.get("seed")
+    if seed is not None and Path(seed).is_relative_to(root):
+        config["seed"] = Path(seed).relative_to(root).as_posix()
+    return config
 
 
 def _json_text(payload) -> str:
@@ -80,7 +90,7 @@ def main(argv: list[str]) -> int:
     for name, (args, expected) in RUNS.items():
         out = root / name
         with contextlib.redirect_stdout(sys.stderr):  # verify's verdict lines
-            code = beclab_main([*args, "--out", str(out)])
+            code = beclab_main([*(a.format(root=root) for a in args), "--out", str(out)])
         if code != expected:
             print(f"{name}: exit {code}, expected {expected}", file=sys.stderr)
             return 2
