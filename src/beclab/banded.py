@@ -2,10 +2,12 @@
 
 A square matrix with equal lower and upper bandwidth bw is held as a
 (2*bw+1, dim) array `data` with A[i, j] = data[bw + i - j, j]; row bw is the
-main diagonal. Factorisation and solves go through LAPACK's gbtrf/gbtrs
-(gttrf/gttrs when bw = 1) so that a singular or near-singular pivot is
-reported with its index. For a symmetric matrix, rows data[:bw+1] are
-LAPACK's upper band, for pbtrf/pbtrs.
+main diagonal. LU factorisation and solves go through LAPACK's
+gbtrf/gbtrs, so that a singular, near-singular or non-finite pivot is
+reported with its index; they serve Newton's Jacobians alone. For a
+symmetric matrix, rows data[:bw+1] are LAPACK's upper band, for the
+spectrum's pbtrf/pbtrs. These four are the only LAPACK routines beclab
+calls.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class BandedLU:
     Rows are equilibrated (scaled to unit max) before factorisation: the
     assemblies here mix O(1/h^2) stencil rows with O(1) boundary rows, and
     pivot-size diagnostics are meaningless without a common row scale.
-    A zero or machine-scale pivot raises SingularSystemError with its index.
+    A zero, machine-scale or non-finite pivot raises SingularSystemError
+    with its index.
     """
 
     def __init__(self, matrix: BandedMatrix):
@@ -86,36 +89,27 @@ class BandedLU:
         if float(np.min(row_max)) == 0.0:
             raise SingularSystemError(int(np.argmin(row_max)), "zero row")
         row_scale = 1.0 / row_max
-        if bw == 1 and dim > 2:  # SciPy's gttrf wrapper rejects dim <= 2
-            # tridiagonal: gttrf pivots as gbtrf does, at a fraction of the
-            # per-column cost that dominates gbtrf and gbtrs on one band
-            sub, diag, sup = (
-                band * row_scale[rows] for _, rows, _, band in matrix.diagonals()
-            )
-            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (diag,))
-            *lu, info = gttrf(sub, diag, sup)
-            udiag = lu[1]
-            self._solve = lambda b: gttrs(*lu, b)
-        else:
-            # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j].
-            ab = np.zeros((3 * bw + 1, dim))
-            for offset, rows, cols, band in matrix.diagonals():
-                ab[2 * bw - offset, cols] = band * row_scale[rows]
-            gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-            lu, piv, info = gbtrf(ab, bw, bw)
-            udiag = lu[2 * bw]
-            self._solve = lambda b: gbtrs(lu, bw, bw, b, piv)
+        # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j].
+        ab = np.zeros((3 * bw + 1, dim))
+        for offset, rows, cols, band in matrix.diagonals():
+            ab[2 * bw - offset, cols] = band * row_scale[rows]
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        lu, piv, info = gbtrf(ab, bw, bw)
         if info > 0:
             raise SingularSystemError(info - 1)
         if info < 0:
             raise ValueError(f"LU factorisation: illegal argument {-info}")
-        udiag = np.abs(udiag)
+        udiag = np.abs(lu[2 * bw])
+        if not np.all(np.isfinite(udiag)):
+            index = int(np.argmin(np.isfinite(udiag)))
+            raise SingularSystemError(index, f"non-finite pivot at index {index}")
         threshold = dim * np.finfo(float).eps  # rows have unit max after scaling
         if float(np.min(udiag)) <= threshold:
             raise SingularSystemError(
                 int(np.argmin(udiag)),
                 f"near-singular pivot at index {int(np.argmin(udiag))}",
             )
+        self._solve = lambda b: gbtrs(lu, bw, bw, b, piv)
         self._row_scale = row_scale
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .banded import BandedLU, BandedMatrix
 from .grids import Grid
 
 __all__ = [
@@ -53,59 +52,50 @@ def fit_loglog(samples: Sequence[tuple[float, float]]) -> float:
 
 
 def resample(nodes: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Not-a-knot cubic spline through (nodes, values), evaluated at `at`.
+    """Piecewise cubic through (nodes, values), evaluated at `at`.
 
-    The node slopes solve SciPy's CubicSpline system: the C2 rows inside
-    and the not-a-knot rows at both ends, tridiagonal, factored by
-    BandedLU. Each interval's cubic is evaluated in Horner form. Needs at
-    least 4 strictly increasing nodes, one value per node, and points
-    inside the node range (up to 1e-12 rounding slack).
+    On each interval the cubic interpolates the four nearest nodes (the
+    stencil is one-sided in the end intervals), so the rule is local and
+    fourth order, and no linear system is solved. Needs at least 4
+    strictly increasing nodes, one value per node, and points inside the
+    node range (up to 1e-12 rounding slack).
     """
     return _spline(nodes, values)(at)
 
 
 def _spline(nodes: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """resample's spline as an evaluator of `at`, for data that is
-    evaluated many times: its node slopes are solved once."""
+    """resample's interpolant as an evaluator of `at`, for data that is
+    evaluated many times: its coefficients are computed once."""
     x = np.asarray(nodes, dtype=float)
     y = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 4:
         raise ValueError(f"resample needs at least 4 nodes, got shape {x.shape}")
     if y.shape != x.shape:
         raise ValueError(f"{y.shape} values on nodes of shape {x.shape}")
-    dx = np.diff(x)
-    if not np.all(dx > 0.0):
+    if not np.all(np.diff(x) > 0.0):
         raise ValueError("resample nodes must be strictly increasing")
     slack = 1e-12 * (1.0 + abs(x[0]) + abs(x[-1]))
-    slope = np.diff(y) / dx
-    # row i of the slope system s, in BandedMatrix storage (data[1 + i - j, j]):
-    # dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1] = rhs[i]
-    system = BandedMatrix.zeros(x.size, 1)
-    upper, diag, lower = system.data
-    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
-    upper[2:] = dx[:-1]
-    lower[:-2] = dx[1:]
-    rhs = np.empty_like(x)
-    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    # not-a-knot: the third derivative is continuous at x[1] and x[-2]
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    diag[0], upper[1] = dx[1], d0
-    rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-    diag[-1], lower[-2] = dx[-2], d1
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    s = BandedLU(system).solve(rhs)
-    # cubic on interval i in u = t - x[i]: ((c3 u + c2) u + s[i]) u + y[i]
-    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
-    c3 = t / dx
-    c2 = (slope - s[:-1]) / dx - t
+    # divided differences f[j..j+1], f[j..j+2], f[j..j+3]
+    f1 = np.diff(y) / np.diff(x)
+    f2 = np.diff(f1) / (x[2:] - x[:-2])
+    f3 = np.diff(f2) / (x[3:] - x[:-3])
+    # interval i interpolates nodes k..k+3; its Newton form, expanded in
+    # u = t - x[i] with d_j = x[i] - x[k+j], is ((c3 u + c2) u + c1) u + y[i].
+    # The last node carries the last interval's cubic, so x[-1] reads y[-1].
+    i = np.arange(x.size)
+    k = np.clip(i - 1, 0, x.size - 4)
+    d0, d1, d2 = x[i] - x[k], x[i] - x[k + 1], x[i] - x[k + 2]
+    a2, c3 = f2[k], f3[k]
+    c2 = a2 + c3 * (d0 + d1 + d2)
+    c1 = f1[k] + a2 * (d0 + d1) + c3 * (d0 * d1 + (d0 + d1) * d2)
 
     def evaluate(at: np.ndarray) -> np.ndarray:
         at = np.asarray(at, dtype=float)
         if np.any(at < x[0] - slack) or np.any(at > x[-1] + slack):
             raise ValueError("resample target outside the data range")
-        i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
+        i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 1)
         u = np.clip(at, x[0], x[-1]) - x[i]
-        return ((c3[i] * u + c2[i]) * u + s[i]) * u + y[i]
+        return ((c3[i] * u + c2[i]) * u + c1[i]) * u + y[i]
 
     return evaluate
 

@@ -72,12 +72,16 @@ def newton_solve(
     The jacobian callback returns a BandedMatrix; each step is one banded
     LU factorisation and solve.
     Raises NonConvergenceError (carrying iterations and best residual) when
-    the iteration budget or the backtracking floor is exhausted, and
+    the iteration budget or the backtracking floor is exhausted, or at
+    once, before any factorisation, when the residual at init is not
+    finite; and
     SingularJacobianError when the linear solve reports a singular pivot.
     """
     u = np.atleast_1d(np.asarray(init, dtype=float)).copy()
     r = residual(u)
     rnorm = _sup(r)
+    if rnorm == np.inf:  # inf <= (1 - c*t)*inf would accept every trial
+        raise NonConvergenceError(0, rnorm)
     best = rnorm
     for it in range(_MAX_ITERS):
         if rnorm <= _RESIDUAL_TOL:

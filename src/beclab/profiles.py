@@ -95,7 +95,7 @@ class BlowupProfile:
 
     @cached_property
     def value_splines(self):
-        """Evaluators of the cubic splines (calculus.resample's) through V1
+        """Evaluators of calculus.resample's piecewise cubics through V1
         and V2, built on first use and kept: the composite reads them on
         every evaluation."""
         return _spline(self.grid.nodes, self.V1), _spline(self.grid.nodes, self.V2)

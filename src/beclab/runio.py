@@ -81,7 +81,8 @@ def write_csv(
 
 
 def read_seed_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a solution CSV (columns z, v1, v2 at least) as seed data."""
+    """Read a solution CSV (columns z, v1, v2 at least) as seed data:
+    finite values on strictly increasing z."""
     text = Path(path).read_text().splitlines()
     rows = [line for line in text if line.strip() and not line.startswith("#")]
     if not rows:
@@ -93,6 +94,9 @@ def read_seed_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     data = np.array([[float(v) for v in line.split(",")] for line in rows[1:]])
     if data.ndim != 2 or data.shape[0] < 4:
         raise ValueError(f"seed file {path} has too few rows")
+    for required in ("z", "v1", "v2"):
+        if not np.all(np.isfinite(data[:, header.index(required)])):
+            raise ValueError(f"seed file {path} column {required!r} has a non-finite value")
     z = data[:, header.index("z")]
     if np.any(np.diff(z) <= 0.0):
         raise ValueError(f"seed file {path} nodes are not strictly increasing")

@@ -48,8 +48,8 @@ def test_zero_row_reports_index():
 
 def test_dependent_rows_singular():
     # rows 0 and 1 are equal, so elimination meets an exactly zero pivot
-    # at index 1: LAPACK reports it itself (gbtrf at dim 2, gttrf at dim 3),
-    # before the near-singular pivot check could
+    # at index 1: gbtrf reports it itself, before the near-singular pivot
+    # check could
     for dim in (2, 3):
         a = BandedMatrix.zeros(dim, 1)
         add_diagonal(a, 0, np.ones(dim))
@@ -58,6 +58,22 @@ def test_dependent_rows_singular():
         with pytest.raises(SingularSystemError, match="^singular pivot at index 1$") as exc:
             BandedLU(a)
         assert exc.value.index == 1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in scaling
+@pytest.mark.parametrize("bw", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entry_is_rejected(bw, bad):
+    # a NaN pivot fails every comparison, so a size check alone would let
+    # it through and every solve would return NaN
+    rng = np.random.Generator(np.random.PCG64(2))
+    a = BandedMatrix.zeros(6, bw)
+    for offset in range(-bw, bw + 1):
+        add_diagonal(a, offset, rng.uniform(-1.0, 1.0, 6 - abs(offset)))
+    add_diagonal(a, 0, np.full(6, 2.0 * bw + 2.0))
+    a.set_entry(3, 3, bad)
+    with pytest.raises(SingularSystemError, match="non-finite pivot at index 3"):
+        BandedLU(a)
 
 
 def test_dense_reference_agreement():

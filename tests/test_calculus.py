@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicSpline
-
 from beclab import (
+    BandedLU,
     fit_loglog,
     golden_minimize,
     make_grid,
@@ -133,15 +132,21 @@ def test_resample_writes_nothing_into_its_inputs():
         assert np.array_equal(a, copy)
 
 
-def _assert_matches_scipy_spline(nodes, values):
-    # at the nodes, the cell midpoints and the two ends: agreement to
-    # rounding (the two solve the same slope system by different LU
-    # routines and evaluate the cubic in different forms)
-    at = np.concatenate((nodes, 0.5 * (nodes[:-1] + nodes[1:])))
-    ours = resample(nodes, values, at)
-    theirs = CubicSpline(nodes, values)(at)
-    bound = 8.0 * np.finfo(float).eps * np.max(np.abs(values))
-    assert np.max(np.abs(ours - theirs)) <= bound
+def _stencil_cubic(nodes, values, at):
+    """The cubic through the four nodes nearest each interval, written
+    independently of resample: interval i interpolates nodes k..k+3 with
+    k = clip(i - 1, 0, n - 4), evaluated in Lagrange form."""
+    n = nodes.size
+    i = np.clip(np.searchsorted(nodes, at, side="right") - 1, 0, n - 2)
+    k = np.clip(i - 1, 0, n - 4)
+    out = np.zeros_like(at)
+    for j in range(4):
+        basis = np.ones_like(at)
+        for m in range(4):
+            if m != j:
+                basis *= (at - nodes[k + m]) / (nodes[k + j] - nodes[k + m])
+        out += values[k + j] * basis
+    return out
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,21 +157,52 @@ def _assert_matches_scipy_spline(nodes, values):
     freq=st.floats(0.1, 3.0),
     phase=st.floats(0.0, 2.0 * math.pi),
     scale=st.floats(1e-3, 1e3),
+    fraction=st.floats(0.0, 1.0),
 )
-def test_resample_matches_scipy_cubic_spline(gaps, width, start, freq, phase, scale):
-    # smooth data on 4..300 strictly increasing nodes whose gaps differ
-    # by at most a factor 2
+def test_resample_is_the_cubic_through_four_nearest_nodes(
+    gaps, width, start, freq, phase, scale, fraction
+):
+    # smooth data on 4..300 strictly increasing nodes whose gaps differ by
+    # at most a factor 2, read at the nodes, at one point inside every
+    # interval and at both ends: agreement to rounding of the data scale
     offsets = np.concatenate(([0.0], np.cumsum(gaps)))
     nodes = start + width * (offsets / offsets[-1])
     values = scale * np.sin(freq * (nodes - start) / width + phase)
-    _assert_matches_scipy_spline(nodes, values)
+    inside = nodes[:-1] + fraction * np.diff(nodes)
+    at = np.concatenate((nodes, np.clip(inside, nodes[0], nodes[-1])))
+    bound = 8.0 * np.finfo(float).eps * np.max(np.abs(values))
+    assert np.max(np.abs(resample(nodes, values, at) - _stencil_cubic(nodes, values, at))) <= bound
 
 
-def test_resample_matches_scipy_on_the_solution_meshes(blowup_wide, sol3):
-    # the core mesh (X = 15, n = 4097) and the interface mesh (n = 8193)
-    for field in (blowup_wide.V1, blowup_wide.V2):
-        _assert_matches_scipy_spline(blowup_wide.grid.nodes, field)
-    _assert_matches_scipy_spline(sol3.grid.nodes, sol3.v1)
+def test_resample_is_exact_at_the_nodes():
+    rng = np.random.default_rng(3)
+    nodes = np.sort(rng.uniform(-5.0, 5.0, 50))
+    values = rng.standard_normal(50)
+    assert np.array_equal(resample(nodes, values, nodes), values)
+
+
+def test_resample_is_fourth_order_on_a_graded_mesh():
+    # fixed map strength, so each refinement halves every spacing; the
+    # error is read between the nodes, where it is largest
+    def err(n: int) -> float:
+        grid = make_grid(-3.0, 3.0, n, math.exp(6.0 / (n - 1)))
+        x = grid.nodes
+        mid = 0.5 * (x[:-1] + x[1:])
+        return float(np.max(np.abs(resample(x, np.tanh(2.0 * x), mid) - np.tanh(2.0 * mid))))
+
+    errors = [err(n) for n in (129, 257, 513)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 15.0 <= coarse / fine <= 17.0
+
+
+def test_resample_solves_no_linear_system(monkeypatch):
+    def refuse(self, matrix):
+        raise AssertionError("resample factored a banded system")
+
+    monkeypatch.setattr(BandedLU, "__init__", refuse)
+    nodes = np.linspace(0.0, 1.0, 33)
+    out = resample(nodes, np.exp(nodes), np.linspace(0.0, 1.0, 7))
+    assert np.allclose(out, np.exp(np.linspace(0.0, 1.0, 7)), atol=1e-8)
 
 
 def test_golden_minimize_parabola():

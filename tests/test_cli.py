@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -23,6 +24,7 @@ from beclab.heteroclinic import (
     solve_heteroclinic,
 )
 from beclab.newton import NonConvergenceError
+from beclab.verify import default_sweep, run_verification
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -713,6 +715,23 @@ def test_seeded_solve_succeeds(tmp_path):
     assert summary["report"]["lambda"] == 3.5
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_seed_exits_one_before_solving(bad, tmp_path, monkeypatch, capsys):
+    seed = tmp_path / "seed.csv"
+    z = np.linspace(-20.0, 20.0, 201)
+    v1, v2 = explicit_lambda3(z)
+    v1[100] = float(bad)
+    write_csv(seed, {"z": z, "v1": v1, "v2": v2}, config={})
+    solves = []
+    monkeypatch.setattr(cli, "solve_heteroclinic", lambda *a, **k: solves.append(a))
+    out = tmp_path / "run"
+    argv = ["solve", "--lambda", "5", "--n", "1025", "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 1
+    assert solves == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert str(seed) in err and "column 'v1' has a non-finite value" in err
+
+
 def test_seeded_solve_starts_from_v1_and_its_mirror(tmp_path, monkeypatch):
     # an off-centre seed whose v2 column is not v1 mirrored: Newton starts
     # from the file's v1 resampled onto the mesh and that resample mirrored
@@ -737,6 +756,26 @@ def test_seeded_solve_starts_from_v1_and_its_mirror(tmp_path, monkeypatch):
     u = _interior_state(start, start[::-1])
     assert len(starts) == 1
     assert np.array_equal(starts[0], u[: u.size // 2])
+
+
+def test_verify_defaults_are_run_verifications(tmp_path, monkeypatch, capsys):
+    # `beclab verify` with no flags computes what run_verification() does
+    # at its defaults: the benchmark times the one, the ROADMAP the other
+    calls = []
+
+    def recording(**kwargs):
+        calls.append(kwargs)
+        raise NonConvergenceError(iterations=0, best_residual=1.0)
+
+    monkeypatch.setattr(cli, "run_verification", recording)
+    assert main(["verify", "--out", str(tmp_path / "run")]) == 2
+    capsys.readouterr()
+    (kwargs,) = calls
+    library = inspect.signature(run_verification).parameters
+    assert set(kwargs) == set(library)
+    assert library["lams"].default is None
+    assert tuple(sorted(kwargs.pop("lams"))) == default_sweep()
+    assert kwargs == {name: library[name].default for name in kwargs}
 
 
 def test_verify_precondition_exit_one(tmp_path, capsys):

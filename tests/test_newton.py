@@ -130,3 +130,19 @@ def test_converged_at_start_takes_no_step():
     residual, jacobian = scalar_problem()
     result = newton_solve(residual, jacobian, np.array([math.sqrt(2.0)]))
     assert result.iterations == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_fails_before_any_factorisation(bad):
+    # an infinite residual norm passes every Armijo test (inf <= inf), so
+    # the iteration must stop before it steps
+    calls = []
+
+    def jacobian(u):
+        calls.append(u)
+        return scalar_jacobian(1.0)
+
+    with pytest.raises(NonConvergenceError) as exc:
+        newton_solve(lambda u: u + bad, jacobian, np.array([1.0]))
+    assert calls == []
+    assert exc.value.iterations == 0 and exc.value.best_residual == np.inf
