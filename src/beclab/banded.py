@@ -8,14 +8,23 @@ reported with its index; they serve Newton's Jacobians alone. For a
 symmetric matrix, rows data[:bw+1] are LAPACK's upper band, for the
 spectrum's pbtrf/pbtrs. These four are the only LAPACK routines beclab
 calls.
+
+The routines come from the OpenBLAS that NumPy itself loaded: NumPy's
+PyPI wheel bundles scipy-openblas64, which exports them with 64-bit
+integers as scipy_dgbtrf_64_ and so on. They are found through NumPy's
+core extension module, because the dynamic loader searches the libraries
+it links, and are called through ctypes, so no SciPy module is imported.
+Where a symbol is missing the import fails with an ImportError that
+names it.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from numpy._core import _multiarray_umath
 
 __all__ = [
     "SingularSystemError",
@@ -23,6 +32,62 @@ __all__ = [
     "BandedLU",
     "BandedCholesky",
 ]
+
+
+_INT, _PTR = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+_CHAR, _LEN = ctypes.c_char_p, ctypes.c_size_t
+
+
+def _bind(name: str, argtypes: list):
+    """LAPACK routine `name` (as "dgbtrf") from NumPy's OpenBLAS."""
+    symbol = f"scipy_{name}_64_"
+    try:
+        routine = getattr(ctypes.CDLL(_multiarray_umath.__file__), symbol)
+    except AttributeError:
+        raise ImportError(
+            f"LAPACK symbol {symbol} not found in NumPy's libraries: beclab needs "
+            "a NumPy build that bundles scipy-openblas64"
+        ) from None
+    routine.argtypes, routine.restype = argtypes, None
+    return routine
+
+
+# Fortran arguments go by reference, INFO last, then the hidden length of
+# each character argument.
+# M N KL KU AB LDAB IPIV INFO
+_GBTRF = _bind("dgbtrf", [_INT, _INT, _INT, _INT, _PTR, _INT, _PTR, _INT])
+# TRANS N KL KU NRHS AB LDAB IPIV B LDB INFO
+_GBTRS = _bind("dgbtrs", [_CHAR, _INT, _INT, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _INT, _LEN])
+# UPLO N KD AB LDAB INFO
+_PBTRF = _bind("dpbtrf", [_CHAR, _INT, _INT, _PTR, _INT, _INT, _LEN])
+# UPLO N KD NRHS AB LDAB B LDB INFO
+_PBTRS = _bind("dpbtrs", [_CHAR, _INT, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT, _LEN])
+
+
+def _pointer(a: np.ndarray) -> ctypes.c_void_p:
+    """The data pointer of a float64 or int64 Fortran-contiguous array, for
+    LAPACK to read and overwrite; the caller keeps `a` alive."""
+    if a.dtype not in (np.float64, np.int64) or not a.flags.f_contiguous:
+        raise TypeError("LAPACK needs a Fortran-contiguous float64 or int64 array")
+    return ctypes.c_void_p(a.ctypes.data)
+
+
+def _call(label: str, routine, *args) -> int:
+    """Call a LAPACK routine with INFO appended and return INFO. An int
+    goes as a 64-bit integer, an array by _pointer, a one-character bytes
+    as itself and its hidden length, and a _pointer as it is. An illegal
+    argument k (INFO = -k) raises ValueError."""
+    refs = [
+        ctypes.c_int64(a) if isinstance(a, (int, np.integer))
+        else _pointer(a) if isinstance(a, np.ndarray)
+        else a
+        for a in args
+    ]
+    info = ctypes.c_int64()
+    routine(*refs, info, *[len(a) for a in args if isinstance(a, bytes)])
+    if info.value < 0:
+        raise ValueError(f"{label}: illegal argument {-info.value}")
+    return info.value
 
 
 class SingularSystemError(RuntimeError):
@@ -77,8 +142,9 @@ class BandedLU:
     Rows are equilibrated (scaled to unit max) before factorisation: the
     assemblies here mix O(1/h^2) stencil rows with O(1) boundary rows, and
     pivot-size diagnostics are meaningless without a common row scale.
-    A zero, machine-scale or non-finite pivot raises SingularSystemError
-    with its index.
+    A row that is zero or holds a non-finite entry, and a zero,
+    machine-scale or non-finite pivot, raise SingularSystemError with its
+    index.
     """
 
     def __init__(self, matrix: BandedMatrix):
@@ -86,20 +152,24 @@ class BandedLU:
         row_max = np.zeros(dim)
         for _, rows, _, band in matrix.diagonals():
             np.maximum(row_max[rows], np.abs(band), out=row_max[rows])
+        if not np.all(np.isfinite(row_max)):
+            index = int(np.argmin(np.isfinite(row_max)))
+            raise SingularSystemError(index, f"non-finite entry in row {index}")
         if float(np.min(row_max)) == 0.0:
             raise SingularSystemError(int(np.argmin(row_max)), "zero row")
         row_scale = 1.0 / row_max
-        # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j].
-        ab = np.zeros((3 * bw + 1, dim))
+        scaled = np.zeros((2 * bw + 1, dim))
         for offset, rows, cols, band in matrix.diagonals():
-            ab[2 * bw - offset, cols] = band * row_scale[rows]
-        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        lu, piv, info = gbtrf(ab, bw, bw)
+            np.multiply(band, row_scale[rows], out=scaled[bw - offset, cols])
+        # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j]. One
+        # copy into Fortran order costs less than a strided write per diagonal.
+        ab = np.zeros((3 * bw + 1, dim), order="F")
+        ab[bw:] = scaled
+        piv = np.empty(dim, dtype=np.int64)
+        info = _call("LU factorisation", _GBTRF, dim, dim, bw, bw, ab, 3 * bw + 1, piv)
         if info > 0:
             raise SingularSystemError(info - 1)
-        if info < 0:
-            raise ValueError(f"LU factorisation: illegal argument {-info}")
-        udiag = np.abs(lu[2 * bw])
+        udiag = np.abs(ab[2 * bw])
         if not np.all(np.isfinite(udiag)):
             index = int(np.argmin(np.isfinite(udiag)))
             raise SingularSystemError(index, f"non-finite pivot at index {index}")
@@ -109,16 +179,17 @@ class BandedLU:
                 int(np.argmin(udiag)),
                 f"near-singular pivot at index {int(np.argmin(udiag))}",
             )
-        self._solve = lambda b: gbtrs(lu, bw, bw, b, piv)
-        self._row_scale = row_scale
+        # gbtrs' arguments up to the right-hand side, converted once; self
+        # holds ab and piv, so their pointers stay valid
+        self._lu, self._piv, self._row_scale = ab, piv, row_scale
+        self._solve_args = (b"N", dim, bw, bw, 1, _pointer(ab), 3 * bw + 1, _pointer(piv))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != self._row_scale.shape:
             raise ValueError(f"rhs shape {rhs.shape} is not ({self._row_scale.shape[0]},)")
-        x, info = self._solve(rhs * self._row_scale)
-        if info != 0:
-            raise ValueError(f"LU solve: illegal argument {-info}")
+        x = rhs * self._row_scale  # a new array, which gbtrs overwrites
+        _call("LU solve", _GBTRS, *self._solve_args, x, x.shape[0])
         return x
 
 
@@ -134,17 +205,18 @@ class BandedCholesky:
         bw = matrix.bandwidth
         ab = matrix.data[: bw + 1].copy(order="F")
         ab[bw] -= shift
-        pbtrf, self._pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
-        self._factor, info = pbtrf(ab, overwrite_ab=1)
+        info = _call("pbtrf", _PBTRF, b"U", matrix.dim, bw, ab, bw + 1)
         if info > 0:
             raise SingularSystemError(info - 1, f"A - {shift!r} I is not positive definite")
-        if info < 0:
-            raise ValueError(f"pbtrf: illegal argument {-info}")
+        # pbtrs' arguments up to the right-hand side, converted once; self
+        # holds ab, so its pointer stays valid
+        self._factor = ab
+        self._solve_args = (b"U", matrix.dim, bw, 1, _pointer(ab), bw + 1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if np.shape(rhs) != (self._factor.shape[1],):
-            raise ValueError(f"rhs shape {np.shape(rhs)} is not ({self._factor.shape[1]},)")
-        x, info = self._pbtrs(self._factor, rhs)
-        if info != 0:
-            raise ValueError(f"pbtrs: illegal argument {-info}")
+        dim = self._factor.shape[1]
+        if np.shape(rhs) != (dim,):
+            raise ValueError(f"rhs shape {np.shape(rhs)} is not ({dim},)")
+        x = np.array(rhs, dtype=float)  # a copy, which pbtrs overwrites
+        _call("pbtrs", _PBTRS, *self._solve_args, x, dim)
         return x
