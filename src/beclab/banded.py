@@ -9,6 +9,16 @@ symmetric matrix, rows data[:bw+1] are LAPACK's upper band, for the
 spectrum's pbtrf/pbtrs. These four are the only LAPACK routines beclab
 calls.
 
+The Cholesky factor is computed in LAPACK's lower band storage, copied
+from the upper band, and laid back into the upper band for pbtrs. On the
+upper storage OpenBLAS's unblocked dpbtf2, which pbtrf runs for narrow
+bands, scales and updates each column along a vector of stride ldab - 1;
+on the lower one the stride is 1, and a bandwidth-2 sector block of
+dimension 8191 factors in about a third of the time. The lower factor is
+the upper one transposed, entry by entry the same products, so factors
+and solves are unchanged; only a zero entry can differ, in its sign, where
+the BLAS update skips a zero multiplier on one side and not the other.
+
 The routines come from the OpenBLAS that NumPy itself loaded: NumPy's
 PyPI wheel bundles scipy-openblas64, which exports them with 64-bit
 integers as scipy_dgbtrf_64_ and so on. They are found through NumPy's
@@ -21,6 +31,7 @@ names it.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,20 +209,35 @@ class BandedCholesky:
     A, read from its upper band alone, reusable for repeated solves. It
     exists exactly when A - shift*I is positive definite, so one that
     succeeds proves that A has no eigenvalue at or below shift; a pivot
-    that is not positive raises SingularSystemError with its index.
+    that is not positive raises SingularSystemError with its index. A
+    non-finite shift, or a non-finite entry of the upper band, for which
+    LAPACK's pivot test proves nothing, raises ValueError naming the row.
     """
 
     def __init__(self, matrix: BandedMatrix, shift: float):
-        bw = matrix.bandwidth
-        ab = matrix.data[: bw + 1].copy(order="F")
-        ab[bw] -= shift
-        info = _call("pbtrf", _PBTRF, b"U", matrix.dim, bw, ab, bw + 1)
+        if not math.isfinite(shift):
+            raise ValueError(f"shift {shift!r} is not finite")
+        bw, dim, data = matrix.bandwidth, matrix.dim, matrix.data
+        # low[d, j] = A[j + d, j] = data[bw - d, j + d]: LAPACK's lower band
+        low = np.zeros((bw + 1, dim), order="F")
+        for d in range(bw + 1):
+            low[d, : dim - d] = data[bw - d, d:]
+        low[0] -= shift
+        if not np.isfinite(low).all():
+            # an entry A[j + d, j] of the lower band is A[j, j + d], in row j
+            row = int(np.argmin(np.isfinite(low).all(axis=0)))
+            raise ValueError(f"non-finite entry in row {row} of A - {shift!r} I")
+        info = _call("pbtrf", _PBTRF, b"L", dim, bw, low, bw + 1)
         if info > 0:
             raise SingularSystemError(info - 1, f"A - {shift!r} I is not positive definite")
+        # U = L^T in the upper band, for pbtrs; data's unused corner is kept
+        ab = data[: bw + 1].copy(order="F")
+        for d in range(bw + 1):
+            ab[bw - d, d:] = low[d, : dim - d]
         # pbtrs' arguments up to the right-hand side, converted once; self
         # holds ab, so its pointer stays valid
         self._factor = ab
-        self._solve_args = (b"U", matrix.dim, bw, 1, _pointer(ab), bw + 1)
+        self._solve_args = (b"U", dim, bw, 1, _pointer(ab), bw + 1)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         dim = self._factor.shape[1]

@@ -114,8 +114,21 @@ class ShootingResult:
 
 def _rhs(x, y):
     # y stacks K orbits as the blocks V1, V2, V1', V2' of K entries each
-    v1, v2, w1, w2 = y.reshape(4, -1)
-    return np.concatenate((w1, w2, v2 * v2 * v1, v1 * v1 * v2))
+    out = np.empty_like(y)
+    _rhs_into(y, out)
+    return out
+
+
+def _rhs_into(y, out):
+    """_rhs(x, y) written into out, which does not overlap y."""
+    k = y.size // 4
+    v1, v2 = y[:k], y[k : 2 * k]
+    out[: 2 * k] = y[2 * k :]
+    dd1, dd2 = out[2 * k : 3 * k], out[3 * k :]  # V1'' = V2^2 V1, V2'' = V1^2 V2
+    np.multiply(v2, v2, out=dd1)
+    dd1 *= v1
+    np.multiply(v1, v1, out=dd2)
+    dd2 *= v2
 
 
 def _solver(a: np.ndarray, t_bound: float):
@@ -133,6 +146,11 @@ def _solver(a: np.ndarray, t_bound: float):
     f = _rhs(0.0, y)
     h_abs = _initial_step(y, f, t_bound)
     stages = np.empty((13, y.size))
+    # the stage states y + h * sum_r A[s, r] stages[r] are formed in trial,
+    # each derivative is written straight into its row of stages
+    trial = np.empty(y.size)
+    heads = [stages[:s].T for s in range(12)]
+    stages[0] = f
     t = 0.0
     while t < t_bound:
         min_step = 10.0 * (np.nextafter(t, np.inf) - t)
@@ -143,11 +161,13 @@ def _solver(a: np.ndarray, t_bound: float):
                 raise RuntimeError(f"DOP853 step size underflow at x = {t:g}")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            stages[0] = f
             for s in range(1, 12):
-                stages[s] = _rhs(t + _C[s] * h, y + np.dot(stages[:s].T, _A[s]) * h)
+                np.dot(heads[s], _A[s], out=trial)
+                trial *= h
+                trial += y
+                _rhs_into(trial, stages[s])
             y_new = y + h * np.dot(stages[:-1].T, _B)
-            f_new = stages[12] = _rhs(t_new, y_new)
+            _rhs_into(y_new, stages[12])
             scale = _ATOL + np.maximum(np.abs(y), np.abs(y_new)) * _RTOL
             err5 = np.linalg.norm(np.dot(stages.T, _E5) / scale) ** 2
             err3 = np.linalg.norm(np.dot(stages.T, _E3) / scale) ** 2
@@ -163,7 +183,8 @@ def _solver(a: np.ndarray, t_bound: float):
                 break
             h_abs = h * max(0.2, 0.9 * error**-0.125)
             rejected = True
-        t, y, f = t_new, y_new, f_new
+        # the derivative at the accepted end is the next step's first stage
+        t, y, stages[0] = t_new, y_new, stages[12]
         yield t, y
 
 

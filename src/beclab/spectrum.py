@@ -39,9 +39,14 @@ Both certificates are taken on the full operator. Every unfolded pair is
 certified by its residual ||S psi - theta psi||; the certification floor
 scales with eps*||S|| because at large coupling and fine meshes
 ||S|| ~ 1/h^2 + lam makes an absolute 1e-8 residual unreachable in
-doubles. A Sylvester inertia count of S - mu I (block LDL^T over the 2x2
-node blocks; Parlett) then certifies that no eigenvalue below mu was
-skipped. For a solution the count is taken at the essential edge,
+doubles. A Sylvester inertia count of S - mu I then certifies that no
+eigenvalue below mu was skipped. It is taken by cyclic reduction over the
+2x2 node blocks: eliminating every other node at once is a congruence,
+since the eliminated nodes are not coupled to each other, so the inertia
+is that of the eliminated pivots plus that of the Schur complement on the
+nodes kept, which is block tridiagonal again; about log2 of the node
+count such passes, each a few whole-array NumPy operations, take the
+count. For a solution the count is taken at the essential edge,
 mu = e(lam), where it is the number of bound states: Theorem 1.2 as a
 count, the zero mode and lambda2 and nothing else.
 """
@@ -174,34 +179,74 @@ def residual_tolerance(op: LinearizedOperator) -> float:
 def count_below(op: LinearizedOperator, mu: float) -> int:
     """Number of eigenvalues of the symmetrized operator below mu.
 
-    Sylvester's law of inertia on the block LDL^T factorisation of
-    S - mu I over the 2x2 node blocks A_k: the blocks between neighbouring
-    nodes are o_k I, so the pivots obey D_k = A_k - mu I - o_{k-1}^2
-    D_{k-1}^{-1}, and each D_k contributes its negative eigenvalues (one
-    when det D_k < 0, two when det D_k > 0 > trace D_k). A singular pivot
-    means mu is (numerically) an eigenvalue and raises.
+    Sylvester's law of inertia, taken by cyclic (odd-even) reduction over
+    the 2x2 node blocks of S - mu I (Heller, SIAM J. Numer. Anal. 13,
+    1976). Node k's block is D_k = [[p, q], [q, r]] and its coupling to
+    node k + 1 is C_k = [[c11, c12], [c21, c22]], each held as one array
+    per component. Each pass eliminates every other node at once. The
+    eliminated nodes are not coupled to each other, so the elimination is
+    one congruence, and S - mu I has the inertia of the eliminated pivots
+    plus that of the Schur complement on the kept nodes (Haynsworth,
+    Linear Algebra Appl. 1, 1968). With node j eliminated between kept
+    nodes j - 1 and j + 1, the complement is block tridiagonal again:
+
+        D_{j-1} -= C_{j-1} D_j^{-1} C_{j-1}^T,
+        D_{j+1} -= C_j^T D_j^{-1} C_j,
+        coupling of j - 1 to j + 1: -C_{j-1} D_j^{-1} C_j.
+
+    About log2 of the node count passes leave one block. A pivot D
+    contributes its negative eigenvalues: one when det D < 0, two when
+    det D > 0 and p < 0. A singular or non-finite pivot means mu is
+    (numerically) an eigenvalue and raises ArithmeticError.
     """
     data, bw = op.matrix.data, op.matrix.bandwidth
-    a = (data[bw, 0::2] - mu).tolist()
-    d = (data[bw, 1::2] - mu).tolist()
-    b = data[bw - 1, 1::2].tolist()
-    o2 = (data[bw - 2, 2::2] ** 2).tolist()
-    count = 0
-    p, q, r = a[0], b[0], d[0]
-    for k in range(len(a)):
-        if k:
-            s = o2[k - 1] / det
-            p, q, r = a[k] - s * r, b[k] + s * q, d[k] - s * p
-        det = p * r - q * q
-        if det == 0.0 or not math.isfinite(det):
+    p, q, r = data[bw, 0::2] - mu, data[bw - 1, 1::2], data[bw, 1::2] - mu
+    c11, c21, c22 = data[bw - 2, 2::2], data[bw - 1, 2::2], data[bw - 2, 3::2]
+    c12 = np.zeros_like(c11)  # entry (2k, 2k + 3) lies outside the band
+    count, stride = 0, 1
+    while True:
+        last = p.size == 1
+        # the pivots eliminated at this pass: every odd node, or the last one
+        dp, dq, dr = (p, q, r) if last else (p[1::2], q[1::2], r[1::2])
+        det = dp * dr - dq * dq
+        if not np.all(np.isfinite(det) & (det != 0.0)):
+            i = int(np.argmin(np.isfinite(det) & (det != 0.0)))
+            node = 0 if last else (2 * i + 1) * stride
             raise ArithmeticError(
-                f"singular pivot at node {k} in the inertia count of S - {mu!r} I"
+                f"singular pivot at node {node} in the inertia count of S - {mu!r} I"
             )
-        if det < 0.0:
-            count += 1
-        elif p + r < 0.0:
-            count += 2
-    return count
+        # det > 0 makes p and r nonzero and of one sign
+        count += int(np.count_nonzero(det < 0.0))
+        count += 2 * int(np.count_nonzero((det > 0.0) & (dp < 0.0)))
+        if last:
+            return count
+        ip, iq, ir = dr / det, -dq / det, dp / det  # D^{-1}
+        # G = L D^{-1}, L = C_{j-1} from the kept node on the left
+        l11, l12, l21, l22 = c11[0::2], c12[0::2], c21[0::2], c22[0::2]
+        g11, g12 = l11 * ip + l12 * iq, l11 * iq + l12 * ir
+        g21, g22 = l21 * ip + l22 * iq, l21 * iq + l22 * ir
+        kp, kq, kr = p[0::2].copy(), q[0::2].copy(), r[0::2].copy()
+        left = slice(0, dp.size)
+        kp[left] -= g11 * l11 + g12 * l12
+        kq[left] -= g11 * l21 + g12 * l22
+        kr[left] -= g21 * l21 + g22 * l22
+        # H = D^{-1} R, R = C_j to the kept node on the right, where there is one
+        r11, r12, r21, r22 = c11[1::2], c12[1::2], c21[1::2], c22[1::2]
+        m = r11.size
+        ip, iq, ir = ip[:m], iq[:m], ir[:m]
+        h11, h12 = ip * r11 + iq * r21, ip * r12 + iq * r22
+        h21, h22 = iq * r11 + ir * r21, iq * r12 + ir * r22
+        right = slice(1, m + 1)
+        kp[right] -= r11 * h11 + r21 * h21
+        kq[right] -= r11 * h12 + r21 * h22
+        kr[right] -= r12 * h12 + r22 * h22
+        # the new coupling between the kept neighbours, -L D^{-1} R = -L H
+        l11, l12, l21, l22 = l11[:m], l12[:m], l21[:m], l22[:m]
+        c11 = -(l11 * h11 + l12 * h21)
+        c12 = -(l11 * h12 + l12 * h22)
+        c21 = -(l21 * h11 + l22 * h21)
+        c22 = -(l21 * h12 + l22 * h22)
+        p, q, r, stride = kp, kq, kr, 2 * stride
 
 
 def _factor(block: BandedMatrix, shift: float):
@@ -266,11 +311,15 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
 
     Raises ValueError when op does not commute with the swap-reflection to
     within residual_tolerance(op). The poles come from shift, the essential
-    edge e of a solution's operator: the odd sector (translation mode) is
-    solved about -min(1, e), and the even sector, which holds no
-    translation mode, about e/2, next to its bottom. Two certificates on
-    the full operator S follow, either of which raises RuntimeError when
-    it fails, as does a sector solve that does not converge:
+    edge e of a solution's operator. The odd sector is solved about
+    -1e-3 min(1, e), just below its bottom, the translation mode, which is
+    zero up to discretisation (|lambda1| <= 2.5e-6 on the default sweep):
+    from a pole at -1 inverse iteration converged at a ratio of only about
+    1/3. The even sector, which holds no translation mode, is solved about
+    e/2, next to its bottom. A pole at or above a sector's bottom is
+    stepped down until the block factors. Two certificates on the full
+    operator S follow, either of which raises RuntimeError when it fails,
+    as does a sector solve that does not converge:
 
     - every unfolded pair has ||S psi - theta psi|| <= residual_tolerance(op),
       with theta the Rayleigh quotient;
@@ -291,7 +340,7 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
         )
 
     thetas, vectors, max_res, solves = [], [], 0.0, 0
-    for sector, pole in ((ODD, -min(1.0, shift)), (EVEN, 0.5 * shift)):
+    for sector, pole in ((ODD, -1e-3 * min(1.0, shift)), (EVEN, 0.5 * shift)):
         _, x, count = _sector_bottom(sector.band(op.matrix), pole, tol, sector.parity)
         solves += count
         psi = sector.unfold(x)

@@ -3,9 +3,12 @@ assembled from the potentials of the linearization,
 
     M (p1, p2) = (-p1'' + q1 p1 + c p2, -p2'' + q2 p2 + c p1),
 
-rather than taken from the Newton Jacobian as beclab does."""
+rather than taken from the Newton Jacobian as beclab does, and the
+sequential inertia count that beclab's cyclic reduction replaced."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -46,3 +49,34 @@ def apply_natural(grid, q1, q2, coupling, phi1, phi2):
     r1 = -st.apply(phi1) / st.w + q1 * phi1[1:-1] + coupling * phi2[1:-1]
     r2 = -st.apply(phi2) / st.w + q2 * phi2[1:-1] + coupling * phi1[1:-1]
     return r1, r2
+
+
+def count_below_sequential(op: LinearizedOperator, mu: float) -> int:
+    """Reference for spectrum.count_below: Sylvester's law of inertia on
+    the block LDL^T factorisation of S - mu I over the 2x2 node blocks
+    A_k, one node at a time. The blocks between neighbouring nodes are
+    o_k I, so the pivots obey D_k = A_k - mu I - o_{k-1}^2 D_{k-1}^{-1},
+    and each D_k contributes its negative eigenvalues (one when
+    det D_k < 0, two when det D_k > 0 > trace D_k). A singular pivot
+    raises ArithmeticError."""
+    data, bw = op.matrix.data, op.matrix.bandwidth
+    a = (data[bw, 0::2] - mu).tolist()
+    d = (data[bw, 1::2] - mu).tolist()
+    b = data[bw - 1, 1::2].tolist()
+    o2 = (data[bw - 2, 2::2] ** 2).tolist()
+    count = 0
+    p, q, r = a[0], b[0], d[0]
+    for k in range(len(a)):
+        if k:
+            s = o2[k - 1] / det
+            p, q, r = a[k] - s * r, b[k] + s * q, d[k] - s * p
+        det = p * r - q * q
+        if det == 0.0 or not math.isfinite(det):
+            raise ArithmeticError(
+                f"singular pivot at node {k} in the inertia count of S - {mu!r} I"
+            )
+        if det < 0.0:
+            count += 1
+        elif p + r < 0.0:
+            count += 2
+    return count

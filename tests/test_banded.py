@@ -91,6 +91,35 @@ def test_non_finite_entry_is_rejected(bw, bad):
     assert exc.value.index == 3
 
 
+@pytest.mark.parametrize("shift", [np.nan, -np.inf])
+def test_cholesky_rejects_a_non_finite_shift(shift):
+    # pbtrf's pivot test "ajj <= 0" is false for NaN, so A - nan I would
+    # "factor" and certify nothing
+    with pytest.raises(ValueError, match="^shift .* is not finite$"):
+        BandedCholesky(dirichlet_laplacian(10, 0.1), shift)
+
+
+@pytest.mark.parametrize("bw", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cholesky_rejects_a_non_finite_upper_band_entry(bw, bad):
+    # entry (2, 2 + bw) of the upper band, read as (2 + bw, 2) of LAPACK's
+    # lower one, is in row 2; the same entry below the diagonal, which
+    # BandedCholesky does not read, changes nothing
+    a = dirichlet_laplacian(10, 0.1) if bw == 1 else BandedMatrix.zeros(10, 2)
+    add_diagonal(a, 0, np.full(10, 10.0))
+    rhs = np.arange(10.0)
+    x = BandedCholesky(a, 0.0).solve(rhs)
+    upper = (0, 2 + bw)  # data[bw + i - j, j] at (i, j) = (2, 2 + bw)
+    kept, a.data[upper] = a.data[upper], bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^non-finite entry in row 2 of A - 0\.0 I$"):
+            BandedCholesky(a, 0.0)
+    a.data[upper] = kept
+    a.data[2 * bw, 2] = bad  # (i, j) = (2 + bw, 2)
+    assert np.array_equal(BandedCholesky(a, 0.0).solve(rhs), x)
+
+
 def test_dense_reference_agreement():
     rng = np.random.Generator(np.random.PCG64(7))
     dim, bw = 200, 3
