@@ -139,6 +139,14 @@ class BandedMatrix:
             rows = slice(max(0, -offset), dim - max(0, offset))
             yield offset, rows, cols, self.data[bw - offset, cols]
 
+    def column(self, j: int) -> np.ndarray:
+        """Column j of the matrix as a dense vector."""
+        bw, dim = self.bandwidth, self.dim
+        out = np.zeros(dim)
+        lo, hi = max(0, j - bw), min(dim, j + bw + 1)
+        out[lo:hi] = self.data[bw + lo - j : bw + hi - j, j]
+        return out
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = np.zeros_like(x)

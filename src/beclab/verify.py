@@ -97,13 +97,10 @@ def jacobian_fd_error(
     """Worst relative column error of the assembled Jacobian against
     central finite differences of the residual at state u0."""
     jac = jacobian(u0)
-    bw, dim = jac.bandwidth, u0.shape[0]
+    dim = u0.shape[0]
     worst = 0.0
     for k in range(dim):
-        # column k of the band: A[i, k] = data[bw + i - k, k]
-        column = np.zeros(dim)
-        lo, hi = max(0, k - bw), min(dim, k + bw + 1)
-        column[lo:hi] = jac.data[bw + lo - k : bw + hi - k, k]
+        column = jac.column(k)
         step = 1e-6 * max(1.0, abs(float(u0[k])))
         up = u0.copy()
         dn = u0.copy()

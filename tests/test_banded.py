@@ -166,6 +166,16 @@ def test_matvec_matches_dense():
 
 
 @pytest.mark.parametrize(("dim", "bw"), [(1, 0), (6, 2), (7, 6)])
+def test_column_matches_dense(dim, bw):
+    rng = np.random.Generator(np.random.PCG64(3))
+    a = BandedMatrix.zeros(dim, bw)
+    a.data[:] = rng.uniform(-1.0, 1.0, a.data.shape)
+    dense = to_dense(a)
+    for j in range(dim):
+        assert np.array_equal(a.column(j), dense[:, j])
+
+
+@pytest.mark.parametrize(("dim", "bw"), [(1, 0), (6, 2), (7, 6)])
 def test_diagonals_walk_the_band(dim, bw):
     # each (offset, rows, cols, band) is diagonal j - i = offset of the
     # dense matrix, and writing through band writes into the matrix

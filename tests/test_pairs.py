@@ -19,8 +19,9 @@ _BENCH = {
 
 
 def _run(tmp_path, monkeypatch, capsys, walls, ratios=None):
-    """tools/pairs.py over len(walls) pairs whose runs read walls[i] =
+    """tools/pairs.py over its 10 pairs, whose runs read walls[i] =
     (parent, change); the calls made, and the summary lines."""
+    assert len(walls) == pairs.PAIRS
     for side in ("parent", "change"):
         (tmp_path / side).mkdir()
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(_BENCH))
@@ -35,18 +36,20 @@ def _run(tmp_path, monkeypatch, capsys, walls, ratios=None):
 
     monkeypatch.setattr(pairs, "run_once", fake)
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
-            "--pairs", str(len(walls)), "--first-seed", "5"]
+            "--first-seed", "5"]
     assert pairs.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     return calls, {line.split(":")[0]: line for line in out if line.startswith(("wall_s:", "ok_ratio:"))}
 
 
 def test_pairs_alternate_and_share_seeds(tmp_path, monkeypatch, capsys):
-    calls, _ = _run(tmp_path, monkeypatch, capsys, [(1.0, 0.5)] * 4)
-    assert [(c[0], c[2]) for c in calls] == [
-        ("parent", 5), ("change", 5), ("change", 6), ("parent", 6),
-        ("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
-    ]
+    calls, _ = _run(tmp_path, monkeypatch, capsys, [(1.0, 0.5)] * 10)
+    # odd pairs run the parent first, even pairs the change, on seeds 5..14
+    expected = []
+    for i, seed in enumerate(range(5, 15)):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        expected += [(side, seed) for side in order]
+    assert [(c[0], c[2]) for c in calls] == expected
     assert {c[3] for c in calls} == {30.0}  # BENCHMARK.json's run length
 
 

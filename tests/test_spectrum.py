@@ -241,7 +241,7 @@ def test_symmetrized_assembly_is_exactly_symmetric(sol3):
     assert op.matrix.dim == 2 * (sol3.n - 2)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(16, 24),
     seed=st.integers(0, 2**32 - 1),

@@ -1,16 +1,16 @@
 """Alternating parent/change pairs of the benchmark, and their verdict.
 
-Usage: python3 tools/pairs.py PARENT CHANGE --workload NAME
-           [--pairs 10] [--seconds S] [--first-seed 1]
+Usage: python3 tools/pairs.py PARENT CHANGE --workload NAME [--first-seed 1]
 
-PARENT and CHANGE are two checkouts of beclab. Pair i runs
+PARENT and CHANGE are two checkouts of beclab. Each of 10 pairs runs
 `python3 perfbench/run.py --workload NAME --seed SEED --seconds S --trace 0`
 once in each, with the same seed, one after the other and never in
 parallel; odd pairs run the parent first, even pairs the change first.
---seconds defaults to BENCHMARK.json's run_seconds, and the metrics, with
-the direction in which each is better and its bound, come from the
-parent's BENCHMARK.json. Nothing under perfbench/ is edited; run.py
-writes its own perfbench/out/ in each checkout.
+Seeds run from --first-seed up. The run length S is the parent's
+BENCHMARK.json run_seconds, and the metrics, with the direction in which
+each is better and its bound, come from the same file. Nothing under
+perfbench/ is edited; run.py writes its own perfbench/out/ in each
+checkout.
 
 Printed: each pair's end-to-end metrics, parent then change; then per
 metric each side's median and quartiles, the pairs the change won (ties
@@ -31,6 +31,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
+
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The end-to-end metrics of one run.py run in checkout, by name."""
@@ -49,8 +51,6 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
-    if len(values) == 1:
-        return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
 
@@ -60,18 +60,16 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
 
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     specs = bench["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
 
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -84,7 +82,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1} seed {seed} {order[0]} first: {cells}"
               + ("" if correct else "  (a run reported correct = false)"), flush=True)
 
-    print(f"\n{args.workload}, {args.pairs} pairs of {seconds:g} s")
+    print(f"\n{args.workload}, {PAIRS} pairs of {seconds:g} s")
     for m in specs:
         name, lower = m["name"], m["better"] == "lower"
         old = [r[name] for r in runs["parent"]]
