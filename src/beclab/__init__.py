@@ -56,8 +56,6 @@ from .asymptotics import (
 )
 from .spectrum import (
     EigenCertificate,
-    Eigenpairs,
-    LinearizedOperator,
     SpectrumReport,
     assemble_linearized,
     count_below,

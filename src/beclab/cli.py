@@ -1,10 +1,11 @@
 """Command-line surface: solves, sweeps, and the verification report.
 
 Exit codes are a stable contract: 0 success, 1 usage or precondition
-violation, 2 numerical failure (non-convergence, step underflow),
-3 verification failure. All outputs are flat files (CSV curves, JSON
-reports) carrying the resolved configuration, with pinned formatting so
-reruns are byte-identical.
+violation, 2 numerical failure (non-convergence, step underflow, a
+singular pivot of the spectrum's inertia count), 3 verification failure.
+All outputs are flat files (CSV curves, JSON reports) carrying the
+resolved configuration, with pinned formatting so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .heteroclinic import (
     mesh_ladder,
     solve_heteroclinic,
 )
-from .profiles import CORE_N, solve_blowup
+from .profiles import CORE_N, PSI0, solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
 from .spectrum import nondegeneracy_report
 from .verify import run_verification
@@ -235,7 +236,7 @@ def _cmd_blowup(cfg: argparse.Namespace) -> _Output:
     }
     summary = {
         "kappa": profile.kappa,
-        "psi0": profile.psi0,
+        "psi0": PSI0,
         "hamiltonian_dev": profile.hamiltonian_dev,
         "residual": profile.residual,
         "X": profile.X,
@@ -407,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"beclab {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .calculus import quadrature
 from .grids import make_grid
 from .heteroclinic import HeteroclinicSolution, hamiltonian_values, sigma_gradient_form
-from .profiles import BlowupProfile, outer_derivative
+from .profiles import PSI0, BlowupProfile, outer_derivative
 
 __all__ = [
     "LEADING_TENSION",
@@ -92,7 +92,7 @@ def blowup_energy_coefficient(blowup: BlowupProfile) -> float:
     The integrand decays like a Gaussian beyond the core, so truncation
     to [-X, X] is far below the quadrature error.
     """
-    return quadrature(blowup.dV1 * (blowup.dV1 - blowup.psi0), blowup.grid)
+    return quadrature(blowup.dV1 * (blowup.dV1 - PSI0), blowup.grid)
 
 
 def expansion_residual(sol: HeteroclinicSolution, blowup: BlowupProfile) -> EnergyReport:

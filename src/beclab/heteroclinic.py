@@ -119,16 +119,31 @@ class SolutionFlags:
 
 @dataclass(frozen=True, eq=False)
 class HeteroclinicSolution:
+    """Read-only v1 and dv1 on an exact mirror mesh; v2 and dv2 are their
+    mirrors, so v1(z) = v2(-z) holds by construction."""
+
     lam: float
     grid: Grid
     v1: np.ndarray
-    v2: np.ndarray
     dv1: np.ndarray
-    dv2: np.ndarray
     newton_residual: float
     newton_iterations: int
     hamiltonian_dev: float
     flags: SolutionFlags
+
+    @property
+    def v2(self) -> np.ndarray:
+        """v2(z) = v1(-z): a read-only view of v1 reversed."""
+        return self.v1[::-1]
+
+    @property
+    def dv2(self) -> np.ndarray:
+        """differentiate(v2) bit for bit, computed on each read: differentiate
+        commutes with the mirror up to sign, and 0.0 - x (unlike -x) keeps
+        its zeros positive."""
+        dv2 = 0.0 - self.dv1[::-1]
+        dv2.flags.writeable = False
+        return dv2
 
     @property
     def n(self) -> int:
@@ -349,11 +364,11 @@ def _monotone_flag(v: np.ndarray) -> bool:
     return bool(np.all(d[active] > 0.0))
 
 
-def _bounded_flag(v1: np.ndarray, v2: np.ndarray) -> bool:
-    if np.any(v1 < -_SAT_EPS) or np.any(v2 < -_SAT_EPS):
+def _bounded_flag(v1: np.ndarray) -> bool:
+    # v2 is v1 reversed, so its bounds are v1's
+    if np.any(v1 < -_SAT_EPS) or np.any(v1 > 1.0 + _SAT_EPS):
         return False
-    if np.any(v1 > 1.0 + _SAT_EPS) or np.any(v2 > 1.0 + _SAT_EPS):
-        return False
+    v2 = v1[::-1]
     s = v1**2 + v2**2
     if np.any(s > 1.0 + _SAT_EPS):
         return False
@@ -395,9 +410,9 @@ def solve_heteroclinic(
 
     Newton runs in the even sector of the swap-reflection
     (v1, v2)(z) -> (v2, v1)(-z), which pins the translation exactly: the
-    returned fields satisfy v1(z) = v2(-z) node for node, so the solution
-    is centred (v1 = v2 at z = 0) and symmetric_dev and pinning_dev are 0
-    by construction. newton_residual is Newton's final sector residual,
+    solution holds v1 alone, v2 is its mirror, so the solution is centred
+    (v1 = v2 at z = 0) and symmetric_dev and pinning_dev are 0 by
+    construction. newton_residual is Newton's final sector residual,
     which equals the sup norm of the full-domain residual at the returned
     fields (see _even_sector).
 
@@ -432,33 +447,30 @@ def solve_heteroclinic(
     y, iterations, final_res = newton_solve(
         sector_residual, sector_jacobian, mean(_interior_state(*seed))
     )
-    v1, v2 = full_fields(state(y))
+    v1, _ = full_fields(state(y))
 
-    if float(np.min(v1)) < -_SIGN_FLOOR or float(np.min(v2)) < -_SIGN_FLOOR:
+    # v2 is v1 reversed, so v1's sign and monotonicity checks are its too
+    if float(np.min(v1)) < -_SIGN_FLOOR:
         raise SignViolationError(
             f"component sign violation after convergence at lam={lam:.6g}"
         )
     dv1 = differentiate(v1, grid)
-    # differentiate(v2) bit for bit: differentiate commutes with the mirror
-    # up to sign, and 0.0 - x (unlike -x) keeps its zeros positive
-    dv2 = 0.0 - dv1[::-1]
+    v2, dv2 = v1[::-1], 0.0 - dv1[::-1]  # HeteroclinicSolution.v2 and .dv2
     ham = hamiltonian_values(v1, v2, dv1, dv2, lam)
     ham_dev = float(np.max(np.abs(ham + 0.25)))
     flags = SolutionFlags(
-        monotone=_monotone_flag(v1),  # v2 is v1 reversed, so its check is the same
-        bounded=_bounded_flag(v1, v2),
+        monotone=_monotone_flag(v1),
+        bounded=_bounded_flag(v1),
         symmetric_dev=_symmetric_dev(v1, v2),
         pinning_dev=abs(_value_at_zero(grid, v1) - _value_at_zero(grid, v2)),
     )
-    for arr in (v1, v2, dv1, dv2):
+    for arr in (v1, dv1):
         arr.flags.writeable = False
     return HeteroclinicSolution(
         lam=lam,
         grid=grid,
         v1=v1,
-        v2=v2,
         dv1=dv1,
-        dv2=dv2,
         newton_residual=final_res,
         newton_iterations=iterations,
         hamiltonian_dev=ham_dev,

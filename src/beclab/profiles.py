@@ -20,7 +20,8 @@ Boundary conditions pin the two-parameter scaling/translation family: the
 far-field slope conditions V2'(-X) = -psi0, V1'(+X) = +psi0 fix the scale,
 and the Dirichlet rows V1(-X) = 0, V2(+X) = 0 fix the translation up to a
 Gaussian-small remainder. Mirror symmetry is then a measured outcome, not
-an imposed constraint.
+an imposed constraint. A BlowupProfile holds the fields on their mesh and
+kappa; its slope is the constant PSI0 and its half-width X the end node.
 """
 
 from __future__ import annotations
@@ -87,11 +88,14 @@ class BlowupProfile:
     V2: np.ndarray
     dV1: np.ndarray
     dV2: np.ndarray
-    psi0: float
     kappa: float
-    X: float
     residual: float
     hamiltonian_dev: float
+
+    @property
+    def X(self) -> float:
+        """Half-width of the core domain: the mesh's end node."""
+        return self.grid.b
 
     @cached_property
     def value_splines(self):
@@ -207,35 +211,32 @@ def solve_blowup(X: float, n: int) -> BlowupProfile:
 
     for arr in (V1, V2, dV1, dV2):
         arr.flags.writeable = False
-    profile = BlowupProfile(
+    return BlowupProfile(
         grid=grid,
         V1=V1,
         V2=V2,
         dV1=dV1,
         dV2=dV2,
-        psi0=PSI0,
-        kappa=math.nan,
-        X=X,
+        kappa=extract_kappa(grid, V1),
         residual=final_res,
         hamiltonian_dev=ham_dev,
     )
-    object.__setattr__(profile, "kappa", extract_kappa(profile))
-    return profile
 
 
-def extract_kappa(profile: BlowupProfile) -> float:
-    """Far-field offset estimate kappa = V1(x) - psi0*x, averaged between
-    the right endpoint and the node nearest 0.9*X.
+def extract_kappa(grid: Grid, V1: np.ndarray) -> float:
+    """Far-field offset estimate kappa = V1(x) - psi0*x of the core field
+    V1 on grid, a mesh of [-X, X], averaged between the right endpoint and
+    the node nearest 0.9*X.
 
     The remainder decays like exp(-c*x^2), so the two window estimates must
     agree far better than discretisation error; a disagreement beyond 1e-6
     signals an unconverged far field and raises ValueError.
     """
-    x = profile.grid.nodes
-    right = profile.X
-    k_end = float(profile.V1[-1]) - profile.psi0 * float(x[-1])
+    x = grid.nodes
+    right = grid.b  # X: make_grid sets the end nodes exactly
+    k_end = float(V1[-1]) - PSI0 * float(x[-1])
     j = int(np.argmin(np.abs(x - 0.9 * right)))
-    k_win = float(profile.V1[j]) - profile.psi0 * float(x[j])
+    k_win = float(V1[j]) - PSI0 * float(x[j])
     if abs(k_end - k_win) > 1e-6:
         raise ValueError(
             f"far-field window estimates disagree: {k_end:.9f} vs {k_win:.9f}"

@@ -20,9 +20,10 @@ the Euler-Lagrange residual. The interface solver's Newton Jacobian J of
 the flux-form residual is symmetric, and the natural finite-difference
 operator is -W^{-1} J with W = diag(cell weights). The assembled matrix
 is the similarity transform S = -W^{-1/2} J W^{-1/2}, which is exactly
-symmetric and has the same eigenvalues. Eigenvectors returned to callers
-are mapped back to natural variables and normalized in the lumped-mass
-inner product, which is the quadrature approximation of the L^2 pairing.
+symmetric and has the same eigenvalues. The solver works on S and
+returns unit eigenvectors of S; only nondegeneracy_report maps them back
+to natural variables, where they are normalized in the lumped-mass inner
+product, the quadrature approximation of the L^2 pairing.
 
 The swap-reflection (p1, p2)(z) -> (p2, p1)(-z) commutes with M about a
 mirror-symmetric solution, so S splits into an odd and an even sector
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .banded import BandedCholesky, BandedMatrix, SingularSystemError
-from .grids import EVEN, ODD, Grid, flux_stencil, mirror_defect
+from .grids import EVEN, ODD, flux_stencil, mirror_defect
 from .heteroclinic import (
     HeteroclinicSolution,
     _interior_residual_jacobian,
@@ -69,8 +70,6 @@ from .heteroclinic import (
 
 __all__ = [
     "EigenCertificate",
-    "Eigenpairs",
-    "LinearizedOperator",
     "SpectrumReport",
     "assemble_linearized",
     "count_below",
@@ -80,29 +79,6 @@ __all__ = [
 
 # Step cap of a sector solve: solution sectors take 6-14, clustered random blocks up to 81.
 _MAX_STEPS = 200
-
-
-@dataclass(frozen=True, eq=False)
-class LinearizedOperator:
-    """Symmetrized banded discretisation of M on interior nodes.
-
-    matrix acts on interleaved symmetrized unknowns
-    psi = [sqrt(w_1) p1_1, sqrt(w_1) p2_1, sqrt(w_2) p1_2, ...];
-    weights holds the interior cell weights w_k.
-    """
-
-    grid: Grid
-    matrix: BandedMatrix
-    weights: np.ndarray
-
-    def inner(self, f, g) -> float:
-        """Lumped-mass inner product of full-length component pairs."""
-        f1, f2 = f
-        g1, g2 = g
-        w = self.weights
-        return float(
-            np.sum(w * (f1[1:-1] * g1[1:-1] + f2[1:-1] * g2[1:-1]))
-        )
 
 
 @dataclass(frozen=True)
@@ -124,15 +100,6 @@ class EigenCertificate:
     solves: int
 
 
-class Eigenpairs(list):
-    """List of (theta, (phi1, phi2)) pairs that also carries the
-    certificate of the solve that produced them."""
-
-    def __init__(self, pairs, certificate: EigenCertificate):
-        super().__init__(pairs)
-        self.certificate = certificate
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     lam: float
@@ -149,10 +116,12 @@ class SpectrumReport:
     solves: int
 
 
-def assemble_linearized(sol: HeteroclinicSolution) -> LinearizedOperator:
-    """Linearized operator about a converged heteroclinic: the interface
-    solver's Newton Jacobian J at sol, scaled in place to
-    S = -W^{-1/2} J W^{-1/2}, W the cell weights. Each entry is scaled by
+def assemble_linearized(sol: HeteroclinicSolution) -> BandedMatrix:
+    """Symmetrized linearized operator S about a converged heteroclinic:
+    the interface solver's Newton Jacobian J at sol, scaled in place to
+    S = -W^{-1/2} J W^{-1/2}, W the cell weights. S acts on interleaved
+    symmetrized unknowns psi = [sqrt(w_1) p1_1, sqrt(w_1) p2_1,
+    sqrt(w_2) p1_2, ...] of the interior nodes. Each entry is scaled by
     the product s_i*s_j, which is commutative, so the symmetric J gives an
     exactly symmetric S."""
     _, jacobian, _, _ = _interior_residual_jacobian(sol.grid, sol.lam)
@@ -161,7 +130,7 @@ def assemble_linearized(sol: HeteroclinicSolution) -> LinearizedOperator:
     s = np.repeat(1.0 / np.sqrt(w), 2)
     for _, rows, cols, band in jac.diagonals():
         band *= -(s[rows] * s[cols])
-    return LinearizedOperator(sol.grid, jac, w)
+    return jac
 
 
 def _norm_inf(matrix: BandedMatrix) -> float:
@@ -170,14 +139,14 @@ def _norm_inf(matrix: BandedMatrix) -> float:
     return float(np.max(np.sum(np.abs(matrix.data), axis=0)))
 
 
-def residual_tolerance(op: LinearizedOperator) -> float:
-    """Certification tolerance for eigenpairs: 1e-8 when reachable, else
-    a small multiple of the rounding floor eps*||S||_inf."""
-    return max(1e-8, 64.0 * np.finfo(float).eps * _norm_inf(op.matrix))
+def residual_tolerance(S: BandedMatrix) -> float:
+    """Certification tolerance for eigenpairs of S: 1e-8 when reachable,
+    else a small multiple of the rounding floor eps*||S||_inf."""
+    return max(1e-8, 64.0 * np.finfo(float).eps * _norm_inf(S))
 
 
-def count_below(op: LinearizedOperator, mu: float) -> int:
-    """Number of eigenvalues of the symmetrized operator below mu.
+def count_below(S: BandedMatrix, mu: float) -> int:
+    """Number of eigenvalues of the symmetrized operator S below mu.
 
     Sylvester's law of inertia, taken by cyclic (odd-even) reduction over
     the 2x2 node blocks of S - mu I (Heller, SIAM J. Numer. Anal. 13,
@@ -199,7 +168,7 @@ def count_below(op: LinearizedOperator, mu: float) -> int:
     det D > 0 and p < 0. A singular or non-finite pivot means mu is
     (numerically) an eigenvalue and raises ArithmeticError.
     """
-    data, bw = op.matrix.data, op.matrix.bandwidth
+    data, bw = S.data, S.bandwidth
     p, q, r = data[bw, 0::2] - mu, data[bw - 1, 1::2], data[bw, 1::2] - mu
     c11, c21, c22 = data[bw - 2, 2::2], data[bw - 1, 2::2], data[bw - 2, 3::2]
     c12 = np.zeros_like(c11)  # entry (2k, 2k + 3) lies outside the band
@@ -305,12 +274,12 @@ def _sector_bottom(block: BandedMatrix, pole: float, tol: float, parity: int):
     )
 
 
-def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
+def lowest_eigenpairs(S: BandedMatrix, shift: float) -> tuple[list, EigenCertificate]:
     """The bottom eigenpair of each mirror sector of the symmetrized
-    operator, lowest first: the two pairs behind every spectrum report.
+    operator S, lowest first: the two pairs behind every spectrum report.
 
-    Raises ValueError when op does not commute with the swap-reflection to
-    within residual_tolerance(op). The poles come from shift, the essential
+    Raises ValueError when S does not commute with the swap-reflection to
+    within residual_tolerance(S). The poles come from shift, the essential
     edge e of a solution's operator. The odd sector is solved about
     -1e-3 min(1, e), just below its bottom, the translation mode, which is
     zero up to discretisation (|lambda1| <= 2.5e-6 on the default sweep):
@@ -321,34 +290,33 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
     operator S follow, either of which raises RuntimeError when it fails,
     as does a sector solve that does not converge:
 
-    - every unfolded pair has ||S psi - theta psi|| <= residual_tolerance(op),
+    - every unfolded pair has ||S psi - theta psi|| <= residual_tolerance(S),
       with theta the Rayleigh quotient;
     - a Sylvester inertia count of S - shift I finds exactly as many
       eigenvalues below shift as there are computed values below it.
 
-    Returned eigenvectors are natural-variable full-length component pairs
-    (phi1, phi2) with zero boundary entries, normalized in the lumped-mass
-    inner product, sign-fixed so the first largest-magnitude entry is
-    positive. The list carries the EigenCertificate as `.certificate`.
+    Returns the pairs (theta, psi) and their EigenCertificate. Each psi is
+    the vector of S that was certified: unit length, sign-fixed so that
+    its first largest-magnitude entry is positive.
     """
-    tol = residual_tolerance(op)
-    defect = mirror_defect(op.matrix)
+    tol = residual_tolerance(S)
+    defect = mirror_defect(S)
     if not defect <= tol:
         raise ValueError(
             f"operator does not commute with the swap-reflection: defect "
             f"{defect:.3e} above {tol:.3e}"
         )
 
-    thetas, vectors, max_res, solves = [], [], 0.0, 0
+    pairs, max_res, solves = [], 0.0, 0
     for sector, pole in ((ODD, -1e-3 * min(1.0, shift)), (EVEN, 0.5 * shift)):
-        _, x, count = _sector_bottom(sector.band(op.matrix), pole, tol, sector.parity)
+        _, x, count = _sector_bottom(sector.band(S), pole, tol, sector.parity)
         solves += count
         psi = sector.unfold(x)
         psi /= np.linalg.norm(psi)
         j = int(np.argmax(np.abs(psi)))
         if psi[j] < 0.0:
             psi = -psi
-        s_psi = op.matrix.matvec(psi)
+        s_psi = S.matvec(psi)
         theta = float(psi @ s_psi)
         res = float(np.linalg.norm(s_psi - theta * psi))
         if not res <= tol:
@@ -357,67 +325,69 @@ def lowest_eigenpairs(op: LinearizedOperator, shift: float) -> Eigenpairs:
                 f"residual {res:.3e} above the tolerance {tol:.3e}"
             )
         max_res = max(max_res, res)
-        thetas.append(theta)
-        vectors.append(psi)
-    order = np.argsort(thetas, kind="stable")
-    thetas = [thetas[i] for i in order]
+        pairs.append((theta, psi))
+    order = np.argsort([theta for theta, _ in pairs], kind="stable")
+    pairs = [pairs[i] for i in order]
 
-    expected = sum(theta < shift for theta in thetas)
-    found = count_below(op, shift)
+    expected = sum(theta < shift for theta, _ in pairs)
+    found = count_below(S, shift)
     if found != expected:
         raise RuntimeError(
             f"inertia count found {found} eigenvalues below {shift:.6e}, "
             f"but the sector solves returned {expected}"
         )
+    return pairs, EigenCertificate(shift, found, max_res, tol, solves)
 
-    n = op.grid.n
-    sqrt_w = np.sqrt(op.weights)
-    pairs = []
-    for theta, idx in zip(thetas, order):
-        psi = vectors[idx]
+
+def nondegeneracy_report(sol: HeteroclinicSolution) -> tuple[SpectrumReport, list]:
+    """Bottom-of-spectrum summary about a converged solution, with the
+    two sector eigenpairs it was read from: the operator is
+    assembled about sol and solved by
+    lowest_eigenpairs(S, essential_edge(sol.lam)).
+
+    The pairs are (theta, (phi1, phi2)) in natural variables,
+    phi = psi / sqrt(w) on the interior nodes with w the cell weights:
+    full-length component pairs with zero boundary entries and unit norm
+    in the lumped-mass inner product. alignment is the normalized
+    lumped-mass pairing of the bottom eigenvector with the translation
+    mode (v1', v2'); the essential edge estimate is the smallest computed
+    eigenvalue whose eigenvector holds at least half its squared mass in
+    the outer 20% of the domain (NaN when no computed vector does). The
+    certificate of the solve is copied beside the eigenvalues; with that
+    shift its inertia_count is the number of bound states below the
+    essential edge.
+    """
+    pairs, cert = lowest_eigenpairs(assemble_linearized(sol), essential_edge(sol.lam))
+    n = sol.grid.n
+    w = flux_stencil(sol.grid).w
+    sqrt_w = np.sqrt(w)
+    modes = []
+    for theta, psi in pairs:
         phi1 = np.zeros(n)
         phi2 = np.zeros(n)
         phi1[1:-1] = psi[0::2] / sqrt_w
         phi2[1:-1] = psi[1::2] / sqrt_w
-        pairs.append((theta, (phi1, phi2)))
-    return Eigenpairs(pairs, EigenCertificate(shift, found, max_res, tol, solves))
+        modes.append((theta, (phi1, phi2)))
 
+    def inner(f, g) -> float:
+        # lumped-mass inner product of full-length component pairs
+        return float(np.sum(w * (f[0][1:-1] * g[0][1:-1] + f[1][1:-1] * g[1][1:-1])))
 
-def nondegeneracy_report(sol: HeteroclinicSolution) -> tuple[SpectrumReport, Eigenpairs]:
-    """Bottom-of-spectrum summary about a converged solution, with the
-    two sector eigenpairs it was read from: the operator is
-    assembled about sol and solved by
-    lowest_eigenpairs(op, essential_edge(sol.lam)).
-
-    alignment is the normalized lumped-mass pairing of the bottom
-    eigenvector with the translation mode (v1', v2'); the essential edge
-    estimate is the smallest computed eigenvalue whose eigenvector holds
-    at least half its squared mass in the outer 20% of the domain (NaN
-    when no computed vector does). The certificate of the solve is copied
-    beside the eigenvalues; with that shift its inertia_count is the number
-    of bound states below the essential edge.
-    """
-    op = assemble_linearized(sol)
-    pairs = lowest_eigenpairs(op, essential_edge(sol.lam))
     u = (sol.dv1, sol.dv2)
-    u_norm = math.sqrt(op.inner(u, u))
-    lam1, bottom = pairs[0]
-    lam2 = pairs[1][0]
-    alignment = abs(op.inner(bottom, u)) / u_norm  # eigenvectors have unit norm
+    u_norm = math.sqrt(inner(u, u))
+    lam1, bottom = modes[0]
+    lam2 = modes[1][0]
+    alignment = abs(inner(bottom, u)) / u_norm  # eigenvectors have unit norm
 
     z = sol.grid.nodes
     outer = np.abs(z) >= 0.8 * sol.L
     edge = math.nan
-    for value, (phi1, phi2) in pairs:
+    for value, (phi1, phi2) in modes:
         mass = phi1**2 + phi2**2
-        frac = float(
-            np.sum(op.weights * mass[1:-1] * outer[1:-1])
-            / np.sum(op.weights * mass[1:-1])
-        )
+        frac = float(np.sum(w * mass[1:-1] * outer[1:-1]) / np.sum(w * mass[1:-1]))
         if frac >= 0.5:
             edge = value
             break
-    cert = pairs.certificate
     return SpectrumReport(
         lam=sol.lam,
         lambda1=lam1,
@@ -425,10 +395,10 @@ def nondegeneracy_report(sol: HeteroclinicSolution) -> tuple[SpectrumReport, Eig
         alignment=alignment,
         gap=lam2 - lam1,
         essential_edge_estimate=edge,
-        n=sol.grid.n,
+        n=n,
         L=sol.L,
         inertia_shift=cert.shift,
         inertia_count=cert.count_below,
         max_residual=cert.max_residual,
         solves=cert.solves,
-    ), pairs
+    ), modes

@@ -137,10 +137,10 @@ def _hygiene_states() -> list[float]:
 def _rerun_identical() -> bool:
     a = solve_heteroclinic(3.0, n=1025)
     b = solve_heteroclinic(3.0, n=1025)
-    fields_equal = a.v1.tobytes() == b.v1.tobytes() and a.v2.tobytes() == b.v2.tobytes()
     pa = solve_blowup(X=10.0, n=1025)
     pb = solve_blowup(X=10.0, n=1025)
-    return fields_equal and pa.V1.tobytes() == pb.V1.tobytes() and pa.kappa == pb.kappa
+    same = a.v1.tobytes() == b.v1.tobytes() and pa.V1.tobytes() == pb.V1.tobytes()
+    return same and pa.kappa == pb.kappa
 
 
 @dataclass(frozen=True)
@@ -159,28 +159,25 @@ def run_verification(
 ) -> VerificationReport:
     """Run the full sweep and evaluate every acceptance criterion.
 
-    lams must contain at least 4 couplings spanning at least 3 decades,
-    all >= 10 (the composite construction needs a clear scale separation)
-    with ln(max) <= X so the stretched window stays inside the core data.
+    lams must contain at least 4 couplings >= 100 spanning at least 3
+    decades (the order fits), all >= 10 (the composite construction needs
+    a clear scale separation) with ln(max) <= X so the stretched window
+    stays inside the core data.
     n must be 1 mod 4: the closed-form anchor also solves on (n + 1)/2
     nodes, and every interface mesh needs an odd node count.
     """
     if n % 4 != 1:
         raise ValueError(f"need n = 1 (mod 4) so that n and (n + 1)/2 are odd, got n={n}")
     sweep = default_sweep() if lams is None else tuple(sorted(float(v) for v in lams))
-    if len(sweep) < 4:
-        raise ValueError(f"need a sweep of >= 4 couplings, got {len(sweep)}")
-    if sweep[-1] < 1e3 * sweep[0]:
-        raise ValueError("sweep must span at least 3 decades")
-    for lam in (sweep[0], sweep[-1]):
-        check_composite_coupling(lam, X)
-    if not 0.0 <= scale:
-        raise ValueError(f"threshold scale must be >= 0, got {scale}")
     fit_set = [lam for lam in sweep if lam >= 100.0]
     if len(fit_set) < 4 or fit_set[-1] < 1e3 * fit_set[0]:
         raise ValueError(
             "order fits need >= 4 sweep couplings >= 100 spanning >= 3 decades"
         )
+    for lam in (sweep[0], sweep[-1]):
+        check_composite_coupling(lam, X)
+    if not 0.0 <= scale:
+        raise ValueError(f"threshold scale must be >= 0, got {scale}")
 
     verdicts: list[CriterionVerdict] = []
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from beclab import BandedMatrix, LinearizedOperator
+from beclab import BandedMatrix
 from beclab.grids import flux_stencil
 
 
@@ -26,7 +26,7 @@ def potentials(sol):
     )
 
 
-def operator(grid, q1, q2, coupling) -> LinearizedOperator:
+def operator(grid, q1, q2, coupling) -> BandedMatrix:
     """S = -W^{-1/2} J W^{-1/2}, J the flux-form band of M filled from full
     nodal samples (boundary entries unused), W the cell weights."""
     st = flux_stencil(grid)
@@ -38,7 +38,24 @@ def operator(grid, q1, q2, coupling) -> LinearizedOperator:
     for d in range(-bw, bw + 1):
         j = np.arange(max(0, d), dim + min(0, d))  # entry (j - d, j)
         jac.data[bw - d, j] *= -(s[j - d] * s[j])
-    return LinearizedOperator(grid, jac, st.w)
+    return jac
+
+
+def natural(grid, psi):
+    """Full-length natural components (phi1, phi2) of an interleaved
+    symmetrized vector psi of S: psi / sqrt(w) on the interior nodes, zero
+    at both ends."""
+    sqrt_w = np.sqrt(flux_stencil(grid).w)
+    phi1, phi2 = np.zeros(grid.n), np.zeros(grid.n)
+    phi1[1:-1] = psi[0::2] / sqrt_w
+    phi2[1:-1] = psi[1::2] / sqrt_w
+    return phi1, phi2
+
+
+def lumped_inner(grid, f, g) -> float:
+    """Lumped-mass inner product of full-length component pairs."""
+    w = flux_stencil(grid).w
+    return float(np.sum(w * (f[0][1:-1] * g[0][1:-1] + f[1][1:-1] * g[1][1:-1])))
 
 
 def apply_natural(grid, q1, q2, coupling, phi1, phi2):
@@ -51,7 +68,7 @@ def apply_natural(grid, q1, q2, coupling, phi1, phi2):
     return r1, r2
 
 
-def count_below_sequential(op: LinearizedOperator, mu: float) -> int:
+def count_below_sequential(S: BandedMatrix, mu: float) -> int:
     """Reference for spectrum.count_below: Sylvester's law of inertia on
     the block LDL^T factorisation of S - mu I over the 2x2 node blocks
     A_k, one node at a time. The blocks between neighbouring nodes are
@@ -59,7 +76,7 @@ def count_below_sequential(op: LinearizedOperator, mu: float) -> int:
     and each D_k contributes its negative eigenvalues (one when
     det D_k < 0, two when det D_k > 0 > trace D_k). A singular pivot
     raises ArithmeticError."""
-    data, bw = op.matrix.data, op.matrix.bandwidth
+    data, bw = S.data, S.bandwidth
     a = (data[bw, 0::2] - mu).tolist()
     d = (data[bw, 1::2] - mu).tolist()
     b = data[bw - 1, 1::2].tolist()

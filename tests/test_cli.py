@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beclab import cli, heteroclinic
+from beclab import cli, heteroclinic, spectrum
 from beclab.calculus import resample
 from beclab.cli import main, range_couplings
 from beclab.runio import read_seed_csv, write_csv
@@ -681,6 +681,20 @@ def test_numerical_failure_writes_nothing(command, tmp_path, monkeypatch, capsys
     assert main([command, *NEEDS[command], "--n", "1025", "--out", str(out)]) == 2
     assert not out.exists()
     assert "Newton did not converge after 7 iterations" in capsys.readouterr().err
+
+
+def test_singular_inertia_pivot_exits_two(tmp_path, monkeypatch, capsys):
+    # count_below raises ArithmeticError when mu is numerically an
+    # eigenvalue: a numerical failure, not a traceback with the usage code
+    def singular(S, mu):
+        raise ArithmeticError(f"singular pivot at node 7 in the inertia count of S - {mu!r} I")
+
+    monkeypatch.setattr(spectrum, "count_below", singular)
+    out = tmp_path / "run"
+    assert main(["spectrum", "--lambda", "3", "--n", "1025", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("beclab spectrum: singular pivot at node 7")
 
 
 def test_blowup_coarse_mesh_exits_two_naming_n(tmp_path, capsys):

@@ -430,11 +430,26 @@ def test_solutions_are_mirror_symmetric_by_construction(sweep_solutions):
         assert sol.flags.symmetric_dev == 0.0 and sol.flags.pinning_dev == 0.0
 
 
+def test_a_solution_stores_v1_and_dv1_alone(sweep_trace, odd_mesh_solutions):
+    # v2 is a read-only view of v1 reversed, and dv2 a read-only array
+    # computed on each read: neither is stored, in a solution or in the
+    # trace that holds it
+    for sol in [*sweep_trace.solutions, *odd_mesh_solutions.values()]:
+        fields = [f.name for f in dataclasses.fields(sol)]
+        assert [f for f in fields if isinstance(getattr(sol, f), np.ndarray)] == ["v1", "dv1"]
+        assert np.shares_memory(sol.v1, sol.v2)
+        assert not sol.v2.flags.writeable and not sol.dv2.flags.writeable
+        assert sol.dv2 is not sol.dv2
+        assert sorted(vars(sol)) == sorted(fields)
+
+
 def test_derivatives_are_mirror_exact(sweep_solutions, odd_mesh_solutions):
     # differentiate commutes with the mirror up to sign, bit for bit, so
-    # dv1(z) = -dv2(-z) node for node (n = 8193 and n = 1001)
+    # dv1(z) = -dv2(-z) node for node and dv2 is differentiate(v2), the
+    # signs of its zeros included (n = 8193 and n = 1001)
     for sol in [*sweep_solutions.values(), *odd_mesh_solutions.values()]:
         assert np.array_equal(sol.dv1, -sol.dv2[::-1])
+        assert_dv2_is_differentiated(sol)
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
 _SPEC = importlib.util.spec_from_file_location("pairs", _PATH)
 pairs = importlib.util.module_from_spec(_SPEC)
@@ -83,3 +85,20 @@ def test_a_change_worse_by_more_than_the_bound_is_flagged(tmp_path, monkeypatch,
     _, lines = _run(tmp_path, monkeypatch, capsys, walls, ratios=[(1.0, 0.98)] * 10)
     assert "OUTSIDE bound 0.01" in lines["ok_ratio"]
     assert "within bound 0.25" in lines["wall_s"]
+
+
+def test_a_checkout_with_a_bytecode_cache_is_refused(tmp_path, monkeypatch, capsys):
+    # a cache under src/ lets one side skip compiling beclab: no run starts
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "beclab").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(_BENCH))
+    cache = tmp_path / "change" / "src" / "beclab" / "__pycache__"
+    cache.mkdir()
+
+    def unreachable(*args):
+        raise AssertionError("a run started despite the cache")
+
+    monkeypatch.setattr(pairs, "run_once", unreachable)
+    with pytest.raises(SystemExit) as stop:
+        pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w"])
+    assert str(cache) in str(stop.value.code)

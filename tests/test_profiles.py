@@ -260,17 +260,26 @@ def test_stepper_takes_scipys_steps(a, t_bound):
 
 
 def test_extract_kappa_window_consistency():
-    ka = extract_kappa(solve_blowup(10.0, 2049))
-    kb = extract_kappa(solve_blowup(14.0, 2869))
+    pa, pb = solve_blowup(10.0, 2049), solve_blowup(14.0, 2869)
+    ka, kb = extract_kappa(pa.grid, pa.V1), extract_kappa(pb.grid, pb.V1)
     assert abs(ka - kb) <= 1e-6
 
 
 def test_extract_kappa_rejects_unconverged_far_field(blowup_default):
     p = blowup_default
     x = p.grid.nodes
-    tampered = dataclasses.replace(p, V1=p.V1 + 0.1 * np.exp(x - p.X))
     with pytest.raises(ValueError):
-        extract_kappa(tampered)
+        extract_kappa(p.grid, p.V1 + 0.1 * np.exp(x - p.X))
+
+
+def test_profile_is_built_whole(blowup_default, blowup_wide):
+    # kappa is computed before the profile is built; the slope PSI0 and the
+    # half-width X, the mesh's end node, are not stored
+    for p, X in ((blowup_default, 12.0), (blowup_wide, 15.0)):
+        fields = {f.name for f in dataclasses.fields(p)}
+        assert not fields & {"psi0", "X"}
+        assert p.X == p.grid.b == X
+        assert p.kappa == extract_kappa(p.grid, p.V1)
 
 
 def test_solve_blowup_preconditions():

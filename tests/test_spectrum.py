@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from banded_helpers import symmetry_defect, to_dense
 from beclab import (
-    LinearizedOperator,
     assemble_linearized,
     essential_edge,
     lowest_eigenpairs,
@@ -19,8 +18,16 @@ from beclab import (
     solve_heteroclinic,
 )
 from beclab import BandedMatrix, run_verification, spectrum
+from beclab.grids import flux_stencil
 from beclab.spectrum import count_below, residual_tolerance
-from spectrum_oracle import apply_natural, count_below_sequential, operator, potentials
+from spectrum_oracle import (
+    apply_natural,
+    count_below_sequential,
+    lumped_inner,
+    natural,
+    operator,
+    potentials,
+)
 
 
 def explicit_lambda3_derivative(z):
@@ -33,43 +40,50 @@ def explicit_lambda3_derivative(z):
 LAPLACIAN_SHIFT = 2.5
 
 
+def laplacian_grid(n: int):
+    return make_grid(0.0, math.pi, n)
+
+
 def laplacian_operator(n: int):
-    grid = make_grid(0.0, math.pi, n)
     zero = np.zeros(n)
-    return operator(grid, zero, zero, zero)
+    return operator(laplacian_grid(n), zero, zero, zero)
+
+
+def bottom_value(S, shift) -> float:
+    pairs, _ = lowest_eigenpairs(S, shift)
+    return pairs[0][0]
 
 
 def test_laplacian_oracle_eigenvalues():
     # two decoupled Dirichlet Laplacians on (0, pi): eigenvalues k^2, each twice
-    op = laplacian_operator(201)
-    values = [theta for theta, _ in lowest_eigenpairs(op, LAPLACIAN_SHIFT)]
-    assert np.allclose(values, [1.0, 1.0], atol=5e-3)
+    S = laplacian_operator(201)
+    pairs, _ = lowest_eigenpairs(S, LAPLACIAN_SHIFT)
+    assert np.allclose([theta for theta, _ in pairs], [1.0, 1.0], atol=5e-3)
     # the next pair, 4 and 4, lies within 5e-3 of 4
-    assert count_below(op, 4.0 - 5e-3) == 2
-    assert count_below(op, 4.0 + 5e-3) == 4
+    assert count_below(S, 4.0 - 5e-3) == 2
+    assert count_below(S, 4.0 + 5e-3) == 4
 
 
 def test_laplacian_second_order_convergence():
-    e_coarse = abs(lowest_eigenpairs(laplacian_operator(101), LAPLACIAN_SHIFT)[0][0] - 1.0)
-    e_fine = abs(lowest_eigenpairs(laplacian_operator(201), LAPLACIAN_SHIFT)[0][0] - 1.0)
+    e_coarse = abs(bottom_value(laplacian_operator(101), LAPLACIAN_SHIFT) - 1.0)
+    e_fine = abs(bottom_value(laplacian_operator(201), LAPLACIAN_SHIFT) - 1.0)
     assert 3.4 <= e_coarse / e_fine <= 4.6
 
 
 def test_laplacian_eigenvector_shape():
-    op = laplacian_operator(201)
-    pairs = lowest_eigenpairs(op, LAPLACIAN_SHIFT)
-    phi1, phi2 = pairs[0][1]
+    grid = laplacian_grid(201)
+    pairs, _ = lowest_eigenpairs(laplacian_operator(201), LAPLACIAN_SHIFT)
+    phi1, phi2 = natural(grid, pairs[0][1])
     # bottom eigenspace is span{(sin, 0), (0, sin)}; project onto it
     grid_z = np.linspace(0.0, math.pi, 201)
     target = np.sin(grid_z)
     zero = np.zeros(201)
-    target /= math.sqrt(op.inner((target, zero), (target, zero)))
+    target /= math.sqrt(lumped_inner(grid, (target, zero), (target, zero)))
     mass = (
-        op.inner((phi1, phi2), (target, zero)) ** 2
-        + op.inner((phi1, phi2), (zero, target)) ** 2
+        lumped_inner(grid, (phi1, phi2), (target, zero)) ** 2
+        + lumped_inner(grid, (phi1, phi2), (zero, target)) ** 2
     )
     assert mass == pytest.approx(1.0, abs=1e-4)
-    assert phi1[0] == 0.0 and phi1[-1] == 0.0
 
 
 def test_lambda3_spectrum(sol3):
@@ -85,9 +99,9 @@ def test_lambda3_spectrum(sol3):
 def test_quasi_continuum_onset(sol3):
     # above the gap the discrete spectrum crowds toward the essential edge 2:
     # nothing but the two bound states below 1.95, at least two more by 2.2
-    op = assemble_linearized(sol3)
-    assert count_below(op, 1.95) == 2
-    assert count_below(op, 2.2) >= 4
+    S = assemble_linearized(sol3)
+    assert count_below(S, 1.95) == 2
+    assert count_below(S, 2.2) >= 4
 
 
 @pytest.mark.parametrize(("lam", "bound"), [(1.1, 1), (1.2, 2), (1.5, 2)])
@@ -123,12 +137,17 @@ def test_spectrum_near_unit_coupling_stays_cheap():
 @pytest.mark.parametrize("lam", [1.1, 1.5, 3.0])
 def test_sector_bottoms_are_the_two_lowest_eigenvalues(lam):
     sol = solve_heteroclinic(lam, n=513)
-    op = assemble_linearized(sol)
-    dense = np.linalg.eigvalsh(to_dense(op.matrix))
-    pairs = lowest_eigenpairs(op, essential_edge(lam))
+    S = assemble_linearized(sol)
+    dense = np.linalg.eigvalsh(to_dense(S))
+    pairs, _ = lowest_eigenpairs(S, essential_edge(lam))
     assert np.allclose([theta for theta, _ in pairs], dense[:2], rtol=0.0, atol=1e-9)
-    # the bottom pair is the odd translation mode, the second the even one
-    (_, (a1, a2)), (_, (b1, b2)) = pairs
+    # the bottom pair is the odd translation mode, the second the even one;
+    # the swap-reflection reverses the interleaved vector, and in natural
+    # variables it maps (phi1, phi2)(z) to (phi2, phi1)(-z)
+    (_, a), (_, b) = pairs
+    assert np.allclose(a, -a[::-1], rtol=0.0, atol=1e-12)
+    assert np.allclose(b, b[::-1], rtol=0.0, atol=1e-12)
+    (a1, a2), (b1, b2) = natural(sol.grid, a), natural(sol.grid, b)
     assert np.allclose(a1, -a2[::-1], rtol=0.0, atol=1e-12)
     assert np.allclose(b1, b2[::-1], rtol=0.0, atol=1e-12)
 
@@ -137,9 +156,9 @@ def test_operator_off_the_mirror_is_rejected():
     # a potential on component 2 alone breaks the swap-reflection
     grid = make_grid(0.0, math.pi, 201)
     zero = np.zeros(201)
-    op = operator(grid, zero, np.full(201, 0.5), zero)
+    S = operator(grid, zero, np.full(201, 0.5), zero)
     with pytest.raises(ValueError, match="swap-reflection"):
-        lowest_eigenpairs(op, LAPLACIAN_SHIFT)
+        lowest_eigenpairs(S, LAPLACIAN_SHIFT)
 
 
 def test_essential_edge_unresolved_at_low_k(sol3, sweep_solutions):
@@ -156,10 +175,10 @@ def test_constant_state_edge_value():
     grid = make_grid(-20.0, 20.0, 801)
     q1 = np.full(801, 2.0)
     q2 = np.full(801, 2.0)
-    op = operator(grid, q1, q2, np.zeros(801))
+    S = operator(grid, q1, q2, np.zeros(801))
     # 2 + (pi/40)^2 twice, then 2 + (2 pi/40)^2 twice
-    pairs = lowest_eigenpairs(op, 2.015)
-    assert pairs.certificate.count_below == 2
+    pairs, cert = lowest_eigenpairs(S, 2.015)
+    assert cert.count_below == 2
     bottom = pairs[0][0]
     assert bottom == pytest.approx(2.0, abs=0.05)
 
@@ -182,45 +201,65 @@ def test_reflection_symmetry_of_spectrum(sol3):
     q1, q2, coupling = potentials(sol3)
     mirrored = operator(sol3.grid, q2[::-1], q1[::-1], coupling[::-1])
     shift = essential_edge(sol3.lam)
-    a = [t for t, _ in lowest_eigenpairs(assemble_linearized(sol3), shift)]
-    b = [t for t, _ in lowest_eigenpairs(mirrored, shift)]
+    a = [t for t, _ in lowest_eigenpairs(assemble_linearized(sol3), shift)[0]]
+    b = [t for t, _ in lowest_eigenpairs(mirrored, shift)[0]]
     assert np.allclose(a, b, atol=1e-10)
 
 
 def test_rayleigh_and_residual_certificates(sol3):
-    op = assemble_linearized(sol3)
-    tol = residual_tolerance(op)
+    # the report's natural-variable pairs satisfy M phi = theta phi in M's
+    # own potentials and have unit lumped-mass norm
+    tol = residual_tolerance(assemble_linearized(sol3))
+    w = flux_stencil(sol3.grid).w
     q = potentials(sol3)
-    for theta, (phi1, phi2) in lowest_eigenpairs(op, essential_edge(sol3.lam)):
+    _, modes = nondegeneracy_report(sol3)
+    for theta, (phi1, phi2) in modes:
         r1, r2 = apply_natural(sol3.grid, *q, phi1, phi2)
         res1 = r1 - theta * phi1[1:-1]
         res2 = r2 - theta * phi2[1:-1]
         assert max(np.max(np.abs(res1)), np.max(np.abs(res2))) <= tol
-        assert op.inner((phi1, phi2), (phi1, phi2)) == pytest.approx(1.0, abs=1e-12)
-        rayleigh = float(
-            np.sum(op.weights * (phi1[1:-1] * r1 + phi2[1:-1] * r2))
-        )
+        assert lumped_inner(sol3.grid, (phi1, phi2), (phi1, phi2)) == pytest.approx(1.0, abs=1e-12)
+        assert phi1[0] == phi1[-1] == phi2[0] == phi2[-1] == 0.0
+        rayleigh = float(np.sum(w * (phi1[1:-1] * r1 + phi2[1:-1] * r2)))
         assert rayleigh == pytest.approx(theta, abs=1e-9)
 
 
+def test_lowest_eigenpairs_returns_the_certified_unit_vectors(sol3):
+    # each psi is the vector of S whose residual was certified: unit
+    # length, sign-fixed, and the report's modes are psi / sqrt(w)
+    S = assemble_linearized(sol3)
+    pairs, cert = lowest_eigenpairs(S, essential_edge(sol3.lam))
+    for theta, psi in pairs:
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(S.matvec(psi) - theta * psi) <= cert.max_residual
+        assert psi[np.argmax(np.abs(psi))] > 0.0
+    _, modes = nondegeneracy_report(sol3)
+    for (theta, psi), (value, phi) in zip(pairs, modes):
+        assert theta == value
+        for got, want in zip(phi, natural(sol3.grid, psi)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_eigenvector_orthonormality(sol3):
-    op = assemble_linearized(sol3)
-    pairs = lowest_eigenpairs(op, essential_edge(sol3.lam))
-    for i, (_, u) in enumerate(pairs):
-        for j, (_, v) in enumerate(pairs):
+    pairs, _ = lowest_eigenpairs(assemble_linearized(sol3), essential_edge(sol3.lam))
+    _, modes = nondegeneracy_report(sol3)
+    for i in range(2):
+        for j in range(2):
             expected = 1.0 if i == j else 0.0
-            assert op.inner(u, v) == pytest.approx(expected, abs=1e-8)
+            assert pairs[i][1] @ pairs[j][1] == pytest.approx(expected, abs=1e-8)
+            u, v = modes[i][1], modes[j][1]
+            assert lumped_inner(sol3.grid, u, v) == pytest.approx(expected, abs=1e-8)
 
 
 def test_eigenpairs_deterministic(sol3):
-    op = assemble_linearized(sol3)
+    S = assemble_linearized(sol3)
     shift = essential_edge(sol3.lam)
-    first = lowest_eigenpairs(op, shift)
-    second = lowest_eigenpairs(op, shift)
-    assert first.certificate == second.certificate
-    for (ta, (a1, a2)), (tb, (b1, b2)) in zip(first, second):
+    first, first_cert = lowest_eigenpairs(S, shift)
+    second, second_cert = lowest_eigenpairs(S, shift)
+    assert first_cert == second_cert
+    for (ta, a), (tb, b) in zip(first, second):
         assert ta == tb
-        assert np.array_equal(a1, b1) and np.array_equal(a2, b2)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("lam", [3.0, 1e4])
@@ -228,17 +267,17 @@ def test_operator_from_jacobian_matches_paper_potentials(lam, sol3, sweep_soluti
     # S = -W^{-1/2} J W^{-1/2} from the Newton Jacobian equals the operator
     # assembled from the potentials of the linearization
     sol = sol3 if lam == 3.0 else sweep_solutions[lam]
-    from_jacobian = assemble_linearized(sol).matrix
-    from_potentials = operator(sol.grid, *potentials(sol)).matrix
+    from_jacobian = assemble_linearized(sol)
+    from_potentials = operator(sol.grid, *potentials(sol))
     norm = float(np.max(np.sum(np.abs(from_potentials.data), axis=0)))
     diff = float(np.max(np.abs(from_jacobian.data - from_potentials.data)))
     assert diff <= 1e-15 * norm
 
 
 def test_symmetrized_assembly_is_exactly_symmetric(sol3):
-    op = assemble_linearized(sol3)
-    assert symmetry_defect(op.matrix) == 0.0
-    assert op.matrix.dim == 2 * (sol3.n - 2)
+    S = assemble_linearized(sol3)
+    assert symmetry_defect(S) == 0.0
+    assert S.dim == 2 * (sol3.n - 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -254,12 +293,12 @@ def test_inertia_count_matches_dense_eigenvalues(n, seed, scale, mu):
     rng = np.random.default_rng(seed)
     grid = make_grid(-1.0, 1.0, n)
     q1, q2, coupling = (scale * rng.uniform(-1.0, 1.0, n) for _ in range(3))
-    op = operator(grid, q1, q2, coupling)
-    eigenvalues = np.linalg.eigvalsh(to_dense(op.matrix))
+    S = operator(grid, q1, q2, coupling)
+    eigenvalues = np.linalg.eigvalsh(to_dense(S))
     # keep mu clear of the spectrum; at an eigenvalue the count is ill-posed
     assume(np.min(np.abs(eigenvalues - mu)) > 1e-9 * np.max(np.abs(eigenvalues)))
     expected = int(np.sum(eigenvalues < mu))
-    assert count_below(op, mu) == count_below_sequential(op, mu) == expected
+    assert count_below(S, mu) == count_below_sequential(S, mu) == expected
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -280,8 +319,7 @@ def test_inertia_count_reads_the_whole_band(nodes, seed, scale, quantile):
     below = eigenvalues[k - 1] if k else eigenvalues[0] - scale
     mu = 0.5 * (below + eigenvalues[k])
     assume(eigenvalues[k] - below > 1e-9 * scale)
-    op = LinearizedOperator(None, block, None)
-    assert count_below(op, mu) == k
+    assert count_below(block, mu) == k
 
 
 def test_inertia_count_matches_the_reference_on_verify_operators(monkeypatch):
@@ -290,16 +328,17 @@ def test_inertia_count_matches_the_reference_on_verify_operators(monkeypatch):
     # and across the bound states and the continuum above them
     taken = []
 
-    def recording(op, mu):
-        taken.append((op, mu))
-        return count_below(op, mu)
+    def recording(S, mu):
+        taken.append((S, mu))
+        return count_below(S, mu)
 
     monkeypatch.setattr(spectrum, "count_below", recording)
     run_verification()
-    assert sorted(op.grid.n for op, _ in taken) == [8193] * 6 + [16385]
-    for op, edge in taken:
+    # S has two unknowns per interior node of the n-node mesh
+    assert sorted(S.dim for S, _ in taken) == [2 * (8193 - 2)] * 6 + [2 * (16385 - 2)]
+    for S, edge in taken:
         for mu in (edge, 0.0, 1.0, 3.0):
-            assert count_below(op, mu) == count_below_sequential(op, mu)
+            assert count_below(S, mu) == count_below_sequential(S, mu)
 
 
 def test_translation_pole_keeps_the_sweep_cheap(sweep_solutions):
@@ -335,11 +374,11 @@ def test_inertia_certificate_spans_double_eigenvalues(k):
     n = 201
     h = math.pi / (n - 1)
     mu = np.array([4.0 / h**2 * math.sin(j * h / 2.0) ** 2 for j in range(1, 7)])
-    op = lifted_sum_channel(n, mu[k - 1] - mu[0])
+    S = lifted_sum_channel(n, mu[k - 1] - mu[0])
     exact = np.sort(np.concatenate([mu, mu + mu[k - 1] - mu[0]]))
     below, above = mu[k - 1] - 0.5, mu[k - 1] + 0.5  # clear of mu_{k-1}, mu_{k+1}
-    assert count_below(op, below) == k - 1
-    assert count_below(op, above) == k + 1
+    assert count_below(S, below) == k - 1
+    assert count_below(S, above) == k + 1
 
     if k == 1:
         shift = above  # both copies are computed
@@ -347,34 +386,33 @@ def test_inertia_certificate_spans_double_eigenvalues(k):
         shift = below  # only theta_1 lies below the shift
     else:
         shift = 0.5 * (exact[1] + exact[2])  # between mu_2 and mu_3
-    pairs = lowest_eigenpairs(op, shift)
-    cert = pairs.certificate
+    pairs, cert = lowest_eigenpairs(S, shift)
     assert np.allclose([t for t, _ in pairs], exact[:2], rtol=0.0, atol=1e-9)
     assert cert.max_residual <= cert.tolerance
     assert cert.shift == shift
     assert cert.count_below == sum(exact[:2] < shift)
     if k > 1:
         with pytest.raises(RuntimeError, match="inertia count"):
-            lowest_eigenpairs(op, above)
+            lowest_eigenpairs(S, above)
 
 
 def test_inertia_certificate_between_simple_eigenvalues():
     # the lift 0.5 of the sum channel splits every Laplacian double
     # eigenvalue: 1 (odd), 1.5 (even), 4 (even), 4.5 (odd), ...
-    op = lifted_sum_channel(201, 0.5)
+    S = lifted_sum_channel(201, 0.5)
     for shift, count in ((0.5, 0), (1.2, 1), (2.5, 2)):
-        cert = lowest_eigenpairs(op, shift).certificate
+        _, cert = lowest_eigenpairs(S, shift)
         assert cert.shift == shift
         assert cert.count_below == count
     # the even pole 2.1 returns 1.5, not 4, which the count at 4.2 holds
     with pytest.raises(RuntimeError, match="inertia count found 3"):
-        lowest_eigenpairs(op, 4.2)
+        lowest_eigenpairs(S, 4.2)
 
 
 def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
     # the split spectrum 1, 1.5, 4, 4.5, ...; a solver that returns the
     # second eigenpair of each sector (4.5 and 4) computes nothing below 2.5
-    op = lifted_sum_channel(201, 0.5)
+    S = lifted_sum_channel(201, 0.5)
 
     def second_eigenpair(block, pole, tol, parity):
         values, vectors = np.linalg.eigh(to_dense(block))
@@ -382,7 +420,7 @@ def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_sector_bottom", second_eigenpair)
     with pytest.raises(RuntimeError, match="inertia count"):
-        lowest_eigenpairs(op, LAPLACIAN_SHIFT)
+        lowest_eigenpairs(S, LAPLACIAN_SHIFT)
 
 
 def test_sector_solver_does_not_stop_on_a_higher_eigenpair():
@@ -454,13 +492,13 @@ def test_sector_solver_finds_the_bottom(dim, seed, scale, clustered, split, pole
 
 
 def test_concurrent_calls_match_serial(sol3):
-    op = assemble_linearized(sol3)
+    S = assemble_linearized(sol3)
     shift = essential_edge(sol3.lam)
-    serial = lowest_eigenpairs(op, shift)
+    serial, serial_cert = lowest_eigenpairs(S, shift)
     results = [None, None]
 
     def worker(slot):
-        results[slot] = lowest_eigenpairs(op, shift)
+        results[slot] = lowest_eigenpairs(S, shift)
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
     for t in threads:
@@ -468,27 +506,25 @@ def test_concurrent_calls_match_serial(sol3):
     for t in threads:
         t.join(timeout=120)
         assert not t.is_alive()
-    for pairs in results:
-        assert pairs.certificate == serial.certificate
-        for (ta, (a1, a2)), (tb, (b1, b2)) in zip(pairs, serial):
+    for pairs, cert in results:
+        assert cert == serial_cert
+        for (ta, a), (tb, b) in zip(pairs, serial):
             assert ta == tb
-            assert a1.tobytes() == b1.tobytes() and a2.tobytes() == b2.tobytes()
+            assert a.tobytes() == b.tobytes()
 
 
 def test_report_from_given_pairs_matches_full_report(sol3):
     rep, pairs = nondegeneracy_report(sol3)
-    op = assemble_linearized(sol3)
-    again = lowest_eigenpairs(op, essential_edge(sol3.lam))
-    assert pairs.certificate == again.certificate
+    S = assemble_linearized(sol3)
+    again, cert = lowest_eigenpairs(S, essential_edge(sol3.lam))
     assert [theta for theta, _ in pairs] == [theta for theta, _ in again]
     # the report is read from the pairs it returns
     assert (rep.lambda1, rep.lambda2) == (pairs[0][0], pairs[1][0])
     assert rep.gap == pairs[1][0] - pairs[0][0]
-    cert = pairs.certificate
     assert (rep.inertia_shift, rep.inertia_count) == (cert.shift, cert.count_below)
     assert rep.max_residual == cert.max_residual
     assert rep.solves == cert.solves > 0
     # two bound states below e(3) = 2
     assert rep.inertia_count == 2 and rep.inertia_shift == 2.0
     assert rep.lambda2 < rep.inertia_shift
-    assert 0.0 < rep.max_residual <= residual_tolerance(op)
+    assert 0.0 < rep.max_residual <= residual_tolerance(S)

@@ -20,6 +20,12 @@ parent's by more than the parent's interquartile range. "within bound"
 holds when the change's median is worse than the parent's by at most
 the bound, read as a fraction of the parent's median. A run that fails
 stops the script with run.py's output.
+
+A checkout whose src/ holds a __pycache__ directory is refused before any
+run: a matching cache lets its side skip compiling beclab and a stale one
+is recompiled at every start, so either biases setup_s, and wall_s where
+the workload imports beclab inside its timed run. Fresh checkouts hold no
+cache.
 """
 
 from __future__ import annotations
@@ -62,6 +68,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        caches = sorted((checkout / "src").rglob("__pycache__"))
+        if caches:
+            sys.exit(f"{caches[0]}: a bytecode cache in the checkout; remove it before the pairs")
 
     bench = json.loads((args.parent / "BENCHMARK.json").read_text())
     seconds = float(bench["run_seconds"])
