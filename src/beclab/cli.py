@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (RuntimeError, ArithmeticError) as exc:
+    except RuntimeError as exc:
         print(f"beclab {args.command}: {exc}", file=sys.stderr)
         return 2
 

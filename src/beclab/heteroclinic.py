@@ -455,8 +455,9 @@ def solve_heteroclinic(
             f"component sign violation after convergence at lam={lam:.6g}"
         )
     dv1 = differentiate(v1, grid)
-    v2, dv2 = v1[::-1], 0.0 - dv1[::-1]  # HeteroclinicSolution.v2 and .dv2
-    ham = hamiltonian_values(v1, v2, dv1, dv2, lam)
+    v2 = v1[::-1]
+    # dv2 = -dv1 reversed enters squared, so dv1 reversed gives the same bits
+    ham = hamiltonian_values(v1, v2, dv1, dv1[::-1], lam)
     ham_dev = float(np.max(np.abs(ham + 0.25)))
     flags = SolutionFlags(
         monotone=_monotone_flag(v1),

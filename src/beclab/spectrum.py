@@ -166,7 +166,7 @@ def count_below(S: BandedMatrix, mu: float) -> int:
     About log2 of the node count passes leave one block. A pivot D
     contributes its negative eigenvalues: one when det D < 0, two when
     det D > 0 and p < 0. A singular or non-finite pivot means mu is
-    (numerically) an eigenvalue and raises ArithmeticError.
+    (numerically) an eigenvalue and raises SingularSystemError.
     """
     data, bw = S.data, S.bandwidth
     p, q, r = data[bw, 0::2] - mu, data[bw - 1, 1::2], data[bw, 1::2] - mu
@@ -181,8 +181,8 @@ def count_below(S: BandedMatrix, mu: float) -> int:
         if not np.all(np.isfinite(det) & (det != 0.0)):
             i = int(np.argmin(np.isfinite(det) & (det != 0.0)))
             node = 0 if last else (2 * i + 1) * stride
-            raise ArithmeticError(
-                f"singular pivot at node {node} in the inertia count of S - {mu!r} I"
+            raise SingularSystemError(
+                node, f"singular pivot at node {node} in the inertia count of S - {mu!r} I"
             )
         # det > 0 makes p and r nonzero and of one sign
         count += int(np.count_nonzero(det < 0.0))

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from beclab import BandedMatrix
+from beclab import BandedMatrix, SingularSystemError
 from beclab.grids import flux_stencil
 
 
@@ -75,7 +75,7 @@ def count_below_sequential(S: BandedMatrix, mu: float) -> int:
     o_k I, so the pivots obey D_k = A_k - mu I - o_{k-1}^2 D_{k-1}^{-1},
     and each D_k contributes its negative eigenvalues (one when
     det D_k < 0, two when det D_k > 0 > trace D_k). A singular pivot
-    raises ArithmeticError."""
+    raises SingularSystemError."""
     data, bw = S.data, S.bandwidth
     a = (data[bw, 0::2] - mu).tolist()
     d = (data[bw, 1::2] - mu).tolist()
@@ -89,8 +89,8 @@ def count_below_sequential(S: BandedMatrix, mu: float) -> int:
             p, q, r = a[k] - s * r, b[k] + s * q, d[k] - s * p
         det = p * r - q * q
         if det == 0.0 or not math.isfinite(det):
-            raise ArithmeticError(
-                f"singular pivot at node {k} in the inertia count of S - {mu!r} I"
+            raise SingularSystemError(
+                k, f"singular pivot at node {k} in the inertia count of S - {mu!r} I"
             )
         if det < 0.0:
             count += 1

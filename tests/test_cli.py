@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beclab import cli, heteroclinic, spectrum
+from beclab.banded import SingularSystemError
 from beclab.calculus import resample
 from beclab.cli import main, range_couplings
 from beclab.runio import read_seed_csv, write_csv
@@ -684,10 +685,10 @@ def test_numerical_failure_writes_nothing(command, tmp_path, monkeypatch, capsys
 
 
 def test_singular_inertia_pivot_exits_two(tmp_path, monkeypatch, capsys):
-    # count_below raises ArithmeticError when mu is numerically an
+    # count_below raises SingularSystemError when mu is numerically an
     # eigenvalue: a numerical failure, not a traceback with the usage code
     def singular(S, mu):
-        raise ArithmeticError(f"singular pivot at node 7 in the inertia count of S - {mu!r} I")
+        raise SingularSystemError(7, f"singular pivot at node 7 in the inertia count of S - {mu!r} I")
 
     monkeypatch.setattr(spectrum, "count_below", singular)
     out = tmp_path / "run"

@@ -17,7 +17,7 @@ from beclab import (
     nondegeneracy_report,
     solve_heteroclinic,
 )
-from beclab import BandedMatrix, run_verification, spectrum
+from beclab import BandedMatrix, SingularSystemError, run_verification, spectrum
 from beclab.grids import flux_stencil
 from beclab.spectrum import count_below, residual_tolerance
 from spectrum_oracle import (
@@ -320,6 +320,18 @@ def test_inertia_count_reads_the_whole_band(nodes, seed, scale, quantile):
     mu = 0.5 * (below + eigenvalues[k])
     assume(eigenvalues[k] - below > 1e-9 * scale)
     assert count_below(block, mu) == k
+
+
+def test_inertia_count_at_an_eigenvalue_raises_singular_system_error():
+    # diagonal S: at mu = S[2, 2] the pivot of node 1 is singular, a
+    # RuntimeError the CLI reports as a numerical failure
+    S = BandedMatrix.zeros(8, 2)
+    S.data[2] = np.arange(1.0, 9.0)
+    for count in (count_below, count_below_sequential):
+        with pytest.raises(SingularSystemError, match="^singular pivot at node 1 ") as exc:
+            count(S, 3.0)
+        assert exc.value.index == 1
+    assert count_below(S, 3.5) == count_below_sequential(S, 3.5) == 3
 
 
 def test_inertia_count_matches_the_reference_on_verify_operators(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from banded_helpers import add_diagonal
 from beclab import BandedMatrix, default_sweep, run_verification
+from beclab import verify
 from beclab.verify import _hygiene_states, jacobian_fd_error
 
 EXPECTED_CRITERIA = (
@@ -52,7 +53,12 @@ def test_zero_scale_negative_control():
     assert len(report.failures()) == len(EXPECTED_CRITERIA)
 
 
-def test_preconditions():
+def test_preconditions(monkeypatch):
+    # every case is rejected up front, before the first solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run_verification solved before rejecting its input")
+
+    monkeypatch.setattr(verify, "solve_heteroclinic", no_solve)
     with pytest.raises(ValueError):
         run_verification(lams=(1e1, 1e2))
     for n in (4099, 8192):  # (4099 + 1)/2 = 2050 is even
@@ -62,8 +68,11 @@ def test_preconditions():
         run_verification(lams=(1e1, 2e1, 4e1, 8e1))
     with pytest.raises(ValueError):
         run_verification(scale=-1.0)
-    with pytest.raises(ValueError):
-        run_verification(lams=(1e1, 1e2, 1e3, 1e8))  # ln(1e8) exceeds X = 15
+    # valid fit sets, so only the composite-coupling bounds can reject them
+    with pytest.raises(ValueError, match="inner window"):
+        run_verification(lams=(1e2, 1e3, 1e4, 1e5, 1e8))  # ln(1e8) exceeds X = 15
+    with pytest.raises(ValueError, match="lam >= 10"):
+        run_verification(lams=(5.0, 1e2, 1e3, 1e4, 1e5))
 
 
 def test_assembled_jacobians_match_finite_differences():
