@@ -12,11 +12,12 @@ with exact limit Dirichlet data; truncation error is exponentially small
 in L and is absorbed by the grid-convergence tolerances. The system
 commutes with the swap-reflection (v1, v2)(z) -> (v2, v1)(-z), and Newton
 solves only for its mirror-symmetric (even) fields, which removes the
-translation freedom the far-field data alone pin only weakly. Each Newton
-step does only the even sector's work: its residual evaluates the v1 rows
-alone (v2 is v1 reversed, so the v2 rows are the v1 rows mirrored), and
-its Jacobian block folds only the columns it keeps (MirrorSector.band).
-The full-domain residual serves the Jacobian hygiene check.
+translation freedom the far-field data alone pin only weakly. Newton's
+unknowns are v1 at the interior nodes in sector order (_sector): its
+residual evaluates the v1 rows alone (v2 is v1 reversed, so the v2 rows
+are the v1 rows mirrored), and its Jacobian block folds only the columns
+it keeps (MirrorSector.band). The full residual of interleaved (v1, v2)
+unknowns (_interleaved) serves only the Jacobian hygiene check.
 
 Continuation is nested iteration on a ladder of meshes. Newton's
 iteration count does not depend on the mesh once the mesh is fine enough
@@ -26,8 +27,8 @@ each step from lam to 10*lam climbs on the coarsest mesh of the ladder
 nodes), seeded from the previous step's coarsest solution, and each finer
 mesh is seeded from the solution just below it at the same coupling. On
 every finer mesh Newton then needs about one iteration, and the requested
-mesh ends at the rounding floor. A seed is v1 alone: v2 is v1 mirrored,
-the even-sector state Newton starts from.
+mesh ends at the rounding floor. A seed is v1 alone: folded into sector
+order, it is the state Newton starts from.
 
 Discretisation is the flux form of the second difference on a sinh-graded
 mesh whose fine region tracks the interface core (|z| of order
@@ -251,30 +252,20 @@ def default_grid(lam: float, L: float, n: int) -> Grid:
 
 
 def _interior_residual_jacobian(grid: Grid, lam: float):
-    """Residual and Jacobian callbacks on interior unknowns, interleaved
-    u = [v1_1, v2_1, v1_2, v2_2, ...] (nodes 1..n-2).
+    """Row and Jacobian callbacks of the interior nodes 1..n-2, from full
+    fields that carry the Dirichlet limits v1(-L)=0, v2(-L)=1, v1(L)=1,
+    v2(L)=0 at their ends.
 
-    Dirichlet limits v1(-L)=0, v2(-L)=1, v1(L)=1, v2(L)=0 are folded into
-    the first and last interior rows. Flux form keeps row magnitudes at
-    1/h rather than 1/h^2, so the evaluation rounding floor stays below
-    the Newton tolerance on the finest meshes (see module docstring).
-    rows(Va, Vb) is the one row expression: component a's rows at the
-    interior nodes, from the full fields Va and Vb of a and of the other
-    component. Returns residual, jacobian, full_fields and rows.
+    Flux form keeps row magnitudes at 1/h rather than 1/h^2, so the
+    evaluation rounding floor stays below the Newton tolerance on the
+    finest meshes (see module docstring). rows(Va, Vb) is the one row
+    expression: component a's rows at the interior nodes, from the full
+    fields Va and Vb of a and of the other component. jacobian(V1, V2) is
+    the banded Jacobian of both components' rows with respect to the
+    interleaved interior unknowns [v1_1, v2_1, v1_2, v2_2, ...].
     """
-    n = grid.n
     st = flux_stencil(grid)
     w = st.w
-    m = n - 2
-
-    def full_fields(u: np.ndarray):
-        V1 = np.empty(n)
-        V2 = np.empty(n)
-        V1[0], V1[-1] = 0.0, 1.0
-        V2[0], V2[-1] = 1.0, 0.0
-        V1[1:-1] = u[0::2]
-        V2[1:-1] = u[1::2]
-        return V1, V2
 
     def rows(Va: np.ndarray, Vb: np.ndarray) -> np.ndarray:
         # the cube as products: ** 3 goes through pow, which is slow on
@@ -282,74 +273,66 @@ def _interior_residual_jacobian(grid: Grid, lam: float):
         ca, cb = Va[1:-1], Vb[1:-1]
         return st.apply(Va) - w * (ca * ca * ca - ca + lam * cb**2 * ca)
 
-    def residual(u: np.ndarray) -> np.ndarray:
-        V1, V2 = full_fields(u)
-        r = np.empty(2 * m)
-        r[0::2] = rows(V1, V2)
-        r[1::2] = rows(V2, V1)
-        return r
-
-    def jacobian(u: np.ndarray) -> BandedMatrix:
-        c1, c2 = u[0::2], u[1::2]
-        jac = BandedMatrix.zeros(2 * m, 2)
+    def jacobian(V1: np.ndarray, V2: np.ndarray) -> BandedMatrix:
+        c1, c2 = V1[1:-1], V2[1:-1]
+        jac = BandedMatrix.zeros(2 * c1.shape[0], 2)
         d1 = st.mid - w * (3.0 * c1**2 - 1.0 + lam * c2**2)
         d2 = st.mid - w * (3.0 * c2**2 - 1.0 + lam * c1**2)
         st.fill_pair_rows(jac, 0, d1, d2, -2.0 * lam * w * c1 * c2)
         return jac
 
-    return residual, jacobian, full_fields, rows
+    return rows, jacobian
 
 
-def _even_sector(jacobian, full_fields, rows):
-    """A residual/Jacobian pair of interleaved interior unknowns restricted
-    to mirror-symmetric states u = state(y) = (y, y reversed), with y the
-    first half of u (the nodes z < 0 and the middle node's v1).
+def _interleaved(grid: Grid, lam: float):
+    """The full residual and Jacobian of the interleaved interior unknowns
+    u = [v1_1, v2_1, v1_2, v2_2, ...]; the Jacobian hygiene check
+    differences the one against the other. Newton never evaluates them."""
+    rows, jacobian = _interior_residual_jacobian(grid, lam)
 
-    mean(u) averages each entry of u with its mirror entry: it projects a
-    state onto the sector. The sector residual is the mean of the full
-    one. At a symmetric state on an exact mirror mesh each full row equals
-    its mirror row bit for bit, so the mean is the full residual's first
-    half, and its sup norm is the full-domain residual's: Newton stops
-    where a full-domain solve would. The sector residual therefore
-    evaluates only the v1 rows, over the whole interior with v2 = v1
-    reversed, and reads the v2 rows of the first half off them mirrored:
-    bit for bit mean(residual(state(y))) at half the arithmetic. Its
-    Jacobian with respect to y is the orthonormal even-sector block
-    EVEN.band(J). Returns the residual, the Jacobian, mean and state.
-    """
+    def fields(u: np.ndarray):
+        return np.r_[0.0, u[0::2], 1.0], np.r_[1.0, u[1::2], 0.0]
 
-    def mean(u: np.ndarray) -> np.ndarray:
-        m = u.shape[0] // 2
-        return 0.5 * (u[:m] + u[: m - 1 : -1])
-
-    def state(y: np.ndarray) -> np.ndarray:
-        return np.concatenate((y, y[::-1]))
-
-    def residual(y: np.ndarray) -> np.ndarray:
-        V1, _ = full_fields(state(y))
-        r1 = rows(V1, V1[::-1])
-        # y's v1 entries are the v1 rows of nodes 1..(m+1)/2; the v2 row
-        # of node k is the v1 row of its mirror node
-        m = y.shape[0]
-        r = np.empty(m)
-        r[0::2] = r1[: (m + 1) // 2]
-        r[1::2] = r1[: (m - 1) // 2 : -1]
+    def residual(u: np.ndarray) -> np.ndarray:
+        V1, V2 = fields(u)
+        r = np.empty(u.shape[0])
+        r[0::2] = rows(V1, V2)
+        r[1::2] = rows(V2, V1)
         return r
 
-    return (
-        residual,
-        lambda y: EVEN.band(jacobian(state(y))),
-        mean,
-        state,
-    )
+    return residual, lambda u: jacobian(*fields(u))
 
 
-def _interior_state(v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Interleaved interior unknowns of _interior_residual_jacobian."""
-    u = np.empty(2 * (v1.shape[0] - 2))
-    u[0::2] = v1[1:-1]
-    u[1::2] = v2[1:-1]
-    return u
+def _sector(n: int):
+    """The even sector of the swap-reflection (v1, v2)(z) -> (v2, v1)(-z)
+    on an n-node mirror mesh, n odd: a mirror-symmetric state is v1 alone,
+    and Newton's unknown y is v1 at the interior nodes in sector order.
+
+    fold(a) puts an array over the interior nodes into sector order: nodes
+    1..n//2 go to the even places, and nodes n-2 down to n//2+1 to the odd
+    places, which are v2 at nodes 1..n//2-1. At a symmetric state every v2
+    row equals its mirror v1 row bit for bit, so fold of the v1 rows is the
+    orthonormal even-sector residual and its sup norm is the full-domain
+    one: Newton stops where a full-domain solve would. Its Jacobian with
+    respect to y is the even block EVEN.band(J) of the full Jacobian J.
+    field(y) is the full v1, with the limits 0 and 1 at its ends.
+    """
+    h = n // 2
+
+    def fold(a: np.ndarray) -> np.ndarray:
+        y = np.empty(n - 2)
+        y[0::2] = a[:h]
+        y[1::2] = a[: h - 1 : -1]
+        return y
+
+    def field(y: np.ndarray) -> np.ndarray:
+        V1 = np.empty(n)
+        V1[0], V1[-1] = 0.0, 1.0
+        V1[1 : h + 1] = y[0::2]
+        V1[h + 1 : -1] = y[-2::-2]
+        return V1
+
+    return fold, field
 
 
 def _monotone_flag(v: np.ndarray) -> bool:
@@ -412,19 +395,19 @@ def solve_heteroclinic(
     (v1, v2)(z) -> (v2, v1)(-z), which pins the translation exactly: the
     solution holds v1 alone, v2 is its mirror, so the solution is centred
     (v1 = v2 at z = 0) and symmetric_dev and pinning_dev are 0 by
-    construction. newton_residual is Newton's final sector residual,
-    which equals the sup norm of the full-domain residual at the returned
-    fields (see _even_sector).
+    construction. Newton's unknowns are v1 at the interior nodes in
+    sector order (see _sector). newton_residual is Newton's final sector
+    residual, which equals the sup norm of the full-domain residual at the
+    returned fields.
 
     init, when given, is node samples (z, v1) of v1 on any strictly
     increasing node set, such as another solution's grid; they are
-    resampled onto the mesh, and with v2 = v1 mirrored they are the
-    even-sector state that seeds Newton. When init is omitted the
-    explicit lam=3 branch seeds the iteration; that works for couplings
-    near 3 while large couplings should be reached through
-    continue_in_lambda. A converged iterate whose interior dips below the
-    sign noise floor raises SignViolationError (the branch of interest is
-    positive).
+    resampled onto the mesh and seed Newton as they are. When init is
+    omitted, the mean of the explicit lam=3 branch's v1 and mirrored v2
+    seeds the iteration; that works for couplings near 3 while large
+    couplings should be reached through continue_in_lambda. A converged
+    iterate whose interior dips below the sign noise floor raises
+    SignViolationError (the branch of interest is positive).
     """
     if not lam > 1.0:
         raise ValueError(f"coupling must exceed 1, got lam={lam}")
@@ -438,16 +421,24 @@ def solve_heteroclinic(
         raise ValueError(f"need odd n (a mesh node at z = 0), got n={n}")
     grid = default_grid(lam, L, n)
     if init is None:
-        seed = explicit_lambda3(grid.nodes)
+        e1, e2 = explicit_lambda3(grid.nodes)
+        seed = 0.5 * (e1 + e2[::-1])
     else:
         seed = _seed_on_grid(*init, grid)
 
-    _, jacobian, full_fields, rows = _interior_residual_jacobian(grid, lam)
-    sector_residual, sector_jacobian, mean, state = _even_sector(jacobian, full_fields, rows)
-    y, iterations, final_res = newton_solve(
-        sector_residual, sector_jacobian, mean(_interior_state(*seed))
-    )
-    v1, _ = full_fields(state(y))
+    rows, jacobian = _interior_residual_jacobian(grid, lam)
+    fold, field = _sector(n)
+
+    def sector_residual(y: np.ndarray) -> np.ndarray:
+        V1 = field(y)
+        return fold(rows(V1, V1[::-1]))
+
+    def sector_jacobian(y: np.ndarray) -> BandedMatrix:
+        V1 = field(y)
+        return EVEN.band(jacobian(V1, V1[::-1]))
+
+    y, iterations, final_res = newton_solve(sector_residual, sector_jacobian, fold(seed[1:-1]))
+    v1 = field(y)
 
     # v2 is v1 reversed, so v1's sign and monotonicity checks are its too
     if float(np.min(v1)) < -_SIGN_FLOOR:
@@ -479,14 +470,13 @@ def solve_heteroclinic(
     )
 
 
-def _seed_on_grid(z: np.ndarray, v1: np.ndarray, grid: Grid):
+def _seed_on_grid(z: np.ndarray, v1: np.ndarray, grid: Grid) -> np.ndarray:
     # cubic resampling of v1's node samples, constant extension beyond the
-    # source domain, clamp into [0, 1], exact limit values at both ends;
-    # v2 is v1 mirrored, so the seed is its own even-sector mean
+    # source domain, clamp into [0, 1], exact limit values at both ends
     at = np.clip(grid.nodes, z[0], z[-1])
     v1 = np.clip(resample(z, v1, at), 0.0, 1.0)
     v1[0], v1[-1] = 0.0, 1.0
-    return v1, v1[::-1]
+    return v1
 
 
 def sigma_gradient_form(sol: HeteroclinicSolution) -> float:

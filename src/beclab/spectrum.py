@@ -64,7 +64,6 @@ from .grids import EVEN, ODD, flux_stencil, mirror_defect
 from .heteroclinic import (
     HeteroclinicSolution,
     _interior_residual_jacobian,
-    _interior_state,
     essential_edge,
 )
 
@@ -77,7 +76,7 @@ __all__ = [
     "nondegeneracy_report",
 ]
 
-# Step cap of a sector solve: solution sectors take 6-14, clustered random blocks up to 81.
+# Step cap of a sector solve: solution sectors take 3-13, clustered random blocks up to 81.
 _MAX_STEPS = 200
 
 
@@ -124,8 +123,8 @@ def assemble_linearized(sol: HeteroclinicSolution) -> BandedMatrix:
     sqrt(w_2) p1_2, ...] of the interior nodes. Each entry is scaled by
     the product s_i*s_j, which is commutative, so the symmetric J gives an
     exactly symmetric S."""
-    _, jacobian, _, _ = _interior_residual_jacobian(sol.grid, sol.lam)
-    jac = jacobian(_interior_state(sol.v1, sol.v2))
+    _, jacobian = _interior_residual_jacobian(sol.grid, sol.lam)
+    jac = jacobian(sol.v1, sol.v2)
     w = flux_stencil(sol.grid).w
     s = np.repeat(1.0 / np.sqrt(w), 2)
     for _, rows, cols, band in jac.diagonals():

@@ -38,8 +38,7 @@ from .energy import (
 from .grids import make_grid
 from .heteroclinic import (
     HeteroclinicSolution,
-    _interior_residual_jacobian,
-    _interior_state,
+    _interleaved,
     continue_in_lambda,
     default_grid,
     explicit_lambda3,
@@ -118,8 +117,9 @@ def _hygiene_states() -> list[float]:
     errors = []
 
     grid = default_grid(50.0, 20.0, 41)
-    residual, jacobian, _, _ = _interior_residual_jacobian(grid, 50.0)
-    base = _interior_state(*explicit_lambda3(grid.nodes))
+    residual, jacobian = _interleaved(grid, 50.0)
+    e1, e2 = explicit_lambda3(grid.nodes)
+    base = np.stack((e1, e2), axis=1)[1:-1].ravel()  # [v1_1, v2_1, v1_2, ...]
     state = base + 0.05 * np.sin(np.arange(base.size))
     errors.append(jacobian_fd_error(residual, jacobian, state))
 
@@ -159,16 +159,19 @@ def run_verification(
 ) -> VerificationReport:
     """Run the full sweep and evaluate every acceptance criterion.
 
-    lams must contain at least 4 couplings >= 100 spanning at least 3
-    decades (the order fits), all >= 10 (the composite construction needs
-    a clear scale separation) with ln(max) <= X so the stretched window
-    stays inside the core data.
+    lams must be distinct and contain at least 4 couplings >= 100
+    spanning at least 3 decades (the order fits), all >= 10 (the
+    composite construction needs a clear scale separation) with
+    ln(max) <= X so the stretched window stays inside the core data.
     n must be 1 mod 4: the closed-form anchor also solves on (n + 1)/2
     nodes, and every interface mesh needs an odd node count.
     """
     if n % 4 != 1:
         raise ValueError(f"need n = 1 (mod 4) so that n and (n + 1)/2 are odd, got n={n}")
     sweep = default_sweep() if lams is None else tuple(sorted(float(v) for v in lams))
+    for lam, following in zip(sweep, sweep[1:]):
+        if lam == following:
+            raise ValueError(f"sweep coupling lam={lam:g} is repeated")
     fit_set = [lam for lam in sweep if lam >= 100.0]
     if len(fit_set) < 4 or fit_set[-1] < 1e3 * fit_set[0]:
         raise ValueError(

@@ -18,7 +18,6 @@ from beclab.calculus import resample
 from beclab.cli import main, range_couplings
 from beclab.runio import read_seed_csv, write_csv
 from beclab.heteroclinic import (
-    _interior_state,
     default_domain_halfwidth,
     default_grid,
     explicit_lambda3,
@@ -768,7 +767,7 @@ def test_seeded_solve_starts_from_v1_and_its_mirror(tmp_path, monkeypatch):
     nodes = default_grid(3.5, default_domain_halfwidth(3.5), 1025).nodes
     start = np.clip(resample(z, v1, np.clip(nodes, z[0], z[-1])), 0.0, 1.0)
     start[0], start[-1] = 0.0, 1.0
-    u = _interior_state(start, start[::-1])
+    u = np.stack((start, start[::-1]), axis=1)[1:-1].ravel()  # [v1_1, v2_1, ...]
     assert len(starts) == 1
     assert np.array_equal(starts[0], u[: u.size // 2])
 

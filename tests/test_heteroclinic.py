@@ -23,9 +23,8 @@ from beclab.grids import EVEN, differentiate
 from beclab.heteroclinic import (
     ContinuationTrace,
     TraceEntry,
-    _even_sector,
-    _interior_residual_jacobian,
-    _interior_state,
+    _interleaved,
+    _sector,
     default_grid,
     hamiltonian_values,
     mesh_ladder,
@@ -33,6 +32,28 @@ from beclab.heteroclinic import (
 from beclab.verify import jacobian_fd_error
 
 SWEEP = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
+
+
+def interleave(v1, v2):
+    # the interleaved interior unknowns [v1_1, v2_1, v1_2, v2_2, ...] of
+    # _interleaved, from full fields
+    return np.stack((v1, v2), axis=1)[1:-1].ravel()
+
+
+def newton_problem(lam, n, L=None):
+    # the sector residual, Jacobian and start vector that solve_heteroclinic
+    # hands to newton_solve
+    handed = []
+
+    def record(residual, jacobian, init):
+        handed.append((residual, jacobian, init))
+        return init, 0, 0.0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heteroclinic, "newton_solve", record)
+        solve_heteroclinic(lam, n=n, L=L)
+    (problem,) = handed
+    return problem
 
 
 def explicit_sup(sol) -> float:
@@ -497,7 +518,7 @@ def test_dv2_is_differentiate_v2_on_saturated_states(half, log_lam, width, shift
     grid = default_grid(lam, default_domain_halfwidth(lam), n)
     v1 = 0.5 * (1.0 + np.tanh((grid.nodes - shift) / width))
     assert v1[0] == 0.0 and v1[-1] == 1.0
-    u = _interior_state(v1, v1[::-1])
+    u = interleave(v1, v1[::-1])
     converged = lambda residual, jacobian, init: (u[: u.size // 2], 0, 0.0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(heteroclinic, "newton_solve", converged)
@@ -511,30 +532,53 @@ def test_newton_residual_is_the_full_residual_on_odd_meshes(odd_mesh_solutions, 
     # on an exact mirror mesh every residual row equals its mirror row bit
     # for bit, so Newton's sector residual norm is the full-domain one
     sol = odd_mesh_solutions[lam]
-    residual, _, _, _ = _interior_residual_jacobian(sol.grid, lam)
-    full = residual(_interior_state(sol.v1, sol.v2))
+    residual, _ = _interleaved(sol.grid, lam)
+    full = residual(interleave(sol.v1, sol.v2))
     assert np.array_equal(full, full[::-1])
     assert sol.newton_residual == np.max(np.abs(full))
     assert np.array_equal(sol.v1, sol.v2[::-1])
 
 
+@pytest.mark.parametrize("n", [1025, 8193])
+def test_lambda3_start_is_the_mean_of_the_explicit_fields(monkeypatch, n):
+    # Newton accepts the explicit seed at once only just below its stop, so
+    # the start vector must keep its bits: the mean of each interleaved
+    # unknown of the explicit lam = 3 fields with its mirror
+    starts = []
+    real = heteroclinic.newton_solve
+
+    def recording(residual, jacobian, init):
+        starts.append(init.copy())
+        return real(residual, jacobian, init)
+
+    monkeypatch.setattr(heteroclinic, "newton_solve", recording)
+    sol = solve_heteroclinic(3.0, n=n)
+    u = interleave(*explicit_lambda3(sol.grid.nodes))
+    m = u.size // 2
+    (start,) = starts
+    assert np.array_equal(start, 0.5 * (u[:m] + u[: m - 1 : -1]))
+
+
 def test_even_sector_jacobian_matches_finite_differences():
     rng = np.random.default_rng(13)
     grid = default_grid(50.0, 20.0, 513)
-    residual, jacobian, full_fields, rows = _interior_residual_jacobian(grid, 50.0)
-    sector_residual, sector_jacobian, mean, state = _even_sector(jacobian, full_fields, rows)
-    y = mean(_interior_state(*explicit_lambda3(grid.nodes)))
-    y += 0.05 * rng.uniform(-1.0, 1.0, y.shape)
+    sector_residual, sector_jacobian, y = newton_problem(50.0, 513, L=20.0)
+    y = y + 0.05 * rng.uniform(-1.0, 1.0, y.shape)
     assert jacobian_fd_error(sector_residual, sector_jacobian, y) <= 1e-8
-    # the sector residual is the full one's first half at the symmetric
+    # the sector residual is the full one's first half at the mirrored
     # state, bit for bit
-    full = residual(state(y))
+    fold, field = _sector(grid.n)
+    v1 = field(y)
+    assert np.array_equal(fold(v1[1:-1]), y)
+    u = interleave(v1, v1[::-1])
+    residual, jacobian = _interleaved(grid, 50.0)
+    full = residual(u)
     assert np.array_equal(full, full[::-1])
     assert np.array_equal(sector_residual(y), full[: y.shape[0]])
-    assert np.array_equal(sector_residual(y), mean(full))
+    assert np.array_equal(sector_residual(y), fold(full[0::2]))
     # and its Jacobian is the orthonormal even block of the full Jacobian
     block = sector_jacobian(y)
-    assert np.array_equal(block.data, EVEN.band(jacobian(state(y))).data)
+    assert np.array_equal(block.data, EVEN.band(jacobian(u)).data)
 
 
 @settings(max_examples=40, deadline=None)
@@ -547,39 +591,45 @@ def test_even_sector_jacobian_matches_finite_differences():
 def test_sector_residual_is_the_mean_of_the_full_residual(half, log_lam, amp, freq):
     # at symmetric states off the solution (the lam = 3 branch plus a sin
     # perturbation), on every odd mesh n = 513..2049: the v1 rows alone
-    # give mean(residual(state(y))) bit for bit
+    # give the fold of the full residual at the mirrored state, which is
+    # its mirror mean, bit for bit
     lam, n = math.exp(log_lam), 2 * half + 1
     grid = default_grid(lam, default_domain_halfwidth(lam), n)
-    residual, jacobian, full_fields, rows = _interior_residual_jacobian(grid, lam)
-    sector_residual, _, mean, state = _even_sector(jacobian, full_fields, rows)
-    y = mean(_interior_state(*explicit_lambda3(grid.nodes)))
-    y += amp * np.sin(freq * np.arange(y.size))
-    assert np.array_equal(sector_residual(y), mean(residual(state(y))))
+    sector_residual, _, y = newton_problem(lam, n)
+    y = y + amp * np.sin(freq * np.arange(y.size))
+    fold, field = _sector(n)
+    v1 = field(y)
+    residual, _ = _interleaved(grid, lam)
+    full = residual(interleave(v1, v1[::-1]))
+    m = y.size
+    assert np.array_equal(sector_residual(y), fold(full[0::2]))
+    assert np.array_equal(sector_residual(y), 0.5 * (full[:m] + full[: m - 1 : -1]))
 
 
 def test_solve_never_evaluates_the_full_residual(monkeypatch):
-    # Newton reads the sector residual from the v1 rows; the full-domain
-    # residual is for the hygiene check alone
-    calls = {"full": 0, "rows": 0}
-    make = heteroclinic._interior_residual_jacobian
+    # Newton reads the sector residual from the v1 rows; the interleaved
+    # full residual and Jacobian are for the hygiene check alone
+    calls = {"interleaved": 0, "rows": 0}
+    make, interleaved = heteroclinic._interior_residual_jacobian, heteroclinic._interleaved
 
     def counting(grid, lam):
-        residual, jacobian, full_fields, rows = make(grid, lam)
-
-        def counted_residual(u):
-            calls["full"] += 1
-            return residual(u)
+        rows, jacobian = make(grid, lam)
 
         def counted_rows(va, vb):
             calls["rows"] += 1
             return rows(va, vb)
 
-        return counted_residual, jacobian, full_fields, counted_rows
+        return counted_rows, jacobian
+
+    def counted_interleaved(grid, lam):
+        calls["interleaved"] += 1
+        return interleaved(grid, lam)
 
     monkeypatch.setattr(heteroclinic, "_interior_residual_jacobian", counting)
+    monkeypatch.setattr(heteroclinic, "_interleaved", counted_interleaved)
     start = solve_heteroclinic(3.0, n=1025)
     solve_heteroclinic(10.0, n=1025, init=(start.grid.nodes, start.v1))
-    assert calls["full"] == 0
+    assert calls["interleaved"] == 0
     assert calls["rows"] > 2
 
 

@@ -73,6 +73,10 @@ def test_preconditions(monkeypatch):
         run_verification(lams=(1e2, 1e3, 1e4, 1e5, 1e8))  # ln(1e8) exceeds X = 15
     with pytest.raises(ValueError, match="lam >= 10"):
         run_verification(lams=(5.0, 1e2, 1e3, 1e4, 1e5))
+    # a valid sweep but for one coupling given twice: continuation would
+    # reject it only after the anchors, the core profile and the shooting
+    with pytest.raises(ValueError, match="lam=100 is repeated"):
+        run_verification(lams=(10, 100, 100, 1e3, 1e4, 1e5))
 
 
 def test_assembled_jacobians_match_finite_differences():
