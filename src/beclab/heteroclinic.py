@@ -312,9 +312,10 @@ def _sector(n: int):
     1..n//2 go to the even places, and nodes n-2 down to n//2+1 to the odd
     places, which are v2 at nodes 1..n//2-1. At a symmetric state every v2
     row equals its mirror v1 row bit for bit, so fold of the v1 rows is the
-    orthonormal even-sector residual and its sup norm is the full-domain
-    one: Newton stops where a full-domain solve would. Its Jacobian with
-    respect to y is the even block EVEN.band(J) of the full Jacobian J.
+    full residual's first half, and its sup norm is the full-domain one:
+    Newton stops where a full-domain solve would. Its Jacobian with
+    respect to y is the orthonormal even block EVEN.band(J) of the full
+    Jacobian J.
     field(y) is the full v1, with the limits 0 and 1 at its ends.
     """
     h = n // 2
