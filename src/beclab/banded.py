@@ -158,9 +158,11 @@ class BandedMatrix:
 class BandedLU:
     """LU factorisation of a BandedMatrix, reusable for repeated solves.
 
-    Rows are equilibrated (scaled to unit max) before factorisation: the
-    assemblies here mix O(1/h^2) stencil rows with O(1) boundary rows, and
-    pivot-size diagnostics are meaningless without a common row scale.
+    Rows are equilibrated (scaled to unit max) before factorisation, since
+    pivot-size diagnostics are meaningless without a common row scale:
+    flux-form stencil rows scale like 1/h_local, which spreads over the
+    cells of a graded mesh, and the core collocation adds O(1) Dirichlet
+    rows.
     A row that is zero or holds a non-finite entry, and a zero,
     machine-scale or non-finite pivot, raise SingularSystemError with its
     index.
@@ -177,13 +179,10 @@ class BandedLU:
         if float(np.min(row_max)) == 0.0:
             raise SingularSystemError(int(np.argmin(row_max)), "zero row")
         row_scale = 1.0 / row_max
-        scaled = np.zeros((2 * bw + 1, dim))
-        for offset, rows, cols, band in matrix.diagonals():
-            np.multiply(band, row_scale[rows], out=scaled[bw - offset, cols])
-        # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j]. One
-        # copy into Fortran order costs less than a strided write per diagonal.
+        # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j]
         ab = np.zeros((3 * bw + 1, dim), order="F")
-        ab[bw:] = scaled
+        for offset, rows, cols, band in matrix.diagonals():
+            np.multiply(band, row_scale[rows], out=ab[2 * bw - offset, cols])
         piv = np.empty(dim, dtype=np.int64)
         info = _call("LU factorisation", _GBTRF, dim, dim, bw, bw, ab, 3 * bw + 1, piv)
         if info > 0:

@@ -114,8 +114,6 @@ _MIN_N = 513
 class SolutionFlags:
     monotone: bool
     bounded: bool
-    symmetric_dev: float
-    pinning_dev: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,11 +358,6 @@ def _bounded_flag(v1: np.ndarray) -> bool:
     return bool(np.all(s[active] < 1.0))
 
 
-def _symmetric_dev(v1: np.ndarray, v2: np.ndarray) -> float:
-    # grid is symmetric about 0, so v2(-z) is v2 reversed
-    return float(np.max(np.abs(v1 - v2[::-1])))
-
-
 def _value_at_zero(grid: Grid, v: np.ndarray) -> float:
     return float(v[grid.n // 2])  # the middle node of an odd mesh is 0
 
@@ -394,12 +387,11 @@ def solve_heteroclinic(
 
     Newton runs in the even sector of the swap-reflection
     (v1, v2)(z) -> (v2, v1)(-z), which pins the translation exactly: the
-    solution holds v1 alone, v2 is its mirror, so the solution is centred
-    (v1 = v2 at z = 0) and symmetric_dev and pinning_dev are 0 by
-    construction. Newton's unknowns are v1 at the interior nodes in
-    sector order (see _sector). newton_residual is Newton's final sector
-    residual, which equals the sup norm of the full-domain residual at the
-    returned fields.
+    solution holds v1 alone, v2 is its mirror, so the solution is
+    symmetric and centred (v1 = v2 at z = 0) by construction. Newton's
+    unknowns are v1 at the interior nodes in sector order (see _sector).
+    newton_residual is Newton's final sector residual, which equals the
+    sup norm of the full-domain residual at the returned fields.
 
     init, when given, is node samples (z, v1) of v1 on any strictly
     increasing node set, such as another solution's grid; they are
@@ -447,16 +439,10 @@ def solve_heteroclinic(
             f"component sign violation after convergence at lam={lam:.6g}"
         )
     dv1 = differentiate(v1, grid)
-    v2 = v1[::-1]
     # dv2 = -dv1 reversed enters squared, so dv1 reversed gives the same bits
-    ham = hamiltonian_values(v1, v2, dv1, dv1[::-1], lam)
+    ham = hamiltonian_values(v1, v1[::-1], dv1, dv1[::-1], lam)
     ham_dev = float(np.max(np.abs(ham + 0.25)))
-    flags = SolutionFlags(
-        monotone=_monotone_flag(v1),
-        bounded=_bounded_flag(v1),
-        symmetric_dev=_symmetric_dev(v1, v2),
-        pinning_dev=abs(_value_at_zero(grid, v1) - _value_at_zero(grid, v2)),
-    )
+    flags = SolutionFlags(monotone=_monotone_flag(v1), bounded=_bounded_flag(v1))
     for arr in (v1, dv1):
         arr.flags.writeable = False
     return HeteroclinicSolution(

@@ -18,6 +18,7 @@ from beclab.calculus import resample
 from beclab.cli import main, range_couplings
 from beclab.runio import read_seed_csv, write_csv
 from beclab.heteroclinic import (
+    StepUnderflow,
     default_domain_halfwidth,
     default_grid,
     explicit_lambda3,
@@ -344,6 +345,9 @@ def test_solve_command_and_summary(tmp_path):
     assert summary["report"]["newton_residual"] <= 1e-10
     assert summary["config"]["resolved_n"] == 1025
     assert summary["config"]["resolved_L"] == 20.0
+    # written by the CLI alone, as the benchmark reference pins them
+    assert summary["report"]["symmetric_dev"] == 0.0
+    assert summary["report"]["pinning_dev"] == 0.0
     rows = (out / "solution.csv").read_text().splitlines()
     assert rows[1] == "z,v1,v2,dv1,dv2"
     assert len(rows) == 2 + 1025
@@ -423,7 +427,8 @@ def test_spectrum_command(tmp_path):
     assert abs(report["lambda2"] - 1.5) <= 1e-3
     assert abs(report["lambda1"]) <= 1e-3
     assert report["alignment"] >= 0.999
-    assert report["essential_edge_estimate"] is None  # NaN serialized as null
+    # written by the CLI alone, as the benchmark reference pins it
+    assert report["essential_edge_estimate"] is None
     # the certificate: two bound states below the essential edge 2
     assert report["inertia_count"] == 2
     assert report["inertia_shift"] == 2.0
@@ -657,6 +662,18 @@ def test_nonconvergence_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "solve" in capsys.readouterr().err
+
+
+def test_continuation_stall_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def stalled(start, targets):
+        raise StepUnderflow(at_lambda=123.4)
+
+    monkeypatch.setattr(cli, "continue_in_lambda", stalled)
+    out = tmp_path / "run"
+    assert main(["solve", "--lambda", "1e4", "--n", "1025", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "beclab solve: continuation stalled, last converged coupling 123.4\n"
 
 
 # the numerical entry point of each command, as cli names it

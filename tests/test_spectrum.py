@@ -161,14 +161,6 @@ def test_operator_off_the_mirror_is_rejected():
         lowest_eigenpairs(S, LAPLACIAN_SHIFT)
 
 
-def test_essential_edge_unresolved_at_low_k(sol3, sweep_solutions):
-    # the first few modes above the gap are extended scattering states, not
-    # edge-localized; the report returns NaN rather than a fake edge value
-    assert math.isnan(nondegeneracy_report(sol3)[0].essential_edge_estimate)
-    rep, _ = nondegeneracy_report(sweep_solutions[1e2])
-    assert math.isnan(rep.essential_edge_estimate)
-
-
 def test_constant_state_edge_value():
     # on the saturated state the diagonal potentials are (2, lam - 1); with
     # zero coupling the bottom of the spectrum is min(2, lam-1) + O(L^-2)

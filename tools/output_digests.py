@@ -1,4 +1,4 @@
-"""Run sixteen CLI commands and print one SHA-256 per output file.
+"""Run seventeen CLI commands and print one SHA-256 per output file.
 
 Usage: PYTHONPATH=src python tools/output_digests.py OUTDIR
 
@@ -26,6 +26,7 @@ RUNS = {
     "solve": (["solve", "--lambda", "1e4"], 0),
     "solve_seeded": (["solve", "--lambda", "2e4", "--seed", "{root}/solve/solution.csv"], 0),
     "solve_L": (["solve", "--lambda", "20", "--L", "25"], 0),
+    "solve_far_L": (["solve", "--lambda", "1e3", "--L", "25"], 0),
     "solve_low": (["solve", "--lambda", "1.5"], 0),
     "solve_odd": (["solve", "--lambda", "1e3", "--n", "1001"], 0),
     "continue": (["continue", "--lambda-range", "10:1e6:1"], 0),
