@@ -347,8 +347,9 @@ def _monotone_flag(v: np.ndarray) -> bool:
 
 
 def _bounded_flag(v1: np.ndarray) -> bool:
-    # v2 is v1 reversed, so its bounds are v1's
-    if np.any(v1 < -_SAT_EPS) or np.any(v1 > 1.0 + _SAT_EPS):
+    # v2 is v1 reversed, so its bounds are v1's; an entry above
+    # 1 + _SAT_EPS fails the sum check below
+    if np.any(v1 < -_SAT_EPS):
         return False
     v2 = v1[::-1]
     s = v1**2 + v2**2

@@ -99,6 +99,17 @@ def test_shift_estimate_precondition(sweep_solutions, blowup_wide):
         shift_estimate(sweep_solutions[1e1], kappa=blowup_wide.kappa)
 
 
+@pytest.mark.parametrize("edge", [0, 1])
+def test_shift_minimizer_at_a_bracket_edge_raises(sweep_solutions, blowup_wide, monkeypatch, edge):
+    def at_edge(f, a, b, tol):
+        x = (a, b)[edge]
+        return x, f(x)
+
+    monkeypatch.setattr(asymptotics, "golden_minimize", at_edge)
+    with pytest.raises(RuntimeError, match="shift minimizer at bracket edge"):
+        shift_estimate(sweep_solutions[1e4], kappa=blowup_wide.kappa)
+
+
 def test_build_composite_preconditions(blowup_wide):
     with pytest.raises(ValueError):
         build_composite(5.0, blowup_wide)

@@ -72,6 +72,17 @@ def test_dependent_rows_singular():
         assert exc.value.index == 1
 
 
+def test_near_singular_pivot_is_rejected():
+    # rows equal up to one ulp: elimination leaves a pivot of about eps,
+    # below the threshold dim * eps
+    a = BandedMatrix.zeros(2, 1)
+    for i, j, value in ((0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0 + 2.0**-52)):
+        a.set_entry(i, j, value)
+    with pytest.raises(SingularSystemError, match="^near-singular pivot at index 1$") as exc:
+        BandedLU(a)
+    assert exc.value.index == 1
+
+
 @pytest.mark.parametrize("bw", [1, 2])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_entry_is_rejected(bw, bad):

@@ -82,14 +82,6 @@ def _literal_powers(source: str) -> list[str]:
     return sorted(found)
 
 
-# The shooting slope sqrt((psi0^2 + a^4)/2), in the stepper and in the
-# result, on a few parameters a: with (a * a) ** 2 the multisection's sides
-# of the separatrix alternate in the last ulps
-# (test_multisection_bracket_straddles_the_separatrix fails), and pow costs
-# nothing at that size.
-_POW_ALLOWED = {"shooting.py": ["a**4", "a**4"]}
-
-
 def test_literal_powers_are_found():
     found = _literal_powers("a = b**3\nc = d ** 2\ne **= 4\nf = g**0.5\nh = 2**k\n")
     assert found == ["b**3", "e **= 4"]
@@ -103,4 +95,4 @@ def test_no_power_of_an_integer_literal_three_or_more():
         path.name: _literal_powers(path.read_text())
         for path in sorted(Path(beclab.__file__).parent.glob("*.py"))
     }
-    assert {name: f for name, f in found.items() if f} == _POW_ALLOWED
+    assert {name: f for name, f in found.items() if f} == {}

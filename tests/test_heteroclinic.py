@@ -327,11 +327,13 @@ def test_a_converged_dip_below_the_sign_floor_raises(monkeypatch):
 
 @pytest.mark.parametrize("entry", [-1e-12, 1.0 + 1e-12])
 def test_a_value_outside_the_unit_interval_is_not_bounded(sol3, entry):
-    # one entry past a limit state by more than the saturation band 1e-13,
-    # in the tail that saturates to that limit
+    # one entry past a limit state by more than the saturation band 1e-13:
+    # below 0 in the left tail fails the lower bound; above 1 at the right
+    # end, whose mirror partner v2 = v1[0] is 0, fails only the sum check
+    # v1^2 + v2^2 <= 1 + 1e-13
     v1 = sol3.v1.copy()
     assert heteroclinic._bounded_flag(v1)
-    v1[1 if entry < 0.0 else -2] = entry
+    v1[1 if entry < 0.0 else -1] = entry
     assert not heteroclinic._bounded_flag(v1)
 
 

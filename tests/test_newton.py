@@ -12,6 +12,7 @@ from beclab import (
     BandedMatrix,
     NonConvergenceError,
     SingularJacobianError,
+    newton,
     newton_solve,
 )
 
@@ -130,6 +131,15 @@ def test_converged_at_start_takes_no_step():
     residual, jacobian = scalar_problem()
     result = newton_solve(residual, jacobian, np.array([math.sqrt(2.0)]))
     assert result.iterations == 0
+
+
+def test_convergence_on_the_last_allowed_step_returns(monkeypatch):
+    # a linear system is solved by one full step: with a budget of one
+    # step, the tolerance is first met after the loop
+    monkeypatch.setattr(newton, "_MAX_ITERS", 1)
+    result = newton_solve(lambda u: 2.0 * u - 3.0, lambda u: scalar_jacobian(2.0), np.array([0.0]))
+    assert result.iterations == 1
+    assert result.solution[0] == 1.5 and result.residual_norm == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, solve_ivp
 
 from beclab import (
     PSI0,
@@ -15,7 +19,7 @@ from beclab import (
     outer_value,
     solve_blowup,
 )
-from beclab import shooting
+from beclab import profiles, shooting
 
 # Frozen oracle values from the mirror-symmetric shooting integration
 # (DOP853, rtol 1e-13): center value a = V1(0) and far-field offset kappa.
@@ -111,6 +115,43 @@ def test_blowup_coarse_core_mesh_names_the_remedy():
         solve_blowup(12.0, 1025)
 
 
+def _converged_to(change):
+    """A newton_solve stub that returns the start, the ramp and its mirror
+    (V1 at even places, V2 at odd ones), after change(V1, V2) edits it."""
+    def stub(residual, jacobian, init):
+        u = init.copy()
+        change(u[0::2], u[1::2])
+        return u, 1, 0.0
+
+    return stub
+
+
+def _dip(v1, v2):
+    v2[100] = -1e-3
+
+
+def _bump(v1, v2):
+    v1[100] = v1[102]
+
+
+def _stretch(v1, v2):
+    v1 *= 1.01
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_dip, "negative component after convergence"),
+        (_bump, "core profile lost monotonicity"),
+        (_stretch, "mirror symmetry violated"),
+    ],
+)
+def test_a_converged_core_that_fails_validation_raises(monkeypatch, change, message):
+    monkeypatch.setattr(profiles, "newton_solve", _converged_to(change))
+    with pytest.raises(RuntimeError, match=message):
+        solve_blowup(12.0, 1025)
+
+
 def test_kappa_against_shooting(blowup_default):
     shot = kappa_shooting()
     assert abs(shot.kappa - KAPPA_FROZEN) <= 1e-9
@@ -131,10 +172,16 @@ def test_shooting_read_point_stability(monkeypatch):
 
 
 def test_shooting_read_past_the_separatrix_raises(monkeypatch):
-    # the orbit from the final bracket turns back (V2' > 0) at x = 6.46, so
-    # a read point beyond it no longer lies on the connecting orbit
-    monkeypatch.setattr(shooting, "_READ_AT", 6.5)
+    # the orbit from the final bracket crosses zero (V2 < 0) at x = 6.93,
+    # so a read point beyond it no longer lies on the connecting orbit
+    monkeypatch.setattr(shooting, "_READ_AT", 7.0)
     with pytest.raises(RuntimeError, match="left the separatrix"):
+        kappa_shooting()
+
+
+def test_shooting_bracket_on_one_side_raises(monkeypatch):
+    monkeypatch.setattr(shooting, "_classify_many", lambda a: np.ones(a.size, dtype=int))
+    with pytest.raises(RuntimeError, match="does not straddle the separatrix"):
         kappa_shooting()
 
 
@@ -210,53 +257,67 @@ def test_shooting_orbit_unclassified_at_horizon_raises(monkeypatch):
         kappa_shooting()
 
 
-def test_stepper_tableau_is_scipys():
-    for s in range(1, 12):
-        assert np.array_equal(shooting._A[s], DOP853.A[s, :s])
-    assert np.array_equal(DOP853.A[0], np.zeros(12))
-    for ours, theirs in ((shooting._C, DOP853.C), (shooting._B, DOP853.B),
-                         (shooting._E3, DOP853.E3), (shooting._E5, DOP853.E5)):
-        assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+def _rhs(x, y):
+    # y stacks K orbits as the blocks V1, V2, V1', V2' of K entries each
+    v1, v2, w = np.split(y, [y.size // 4, y.size // 2])
+    return np.concatenate((w, v2 * v2 * v1, v1 * v1 * v2))
 
 
-def _scipy_steps(a, t_bound):
-    b = np.sqrt((PSI0**2 + a**4) / 2.0)
-    ref = DOP853(
-        shooting._rhs, 0.0, np.concatenate((a, a, b, -b)), t_bound,
-        rtol=shooting._RTOL, atol=shooting._ATOL,
-    )
-    steps = []
+def _initial_state(a):
+    b = np.sqrt((PSI0**2 + (a * a) ** 2) / 2.0)
+    return np.concatenate((a, a, b, -b))
+
+
+def test_stepper_agrees_with_scipys_dop853_on_the_connecting_orbit():
+    # at the stepper's own step ends; V2 and V2' are left out: the
+    # separatrix amplifies any difference like exp(psi0 x^2 / 2), for
+    # either integrator
+    a = np.array([kappa_shooting().crossing])
+    x, y = map(np.array, zip(*shooting._solver(a, shooting._READ_AT)))
+    assert x[-1] == shooting._READ_AT
+    ref = solve_ivp(
+        _rhs, (0.0, shooting._READ_AT), _initial_state(a), method="DOP853",
+        t_eval=x, rtol=1e-13, atol=1e-15,
+    ).y.T
+    assert np.max(np.abs(y[:, [0, 2]] - ref[:, [0, 2]])) <= 1e-13
+    v1, v2, w1, w2 = y.T
+    assert np.max(np.abs(w1 * w1 + w2 * w2 - (v1 * v2) ** 2 - PSI0**2)) <= 1e-14
+
+
+def test_stepper_underflows_where_scipys_dop853_fails():
+    # the initial bracket ends, stacked: both orbits blow up, and both
+    # integrators give up at the same x
+    a = np.array([0.55, 0.68])
+    ends = []
+    with pytest.raises(RuntimeError, match="step size underflow"):
+        for x, _ in shooting._solver(a, shooting._HORIZON):
+            ends.append(x)
+    ref = DOP853(_rhs, 0.0, _initial_state(a), shooting._HORIZON, rtol=1e-13, atol=1e-15)
     while ref.status == "running":
         ref.step()
-        if ref.status != "failed":
-            steps.append((ref.t, ref.y.copy()))
-    return steps, ref.status
+    assert ref.status == "failed"
+    assert abs(ends[-1] - ref.t) <= 1e-9
 
 
-@pytest.mark.parametrize(
-    "a, t_bound",
-    [
-        # the initial bracket ends, stacked: both blow up, and both
-        # steppers give up at the same step
-        ((0.55, 0.68), shooting._HORIZON),
-        # the connecting orbit to the read point
-        ((0.6121750416071583,), shooting._READ_AT),
-    ],
-)
-def test_stepper_takes_scipys_steps(a, t_bound):
-    a = np.array(a)
-    theirs, status = _scipy_steps(a, t_bound)
-    ours = []
-    try:
-        for x, y in shooting._solver(a, t_bound):
-            ours.append((x, y))
-        assert status == "finished"
-    except RuntimeError as exc:
-        assert "step size underflow" in str(exc) and status == "failed"
-    assert len(ours) == len(theirs) > 50
-    assert [x for x, _ in ours] == [x for x, _ in theirs]
-    for (_, y), (_, ref) in zip(ours, theirs):
-        assert np.all(np.abs(y - ref) <= 2.0 * np.spacing(np.abs(ref)))
+def test_kappa_shooting_is_the_same_in_fresh_processes():
+    # one interpreter with a single BLAS and OpenMP thread, one with the
+    # inherited settings: the stepper's sums must not depend on threading
+    src = str(Path(shooting.__file__).resolve().parents[1])
+    code = (
+        "from beclab import kappa_shooting; r = kappa_shooting(); "
+        "print(r.kappa.hex(), r.crossing.hex())"
+    )
+    single = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    outputs = []
+    for extra in (single, {}):
+        env = {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 2
 
 
 def test_extract_kappa_window_consistency():

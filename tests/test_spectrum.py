@@ -427,6 +427,19 @@ def test_solver_that_skips_the_bottom_pair_is_rejected(monkeypatch):
         lowest_eigenpairs(S, LAPLACIAN_SHIFT)
 
 
+def test_sector_pair_with_a_large_residual_is_rejected(monkeypatch):
+    # a unit vector that is no eigenvector of its sector block fails the
+    # residual certificate on the full operator
+    S = lifted_sum_channel(201, 0.5)
+
+    def first_unit_vector(block, pole, tol, parity):
+        return 1.0, np.eye(1, block.dim)[0], 1
+
+    monkeypatch.setattr(spectrum, "_sector_bottom", first_unit_vector)
+    with pytest.raises(RuntimeError, match="has residual .* above the tolerance"):
+        lowest_eigenpairs(S, LAPLACIAN_SHIFT)
+
+
 def test_sector_solver_does_not_stop_on_a_higher_eigenpair():
     # the start (1, 0, 1, 0, ...) is an eigenvector of eigenvalue 0 up to
     # a 1e-9 coupling to the bottom well -1 at index 1: its residual is
