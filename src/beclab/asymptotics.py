@@ -34,6 +34,7 @@ from .heteroclinic import HeteroclinicSolution
 from .profiles import PSI0, BlowupProfile, outer_value, outer_derivative
 
 __all__ = [
+    "COMPOSITE_LAM_MIN",
     "CompositeApproximation",
     "ErrorReport",
     "ErrorOrders",
@@ -42,6 +43,10 @@ __all__ = [
     "fit_error_orders",
     "shift_estimate",
 ]
+
+# Smallest coupling the composite is built at; it is an expansion in
+# large lam.
+COMPOSITE_LAM_MIN = 10.0
 
 # Rate c of the exponential weight e^{c|z|} of the outer sup norms.
 _C_WEIGHT = 1.0
@@ -170,10 +175,11 @@ class ErrorOrders:
 
 
 def check_composite_coupling(lam: float, X: float) -> None:
-    """Raise ValueError unless lam >= 10 and ln(lam) <= X, so that the
-    stretched inner window sits inside core data on [-X, X]."""
-    if lam < 10.0:
-        raise ValueError(f"composite needs lam >= 10, got {lam}")
+    """Raise ValueError unless lam >= COMPOSITE_LAM_MIN (10) and
+    ln(lam) <= X, so that the stretched inner window sits inside core data
+    on [-X, X]."""
+    if lam < COMPOSITE_LAM_MIN:
+        raise ValueError(f"composite needs lam >= {COMPOSITE_LAM_MIN:g}, got {lam}")
     if math.log(lam) > X * (1.0 + 1e-12):
         raise ValueError(
             f"inner window needs X >= ln(lam) = {math.log(lam):.2f}, "

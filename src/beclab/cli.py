@@ -6,6 +6,13 @@ singular pivot of the spectrum's inertia count), 3 verification failure.
 All outputs are flat files (CSV curves, JSON reports) carrying the
 resolved configuration, with pinned formatting so reruns are
 byte-identical.
+
+A single --lambda (solve, composite, spectrum, energy) is reached by one of
+three paths (_solve_at): a direct solve from the explicit lam = 3 seed
+below 10, the matched composite corrected by Newton on the mesh ladder
+inside the composite window (ln lam <= X), and continuation upward from 3
+beyond it; a --seed file seeds one direct solve instead. Sweeps (continue,
+energy --lambda-range, verify) continue from 3.
 """
 
 from __future__ import annotations
@@ -18,19 +25,25 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .asymptotics import build_composite, check_composite_coupling, measure_errors
+from .asymptotics import (
+    COMPOSITE_LAM_MIN,
+    build_composite,
+    check_composite_coupling,
+    measure_errors,
+)
 from .energy import expansion_residual
 from .heteroclinic import (
     ContinuationTrace,
     HeteroclinicSolution,
     StepUnderflow,
     continue_in_lambda,
+    correct_on_ladder,
     default_domain_halfwidth,
     default_grid,
     mesh_ladder,
     solve_heteroclinic,
 )
-from .profiles import CORE_N, PSI0, solve_blowup
+from .profiles import CORE_N, PSI0, BlowupProfile, solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
 from .spectrum import nondegeneracy_report
 from .verify import run_verification
@@ -38,9 +51,9 @@ from . import __version__
 
 __all__ = ["main", "entry"]
 
-# Couplings up to this one are reached by a direct Newton solve from the
-# explicit lam = 3 seed; larger ones by continuation upward from 3.
-_DIRECT_MAX = 30.0
+# Half-width of the core domain: the --X default of composite, energy and
+# verify, and the core profile whose composite seeds solve and spectrum.
+_CORE_X = 15.0
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -103,16 +116,16 @@ _COMMAND_FIELDS = {
     "solve": {"lam": None, "L": None, "n": 8193, "seed": None, "out": "."},
     "continue": {"lam_range": None, "n": 8193, "out": "."},
     "composite": {
-        "lam": None, "X": 15.0, "L": None, "n": 8193, "seed": None,
+        "lam": None, "X": _CORE_X, "L": None, "n": 8193, "seed": None,
         "variant": "shifted", "out": ".",
     },
     "spectrum": {"lam": None, "L": None, "n": 8193, "seed": None, "out": "."},
     "energy": {
-        "lam": None, "lam_range": None, "X": 15.0, "L": None, "n": 8193,
+        "lam": None, "lam_range": None, "X": _CORE_X, "L": None, "n": 8193,
         "seed": None, "out": ".",
     },
     "verify": {
-        "lam_range": (10.0, 1e6, 1), "X": 15.0, "n": 8193, "tol": 1.0, "out": ".",
+        "lam_range": (10.0, 1e6, 1), "X": _CORE_X, "n": 8193, "tol": 1.0, "out": ".",
     },
 }
 
@@ -163,15 +176,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(command=args.command, **merged)
 
 
-def _check_mesh(lam: float, L: float | None, n: int, flag: str) -> None:
-    """Build every mesh a solve at lam may use: each mesh of the
-    continuation ladder on its default half-width, and n on [-L, L] when L
-    is given. So a coupling that some mesh cannot resolve fails before any
-    solve, naming the flag it came from."""
-    half = default_domain_halfwidth(lam)
-    meshes = [(m, half) for m in mesh_ladder(n)]
-    if L is not None:
-        meshes.append((n, L))
+def _check_mesh(lam: float, meshes, n: int, flag: str) -> None:
+    """Build every mesh a solve at lam will use, given as (nodes,
+    half-width) pairs, so that a coupling some mesh cannot resolve fails
+    before any solve, naming the flag it came from."""
     for m, width in meshes:
         try:
             default_grid(lam, width, m)
@@ -181,23 +189,51 @@ def _check_mesh(lam: float, L: float | None, n: int, flag: str) -> None:
             ) from None
 
 
-def _solve_at(cfg: argparse.Namespace, lam: float) -> HeteroclinicSolution:
-    """Direct solve up to _DIRECT_MAX, continuation upward from 3 above
-    it, or a direct solve from a user seed file when one is given. A given
-    --L holds at lam: continuation solves each step on its own default
-    half-width, so its end point is re-solved on [-L, L]."""
-    n = cfg.n
-    _check_mesh(lam, cfg.L, n, "--lambda")
-    if cfg.seed is not None:
-        z, v1, _ = read_seed_csv(cfg.seed)  # v2 is v1 mirrored
-        return solve_heteroclinic(lam, L=cfg.L, n=n, init=(z, v1))
-    if lam <= _DIRECT_MAX:
-        return solve_heteroclinic(lam, L=cfg.L, n=n)
-    start = solve_heteroclinic(3.0, L=cfg.L, n=n)
-    sol = continue_in_lambda(start, [lam]).solutions[-1]
-    if cfg.L is None:
-        return sol
-    return solve_heteroclinic(lam, L=cfg.L, n=n, init=(sol.grid.nodes, sol.v1))
+def _solve_at(
+    cfg: argparse.Namespace, lam: float, X: float
+) -> tuple[HeteroclinicSolution, BlowupProfile | None]:
+    """The solution at lam, and the core profile on [-X, X] whose
+    composite seeded it (None on the other paths). Every mesh of the
+    chosen path is built before any solve (_check_mesh).
+
+    - A user seed file, when given, seeds one direct solve.
+    - Below COMPOSITE_LAM_MIN (10): a direct solve from the explicit
+      lam = 3 seed.
+    - Inside the composite window (check_composite_coupling(lam, X)): the
+      paper's construction. The shifted composite seeds the coarsest mesh
+      of mesh_ladder(n), and correct_on_ladder carries that solve to each
+      finer mesh, all on [-L, L].
+    - Beyond it (ln lam > X): continuation upward from 3. Its steps solve
+      on their default half-widths, so a given --L re-solves the end point
+      on [-L, L].
+    """
+    n, L = cfg.n, cfg.L
+    half = default_domain_halfwidth(lam)
+    width = half if L is None else L
+    if cfg.seed is not None or lam < COMPOSITE_LAM_MIN:
+        _check_mesh(lam, [(n, width)], n, "--lambda")
+        init = None
+        if cfg.seed is not None:
+            z, v1, _ = read_seed_csv(cfg.seed)  # v2 is v1 mirrored
+            init = (z, v1)
+        return solve_heteroclinic(lam, L=L, n=n, init=init), None
+    ladder = mesh_ladder(n)
+    try:
+        check_composite_coupling(lam, X)
+    except ValueError:  # beyond the core window
+        resolve = [] if L is None else [(n, L)]
+        _check_mesh(lam, [(m, half) for m in ladder] + resolve, n, "--lambda")
+        start = solve_heteroclinic(3.0, L=L, n=n)
+        sol = continue_in_lambda(start, [lam]).solutions[-1]
+        if L is not None:
+            sol = solve_heteroclinic(lam, L=L, n=n, init=(sol.grid.nodes, sol.v1))
+        return sol, None
+    _check_mesh(lam, [(m, width) for m in ladder], n, "--lambda")
+    profile = solve_blowup(X=X, n=CORE_N)
+    grid = default_grid(lam, width, ladder[0])
+    seed, _ = build_composite(lam, profile).values(grid.nodes)
+    coarse = solve_heteroclinic(lam, L=width, n=ladder[0], init=(grid.nodes, seed))
+    return correct_on_ladder(coarse, n)[0], profile
 
 
 def _sweep_from_seed(lams: list[float], n: int) -> ContinuationTrace:
@@ -211,7 +247,8 @@ def _sweep_from_seed(lams: list[float], n: int) -> ContinuationTrace:
         )
     if lams[-1] == 3.0:
         raise ValueError("a sweep must reach above the seed coupling 3")
-    _check_mesh(lams[-1], None, n, "--lambda-range")
+    half = default_domain_halfwidth(lams[-1])
+    _check_mesh(lams[-1], [(m, half) for m in mesh_ladder(n)], n, "--lambda-range")
     start = solve_heteroclinic(3.0, n=n)
     return continue_in_lambda(start, [lam for lam in lams if lam > 3.0])
 
@@ -249,11 +286,12 @@ def _cmd_blowup(cfg: argparse.Namespace) -> _Output:
 def _cmd_solve(cfg: argparse.Namespace) -> _Output:
     if cfg.lam is None:
         raise ValueError("solve requires --lambda")
-    sol = _solve_at(cfg, cfg.lam)
+    sol, _ = _solve_at(cfg, cfg.lam, _CORE_X)
     columns = {"z": sol.grid.nodes, "v1": sol.v1, "v2": sol.v2, "dv1": sol.dv1, "dv2": sol.dv2}
     summary = {
         "lambda": sol.lam,
         "newton_residual": sol.newton_residual,
+        "newton_iterations": sol.newton_iterations,
         "hamiltonian_dev": sol.hamiltonian_dev,
         "monotone": sol.flags.monotone,
         "bounded": sol.flags.bounded,
@@ -301,8 +339,9 @@ def _cmd_composite(cfg: argparse.Namespace) -> _Output:
     if cfg.lam is None:
         raise ValueError("composite requires --lambda")
     check_composite_coupling(cfg.lam, cfg.X)
-    profile = solve_blowup(X=cfg.X, n=CORE_N)
-    sol = _solve_at(cfg, cfg.lam)
+    sol, profile = _solve_at(cfg, cfg.lam, cfg.X)
+    if profile is None:  # a --seed solve
+        profile = solve_blowup(X=cfg.X, n=CORE_N)
     approx = build_composite(cfg.lam, profile, variant=cfg.variant)
     report = measure_errors(sol, approx)
     a1, a2 = approx.values(sol.grid.nodes)
@@ -313,7 +352,7 @@ def _cmd_composite(cfg: argparse.Namespace) -> _Output:
 def _cmd_spectrum(cfg: argparse.Namespace) -> _Output:
     if cfg.lam is None:
         raise ValueError("spectrum requires --lambda")
-    sol = _solve_at(cfg, cfg.lam)
+    sol, _ = _solve_at(cfg, cfg.lam, _CORE_X)
     report, pairs = nondegeneracy_report(sol)
     columns = {"z": sol.grid.nodes}
     for i, (_value, (phi1, phi2)) in enumerate(pairs, start=1):
@@ -329,13 +368,16 @@ def _cmd_energy(cfg: argparse.Namespace) -> _Output:
         raise ValueError("energy requires exactly one of --lambda and --lambda-range")
     if cfg.lam_range is not None and (cfg.L is not None or cfg.seed is not None):
         raise ValueError("energy reads --L and --seed only with --lambda")
+    profile = None
     if cfg.lam_range is not None:
         lams = range_couplings(cfg.lam_range)
         wanted = set(lams)
         sols = [s for s in _sweep_from_seed(lams, cfg.n).solutions if s.lam in wanted]
     else:
-        sols = [_solve_at(cfg, cfg.lam)]
-    profile = solve_blowup(X=cfg.X, n=CORE_N)
+        sol, profile = _solve_at(cfg, cfg.lam, cfg.X)
+        sols = [sol]
+    if profile is None:
+        profile = solve_blowup(X=cfg.X, n=CORE_N)
     reports = [expansion_residual(s, profile) for s in sols]
     columns = {
         "lambda": [r.lam for r in reports],

@@ -25,10 +25,12 @@ iteration count does not depend on the mesh once the mesh is fine enough
 each step from lam to 10*lam climbs on the coarsest mesh of the ladder
 (each mesh has a quarter of the intervals of the next, none below 513
 nodes), seeded from the previous step's coarsest solution, and each finer
-mesh is seeded from the solution just below it at the same coupling. On
-every finer mesh Newton then needs about one iteration, and the requested
-mesh ends at the rounding floor. A seed is v1 alone: folded into sector
-order, it is the state Newton starts from.
+mesh is seeded from the solution just below it at the same coupling
+(correct_on_ladder, which also carries any other coarsest solve, such as
+one seeded from the matched composite, up the ladder). On every finer
+mesh Newton then needs about one iteration, and the requested mesh ends
+at the rounding floor. A seed is v1 alone: folded into sector order, it
+is the state Newton starts from.
 
 Discretisation is the flux form of the second difference on a sinh-graded
 mesh whose fine region tracks the interface core (|z| of order
@@ -81,6 +83,7 @@ __all__ = [
     "default_grid",
     "solve_heteroclinic",
     "mesh_ladder",
+    "correct_on_ladder",
     "continue_in_lambda",
     "hamiltonian_values",
     "sigma_gradient_form",
@@ -496,6 +499,27 @@ def mesh_ladder(n: int) -> tuple[int, ...]:
     return tuple(reversed(ladder))
 
 
+def correct_on_ladder(
+    coarse: HeteroclinicSolution, n: int
+) -> tuple[HeteroclinicSolution, tuple[int, ...]]:
+    """Carry coarse, a solve on the coarsest mesh of mesh_ladder(n), to n
+    nodes: a Newton correction at coarse.lam on each finer mesh of the
+    ladder, seeded from the solution just below it, all on coarse's
+    [-L, L]. Returns the solution on n nodes and the Newton iterations on
+    every mesh, coarsest first; only the solve in hand and its seed are
+    alive at a time."""
+    coarsest, *finer = mesh_ladder(n)
+    if coarse.n != coarsest:
+        raise ValueError(
+            f"coarse solve has {coarse.n} nodes; the ladder of {n} starts at {coarsest}"
+        )
+    sol, iterations = coarse, [coarse.newton_iterations]
+    for m in finer:
+        sol = solve_heteroclinic(coarse.lam, n=m, L=coarse.L, init=(sol.grid.nodes, sol.v1))
+        iterations.append(sol.newton_iterations)
+    return sol, tuple(iterations)
+
+
 def continue_in_lambda(
     start: HeteroclinicSolution,
     targets,
@@ -504,10 +528,10 @@ def continue_in_lambda(
     """Walk the branch upward from start through the strictly increasing
     targets on meshes of n nodes (default: start's).
 
-    Each step solves its proposal on every mesh of mesh_ladder(n),
-    coarsest first. The coarsest solve is seeded from the previous step's
-    coarsest solution (the first step's from start), and each finer one
-    from the solution just below it at the same coupling, so only the
+    Each step solves its proposal on the coarsest mesh of mesh_ladder(n),
+    seeded from the previous step's coarsest solution (the first step's
+    from start), and correct_on_ladder carries it to each finer mesh, each
+    seeded from the solution just below it at the same coupling, so only the
     coarsest solution is kept from one step to the next and, after the
     first step, no seed is resampled from the requested mesh. The trace
     and its solutions are on the requested mesh;
@@ -524,8 +548,8 @@ def continue_in_lambda(
     so every target is solved at exactly its requested value; a halved
     proposal lies strictly between the current coupling and the one that
     failed, so no failed solve is repeated. This function only climbs:
-    couplings below start.lam are not its job (the CLI solves every
-    coupling up to 30 directly, from the explicit lam = 3 seed). The trace
+    couplings below start.lam are not its job (the CLI solves couplings
+    below 10 directly, from the explicit lam = 3 seed). The trace
     records every accepted solve including the start.
     """
     targets = [float(t) for t in targets]
@@ -533,7 +557,8 @@ def continue_in_lambda(
         raise ValueError("targets must be nonempty")
     if not np.all(np.diff([start.lam] + targets) > 0.0):
         raise ValueError("targets must increase strictly from start.lam")
-    coarsest, *finer = mesh_ladder(start.grid.n if n is None else n)
+    n = start.grid.n if n is None else n
+    coarsest = mesh_ladder(n)[0]
 
     log_step = math.log(_STEP_FACTOR)
     entries = [_trace_entry(start)]
@@ -549,13 +574,10 @@ def continue_in_lambda(
                 if proposal > target or math.isclose(proposal, target, rel_tol=_SNAP_RTOL):
                     proposal = target
                 try:
-                    climb = sol = solve_heteroclinic(
+                    climb = solve_heteroclinic(
                         proposal, n=coarsest, init=(climbed.grid.nodes, climbed.v1)
                     )
-                    iterations = [sol.newton_iterations]
-                    for m in finer:
-                        sol = solve_heteroclinic(proposal, n=m, init=(sol.grid.nodes, sol.v1))
-                        iterations.append(sol.newton_iterations)
+                    sol, iterations = correct_on_ladder(climb, n)
                 except (NonConvergenceError, SingularJacobianError, SignViolationError):
                     halvings += 1
                     if halvings > _MAX_HALVINGS:
@@ -568,7 +590,7 @@ def continue_in_lambda(
                         lam_to=proposal,
                         halvings=halvings,
                         iterations=iterations[-1],
-                        coarse_iterations=tuple(iterations[:-1]),
+                        coarse_iterations=iterations[:-1],
                     )
                 )
                 current, climbed = sol, climb

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import inspect
 import io
@@ -19,12 +20,16 @@ from beclab.cli import main, range_couplings
 from beclab.runio import read_seed_csv, write_csv
 from beclab.heteroclinic import (
     StepUnderflow,
+    continue_in_lambda,
+    correct_on_ladder,
     default_domain_halfwidth,
     default_grid,
     explicit_lambda3,
+    mesh_ladder,
     solve_heteroclinic,
 )
 from beclab.newton import NonConvergenceError
+from beclab.profiles import solve_blowup
 from beclab.verify import default_sweep, run_verification
 
 
@@ -260,6 +265,9 @@ def test_composite_outside_its_window_exits_one_before_solving(
         # mesh grades only up to about 4.5e30
         (["solve", "--lambda", "1e31"], "--lambda 1e+31"),
         (["energy", "--lambda-range", "10:1e31:1"], "--lambda-range 1e+31"),
+        # inside the composite window of a core on [-100, 100]: the ladder
+        # on [-L, L] is checked before the core is solved
+        (["energy", "--lambda", "1e40", "--X", "100"], "--lambda 1e+40"),
     ],
 )
 def test_unresolvable_coupling_exits_one_before_solving(
@@ -343,6 +351,9 @@ def test_solve_command_and_summary(tmp_path):
     summary = read_json(out / "solution_summary.json")
     assert summary["report"]["lambda"] == 3.0
     assert summary["report"]["newton_residual"] <= 1e-10
+    # the returned solve's own count: Newton's perturbation step
+    direct = solve_heteroclinic(3.0, n=1025)
+    assert summary["report"]["newton_iterations"] == direct.newton_iterations
     assert summary["config"]["resolved_n"] == 1025
     assert summary["config"]["resolved_L"] == 20.0
     # written by the CLI alone, as the benchmark reference pins them
@@ -353,8 +364,13 @@ def test_solve_command_and_summary(tmp_path):
     assert len(rows) == 2 + 1025
 
 
-def test_solve_routes_through_continuation(tmp_path):
-    # lam above 30 is reached by continuation upward from 3
+def test_solve_inside_the_composite_window_does_not_continue(tmp_path, monkeypatch):
+    # 10 <= lam and ln(lam) <= 15 is seeded from the composite on the mesh
+    # ladder, with no continuation from 3
+    def no_continuation(*args, **kwargs):
+        raise AssertionError("continuation used for lam = 50")
+
+    monkeypatch.setattr(cli, "continue_in_lambda", no_continuation)
     out = tmp_path / "run"
     code = main(["solve", "--lambda", "50", "--n", "1025", "--out", str(out)])
     assert code == 0
@@ -363,11 +379,93 @@ def test_solve_routes_through_continuation(tmp_path):
     # n=1025 keeps this test fast; the deviation is mesh-limited there
     assert summary["report"]["hamiltonian_dev"] <= 1e-4
     assert summary["report"]["newton_residual"] <= 1e-10
+    # the composite is an approximation, so Newton takes at least one step
+    assert summary["report"]["newton_iterations"] >= 1
+
+
+def test_solve_beyond_the_composite_window_routes_through_continuation(
+    tmp_path, monkeypatch
+):
+    # ln(1e7) = 16.1 exceeds the core half-width 15: continuation upward
+    # from 3 is the only path there
+    calls = []
+
+    def recording(start, targets):
+        calls.append((start.lam, list(targets)))
+        return continue_in_lambda(start, targets)
+
+    monkeypatch.setattr(cli, "continue_in_lambda", recording)
+    out = tmp_path / "run"
+    code = main(["solve", "--lambda", "1e7", "--L", "30", "--n", "1025", "--out", str(out)])
+    assert code == 0
+    assert calls == [(3.0, [1e7])]
+    summary = read_json(out / "solution_summary.json")
+    assert summary["report"]["lambda"] == 1e7
+    # continuation steps on the default half-width; the end point is
+    # re-solved on the given [-L, L]
+    assert summary["config"]["resolved_L"] == 30.0
+    assert summary["report"]["hamiltonian_dev"] <= 1e-4
+    assert summary["report"]["newton_residual"] <= 1e-10
+
+
+def test_composite_command_solves_the_core_once(tmp_path, monkeypatch):
+    # the core profile that seeds the solve is the one the errors are
+    # measured against
+    calls = []
+
+    def recording(**kwargs):
+        calls.append(kwargs)
+        return solve_blowup(**kwargs)
+
+    monkeypatch.setattr(cli, "solve_blowup", recording)
+    out = tmp_path / "run"
+    assert main(["composite", "--lambda", "1e4", "--n", "1025", "--out", str(out)]) == 0
+    assert calls == [{"X": 15.0, "n": 4097}]
+
+
+# couplings at which the composite-seeded ladder is checked against the
+# continuation branch from 3, on the default 8193-node mesh
+AGREEMENT = (15.0, 1e2, 1e3, 1e4, 1e6)
+
+
+@pytest.fixture(scope="module")
+def branch_8193():
+    start = solve_heteroclinic(3.0, n=8193)
+    return {s.lam: s for s in continue_in_lambda(start, AGREEMENT).solutions}
+
+
+@pytest.mark.parametrize("lam", [15.0, 1e2, 1e4, 1e6])
+def test_composite_ladder_agrees_with_continuation(lam, branch_8193):
+    # the paper's construction (composite seed, Newton on the mesh ladder)
+    # and the continuation branch from 3 reach the same discrete solution,
+    # both at the rounding floor
+    cfg = argparse.Namespace(n=8193, L=None, seed=None)
+    sol, profile = cli._solve_at(cfg, lam, 15.0)
+    branch = branch_8193[lam]
+    assert profile.X == 15.0
+    assert np.array_equal(sol.grid.nodes, branch.grid.nodes)
+    assert np.max(np.abs(sol.v1 - branch.v1)) <= 1e-11
+    assert sol.newton_residual <= 1e-12 and branch.newton_residual <= 1e-12
+
+
+def test_composite_ladder_on_a_given_L_agrees_with_continuation(branch_8193):
+    # --L 25: every mesh of the ladder is on [-25, 25]. The continuation's
+    # end point is carried onto the same meshes by the same ladder
+    lam, n = 1e3, 8193
+    sol, _ = cli._solve_at(argparse.Namespace(n=n, L=25.0, seed=None), lam, 15.0)
+    end = branch_8193[lam]
+    coarse = solve_heteroclinic(lam, n=mesh_ladder(n)[0], L=25.0, init=(end.grid.nodes, end.v1))
+    moved, _ = correct_on_ladder(coarse, n)
+    assert sol.L == moved.L == 25.0
+    assert np.array_equal(sol.grid.nodes, moved.grid.nodes)
+    assert np.max(np.abs(sol.v1 - moved.v1)) <= 1e-11
+    assert sol.newton_residual <= 1e-12 and moved.newton_residual <= 1e-12
 
 
 def test_solve_below_two_is_a_direct_solve(tmp_path, monkeypatch):
-    # every coupling up to 30 is a direct solve from the explicit seed;
-    # continuation only climbs from 3 to larger couplings
+    # every coupling below 10 is a direct solve from the explicit seed;
+    # continuation only climbs from 3 to couplings beyond the composite
+    # window
     def no_continuation(*args, **kwargs):
         raise AssertionError("continuation used for lam = 1.5")
 
@@ -583,9 +681,11 @@ def test_config_range_goes_through_the_flag_conversion(tmp_path):
 
 @pytest.mark.parametrize("command", ["solve", "spectrum"])
 def test_domain_flag_holds_after_continuation(command, tmp_path):
-    # lam = 1e3 lies above 30, the largest direct solve; continuation
-    # solves its steps on the default half-width (20.77 at 1e3), yet --L
-    # sets the domain of the reported solution
+    # --L sets the domain of the reported solution: at 1e3 the
+    # composite-seeded ladder solves on [-L, L] throughout (the default
+    # half-width is 20.77 there); the continuation branch, which re-solves
+    # its end point on [-L, L], is checked at 1e7 by
+    # test_solve_beyond_the_composite_window_routes_through_continuation
     out = tmp_path / "run"
     argv = [command, "--lambda", "1e3", "--L", "30", "--n", "1025", "--out", str(out)]
     assert main(argv) == 0
@@ -670,7 +770,8 @@ def test_continuation_stall_exits_two_and_writes_nothing(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli, "continue_in_lambda", stalled)
     out = tmp_path / "run"
-    assert main(["solve", "--lambda", "1e4", "--n", "1025", "--out", str(out)]) == 2
+    # 1e7 lies beyond the composite window, so solve continues from 3
+    assert main(["solve", "--lambda", "1e7", "--n", "1025", "--out", str(out)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert err == "beclab solve: continuation stalled, last converged coupling 123.4\n"

@@ -25,6 +25,7 @@ from beclab.heteroclinic import (
     TraceEntry,
     _interleaved,
     _sector,
+    correct_on_ladder,
     default_grid,
     hamiltonian_values,
     mesh_ladder,
@@ -202,6 +203,12 @@ def fail_first_solve_on(mesh, monkeypatch):
 
     monkeypatch.setattr(heteroclinic, "solve_heteroclinic", failing)
     return attempts
+
+
+def test_correct_on_ladder_starts_on_the_coarsest_mesh():
+    # 1025 nodes is not the coarsest mesh of 8193's ladder (513)
+    with pytest.raises(ValueError, match="ladder of 8193 starts at 513"):
+        correct_on_ladder(solve_heteroclinic(3.0, n=1025), 8193)
 
 
 def test_coarse_failure_halves_the_step(sol3, monkeypatch):

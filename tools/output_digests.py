@@ -1,4 +1,4 @@
-"""Run seventeen CLI commands and print one SHA-256 per output file.
+"""Run nineteen CLI commands and print one SHA-256 per output file.
 
 Usage: PYTHONPATH=src python tools/output_digests.py OUTDIR
 
@@ -29,6 +29,7 @@ RUNS = {
     "solve_far_L": (["solve", "--lambda", "1e3", "--L", "25"], 0),
     "solve_low": (["solve", "--lambda", "1.5"], 0),
     "solve_odd": (["solve", "--lambda", "1e3", "--n", "1001"], 0),
+    "solve_beyond": (["solve", "--lambda", "1e7"], 0),
     "continue": (["continue", "--lambda-range", "10:1e6:1"], 0),
     "continue_fine": (["continue", "--lambda-range", "10:1e6:1", "--n", "32769"], 0),
     "composite": (["composite", "--lambda", "1e4"], 0),
@@ -37,6 +38,7 @@ RUNS = {
     "spectrum_low": (["spectrum", "--lambda", "1.2"], 0),
     "spectrum_edge": (["spectrum", "--lambda", "1.05", "--n", "2049"], 0),
     "energy": (["energy", "--lambda-range", "10:1e6:1"], 0),
+    "energy_one": (["energy", "--lambda", "1e4"], 0),
     "verify": (["verify"], 0),
     "verify_tol0": (["verify", "--tol", "0"], 3),
 }
