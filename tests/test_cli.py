@@ -383,9 +383,7 @@ def test_solve_inside_the_composite_window_does_not_continue(tmp_path, monkeypat
     assert summary["report"]["newton_iterations"] >= 1
 
 
-def test_solve_beyond_the_composite_window_routes_through_continuation(
-    tmp_path, monkeypatch
-):
+def test_solve_routes_through_continuation(tmp_path, monkeypatch):
     # ln(1e7) = 16.1 exceeds the core half-width 15: continuation upward
     # from 3 is the only path there
     calls = []
@@ -685,7 +683,7 @@ def test_domain_flag_holds_after_continuation(command, tmp_path):
     # composite-seeded ladder solves on [-L, L] throughout (the default
     # half-width is 20.77 there); the continuation branch, which re-solves
     # its end point on [-L, L], is checked at 1e7 by
-    # test_solve_beyond_the_composite_window_routes_through_continuation
+    # test_solve_routes_through_continuation
     out = tmp_path / "run"
     argv = [command, "--lambda", "1e3", "--L", "30", "--n", "1025", "--out", str(out)]
     assert main(argv) == 0
