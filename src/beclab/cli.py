@@ -8,10 +8,9 @@ resolved configuration, with pinned formatting so reruns are
 byte-identical.
 
 A single --lambda (solve, composite, spectrum, energy) is reached by one of
-three paths (_solve_at): a direct solve from the explicit lam = 3 seed
-below 10, the matched composite corrected by Newton on the mesh ladder
-inside the composite window (ln lam <= X), and continuation upward from 3
-beyond it; a --seed file seeds one direct solve instead. Sweeps (continue,
+two paths (_solve_at): a direct solve, from a --seed file or, below 10,
+from the explicit lam = 3 seed; and otherwise the matched composite
+corrected by Newton on the mesh ladder. Sweeps (continue,
 energy --lambda-range, verify) continue from 3.
 """
 
@@ -43,7 +42,7 @@ from .heteroclinic import (
     mesh_ladder,
     solve_heteroclinic,
 )
-from .profiles import CORE_N, PSI0, BlowupProfile, solve_blowup
+from .profiles import CORE_N, PSI0, BlowupProfile, core_n, solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
 from .spectrum import nondegeneracy_report
 from .verify import run_verification
@@ -176,11 +175,11 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     return argparse.Namespace(command=args.command, **merged)
 
 
-def _check_mesh(lam: float, meshes, n: int, flag: str) -> None:
-    """Build every mesh a solve at lam will use, given as (nodes,
-    half-width) pairs, so that a coupling some mesh cannot resolve fails
+def _check_mesh(lam: float, nodes, width: float, n: int, flag: str) -> None:
+    """Build every mesh a solve at lam will use, each node count of nodes
+    on [-width, width], so that a coupling some mesh cannot resolve fails
     before any solve, naming the flag it came from."""
-    for m, width in meshes:
+    for m in nodes:
         try:
             default_grid(lam, width, m)
         except ValueError as exc:
@@ -192,44 +191,33 @@ def _check_mesh(lam: float, meshes, n: int, flag: str) -> None:
 def _solve_at(
     cfg: argparse.Namespace, lam: float, X: float
 ) -> tuple[HeteroclinicSolution, BlowupProfile | None]:
-    """The solution at lam, and the core profile on [-X, X] whose
-    composite seeded it (None on the other paths). Every mesh of the
-    chosen path is built before any solve (_check_mesh).
+    """The solution at lam, and the core profile whose composite seeded it
+    (None for a direct solve). Every mesh of the chosen path is built
+    before any solve (_check_mesh).
 
-    - A user seed file, when given, seeds one direct solve.
-    - Below COMPOSITE_LAM_MIN (10): a direct solve from the explicit
-      lam = 3 seed.
-    - Inside the composite window (check_composite_coupling(lam, X)): the
-      paper's construction. The shifted composite seeds the coarsest mesh
-      of mesh_ladder(n), and correct_on_ladder carries that solve to each
-      finer mesh, all on [-L, L].
-    - Beyond it (ln lam > X): continuation upward from 3. Its steps solve
-      on their default half-widths, so a given --L re-solves the end point
-      on [-L, L].
+    - A user seed file, or a coupling below COMPOSITE_LAM_MIN (10): one
+      direct solve, seeded from the file or from the explicit lam = 3
+      seed.
+    - Every other coupling: the paper's construction. The core is solved
+      on [-X', X'], where X' is X while ln lam <= X and the ceiling of
+      ln lam beyond, on core_n(X') nodes. Its shifted composite seeds the
+      coarsest mesh of mesh_ladder(n), and correct_on_ladder carries that
+      solve to each finer mesh, all on [-L, L].
     """
     n, L = cfg.n, cfg.L
-    half = default_domain_halfwidth(lam)
-    width = half if L is None else L
+    width = default_domain_halfwidth(lam) if L is None else L
     if cfg.seed is not None or lam < COMPOSITE_LAM_MIN:
-        _check_mesh(lam, [(n, width)], n, "--lambda")
+        _check_mesh(lam, [n], width, n, "--lambda")
         init = None
         if cfg.seed is not None:
             z, v1, _ = read_seed_csv(cfg.seed)  # v2 is v1 mirrored
             init = (z, v1)
         return solve_heteroclinic(lam, L=L, n=n, init=init), None
     ladder = mesh_ladder(n)
-    try:
-        check_composite_coupling(lam, X)
-    except ValueError:  # beyond the core window
-        resolve = [] if L is None else [(n, L)]
-        _check_mesh(lam, [(m, half) for m in ladder] + resolve, n, "--lambda")
-        start = solve_heteroclinic(3.0, L=L, n=n)
-        sol = continue_in_lambda(start, [lam]).solutions[-1]
-        if L is not None:
-            sol = solve_heteroclinic(lam, L=L, n=n, init=(sol.grid.nodes, sol.v1))
-        return sol, None
-    _check_mesh(lam, [(m, width) for m in ladder], n, "--lambda")
-    profile = solve_blowup(X=X, n=CORE_N)
+    _check_mesh(lam, ladder, width, n, "--lambda")
+    if math.log(lam) > X * (1.0 + 1e-12):  # beyond check_composite_coupling's window
+        X = float(math.ceil(math.log(lam)))
+    profile = solve_blowup(X=X, n=core_n(X))
     grid = default_grid(lam, width, ladder[0])
     seed, _ = build_composite(lam, profile).values(grid.nodes)
     coarse = solve_heteroclinic(lam, L=width, n=ladder[0], init=(grid.nodes, seed))
@@ -248,7 +236,7 @@ def _sweep_from_seed(lams: list[float], n: int) -> ContinuationTrace:
     if lams[-1] == 3.0:
         raise ValueError("a sweep must reach above the seed coupling 3")
     half = default_domain_halfwidth(lams[-1])
-    _check_mesh(lams[-1], [(m, half) for m in mesh_ladder(n)], n, "--lambda-range")
+    _check_mesh(lams[-1], mesh_ladder(n), half, n, "--lambda-range")
     start = solve_heteroclinic(3.0, n=n)
     return continue_in_lambda(start, [lam for lam in lams if lam > 3.0])
 
@@ -341,7 +329,7 @@ def _cmd_composite(cfg: argparse.Namespace) -> _Output:
     check_composite_coupling(cfg.lam, cfg.X)
     sol, profile = _solve_at(cfg, cfg.lam, cfg.X)
     if profile is None:  # a --seed solve
-        profile = solve_blowup(X=cfg.X, n=CORE_N)
+        profile = solve_blowup(X=cfg.X, n=core_n(cfg.X))
     approx = build_composite(cfg.lam, profile, variant=cfg.variant)
     report = measure_errors(sol, approx)
     a1, a2 = approx.values(sol.grid.nodes)
@@ -376,8 +364,8 @@ def _cmd_energy(cfg: argparse.Namespace) -> _Output:
     else:
         sol, profile = _solve_at(cfg, cfg.lam, cfg.X)
         sols = [sol]
-    if profile is None:
-        profile = solve_blowup(X=cfg.X, n=CORE_N)
+    if profile is None or profile.X != cfg.X:  # I1 is read from the core on --X
+        profile = solve_blowup(X=cfg.X, n=core_n(cfg.X))
     reports = [expansion_residual(s, profile) for s in sols]
     columns = {
         "lambda": [r.lam for r in reports],

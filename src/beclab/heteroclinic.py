@@ -401,8 +401,9 @@ def solve_heteroclinic(
     increasing node set, such as another solution's grid; they are
     resampled onto the mesh and seed Newton as they are. When init is
     omitted, the mean of the explicit lam=3 branch's v1 and mirrored v2
-    seeds the iteration; that works for couplings near 3 while large
-    couplings should be reached through continue_in_lambda. A converged
+    seeds the iteration; that works for couplings below 10, and larger
+    ones take init from the matched composite or from continue_in_lambda's
+    previous step. A converged
     iterate whose interior dips below the sign noise floor raises
     SignViolationError (the branch of interest is positive).
     """

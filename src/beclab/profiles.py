@@ -47,6 +47,7 @@ from .newton import newton_solve
 __all__ = [
     "PSI0",
     "CORE_N",
+    "core_n",
     "outer_value",
     "outer_derivative",
     "BlowupProfile",
@@ -57,8 +58,7 @@ __all__ = [
 # Slope of the outer front at its zero: psi0 = 1/sqrt(2).
 PSI0 = 1.0 / math.sqrt(2.0)
 
-# Node count of the core mesh: the blowup command's default, and the mesh
-# under every composite, energy and verify run.
+# Node count of the core mesh up to X = 37: the blowup command's default.
 CORE_N = 4097
 
 # Default sinh-map strength for the core grid; resolves the corner region
@@ -69,6 +69,16 @@ _CORE_BETA = 6.0
 # below the linear-solve roundoff, so strict inequalities are only
 # certifiable above this resolution.
 _SIGN_FLOOR = 1e-11
+
+
+def core_n(X: float) -> int:
+    """Node count of the core mesh on [-X, X]: CORE_N up to X = 37, and
+    the intervals doubled per doubling of X beyond. The first-integral
+    deviation grows like X^2 at a fixed node count (9.1e-7 at X = 37 on
+    4097 nodes, against the 1e-6 check) and falls fourfold per doubling of
+    the intervals, so this holds it below 1e-6 (9.1e-7 at X = 74)."""
+    doublings = max(0, math.ceil(math.log2(X / 37.0)))
+    return (CORE_N - 1) * 2**doublings + 1
 
 
 def outer_value(z) -> np.ndarray:

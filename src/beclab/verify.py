@@ -44,7 +44,7 @@ from .heteroclinic import (
     explicit_lambda3,
     solve_heteroclinic,
 )
-from .profiles import CORE_N, PSI0, _core_residual_jacobian, outer_derivative, solve_blowup
+from .profiles import PSI0, _core_residual_jacobian, core_n, outer_derivative, solve_blowup
 from .shooting import kappa_shooting
 from .spectrum import SpectrumReport, nondegeneracy_report
 
@@ -215,7 +215,7 @@ def run_verification(
     )
 
     # -- blow-up profile ----------------------------------------------------
-    blowup = solve_blowup(X=X, n=CORE_N)
+    blowup = solve_blowup(X=X, n=core_n(X))
     shot = kappa_shooting()
     kappa_colloc = blowup.kappa
     mirror = float(np.max(np.abs(blowup.V1 - blowup.V2[::-1])))

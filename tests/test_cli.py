@@ -5,6 +5,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -383,27 +384,60 @@ def test_solve_inside_the_composite_window_does_not_continue(tmp_path, monkeypat
     assert summary["report"]["newton_iterations"] >= 1
 
 
-def test_solve_routes_through_continuation(tmp_path, monkeypatch):
-    # ln(1e7) = 16.1 exceeds the core half-width 15: continuation upward
-    # from 3 is the only path there
+def test_solve_beyond_the_core_window_widens_the_core(tmp_path, monkeypatch):
+    # ln(1e7) = 16.1 exceeds the core half-width 15: the composite comes
+    # from a core on [-17, 17], and no continuation from 3 is made
+    def no_continuation(*args, **kwargs):
+        raise AssertionError("continuation used for lam = 1e7")
+
     calls = []
 
-    def recording(start, targets):
-        calls.append((start.lam, list(targets)))
-        return continue_in_lambda(start, targets)
+    def recording(**kwargs):
+        calls.append(kwargs)
+        return solve_blowup(**kwargs)
 
-    monkeypatch.setattr(cli, "continue_in_lambda", recording)
+    monkeypatch.setattr(cli, "continue_in_lambda", no_continuation)
+    monkeypatch.setattr(cli, "solve_blowup", recording)
     out = tmp_path / "run"
     code = main(["solve", "--lambda", "1e7", "--L", "30", "--n", "1025", "--out", str(out)])
     assert code == 0
-    assert calls == [(3.0, [1e7])]
+    assert calls == [{"X": 17.0, "n": 4097}]
     summary = read_json(out / "solution_summary.json")
     assert summary["report"]["lambda"] == 1e7
-    # continuation steps on the default half-width; the end point is
-    # re-solved on the given [-L, L]
+    # every mesh of the ladder is on the given [-L, L]
     assert summary["config"]["resolved_L"] == 30.0
     assert summary["report"]["hamiltonian_dev"] <= 1e-4
     assert summary["report"]["newton_residual"] <= 1e-10
+
+
+def test_energy_beyond_the_core_window_reads_I1_on_X(tmp_path, monkeypatch):
+    # the seed's core is on [-17, 17]; I1 comes from the core on --X, as
+    # for every coupling of a sweep, so both commands give the same row
+    calls = []
+
+    def recording(**kwargs):
+        calls.append(kwargs)
+        return solve_blowup(**kwargs)
+
+    monkeypatch.setattr(cli, "solve_blowup", recording)
+    one, swept = tmp_path / "one", tmp_path / "swept"
+    assert main(["energy", "--lambda", "1e7", "--out", str(one)]) == 0
+    assert [c["X"] for c in calls] == [17.0, 15.0]
+    assert main(["energy", "--lambda-range", "10:1e7:1", "--out", str(swept)]) == 0
+    (report,) = read_json(one / "energy.json")["report"]
+    row = read_json(swept / "energy.json")["report"][-1]
+    assert report["lam"] == row["lam"] == 1e7
+    assert report["I1"] == row["I1"]
+    for key in ("sigma_gradient", "sigma_full", "first_order", "residual"):
+        assert abs(report[key] - row[key]) <= 1e-11
+
+
+def test_solve_at_the_largest_checked_coupling_widens_the_core_mesh(tmp_path):
+    # ln(1e33) = 75.98 is inside the mesh limit at --n 2041 (76.11), and
+    # its core on [-76, 76] needs 16385 nodes
+    out = tmp_path / "run"
+    assert main(["solve", "--lambda", "1e33", "--n", "2041", "--out", str(out)]) == 0
+    assert read_json(out / "solution_summary.json")["report"]["newton_residual"] <= 1e-10
 
 
 def test_composite_command_solves_the_core_once(tmp_path, monkeypatch):
@@ -422,8 +456,9 @@ def test_composite_command_solves_the_core_once(tmp_path, monkeypatch):
 
 
 # couplings at which the composite-seeded ladder is checked against the
-# continuation branch from 3, on the default 8193-node mesh
-AGREEMENT = (15.0, 1e2, 1e3, 1e4, 1e6)
+# continuation branch from 3, on the default 8193-node mesh; from 1e7 up
+# ln(lam) exceeds 15 and the core is widened to its ceiling
+AGREEMENT = (15.0, 1e2, 1e3, 1e4, 1e6, 1e7, 1e16, 1e30)
 
 
 @pytest.fixture(scope="module")
@@ -432,7 +467,7 @@ def branch_8193():
     return {s.lam: s for s in continue_in_lambda(start, AGREEMENT).solutions}
 
 
-@pytest.mark.parametrize("lam", [15.0, 1e2, 1e4, 1e6])
+@pytest.mark.parametrize("lam", [15.0, 1e2, 1e4, 1e6, 1e7, 1e16, 1e30])
 def test_composite_ladder_agrees_with_continuation(lam, branch_8193):
     # the paper's construction (composite seed, Newton on the mesh ladder)
     # and the continuation branch from 3 reach the same discrete solution,
@@ -440,10 +475,12 @@ def test_composite_ladder_agrees_with_continuation(lam, branch_8193):
     cfg = argparse.Namespace(n=8193, L=None, seed=None)
     sol, profile = cli._solve_at(cfg, lam, 15.0)
     branch = branch_8193[lam]
-    assert profile.X == 15.0
+    assert profile.X == max(15.0, math.ceil(math.log(lam)))
     assert np.array_equal(sol.grid.nodes, branch.grid.nodes)
     assert np.max(np.abs(sol.v1 - branch.v1)) <= 1e-11
-    assert sol.newton_residual <= 1e-12 and branch.newton_residual <= 1e-12
+    assert sol.newton_residual <= 2.0 * branch.newton_residual
+    # the floor rises with the grading: 1.5e-12 at 1e16, 1.5e-11 at 1e30
+    assert branch.newton_residual <= (1e-12 if lam <= 1e7 else 1e-10)
 
 
 def test_composite_ladder_on_a_given_L_agrees_with_continuation(branch_8193):
@@ -681,9 +718,8 @@ def test_config_range_goes_through_the_flag_conversion(tmp_path):
 def test_domain_flag_holds_after_continuation(command, tmp_path):
     # --L sets the domain of the reported solution: at 1e3 the
     # composite-seeded ladder solves on [-L, L] throughout (the default
-    # half-width is 20.77 there); the continuation branch, which re-solves
-    # its end point on [-L, L], is checked at 1e7 by
-    # test_solve_routes_through_continuation
+    # half-width is 20.77 there); a widened core at 1e7 is checked by
+    # test_solve_beyond_the_core_window_widens_the_core
     out = tmp_path / "run"
     argv = [command, "--lambda", "1e3", "--L", "30", "--n", "1025", "--out", str(out)]
     assert main(argv) == 0
@@ -768,11 +804,11 @@ def test_continuation_stall_exits_two_and_writes_nothing(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli, "continue_in_lambda", stalled)
     out = tmp_path / "run"
-    # 1e7 lies beyond the composite window, so solve continues from 3
-    assert main(["solve", "--lambda", "1e7", "--n", "1025", "--out", str(out)]) == 2
+    argv = ["continue", "--lambda-range", "10:1e7:1", "--n", "1025", "--out", str(out)]
+    assert main(argv) == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err == "beclab solve: continuation stalled, last converged coupling 123.4\n"
+    assert err == "beclab continue: continuation stalled, last converged coupling 123.4\n"
 
 
 # the numerical entry point of each command, as cli names it

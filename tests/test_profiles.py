@@ -115,6 +115,27 @@ def test_blowup_coarse_core_mesh_names_the_remedy():
         solve_blowup(12.0, 1025)
 
 
+def test_core_mesh_rule():
+    # CORE_N up to X = 37, so every core inside the default window keeps
+    # its bits; the intervals double per doubling of X beyond
+    assert [profiles.core_n(X) for X in (10.0, 15.0, 37.0)] == [4097] * 3
+    assert [profiles.core_n(X) for X in (38.0, 74.0, 75.0, 77.0)] == [8193, 8193, 16385, 16385]
+
+
+@pytest.mark.parametrize("X", [37.0, 38.0, 74.0, 77.0])
+def test_core_mesh_rule_passes_the_first_integral_check(X):
+    # both ends of each node count's band, up to X = 77, the widest core a
+    # checked mesh admits (ln lam <= 76.11 at --n 2041)
+    assert solve_blowup(X, profiles.core_n(X)).hamiltonian_dev <= 1e-6
+
+
+def test_wide_core_on_the_default_mesh_still_raises():
+    # the deviation is about 6.6e-10 X^2 on 4097 nodes: 1.06e-6 at X = 40
+    message = r"deviation 1\.06\de-06 exceeds 1e-6 on the core mesh n=4097, X=40"
+    with pytest.raises(RuntimeError, match=message):
+        solve_blowup(40.0, 4097)
+
+
 def _converged_to(change):
     """A newton_solve stub that returns the start, the ramp and its mirror
     (V1 at even places, V2 at odd ones), after change(V1, V2) edits it."""

@@ -1,4 +1,4 @@
-"""Run nineteen CLI commands and print one SHA-256 per output file.
+"""Run twenty-one CLI commands and print one SHA-256 per output file.
 
 Usage: PYTHONPATH=src python tools/output_digests.py OUTDIR
 
@@ -30,6 +30,7 @@ RUNS = {
     "solve_low": (["solve", "--lambda", "1.5"], 0),
     "solve_odd": (["solve", "--lambda", "1e3", "--n", "1001"], 0),
     "solve_beyond": (["solve", "--lambda", "1e7"], 0),
+    "solve_beyond_L": (["solve", "--lambda", "1e7", "--L", "30"], 0),
     "continue": (["continue", "--lambda-range", "10:1e6:1"], 0),
     "continue_fine": (["continue", "--lambda-range", "10:1e6:1", "--n", "32769"], 0),
     "composite": (["composite", "--lambda", "1e4"], 0),
@@ -39,6 +40,7 @@ RUNS = {
     "spectrum_edge": (["spectrum", "--lambda", "1.05", "--n", "2049"], 0),
     "energy": (["energy", "--lambda-range", "10:1e6:1"], 0),
     "energy_one": (["energy", "--lambda", "1e4"], 0),
+    "energy_beyond": (["energy", "--lambda", "1e7"], 0),
     "verify": (["verify"], 0),
     "verify_tol0": (["verify", "--tol", "0"], 3),
 }
