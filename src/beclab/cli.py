@@ -42,7 +42,7 @@ from .heteroclinic import (
     mesh_ladder,
     solve_heteroclinic,
 )
-from .profiles import CORE_N, PSI0, BlowupProfile, core_n, solve_blowup
+from .profiles import PSI0, BlowupProfile, core_n, solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
 from .spectrum import nondegeneracy_report
 from .verify import run_verification
@@ -111,7 +111,7 @@ _FLAGS = {
 
 # command -> the fields it reads and their defaults (None: no default)
 _COMMAND_FIELDS = {
-    "blowup": {"X": 12.0, "n": CORE_N, "out": "."},
+    "blowup": {"X": 12.0, "n": None, "out": "."},
     "solve": {"lam": None, "L": None, "n": 8193, "seed": None, "out": "."},
     "continue": {"lam_range": None, "n": 8193, "out": "."},
     "composite": {
@@ -252,7 +252,9 @@ class _Output(NamedTuple):
 
 
 def _cmd_blowup(cfg: argparse.Namespace) -> _Output:
-    profile = solve_blowup(X=cfg.X, n=cfg.n)
+    # --n defaults to the core mesh every other command solves on
+    n = core_n(cfg.X) if cfg.n is None else cfg.n
+    profile = solve_blowup(X=cfg.X, n=n)
     columns = {
         "x": profile.grid.nodes,
         "V1": profile.V1,
@@ -268,7 +270,7 @@ def _cmd_blowup(cfg: argparse.Namespace) -> _Output:
         "X": profile.X,
         "n": profile.grid.n,
     }
-    return _Output({"blowup_profile.csv": columns, "blowup_summary.json": summary})
+    return _Output({"blowup_profile.csv": columns, "blowup_summary.json": summary}, {"n": n})
 
 
 def _cmd_solve(cfg: argparse.Namespace) -> _Output:

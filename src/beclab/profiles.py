@@ -77,7 +77,7 @@ def core_n(X: float) -> int:
     deviation grows like X^2 at a fixed node count (9.1e-7 at X = 37 on
     4097 nodes, against the 1e-6 check) and falls fourfold per doubling of
     the intervals, so this holds it below 1e-6 (9.1e-7 at X = 74)."""
-    doublings = max(0, math.ceil(math.log2(X / 37.0)))
+    doublings = math.ceil(math.log2(X / 37.0)) if X > 37.0 else 0
     return (CORE_N - 1) * 2**doublings + 1
 
 
@@ -215,8 +215,8 @@ def solve_blowup(X: float, n: int) -> BlowupProfile:
     if ham_dev > 1e-6:
         raise RuntimeError(
             f"first-integral deviation {ham_dev:.3e} exceeds 1e-6 on the core "
-            f"mesh n={n}, X={X:g}; refine the core mesh (n of about 2049 or "
-            "more for X up to 15)"
+            f"mesh n={n}, X={X:g}; refine the core mesh (n = core_n(X) passes: "
+            "4097 up to X = 37, the intervals doubled per doubling of X beyond)"
         )
 
     for arr in (V1, V2, dV1, dV2):

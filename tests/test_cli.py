@@ -344,6 +344,23 @@ def test_blowup_command(tmp_path):
     assert len(header) == 2 + 2049
 
 
+@pytest.mark.parametrize("X,nodes", [(None, 4097), (40.0, 8193)])
+def test_blowup_mesh_defaults_to_the_core_mesh_rule(X, nodes, tmp_path):
+    # without --n the core is solved on core_n(X) nodes, and the header
+    # records that count as it records a given --n
+    out = tmp_path / "run"
+    argv = ["blowup"] + ([] if X is None else ["--X", str(X)])
+    assert main([*argv, "--out", str(out)]) == 0
+    summary = read_json(out / "blowup_summary.json")
+    expected = {"command": "blowup", "X": X or 12.0, "n": nodes, "out": str(out)}
+    assert summary["config"] == expected
+    assert summary["report"]["n"] == nodes
+    assert summary["report"]["hamiltonian_dev"] <= 1e-6
+    lines = (out / "blowup_profile.csv").read_text().splitlines()
+    assert json.loads(lines[0].removeprefix("# config: ")) == expected
+    assert len(lines) == 2 + nodes
+
+
 def test_solve_command_and_summary(tmp_path):
     out = tmp_path / "run"
     code = main(["solve", "--lambda", "3", "--n", "1025", "--out", str(out)])

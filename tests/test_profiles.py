@@ -118,7 +118,7 @@ def test_blowup_coarse_core_mesh_names_the_remedy():
 def test_core_mesh_rule():
     # CORE_N up to X = 37, so every core inside the default window keeps
     # its bits; the intervals double per doubling of X beyond
-    assert [profiles.core_n(X) for X in (10.0, 15.0, 37.0)] == [4097] * 3
+    assert [profiles.core_n(X) for X in (0.0, 10.0, 15.0, 37.0)] == [4097] * 4
     assert [profiles.core_n(X) for X in (38.0, 74.0, 75.0, 77.0)] == [8193, 8193, 16385, 16385]
 
 

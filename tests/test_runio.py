@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beclab.runio import (
+    _CHUNK,
+    _K_MAX,
+    _K_MIN,
+    _tables,
     format_float,
     read_seed_csv,
     sanitize,
@@ -164,28 +169,91 @@ def per_cell_csv(columns, config) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _neighbours(x: float) -> list[float]:
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
 special = st.sampled_from(
     [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310,
-     2.2250738585072009e-308, 1.7976931348623157e308, 0.1, 1e16, 1e17]
+     2.2250738585072009e-308, 1.7976931348623157e308, 0.1, 2.0**-25, 3 * 2.0**-25]
+)
+# every power of ten of a normal double, and the switch between fixed and
+# exponent notation, each with its neighbours one ulp away
+powers_of_ten = st.sampled_from([y for e in range(-307, 309) for y in _neighbours(float(f"1e{e}"))])
+notation_switch = st.sampled_from([y for x in (1e-5, 1e-4, 1e16, 1e17) for y in _neighbours(x)])
+# odd multiples of 2**-j: exact decimal ties when they have 18 digits
+ties = st.builds(lambda m, j: math.ldexp(2 * m + 1, -j), st.integers(0, 2**30), st.integers(1, 110))
+cells = st.one_of(
+    special, st.floats(), st.floats(-1e-300, 1e-300), powers_of_ten, notation_switch, ties
 )
 
 
 @st.composite
 def csv_tables(draw):
+    """1-9 columns of 0-40 rows, or of one to two chunks' worth of rows
+    with a drawn pattern of up to 40 cells repeated; some columns are
+    read-only reversed views, as v2 is stored."""
     width = draw(st.integers(1, 9))
-    length = draw(st.integers(0, 40))
-    cells = st.one_of(special, st.floats(), st.floats(-1e-300, 1e-300))
-    return {f"c{j}": draw(st.lists(cells, min_size=length, max_size=length))
-            for j in range(width)}
+    rows = _CHUNK // width
+    length = draw(st.integers(0, 40) | st.integers(rows - 1, 2 * rows + 1))
+    columns = {}
+    for j in range(width):
+        pattern = np.array(draw(st.lists(cells, min_size=min(length, 40), max_size=min(length, 40))))
+        negate = draw(st.integers(0, 2**40 - 1)) >> np.arange(pattern.size) & 1 == 1
+        column = np.resize(np.where(negate, -pattern, pattern), length)
+        if draw(st.booleans()):
+            column = column[::-1].copy()[::-1]
+            column.flags.writeable = False
+        columns[f"c{j}"] = column
+    return columns
 
 
 @settings(max_examples=150, deadline=None)
 @given(columns=csv_tables())
 def test_write_csv_bytes_equal_the_per_cell_writer(columns):
-    # nan, +-inf, -0.0 and subnormals included, 1-9 columns, 0-40 rows
+    # nan, +-inf, -0.0, subnormals, ties, powers of ten, tables past a chunk
     config = {"lam": 3.0, "n": 513}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         write_csv(path, columns, config=config)
         written = path.read_bytes()
     assert written == per_cell_csv(columns, config).encode()
+
+
+def test_write_csv_equals_one_format_over_a_million_random_doubles(tmp_path):
+    # finite bit patterns of every exponent, normal and subnormal, in 8
+    # columns; the reference is a single %.17g format over the table
+    rng = np.random.default_rng(34)
+    cells = rng.integers(0, 2**64, size=10**6 + 5000, dtype=np.uint64).view(np.float64)
+    cells = cells[np.isfinite(cells)][: 10**6]
+    table = cells.reshape(-1, 8)
+    path = tmp_path / "table.csv"
+    write_csv(path, {f"c{j}": table[:, j] for j in range(8)}, config={})
+    row = ",".join(["%.17g"] * 8) + "\n"
+    expected = row * table.shape[0] % tuple(cells.tolist())
+    assert path.read_bytes() == ("# config: {}\nc0,c1,c2,c3,c4,c5,c6,c7\n" + expected).encode()
+
+
+def test_seed_round_trip_is_bit_exact_across_chunks(tmp_path):
+    # random finite doubles, z strictly increasing, v2 a read-only reversed view
+    rng = np.random.default_rng(35)
+    bits = rng.integers(0, 2**64, size=(3, 5000), dtype=np.uint64).view(np.float64)
+    z = np.unique(bits[0][np.isfinite(bits[0])])
+    v1, v2 = (np.resize(b[np.isfinite(b)], z.shape[0]) for b in bits[1:])
+    v2 = v2[::-1].copy()[::-1]
+    v2.flags.writeable = False
+    path = tmp_path / "seed.csv"
+    write_csv(path, {"z": z, "v1": v1, "v2": v2, "dv": -v1}, config={"lam": 3.0})
+    for written, back in zip((z, v1, v2), read_seed_csv(path)):
+        assert back.tobytes() == written.tobytes()
+
+
+def test_power_of_five_tables_are_correctly_rounded_double_doubles():
+    # hi is 5**k rounded to a double and lo the rounded rest, the premise
+    # of the kernel's 1e-13 bound on a cell's remainder
+    tables = _tables()
+    for k in range(_K_MIN, _K_MAX + 1, 7):
+        exact = Fraction(5) ** k
+        hi = tables["hi"][k - _K_MIN]
+        assert hi == float(exact)
+        assert tables["lo"][k - _K_MIN] == float(exact - Fraction(hi))

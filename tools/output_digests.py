@@ -1,4 +1,4 @@
-"""Run twenty-one CLI commands and print one SHA-256 per output file.
+"""Run twenty-two CLI commands and print one SHA-256 per output file.
 
 Usage: PYTHONPATH=src python tools/output_digests.py OUTDIR
 
@@ -23,6 +23,7 @@ from pathlib import Path
 # name -> (argv without --out, expected exit code); {root} is OUTDIR
 RUNS = {
     "blowup": (["blowup"], 0),
+    "blowup_wide": (["blowup", "--X", "40"], 0),
     "solve": (["solve", "--lambda", "1e4"], 0),
     "solve_seeded": (["solve", "--lambda", "2e4", "--seed", "{root}/solve/solution.csv"], 0),
     "solve_L": (["solve", "--lambda", "20", "--L", "25"], 0),
