@@ -9,6 +9,14 @@ symmetric matrix, rows data[:bw+1] are LAPACK's upper band, for the
 spectrum's pbtrf/pbtrs. These four are the only LAPACK routines beclab
 calls.
 
+BandedLU owns gbtrf's storage: it allocates the Fortran-ordered
+(3*bw+1, dim) array, has the matrix write itself into a zeroed
+BandedMatrix view of its last 2*bw+1 rows (write_to), and equilibrates and
+factors there. A BandedMatrix writes by copying its band, so
+BandedLU(matrix) still copies and never touches the caller's array; a
+FilledBand is written by its fill function, so a Newton Jacobian is
+assembled once, straight into the storage that is factored.
+
 The Cholesky factor is computed in LAPACK's lower band storage, copied
 from the upper band, and laid back into the upper band for pbtrs. On the
 upper storage OpenBLAS's unblocked dpbtf2, which pbtrf runs for narrow
@@ -33,6 +41,8 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from numpy._core import _multiarray_umath
@@ -40,6 +50,7 @@ from numpy._core import _multiarray_umath
 __all__ = [
     "SingularSystemError",
     "BandedMatrix",
+    "FilledBand",
     "BandedLU",
     "BandedCholesky",
 ]
@@ -47,6 +58,7 @@ __all__ = [
 
 _INT, _PTR = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
 _CHAR, _LEN = ctypes.c_char_p, ctypes.c_size_t
+_EPS = float(np.finfo(float).eps)
 
 
 def _bind(name: str, argtypes: list):
@@ -154,6 +166,36 @@ class BandedMatrix:
             y[rows] += band * x[cols]
         return y
 
+    def write_to(self, band: "BandedMatrix") -> None:
+        """Write the stored diagonals into band, a zeroed BandedMatrix of
+        the same shape; the unused corners of data are not read."""
+        for offset, _, cols, diagonal in band.diagonals():
+            diagonal[:] = self.data[self.bandwidth - offset, cols]
+
+
+class FilledBand(BandedMatrix):
+    """A BandedMatrix given by the function that writes it: fill(band) sets
+    the entries of band, a zeroed dim x dim BandedMatrix of this bandwidth.
+    BandedLU hands fill its own factor storage, so the matrix is written
+    once, where it is factored. Anything else that reads data gets a plain
+    array, filled on first read and kept."""
+
+    def __init__(self, dim: int, bandwidth: int, fill: Callable[[BandedMatrix], None]):
+        self.bandwidth, self._dim, self._fill = bandwidth, dim, fill
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        band = BandedMatrix.zeros(self._dim, self.bandwidth)
+        self._fill(band)
+        return band.data
+
+    def write_to(self, band: BandedMatrix) -> None:
+        self._fill(band)
+
 
 class BandedLU:
     """LU factorisation of a BandedMatrix, reusable for repeated solves.
@@ -165,38 +207,50 @@ class BandedLU:
     rows.
     A row that is zero or holds a non-finite entry, and a zero,
     machine-scale or non-finite pivot, raise SingularSystemError with its
-    index.
+    index. The matrix is written into the factor's own storage
+    (BandedMatrix.write_to): a copy of a BandedMatrix's band, or a
+    FilledBand's one fill.
     """
 
     def __init__(self, matrix: BandedMatrix):
         bw, dim = matrix.bandwidth, matrix.dim
-        row_max = np.zeros(dim)
-        for _, rows, _, band in matrix.diagonals():
-            np.maximum(row_max[rows], np.abs(band), out=row_max[rows])
-        if not np.all(np.isfinite(row_max)):
+        # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j],
+        # so rows bw.. hold the matrix in BandedMatrix layout
+        ab = np.zeros((3 * bw + 1, dim), order="F")
+        band = BandedMatrix(bw, ab[bw:])
+        matrix.write_to(band)
+        data = band.data
+        # row i's entries (i, i + d) and (i, i - d), 0 < d <= bw, are
+        # data[bw - d, d:][i] and data[bw + d, :dim - d][i - d]
+        off_diagonals = [
+            (d, data[bw - d, d:], data[bw + d, : dim - d]) for d in range(1, bw + 1)
+        ]
+        row_max, scratch = np.abs(data[bw]), np.empty(dim)
+        for d, upper, lower in off_diagonals:
+            np.maximum(row_max[:-d], np.abs(upper, out=scratch[:-d]), out=row_max[:-d])
+            np.maximum(row_max[d:], np.abs(lower, out=scratch[:-d]), out=row_max[d:])
+        if not math.isfinite(row_max.max()):  # NaN propagates through max
             index = int(np.argmin(np.isfinite(row_max)))
             raise SingularSystemError(index, f"non-finite entry in row {index}")
-        if float(np.min(row_max)) == 0.0:
+        if row_max.min() == 0.0:
             raise SingularSystemError(int(np.argmin(row_max)), "zero row")
-        row_scale = 1.0 / row_max
-        # gbtrf wants kl extra rows on top for fill-in: ab[kl+ku+i-j, j]
-        ab = np.zeros((3 * bw + 1, dim), order="F")
-        for offset, rows, cols, band in matrix.diagonals():
-            np.multiply(band, row_scale[rows], out=ab[2 * bw - offset, cols])
+        row_scale = np.divide(1.0, row_max, out=row_max)
+        data[bw] *= row_scale
+        for d, upper, lower in off_diagonals:
+            upper *= row_scale[:-d]
+            lower *= row_scale[d:]
         piv = np.empty(dim, dtype=np.int64)
         info = _call("LU factorisation", _GBTRF, dim, dim, bw, bw, ab, 3 * bw + 1, piv)
         if info > 0:
             raise SingularSystemError(info - 1)
-        udiag = np.abs(ab[2 * bw])
-        if not np.all(np.isfinite(udiag)):
+        udiag = np.abs(ab[2 * bw], out=scratch)
+        if not math.isfinite(udiag.max()):
             index = int(np.argmin(np.isfinite(udiag)))
             raise SingularSystemError(index, f"non-finite pivot at index {index}")
-        threshold = dim * np.finfo(float).eps  # rows have unit max after scaling
-        if float(np.min(udiag)) <= threshold:
-            raise SingularSystemError(
-                int(np.argmin(udiag)),
-                f"near-singular pivot at index {int(np.argmin(udiag))}",
-            )
+        # rows have unit max after scaling
+        if udiag.min() <= dim * _EPS:
+            index = int(np.argmin(udiag))
+            raise SingularSystemError(index, f"near-singular pivot at index {index}")
         # gbtrs' arguments up to the right-hand side, converted once; self
         # holds ab and piv, so their pointers stay valid
         self._lu, self._piv, self._row_scale = ab, piv, row_scale

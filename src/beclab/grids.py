@@ -139,6 +139,10 @@ def beta_for_center_spacing(length: float, n: int, h_center: float) -> float:
         return hi
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            # lo and hi are adjacent doubles: a pass would set one to the
+            # other or leave both, and 0.5*(lo + hi) stays mid either way
+            break
         if center_h(mid) > h_center:
             lo = mid
         else:

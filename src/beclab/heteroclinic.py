@@ -15,9 +15,12 @@ solves only for its mirror-symmetric (even) fields, which removes the
 translation freedom the far-field data alone pin only weakly. Newton's
 unknowns are v1 at the interior nodes in sector order (_sector): its
 residual evaluates the v1 rows alone (v2 is v1 reversed, so the v2 rows
-are the v1 rows mirrored), and its Jacobian block folds only the columns
-it keeps (MirrorSector.band). The full residual of interleaved (v1, v2)
-unknowns (_interleaved) serves only the Jacobian hygiene check.
+are the v1 rows mirrored), and its Jacobian is written directly in
+sector order (_sector_jacobian), straight into the storage its LU factor
+owns; it equals the even block MirrorSector.band of the full Jacobian
+bit for bit, and the full band is never built. The full residual and
+Jacobian of interleaved (v1, v2) unknowns (_interleaved) serve only the
+Jacobian hygiene check and the spectrum.
 
 Continuation is nested iteration on a ladder of meshes. Newton's
 iteration count does not depend on the mesh once the mesh is fine enough
@@ -51,13 +54,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .banded import BandedMatrix
+from .banded import BandedMatrix, FilledBand
 from .calculus import quadrature, resample
 from .grids import (
-    EVEN,
+    FluxStencil,
     Grid,
     differentiate,
     beta_for_center_spacing,
@@ -121,17 +125,36 @@ class SolutionFlags:
 
 @dataclass(frozen=True, eq=False)
 class HeteroclinicSolution:
-    """Read-only v1 and dv1 on an exact mirror mesh; v2 and dv2 are their
-    mirrors, so v1(z) = v2(-z) holds by construction."""
+    """Read-only v1 on an exact mirror mesh; v2 is its mirror, so
+    v1(z) = v2(-z) holds by construction. dv1, hamiltonian_dev and flags
+    are computed on first read and kept: a solve that only seeds the next
+    mesh never pays for them."""
 
     lam: float
     grid: Grid
     v1: np.ndarray
-    dv1: np.ndarray
     newton_residual: float
     newton_iterations: int
-    hamiltonian_dev: float
-    flags: SolutionFlags
+
+    @cached_property
+    def dv1(self) -> np.ndarray:
+        """differentiate(v1), read-only."""
+        dv1 = differentiate(self.v1, self.grid)
+        dv1.flags.writeable = False
+        return dv1
+
+    @cached_property
+    def hamiltonian_dev(self) -> float:
+        """max |H + 1/4| over the nodes (hamiltonian_values)."""
+        v1, dv1 = self.v1, self.dv1
+        # dv2 = -dv1 reversed enters squared, so dv1 reversed gives the same bits
+        ham = hamiltonian_values(v1, v1[::-1], dv1, dv1[::-1], self.lam)
+        return float(np.max(np.abs(ham + 0.25)))
+
+    @cached_property
+    def flags(self) -> SolutionFlags:
+        # v2 is v1 reversed, so v1's monotonicity is its too
+        return SolutionFlags(monotone=_monotone_flag(self.v1), bounded=_bounded_flag(self.v1))
 
     @property
     def v2(self) -> np.ndarray:
@@ -252,10 +275,10 @@ def default_grid(lam: float, L: float, n: int) -> Grid:
     return make_grid(-L, L, n, ratio_from_beta(beta, n))
 
 
-def _interior_residual_jacobian(grid: Grid, lam: float):
-    """Row and Jacobian callbacks of the interior nodes 1..n-2, from full
-    fields that carry the Dirichlet limits v1(-L)=0, v2(-L)=1, v1(L)=1,
-    v2(L)=0 at their ends.
+def _interior_residual_jacobian(st: FluxStencil, lam: float):
+    """Row and Jacobian callbacks of the interior nodes 1..n-2 of the mesh
+    whose flux stencil is st, from full fields that carry the Dirichlet
+    limits v1(-L)=0, v2(-L)=1, v1(L)=1, v2(L)=0 at their ends.
 
     Flux form keeps row magnitudes at 1/h rather than 1/h^2, so the
     evaluation rounding floor stays below the Newton tolerance on the
@@ -265,7 +288,6 @@ def _interior_residual_jacobian(grid: Grid, lam: float):
     the banded Jacobian of both components' rows with respect to the
     interleaved interior unknowns [v1_1, v2_1, v1_2, v2_2, ...].
     """
-    st = flux_stencil(grid)
     w = st.w
 
     def rows(Va: np.ndarray, Vb: np.ndarray) -> np.ndarray:
@@ -289,7 +311,7 @@ def _interleaved(grid: Grid, lam: float):
     """The full residual and Jacobian of the interleaved interior unknowns
     u = [v1_1, v2_1, v1_2, v2_2, ...]; the Jacobian hygiene check
     differences the one against the other. Newton never evaluates them."""
-    rows, jacobian = _interior_residual_jacobian(grid, lam)
+    rows, jacobian = _interior_residual_jacobian(flux_stencil(grid), lam)
 
     def fields(u: np.ndarray):
         return np.r_[0.0, u[0::2], 1.0], np.r_[1.0, u[1::2], 0.0]
@@ -335,6 +357,51 @@ def _sector(n: int):
         return V1
 
     return fold, field
+
+
+def _sector_jacobian(st: FluxStencil, lam: float):
+    """Newton's Jacobian with respect to the sector state y (see _sector)
+    of the mesh whose flux stencil is st: jacobian(y) returns it as a
+    FilledBand of bandwidth 2, which BandedLU writes straight into its own
+    storage.
+
+    It is written directly in sector order, where entries 2k - 2 and
+    2k - 1 are v1 and v2 at node k: v1 and v2 rows at nodes 1..h-1, with
+    h = n//2, and the v1 row of the middle node h. Each row holds its
+    component's flux stencil, the diagonal of the full Jacobian's row
+    (d1 or d2), and the node-local coupling x = 0.5*(a*c1*c2 + a*c2*c1),
+    a = -2*lam*w, to the other component: the mean of the full Jacobian's
+    coupling and its mirror, whose products round differently. The middle
+    node's v2 is its v1, so its coupling adds to its diagonal, d1 + x, and
+    its stencil couples it to node h - 1 through hi on both sides. This is
+    EVEN.band(J) of the full Jacobian J at the mirrored state bit for bit,
+    without J.
+    """
+    m = st.w.shape[0]  # n - 2, odd
+    h = (m + 1) // 2
+    mid, w, lo, hi = st.mid[:h], st.w[:h], st.lo, st.hi
+    a = -2.0 * lam * w
+
+    def jacobian(y: np.ndarray) -> FilledBand:
+        # v1 at nodes 1..h, and v2 at nodes 1..h-1 with the middle node's
+        # v1 for its v2
+        c1, c2 = y[0::2], np.append(y[1::2], y[-1])
+        d1 = mid - w * (3.0 * c1**2 - 1.0 + lam * c2**2)
+        d2 = mid[:-1] - w[:-1] * (3.0 * c2[:-1] ** 2 - 1.0 + lam * c1[:-1] ** 2)
+        x = 0.5 * (a * c1 * c2 + a * c2 * c1)
+
+        def fill(band: BandedMatrix) -> None:
+            data = band.data  # data[2 + i - j, j] holds entry (i, j)
+            data[0, 2::2], data[0, 3::2] = hi[: h - 1], hi[: h - 2]
+            data[1, 1::2], data[1, -1] = x[:-1], hi[h - 2]
+            data[2, 0::2], data[2, 1::2] = d1, d2
+            data[2, -1] += x[-1]
+            data[3, 0:-1:2], data[3, -2] = x[:-1], hi[h - 1]
+            data[4, 0:-2:2], data[4, 1:-2:2] = lo[1:h], lo[1 : h - 1]
+
+        return FilledBand(m, 2, fill)
+
+    return jacobian
 
 
 def _monotone_flag(v: np.ndarray) -> bool:
@@ -424,41 +491,31 @@ def solve_heteroclinic(
     else:
         seed = _seed_on_grid(*init, grid)
 
-    rows, jacobian = _interior_residual_jacobian(grid, lam)
+    st = flux_stencil(grid)
+    rows, _ = _interior_residual_jacobian(st, lam)
     fold, field = _sector(n)
 
     def sector_residual(y: np.ndarray) -> np.ndarray:
         V1 = field(y)
         return fold(rows(V1, V1[::-1]))
 
-    def sector_jacobian(y: np.ndarray) -> BandedMatrix:
-        V1 = field(y)
-        return EVEN.band(jacobian(V1, V1[::-1]))
-
-    y, iterations, final_res = newton_solve(sector_residual, sector_jacobian, fold(seed[1:-1]))
+    y, iterations, final_res = newton_solve(
+        sector_residual, _sector_jacobian(st, lam), fold(seed[1:-1])
+    )
     v1 = field(y)
 
-    # v2 is v1 reversed, so v1's sign and monotonicity checks are its too
+    # v2 is v1 reversed, so v1's sign check is its too
     if float(np.min(v1)) < -_SIGN_FLOOR:
         raise SignViolationError(
             f"component sign violation after convergence at lam={lam:.6g}"
         )
-    dv1 = differentiate(v1, grid)
-    # dv2 = -dv1 reversed enters squared, so dv1 reversed gives the same bits
-    ham = hamiltonian_values(v1, v1[::-1], dv1, dv1[::-1], lam)
-    ham_dev = float(np.max(np.abs(ham + 0.25)))
-    flags = SolutionFlags(monotone=_monotone_flag(v1), bounded=_bounded_flag(v1))
-    for arr in (v1, dv1):
-        arr.flags.writeable = False
+    v1.flags.writeable = False
     return HeteroclinicSolution(
         lam=lam,
         grid=grid,
         v1=v1,
-        dv1=dv1,
         newton_residual=final_res,
         newton_iterations=iterations,
-        hamiltonian_dev=ham_dev,
-        flags=flags,
     )
 
 

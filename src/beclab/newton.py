@@ -70,7 +70,8 @@ def newton_solve(
     _RESIDUAL_TOL.
 
     The jacobian callback returns a BandedMatrix; each step is one banded
-    LU factorisation and solve.
+    LU factorisation and solve. A FilledBand is written once, by its fill,
+    straight into the factorisation's own storage.
     Raises NonConvergenceError (carrying iterations and best residual) when
     the iteration budget or the backtracking floor is exhausted, or at
     once, before any factorisation, when the residual at init is not

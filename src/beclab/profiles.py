@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .banded import BandedMatrix
+from .banded import BandedMatrix, FilledBand
 from .calculus import _spline
 from .grids import (
     Grid,
@@ -131,6 +131,8 @@ def _core_residual_jacobian(grid: Grid):
     Unknowns are interleaved node-wise, u = [V1_0, V2_0, V1_1, V2_1, ...];
     the two boundary rows at each end (Dirichlet zero for the decaying
     component, one-sided slope for the growing one) push the bandwidth to 4.
+    The Jacobian is a FilledBand: Newton's BandedLU has its one fill write
+    it into the factor's storage, and the hygiene check into a plain band.
 
     Interior rows use the flux form (difference of one-sided slopes minus
     the cell-weighted source), equivalent to the second-difference stencil
@@ -156,21 +158,24 @@ def _core_residual_jacobian(grid: Grid):
         r[2 * n - 1] = V2[-1]
         return r
 
-    def jacobian(u: np.ndarray) -> BandedMatrix:
+    def jacobian(u: np.ndarray) -> FilledBand:
         V1, V2 = u[0::2], u[1::2]
-        jac = BandedMatrix.zeros(2 * n, 4)
         d1, d2 = st.mid - w * V2[1:-1] ** 2, st.mid - w * V1[1:-1] ** 2
-        st.fill_pair_rows(jac, 2, d1, d2, -2.0 * w * V1[1:-1] * V2[1:-1])
-        jac.set_entry(0, 0, 1.0)
-        jac.set_entry(1, 1, el[0])
-        jac.set_entry(1, 3, el[1])
-        jac.set_entry(1, 5, el[2])
-        m = 2 * n - 2
-        jac.set_entry(m, m, er[0])
-        jac.set_entry(m, m - 2, er[1])
-        jac.set_entry(m, m - 4, er[2])
-        jac.set_entry(m + 1, m + 1, 1.0)
-        return jac
+        cross = -2.0 * w * V1[1:-1] * V2[1:-1]
+
+        def fill(jac: BandedMatrix) -> None:
+            st.fill_pair_rows(jac, 2, d1, d2, cross)
+            jac.set_entry(0, 0, 1.0)
+            jac.set_entry(1, 1, el[0])
+            jac.set_entry(1, 3, el[1])
+            jac.set_entry(1, 5, el[2])
+            m = 2 * n - 2
+            jac.set_entry(m, m, er[0])
+            jac.set_entry(m, m - 2, er[1])
+            jac.set_entry(m, m - 4, er[2])
+            jac.set_entry(m + 1, m + 1, 1.0)
+
+        return FilledBand(2 * n, 4, fill)
 
     return residual, jacobian
 

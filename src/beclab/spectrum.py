@@ -125,10 +125,10 @@ def assemble_linearized(sol: HeteroclinicSolution) -> BandedMatrix:
     sqrt(w_2) p1_2, ...] of the interior nodes. Each entry is scaled by
     the product s_i*s_j, which is commutative, so the symmetric J gives an
     exactly symmetric S."""
-    _, jacobian = _interior_residual_jacobian(sol.grid, sol.lam)
+    st = flux_stencil(sol.grid)
+    _, jacobian = _interior_residual_jacobian(st, sol.lam)
     jac = jacobian(sol.v1, sol.v2)
-    w = flux_stencil(sol.grid).w
-    s = np.repeat(1.0 / np.sqrt(w), 2)
+    s = np.repeat(1.0 / np.sqrt(st.w), 2)
     for _, rows, cols, band in jac.diagonals():
         band *= -(s[rows] * s[cols])
     return jac

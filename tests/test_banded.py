@@ -15,11 +15,13 @@ from beclab import (
     SingularSystemError,
     banded,
     newton,
+    profiles,
     solve_blowup,
     solve_heteroclinic,
     spectrum,
 )
-from beclab.banded import BandedCholesky
+from beclab.banded import BandedCholesky, FilledBand
+from beclab.grids import make_grid
 
 
 def dirichlet_laplacian(m: int, h: float) -> BandedMatrix:
@@ -332,6 +334,49 @@ def test_factor_and_solve_leave_caller_arrays_unchanged(case, sym):
             before = (_bits(m.data), _bits(b))
             factor(m).solve(b)
             assert (_bits(m.data), _bits(b)) == before
+
+
+def recording_fill(matrix: BandedMatrix, seen: list) -> FilledBand:
+    """matrix as a FilledBand whose fill also records the band it wrote
+    into and a copy of what it wrote."""
+
+    def fill(band):
+        matrix.write_to(band)
+        seen.append((band.data, band.data.copy()))
+
+    return FilledBand(matrix.dim, matrix.bandwidth, fill)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=dominant_banded())
+def test_a_filled_band_is_written_once_into_the_factor_storage(case):
+    # fill writes straight into the rows of gbtrf's own array, once, and
+    # factors and solves as the plain band does, bit for bit
+    a, rhs = case
+    seen = []
+    lu, plain = BandedLU(recording_fill(a, seen)), BandedLU(a)
+    ((written, copy),) = seen
+    assert np.shares_memory(written, lu._lu)
+    assert _bits(copy) == _bits(a.data)
+    assert _bits(lu._lu) == _bits(plain._lu) and np.array_equal(lu._piv, plain._piv)
+    assert _bits(lu.solve(rhs)) == _bits(plain.solve(rhs))
+
+
+def test_the_core_jacobian_fills_the_factor_storage_as_a_plain_band():
+    # the one fill of the core Jacobian writes the same bits into
+    # BandedLU's storage as into the plain band the hygiene check reads
+    grid = make_grid(-10.0, 10.0, 129, 1.03)
+    _, jacobian = profiles._core_residual_jacobian(grid)
+    u = np.empty(2 * grid.n)
+    u[0::2] = np.maximum(0.7 * grid.nodes, 0.1)
+    u[1::2] = np.maximum(-0.7 * grid.nodes, 0.1)
+    jac = jacobian(u)
+    assert isinstance(jac, FilledBand) and jac.bandwidth == 4
+    seen = []
+    lu = BandedLU(recording_fill(jac, seen))
+    ((written, copy),) = seen
+    assert np.shares_memory(written, lu._lu)
+    assert _bits(copy) == _bits(jac.data)
 
 
 @settings(max_examples=60, deadline=None)

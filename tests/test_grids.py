@@ -181,6 +181,37 @@ def test_beta_for_center_spacing_solves_defining_equation():
         beta_for_center_spacing(30.0, 2049, 0.0)
 
 
+def hundred_pass_beta(length: float, n: int, h_center: float) -> float:
+    """beta_for_center_spacing's bisection run for all of its 100 passes."""
+    if 2.0 * length / (n - 1) <= h_center:
+        return 0.0
+
+    def center_h(beta: float) -> float:
+        return length * beta / (math.sinh(0.5 * beta) * (n - 1))
+
+    lo, hi = 1e-8, 60.0
+    if center_h(hi) > h_center:
+        return hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if center_h(mid) > h_center:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("length", [20.0, 25.0, 37.5, 60.0])
+@pytest.mark.parametrize("n", [41, 513, 1001, 8193, 32769, 131073])
+def test_beta_for_center_spacing_stops_where_bisection_stops_moving(length, n):
+    # once the bracket holds adjacent doubles every pass repeats itself, so
+    # stopping there gives the 100-pass beta bit for bit; the targets
+    # include default_grid's 2.5e-3*lam^{-1/4} from lam = 1.5 to 1e6
+    for h_center in np.geomspace(1e-5, 1.0, 41):
+        got = beta_for_center_spacing(length, n, float(h_center))
+        assert got.hex() == hundred_pass_beta(length, n, float(h_center)).hex()
+
+
 def test_ratio_from_beta_cap():
     assert ratio_from_beta(0.0, 17) == 1.0
     assert ratio_from_beta(1e3, 17) == RATIO_CAP

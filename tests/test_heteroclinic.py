@@ -19,7 +19,7 @@ from beclab import (
     solve_heteroclinic,
 )
 from beclab import heteroclinic, newton
-from beclab.grids import EVEN, differentiate
+from beclab.grids import EVEN, MirrorSector, differentiate, flux_stencil
 from beclab.heteroclinic import (
     ContinuationTrace,
     TraceEntry,
@@ -479,17 +479,68 @@ def test_solutions_are_mirror_symmetric_by_construction(sweep_solutions):
         assert np.array_equal(sol.v1, sol.v2[::-1])
 
 
+def arrays_held(sol) -> list[str]:
+    return sorted(k for k, v in vars(sol).items() if isinstance(v, np.ndarray))
+
+
 def test_a_solution_stores_v1_and_dv1_alone(sweep_trace, odd_mesh_solutions):
     # v2 is a read-only view of v1 reversed, and dv2 a read-only array
     # computed on each read: neither is stored, in a solution or in the
-    # trace that holds it
-    for sol in [*sweep_trace.solutions, *odd_mesh_solutions.values()]:
+    # trace that holds it. v1 is the one array field; dv1 is kept once read
+    fresh = solve_heteroclinic(3.0, n=513)
+    assert arrays_held(fresh) == ["v1"]
+    for sol in [fresh, *sweep_trace.solutions, *odd_mesh_solutions.values()]:
         fields = [f.name for f in dataclasses.fields(sol)]
-        assert [f for f in fields if isinstance(getattr(sol, f), np.ndarray)] == ["v1", "dv1"]
+        assert [f for f in fields if isinstance(getattr(sol, f), np.ndarray)] == ["v1"]
         assert np.shares_memory(sol.v1, sol.v2)
         assert not sol.v2.flags.writeable and not sol.dv2.flags.writeable
         assert sol.dv2 is not sol.dv2
-        assert sorted(vars(sol)) == sorted(fields)
+        assert sol.dv1 is sol.dv1 and not sol.dv1.flags.writeable
+        assert arrays_held(sol) == ["dv1", "v1"]
+        assert set(vars(sol)) <= set(fields) | {"dv1", "hamiltonian_dev", "flags"}
+
+
+def counting_differentiate(monkeypatch) -> list[int]:
+    """Node counts of the meshes heteroclinic differentiates on, in order."""
+    meshes = []
+
+    def counted(values, grid):
+        meshes.append(grid.n)
+        return differentiate(values, grid)
+
+    monkeypatch.setattr(heteroclinic, "differentiate", counted)
+    return meshes
+
+
+def test_only_solutions_whose_dv1_is_read_are_differentiated(monkeypatch):
+    # the climb on 513 nodes and the rung on 2049 only seed the next mesh;
+    # the trace reads dv1 on the requested mesh alone, once per solution
+    start = solve_heteroclinic(3.0, n=8193)
+    meshes = counting_differentiate(monkeypatch)
+    trace = continue_in_lambda(start, (10.0, 100.0))
+    assert meshes == [8193] * 3
+    sol, iterations = correct_on_ladder(
+        solve_heteroclinic(30.0, n=513, L=trace.solutions[1].L), 8193
+    )
+    assert len(iterations) == 3 and meshes == [8193] * 3
+    _ = sol.dv2, sol.hamiltonian_dev, sol.flags
+    assert meshes == [8193] * 4
+
+
+@pytest.mark.parametrize("lam, n", [(3.0, 513), (1e3, 1025), (1e6, 8193)])
+def test_lazy_fields_equal_the_eager_values(lam, n):
+    # what the solve used to compute at once, on the same v1
+    start = solve_heteroclinic(3.0, n=n)
+    sol = start if lam == 3.0 else continue_in_lambda(start, [lam]).solutions[-1]
+    v1, grid = sol.v1, sol.grid
+    dv1 = differentiate(v1, grid)
+    ham = hamiltonian_values(v1, v1[::-1], dv1, dv1[::-1], lam)
+    flags = heteroclinic.SolutionFlags(
+        monotone=heteroclinic._monotone_flag(v1), bounded=heteroclinic._bounded_flag(v1)
+    )
+    assert sol.dv1.tobytes() == dv1.tobytes()
+    assert float(np.max(np.abs(ham + 0.25))).hex() == sol.hamiltonian_dev.hex()
+    assert sol.flags == flags
 
 
 def test_derivatives_are_mirror_exact(sweep_solutions, odd_mesh_solutions):
@@ -634,14 +685,58 @@ def test_sector_residual_is_the_mean_of_the_full_residual(half, log_lam, amp, fr
     assert np.array_equal(sector_residual(y), 0.5 * (full[:m] + full[: m - 1 : -1]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([513, 1025, 8193]),
+    lam=st.sampled_from([3.0, 50.0, 1e4]),
+    amp=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sector_jacobian_is_the_even_block_of_the_full_jacobian(n, lam, amp, seed):
+    # written directly in sector order, bit for bit the fold of the full
+    # Jacobian at the mirrored state: so the hygiene check of the full
+    # Jacobian covers Newton's too. The perturbation moves every node, the
+    # middle one, whose coupling adds to its diagonal, included
+    grid = default_grid(lam, default_domain_halfwidth(lam), n)
+    fold, field = _sector(n)
+    e1, e2 = explicit_lambda3(grid.nodes)
+    rng = np.random.default_rng(seed)
+    y = fold(0.5 * (e1 + e2[::-1])[1:-1]) + amp * rng.uniform(-1.0, 1.0, n - 2)
+    v1 = field(y)
+    st_ = flux_stencil(grid)
+    _, full = heteroclinic._interior_residual_jacobian(st_, lam)
+    block = heteroclinic._sector_jacobian(st_, lam)(y)
+    assert (block.dim, block.bandwidth) == (n - 2, 2)
+    assert block.data.tobytes() == EVEN.band(full(v1, v1[::-1])).data.tobytes()
+
+
+def test_newton_builds_neither_the_full_band_nor_its_fold(sol3, monkeypatch):
+    # the full Jacobian and MirrorSector.band serve the spectrum and the
+    # hygiene check; a solve or a continuation that reached either fails here
+    make = heteroclinic._interior_residual_jacobian
+
+    def refuse(*args):
+        raise AssertionError("Newton built a full band or folded one")
+
+    def rows_only(st_, lam):
+        rows, _ = make(st_, lam)
+        return rows, refuse
+
+    monkeypatch.setattr(heteroclinic, "_interior_residual_jacobian", rows_only)
+    monkeypatch.setattr(MirrorSector, "band", refuse)
+    start = solve_heteroclinic(3.0, n=2049)
+    trace = continue_in_lambda(start, (10.0, 100.0))
+    assert [s.lam for s in trace.solutions] == [3.0, 10.0, 100.0]
+
+
 def test_solve_never_evaluates_the_full_residual(monkeypatch):
     # Newton reads the sector residual from the v1 rows; the interleaved
     # full residual and Jacobian are for the hygiene check alone
     calls = {"interleaved": 0, "rows": 0}
     make, interleaved = heteroclinic._interior_residual_jacobian, heteroclinic._interleaved
 
-    def counting(grid, lam):
-        rows, jacobian = make(grid, lam)
+    def counting(st_, lam):
+        rows, jacobian = make(st_, lam)
 
         def counted_rows(va, vb):
             calls["rows"] += 1

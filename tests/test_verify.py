@@ -99,3 +99,59 @@ def test_jacobian_fd_error_flags_wrong_jacobian():
 
     err = jacobian_fd_error(residual, wrong_jacobian, np.array([1.0, 2.0]))
     assert err > 1e-1
+
+
+def column_loop_fd_error(residual, jacobian, u0) -> float:
+    """The check one column at a time, 2*dim residual calls: the oracle of
+    the grouped differences."""
+    jac = jacobian(u0)
+    worst = 0.0
+    for k in range(u0.shape[0]):
+        column = jac.column(k)
+        step = 1e-6 * max(1.0, abs(float(u0[k])))
+        up = u0.copy()
+        dn = u0.copy()
+        up[k] += step
+        dn[k] -= step
+        fd = (residual(up) - residual(dn)) / (2.0 * step)
+        err = float(np.max(np.abs(fd - column)))
+        worst = max(worst, err / max(1.0, float(np.max(np.abs(column)))))
+    return worst
+
+
+def test_grouped_differences_give_the_column_loop_errors_bit_for_bit(monkeypatch):
+    # both hygiene states, of bandwidths 2 and 4
+    grouped = [e.hex() for e in _hygiene_states()]
+    monkeypatch.setattr(verify, "jacobian_fd_error", column_loop_fd_error)
+    assert [e.hex() for e in _hygiene_states()] == grouped
+
+
+def _coupled(u):
+    return u**2 - np.r_[u[1:], 0.0] - 2.0
+
+
+def _wrong_coupled_jacobian(u):
+    jac = BandedMatrix.zeros(u.shape[0], 1)
+    add_diagonal(jac, 0, 3.0 * u)  # should be 2u
+    add_diagonal(jac, 1, -np.ones(u.shape[0] - 1))
+    return jac
+
+
+def _diagonal_jacobian(u):
+    jac = BandedMatrix.zeros(u.shape[0], 0)
+    add_diagonal(jac, 0, 2.0 * u)
+    return jac
+
+
+@pytest.mark.parametrize(
+    "residual, jacobian, u0",
+    [
+        (_coupled, _wrong_coupled_jacobian, np.linspace(0.5, 3.0, 11)),
+        (_coupled, _wrong_coupled_jacobian, np.array([1.0, 2.0])),  # shorter than a group
+        (lambda u: u**2 - 2.0, _diagonal_jacobian, np.linspace(1.0, 2.0, 7)),
+    ],
+)
+def test_grouped_differences_match_the_column_loop_on_small_systems(residual, jacobian, u0):
+    # a wrong Jacobian of bandwidth 1 and a right one of bandwidth 0
+    got = jacobian_fd_error(residual, jacobian, u0)
+    assert got.hex() == column_loop_fd_error(residual, jacobian, u0).hex()
