@@ -36,13 +36,13 @@ from .heteroclinic import (
     HeteroclinicSolution,
     SignViolationError,
     SolutionFlags,
-    StepUnderflow,
     continue_in_lambda,
     default_domain_halfwidth,
     default_grid,
     essential_edge,
     explicit_lambda3,
     sigma_gradient_form,
+    solve_coupling,
     solve_heteroclinic,
 )
 from .asymptotics import (

@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .calculus import fit_loglog, golden_minimize
-from .heteroclinic import HeteroclinicSolution
 from .profiles import PSI0, BlowupProfile, outer_value, outer_derivative
+
+if TYPE_CHECKING:  # heteroclinic imports this module to seed its solves
+    from .heteroclinic import HeteroclinicSolution
 
 __all__ = [
     "COMPOSITE_LAM_MIN",
@@ -39,6 +42,7 @@ __all__ = [
     "ErrorReport",
     "ErrorOrders",
     "build_composite",
+    "core_halfwidth",
     "measure_errors",
     "fit_error_orders",
     "shift_estimate",
@@ -180,11 +184,21 @@ def check_composite_coupling(lam: float, X: float) -> None:
     on [-X, X]."""
     if lam < COMPOSITE_LAM_MIN:
         raise ValueError(f"composite needs lam >= {COMPOSITE_LAM_MIN:g}, got {lam}")
-    if math.log(lam) > X * (1.0 + 1e-12):
+    if core_halfwidth(lam, X) > X:
         raise ValueError(
             f"inner window needs X >= ln(lam) = {math.log(lam):.2f}, "
             f"blow-up data has X = {X}"
         )
+
+
+def core_halfwidth(lam: float, X: float) -> float:
+    """Half-width X' of the core whose composites seed the couplings up to
+    lam: X while ln(lam) <= X (to a relative 1e-12), and ceil(ln lam)
+    beyond, so that the stretched inner window of each of them sits inside
+    core data on [-X', X']."""
+    if math.log(lam) > X * (1.0 + 1e-12):
+        return float(math.ceil(math.log(lam)))
+    return X
 
 
 def build_composite(

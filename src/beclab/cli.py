@@ -1,17 +1,16 @@
 """Command-line surface: solves, sweeps, and the verification report.
 
 Exit codes are a stable contract: 0 success, 1 usage or precondition
-violation, 2 numerical failure (non-convergence, step underflow, a
-singular pivot of the spectrum's inertia count), 3 verification failure.
+violation, 2 numerical failure (non-convergence, a singular pivot of the
+spectrum's inertia count), 3 verification failure.
 All outputs are flat files (CSV curves, JSON reports) carrying the
 resolved configuration, with pinned formatting so reruns are
 byte-identical.
 
-A single --lambda (solve, composite, spectrum, energy) is reached by one of
-two paths (_solve_at): a direct solve, from a --seed file or, below 10,
-from the explicit lam = 3 seed; and otherwise the matched composite
-corrected by Newton on the mesh ladder. Sweeps (continue,
-energy --lambda-range, verify) continue from 3.
+Every coupling, alone (--lambda) or in a sweep (--lambda-range), is
+reached by heteroclinic.solve_coupling: below 10 a direct solve from the
+explicit lam = 3 seed, and from 10 up the matched composite corrected by
+Newton on the mesh ladder. A --seed file instead seeds one direct solve.
 """
 
 from __future__ import annotations
@@ -28,31 +27,26 @@ from .asymptotics import (
     COMPOSITE_LAM_MIN,
     build_composite,
     check_composite_coupling,
+    core_halfwidth,
     measure_errors,
 )
 from .energy import expansion_residual
 from .heteroclinic import (
-    ContinuationTrace,
     HeteroclinicSolution,
-    StepUnderflow,
     continue_in_lambda,
-    correct_on_ladder,
     default_domain_halfwidth,
     default_grid,
     mesh_ladder,
+    solve_coupling,
     solve_heteroclinic,
 )
-from .profiles import PSI0, BlowupProfile, core_n, solve_blowup
+from .profiles import CORE_X, PSI0, BlowupProfile, core_n, solve_blowup
 from .runio import read_seed_csv, write_csv, write_json
 from .spectrum import nondegeneracy_report
 from .verify import run_verification
 from . import __version__
 
 __all__ = ["main", "entry"]
-
-# Half-width of the core domain: the --X default of composite, energy and
-# verify, and the core profile whose composite seeds solve and spectrum.
-_CORE_X = 15.0
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -115,16 +109,16 @@ _COMMAND_FIELDS = {
     "solve": {"lam": None, "L": None, "n": 8193, "seed": None, "out": "."},
     "continue": {"lam_range": None, "n": 8193, "out": "."},
     "composite": {
-        "lam": None, "X": _CORE_X, "L": None, "n": 8193, "seed": None,
+        "lam": None, "X": CORE_X, "L": None, "n": 8193, "seed": None,
         "variant": "shifted", "out": ".",
     },
     "spectrum": {"lam": None, "L": None, "n": 8193, "seed": None, "out": "."},
     "energy": {
-        "lam": None, "lam_range": None, "X": _CORE_X, "L": None, "n": 8193,
+        "lam": None, "lam_range": None, "X": CORE_X, "L": None, "n": 8193,
         "seed": None, "out": ".",
     },
     "verify": {
-        "lam_range": (10.0, 1e6, 1), "X": _CORE_X, "n": 8193, "tol": 1.0, "out": ".",
+        "lam_range": (10.0, 1e6, 1), "X": CORE_X, "n": 8193, "tol": 1.0, "out": ".",
     },
 }
 
@@ -188,57 +182,48 @@ def _check_mesh(lam: float, nodes, width: float, n: int, flag: str) -> None:
             ) from None
 
 
+def _seed_core(lam: float, X: float) -> BlowupProfile:
+    """The core profile whose composites seed the couplings up to lam: on
+    [-X', X'] with X' = core_halfwidth(lam, X), on core_n(X') nodes."""
+    X = core_halfwidth(lam, X)
+    return solve_blowup(X=X, n=core_n(X))
+
+
 def _solve_at(
     cfg: argparse.Namespace, lam: float, X: float
 ) -> tuple[HeteroclinicSolution, BlowupProfile | None]:
     """The solution at lam, and the core profile whose composite seeded it
-    (None for a direct solve). Every mesh of the chosen path is built
-    before any solve (_check_mesh).
-
-    - A user seed file, or a coupling below COMPOSITE_LAM_MIN (10): one
-      direct solve, seeded from the file or from the explicit lam = 3
-      seed.
-    - Every other coupling: the paper's construction. The core is solved
-      on [-X', X'], where X' is X while ln lam <= X and the ceiling of
-      ln lam beyond, on core_n(X') nodes. Its shifted composite seeds the
-      coarsest mesh of mesh_ladder(n), and correct_on_ladder carries that
-      solve to each finer mesh, all on [-L, L].
+    (None for a direct solve). A --seed file seeds one direct solve; every
+    other coupling is solve_coupling's, from 10 up with _seed_core(lam, X).
+    Every mesh of the chosen path is built before any solve (_check_mesh).
     """
     n, L = cfg.n, cfg.L
     width = default_domain_halfwidth(lam) if L is None else L
-    if cfg.seed is not None or lam < COMPOSITE_LAM_MIN:
+    if cfg.seed is not None:
         _check_mesh(lam, [n], width, n, "--lambda")
-        init = None
-        if cfg.seed is not None:
-            z, v1, _ = read_seed_csv(cfg.seed)  # v2 is v1 mirrored
-            init = (z, v1)
-        return solve_heteroclinic(lam, L=L, n=n, init=init), None
-    ladder = mesh_ladder(n)
-    _check_mesh(lam, ladder, width, n, "--lambda")
-    if math.log(lam) > X * (1.0 + 1e-12):  # beyond check_composite_coupling's window
-        X = float(math.ceil(math.log(lam)))
-    profile = solve_blowup(X=X, n=core_n(X))
-    grid = default_grid(lam, width, ladder[0])
-    seed, _ = build_composite(lam, profile).values(grid.nodes)
-    coarse = solve_heteroclinic(lam, L=width, n=ladder[0], init=(grid.nodes, seed))
-    return correct_on_ladder(coarse, n)[0], profile
+        z, v1, _ = read_seed_csv(cfg.seed)  # v2 is v1 mirrored
+        return solve_heteroclinic(lam, L=L, n=n, init=(z, v1)), None
+    composite = lam >= COMPOSITE_LAM_MIN
+    _check_mesh(lam, mesh_ladder(n) if composite else [n], width, n, "--lambda")
+    core = _seed_core(lam, X) if composite else None
+    return solve_coupling(lam, n, core, L=L)[0], core
 
 
-def _sweep_from_seed(lams: list[float], n: int) -> ContinuationTrace:
-    """The upward branch from the lam = 3 solve through the increasing
-    couplings lams; a coupling of 3 is that solve itself. A coupling below
-    3, or no coupling above it, is a usage error."""
+def _sweep_couplings(rng: tuple[float, float, int], n: int) -> list[float]:
+    """The couplings of --lambda-range, from the seed coupling 3 up; a
+    coupling below 3, or no coupling above it, is a usage error. The
+    ladder of the largest is built before any solve (_check_mesh)."""
+    lams = range_couplings(rng)
     if lams[0] < 3.0:
         raise ValueError(
             f"coupling {lams[0]:g} lies below the seed coupling 3, "
-            "from which sweeps continue upward"
+            "where sweeps start"
         )
     if lams[-1] == 3.0:
         raise ValueError("a sweep must reach above the seed coupling 3")
     half = default_domain_halfwidth(lams[-1])
     _check_mesh(lams[-1], mesh_ladder(n), half, n, "--lambda-range")
-    start = solve_heteroclinic(3.0, n=n)
-    return continue_in_lambda(start, [lam for lam in lams if lam > 3.0])
+    return lams
 
 
 class _Output(NamedTuple):
@@ -276,7 +261,7 @@ def _cmd_blowup(cfg: argparse.Namespace) -> _Output:
 def _cmd_solve(cfg: argparse.Namespace) -> _Output:
     if cfg.lam is None:
         raise ValueError("solve requires --lambda")
-    sol, _ = _solve_at(cfg, cfg.lam, _CORE_X)
+    sol, _ = _solve_at(cfg, cfg.lam, CORE_X)
     columns = {"z": sol.grid.nodes, "v1": sol.v1, "v2": sol.v2, "dv1": sol.dv1, "dv2": sol.dv2}
     summary = {
         "lambda": sol.lam,
@@ -297,7 +282,9 @@ def _cmd_solve(cfg: argparse.Namespace) -> _Output:
 def _cmd_continue(cfg: argparse.Namespace) -> _Output:
     if cfg.lam_range is None:
         raise ValueError("continue requires --lambda-range a:b:per_decade")
-    trace = _sweep_from_seed(range_couplings(cfg.lam_range), cfg.n)
+    lams = _sweep_couplings(cfg.lam_range, cfg.n)
+    start = solve_heteroclinic(3.0, n=cfg.n)
+    trace = continue_in_lambda(start, [lam for lam in lams if lam > 3.0])
     entries = trace.entries
     columns = {
         "lambda": [e.lam for e in entries],
@@ -310,12 +297,10 @@ def _cmd_continue(cfg: argparse.Namespace) -> _Output:
     summary = {
         "points": len(entries),
         "final_lambda": entries[-1].lam,
-        "total_halvings": sum(s.halvings for s in trace.steps),
         "steps": [
             {
                 "from": s.lam_from,
                 "to": s.lam_to,
-                "halvings": s.halvings,
                 "iterations": s.iterations,
                 "coarse_iterations": s.coarse_iterations,
             }
@@ -342,7 +327,7 @@ def _cmd_composite(cfg: argparse.Namespace) -> _Output:
 def _cmd_spectrum(cfg: argparse.Namespace) -> _Output:
     if cfg.lam is None:
         raise ValueError("spectrum requires --lambda")
-    sol, _ = _solve_at(cfg, cfg.lam, _CORE_X)
+    sol, _ = _solve_at(cfg, cfg.lam, CORE_X)
     report, pairs = nondegeneracy_report(sol)
     columns = {"z": sol.grid.nodes}
     for i, (_value, (phi1, phi2)) in enumerate(pairs, start=1):
@@ -358,11 +343,10 @@ def _cmd_energy(cfg: argparse.Namespace) -> _Output:
         raise ValueError("energy requires exactly one of --lambda and --lambda-range")
     if cfg.lam_range is not None and (cfg.L is not None or cfg.seed is not None):
         raise ValueError("energy reads --L and --seed only with --lambda")
-    profile = None
     if cfg.lam_range is not None:
-        lams = range_couplings(cfg.lam_range)
-        wanted = set(lams)
-        sols = [s for s in _sweep_from_seed(lams, cfg.n).solutions if s.lam in wanted]
+        lams = _sweep_couplings(cfg.lam_range, cfg.n)
+        profile = _seed_core(lams[-1], cfg.X)
+        sols = [solve_coupling(lam, cfg.n, profile)[0] for lam in lams]
     else:
         sol, profile = _solve_at(cfg, cfg.lam, cfg.X)
         sols = [sol]
@@ -436,13 +420,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"beclab {args.command}: {exc}", file=sys.stderr)
         return 1
-    except StepUnderflow as exc:
-        print(
-            f"beclab {args.command}: continuation stalled, last converged "
-            f"coupling {exc.at_lambda:g}",
-            file=sys.stderr,
-        )
-        return 2
     except RuntimeError as exc:
         print(f"beclab {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -22,18 +22,18 @@ bit for bit, and the full band is never built. The full residual and
 Jacobian of interleaved (v1, v2) unknowns (_interleaved) serve only the
 Jacobian hygiene check and the spectrum.
 
-Continuation is nested iteration on a ladder of meshes. Newton's
-iteration count does not depend on the mesh once the mesh is fine enough
-(Allgower, Bohmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986), so
-each step from lam to 10*lam climbs on the coarsest mesh of the ladder
-(each mesh has a quarter of the intervals of the next, none below 513
-nodes), seeded from the previous step's coarsest solution, and each finer
-mesh is seeded from the solution just below it at the same coupling
-(correct_on_ladder, which also carries any other coarsest solve, such as
-one seeded from the matched composite, up the ladder). On every finer
-mesh Newton then needs about one iteration, and the requested mesh ends
-at the rounding floor. A seed is v1 alone: folded into sector order, it
-is the state Newton starts from.
+Every coupling is reached by one path (solve_coupling). Below 10 it is
+one direct solve from the explicit lam = 3 seed. From 10 up it is the
+paper's construction: the matched composite seeds a solve on the coarsest
+mesh of a ladder (each mesh has a quarter of the intervals of the next,
+none below 513 nodes), and each finer mesh is seeded from the solution
+just below it at the same coupling (correct_on_ladder). This is nested
+iteration: Newton's iteration count does not depend on the mesh once the
+mesh is fine enough (Allgower, Bohmer, Potra & Rheinboldt, SIAM J. Numer.
+Anal. 23, 1986), so every finer mesh needs about one iteration, and the
+requested mesh ends at the rounding floor. A sweep is one independent
+solve per coupling. A seed is v1 alone: folded into sector order, it is
+the state Newton starts from.
 
 Discretisation is the flux form of the second difference on a sinh-graded
 mesh whose fine region tracks the interface core (|z| of order
@@ -52,12 +52,12 @@ to closure elsewhere; see _SAT_EPS below.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .asymptotics import COMPOSITE_LAM_MIN, build_composite, core_halfwidth
 from .banded import BandedMatrix, FilledBand
 from .calculus import quadrature, resample
 from .grids import (
@@ -70,8 +70,8 @@ from .grids import (
     make_grid,
     ratio_from_beta,
 )
-from .newton import NonConvergenceError, SingularJacobianError, newton_solve
-from .profiles import outer_value
+from .newton import newton_solve
+from .profiles import CORE_X, BlowupProfile, core_n, outer_value, solve_blowup
 
 __all__ = [
     "SolutionFlags",
@@ -79,7 +79,6 @@ __all__ = [
     "StepRecord",
     "TraceEntry",
     "ContinuationTrace",
-    "StepUnderflow",
     "SignViolationError",
     "explicit_lambda3",
     "essential_edge",
@@ -88,6 +87,7 @@ __all__ = [
     "solve_heteroclinic",
     "mesh_ladder",
     "correct_on_ladder",
+    "solve_coupling",
     "continue_in_lambda",
     "hamiltonian_values",
     "sigma_gradient_form",
@@ -100,20 +100,8 @@ _SAT_EPS = 1e-13
 # Hard error threshold for genuine sign violations after convergence.
 _SIGN_FLOOR = 1e-11
 
-# A continuation proposal this close to its target (relative) is the
-# target: exp(log(lam) + step) carries a relative rounding error of up to
-# about eps*|log lam| (7.2 eps for the decade step 1e6 -> 1e5), so a
-# decade step would otherwise land an ulp short and spend one more solve
-# on the last ulp.
-_SNAP_RTOL = 64.0 * sys.float_info.epsilon
-
-# Continuation multiplies lam by _STEP_FACTOR per step (one decade); a
-# failed solve halves the log-step it tried, at most _MAX_HALVINGS times.
-_STEP_FACTOR = 10.0
-_MAX_HALVINGS = 8
-
 # Fewest mesh nodes solve_heteroclinic accepts, and the coarsest mesh a
-# continuation ladder may reach.
+# ladder (mesh_ladder) may reach.
 _MIN_N = 513
 
 
@@ -181,10 +169,11 @@ class HeteroclinicSolution:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One accepted continuation step: the halvings spent before it, the
-    Newton iterations of its accepted solve on the requested mesh, and
-    those on each coarser mesh of its ladder, coarsest first (() when the
-    ladder is the requested mesh alone)."""
+    """One target of continue_in_lambda: the Newton iterations of its solve
+    on the requested mesh, and those on each coarser mesh of its ladder,
+    coarsest first (() for a direct solve, or when the ladder is the
+    requested mesh alone). halvings is always 0, since no solve is
+    retried; perfbench's tracer still reads it."""
 
     lam_from: float
     lam_to: float
@@ -213,16 +202,6 @@ class ContinuationTrace:
         lams = [e.lam for e in self.entries]
         if not np.all(np.diff(lams) > 0.0):
             raise ValueError("trace lambdas must be strictly increasing")
-
-
-class StepUnderflow(RuntimeError):
-    """Continuation step halved _MAX_HALVINGS times without converging."""
-
-    def __init__(self, at_lambda: float):
-        self.at_lambda = at_lambda
-        super().__init__(
-            f"continuation step underflow at lambda = {at_lambda:.6g}"
-        )
 
 
 class SignViolationError(RuntimeError):
@@ -468,11 +447,10 @@ def solve_heteroclinic(
     increasing node set, such as another solution's grid; they are
     resampled onto the mesh and seed Newton as they are. When init is
     omitted, the mean of the explicit lam=3 branch's v1 and mirrored v2
-    seeds the iteration; that works for couplings below 10, and larger
-    ones take init from the matched composite or from continue_in_lambda's
-    previous step. A converged
-    iterate whose interior dips below the sign noise floor raises
-    SignViolationError (the branch of interest is positive).
+    seeds the iteration; that works for couplings below 10, and
+    solve_coupling seeds larger ones from the matched composite. A
+    converged iterate whose interior dips below the sign noise floor
+    raises SignViolationError (the branch of interest is positive).
     """
     if not lam > 1.0:
         raise ValueError(f"coupling must exceed 1, got lam={lam}")
@@ -545,8 +523,8 @@ def _trace_entry(sol: HeteroclinicSolution) -> TraceEntry:
 
 
 def mesh_ladder(n: int) -> tuple[int, ...]:
-    """The meshes a continuation step onto n nodes solves on, coarsest
-    first and ending with n: each has a quarter of the intervals of the
+    """The meshes a composite-seeded solve onto n nodes (solve_coupling)
+    solves on, coarsest first and ending with n: each has a quarter of the intervals of the
     next, (m - 1)/4 + 1 nodes rounded up to odd, and none has fewer than
     _MIN_N (513) nodes. So 32769 gives (513, 2049, 8193, 32769) and 8193
     gives (513, 2049, 8193); odd n from 2043 to 8161 give two meshes, and
@@ -578,37 +556,43 @@ def correct_on_ladder(
     return sol, tuple(iterations)
 
 
+def solve_coupling(
+    lam: float, n: int, core: BlowupProfile | None, L: float | None = None
+) -> tuple[HeteroclinicSolution, tuple[int, ...]]:
+    """The solution at coupling lam on n nodes, and its Newton iterations
+    on every mesh it solved on, coarsest first.
+
+    - Below COMPOSITE_LAM_MIN (10): one direct solve on n nodes from the
+      explicit lam = 3 seed; core is not read.
+    - From 10 up, the paper's construction: the shifted composite of the
+      core profile core (on [-X, X] with ln lam <= X) seeds a solve on the
+      coarsest mesh of mesh_ladder(n), and correct_on_ladder carries that
+      solve to each finer mesh.
+
+    Every mesh is on [-L, L] (L defaults to default_domain_halfwidth(lam)).
+    """
+    if lam < COMPOSITE_LAM_MIN:
+        sol = solve_heteroclinic(lam, n=n, L=L)
+        return sol, (sol.newton_iterations,)
+    width = default_domain_halfwidth(lam) if L is None else L
+    grid = default_grid(lam, width, mesh_ladder(n)[0])
+    seed, _ = build_composite(lam, core).values(grid.nodes)
+    coarse = solve_heteroclinic(lam, n=grid.n, L=width, init=(grid.nodes, seed))
+    return correct_on_ladder(coarse, n)
+
+
 def continue_in_lambda(
     start: HeteroclinicSolution,
     targets,
     n: int | None = None,
 ) -> ContinuationTrace:
-    """Walk the branch upward from start through the strictly increasing
-    targets on meshes of n nodes (default: start's).
-
-    Each step solves its proposal on the coarsest mesh of mesh_ladder(n),
-    seeded from the previous step's coarsest solution (the first step's
-    from start), and correct_on_ladder carries it to each finer mesh, each
-    seeded from the solution just below it at the same coupling, so only the
-    coarsest solution is kept from one step to the next and, after the
-    first step, no seed is resampled from the requested mesh. The trace
-    and its solutions are on the requested mesh;
-    StepRecord.coarse_iterations counts the Newton iterations on each
-    coarser mesh.
-
-    Steps are log-uniform with ratio _STEP_FACTOR (one decade); a failure
-    of a solve on any mesh (NonConvergenceError, SingularJacobianError,
-    SignViolationError) halves the log-step it tried (next proposal: the
-    geometric midpoint of the current coupling and the failed one) up to
-    _MAX_HALVINGS times, then raises StepUnderflow. Any other error
-    propagates. A proposal that passes the next target, or lies within a
-    relative _SNAP_RTOL (64 eps) of it, is replaced by the target itself,
-    so every target is solved at exactly its requested value; a halved
-    proposal lies strictly between the current coupling and the one that
-    failed, so no failed solve is repeated. This function only climbs:
-    couplings below start.lam are not its job (the CLI solves couplings
-    below 10 directly, from the explicit lam = 3 seed). The trace
-    records every accepted solve including the start.
+    """The branch from start through the strictly increasing targets on
+    meshes of n nodes (default: start's): start, then one independent
+    solve_coupling per target. The targets from COMPOSITE_LAM_MIN up share
+    one core profile, solved on [-X', X'] with
+    X' = core_halfwidth(max target, CORE_X), on core_n(X') nodes. Each
+    target gets one StepRecord; a failed solve raises. The trace records
+    start and every target.
     """
     targets = [float(t) for t in targets]
     if not targets:
@@ -616,45 +600,26 @@ def continue_in_lambda(
     if not np.all(np.diff([start.lam] + targets) > 0.0):
         raise ValueError("targets must increase strictly from start.lam")
     n = start.grid.n if n is None else n
-    coarsest = mesh_ladder(n)[0]
-
-    log_step = math.log(_STEP_FACTOR)
-    entries = [_trace_entry(start)]
+    core = None
+    if targets[-1] >= COMPOSITE_LAM_MIN:
+        X = core_halfwidth(targets[-1], CORE_X)
+        core = solve_blowup(X=X, n=core_n(X))
     steps: list[StepRecord] = []
     solutions = [start]
-    current = climbed = start
     for target in targets:
-        while current.lam != target:
-            step = log_step
-            halvings = 0
-            while True:
-                proposal = math.exp(math.log(current.lam) + step)
-                if proposal > target or math.isclose(proposal, target, rel_tol=_SNAP_RTOL):
-                    proposal = target
-                try:
-                    climb = solve_heteroclinic(
-                        proposal, n=coarsest, init=(climbed.grid.nodes, climbed.v1)
-                    )
-                    sol, iterations = correct_on_ladder(climb, n)
-                except (NonConvergenceError, SingularJacobianError, SignViolationError):
-                    halvings += 1
-                    if halvings > _MAX_HALVINGS:
-                        raise StepUnderflow(at_lambda=current.lam) from None
-                    step = 0.5 * (math.log(proposal) - math.log(current.lam))
-                    continue
-                steps.append(
-                    StepRecord(
-                        lam_from=current.lam,
-                        lam_to=proposal,
-                        halvings=halvings,
-                        iterations=iterations[-1],
-                        coarse_iterations=iterations[:-1],
-                    )
-                )
-                current, climbed = sol, climb
-                break
-            entries.append(_trace_entry(current))
-            solutions.append(current)
+        sol, iterations = solve_coupling(target, n, core)
+        steps.append(
+            StepRecord(
+                lam_from=solutions[-1].lam,
+                lam_to=target,
+                halvings=0,
+                iterations=iterations[-1],
+                coarse_iterations=iterations[:-1],
+            )
+        )
+        solutions.append(sol)
     return ContinuationTrace(
-        entries=tuple(entries), steps=tuple(steps), solutions=tuple(solutions)
+        entries=tuple(_trace_entry(s) for s in solutions),
+        steps=tuple(steps),
+        solutions=tuple(solutions),
     )

@@ -47,6 +47,7 @@ from .newton import newton_solve
 __all__ = [
     "PSI0",
     "CORE_N",
+    "CORE_X",
     "core_n",
     "outer_value",
     "outer_derivative",
@@ -60,6 +61,11 @@ PSI0 = 1.0 / math.sqrt(2.0)
 
 # Node count of the core mesh up to X = 37: the blowup command's default.
 CORE_N = 4097
+
+# Half-width of the core domain: the --X default of composite, energy and
+# verify, and of the core whose composites seed solve, spectrum and
+# continue.
+CORE_X = 15.0
 
 # Default sinh-map strength for the core grid; resolves the corner region
 # near x=0 where curvature peaks while keeping far-field cells coarse.

@@ -39,12 +39,20 @@ from .grids import make_grid
 from .heteroclinic import (
     HeteroclinicSolution,
     _interleaved,
-    continue_in_lambda,
+    _value_at_zero,
     default_grid,
     explicit_lambda3,
+    solve_coupling,
     solve_heteroclinic,
 )
-from .profiles import PSI0, _core_residual_jacobian, core_n, outer_derivative, solve_blowup
+from .profiles import (
+    CORE_X,
+    PSI0,
+    _core_residual_jacobian,
+    core_n,
+    outer_derivative,
+    solve_blowup,
+)
 from .shooting import kappa_shooting
 from .spectrum import SpectrumReport, nondegeneracy_report
 
@@ -165,7 +173,7 @@ class _PointResult:
 
 def run_verification(
     lams: Sequence[float] | None = None,
-    X: float = 15.0,
+    X: float = CORE_X,
     n: int = 8193,
     scale: float = 1.0,
 ) -> VerificationReport:
@@ -205,9 +213,8 @@ def run_verification(
         return float(max(np.max(np.abs(sol.v1 - e1)), np.max(np.abs(sol.v2 - e2))))
 
     base_n = (n - 1) // 2 + 1
-    start = solve_heteroclinic(3.0, n=n)
     sup_base = explicit_sup(solve_heteroclinic(3.0, n=base_n))
-    sup_doubled = explicit_sup(start)
+    sup_doubled = explicit_sup(solve_heteroclinic(3.0, n=n))
     anchors_pass = (
         abs(du0 - PSI0) <= 1e-12 * scale
         and abs(pc - LEADING_TENSION) <= 1e-8 * scale
@@ -252,16 +259,16 @@ def run_verification(
     )
 
     # -- heteroclinic sweep -------------------------------------------------
-    trace = continue_in_lambda(start, sweep)
-    solutions = {s.lam: s for s in trace.solutions if s.lam in sweep}
+    # every coupling is seeded from the composite of the core solved above
+    solutions = {lam: solve_coupling(lam, n, blowup)[0] for lam in sweep}
     ham_max = max(s.hamiltonian_dev for s in solutions.values())
     qualitative = all(
         s.flags.monotone and s.flags.bounded for s in solutions.values()
     )
     scaled_crossing = [
-        e.crossing_value * e.lam**0.25
-        for e in trace.entries
-        if e.lam in sweep and e.lam >= 100.0
+        _value_at_zero(s.grid, s.v1) * lam**0.25
+        for lam, s in solutions.items()
+        if lam >= 100.0
     ]
     band = max(scaled_crossing) / min(scaled_crossing)
     sweep_pass = (

@@ -20,8 +20,6 @@ from beclab.calculus import resample
 from beclab.cli import main, range_couplings
 from beclab.runio import read_seed_csv, write_csv
 from beclab.heteroclinic import (
-    StepUnderflow,
-    continue_in_lambda,
     correct_on_ladder,
     default_domain_halfwidth,
     default_grid,
@@ -203,6 +201,7 @@ def _unreachable(*args, **kwargs):
 )
 def test_non_finite_flag_exits_one_before_solving(argv, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_heteroclinic", _unreachable)
+    monkeypatch.setattr(cli, "solve_coupling", _unreachable)
     monkeypatch.setattr(cli, "solve_blowup", _unreachable)
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 1
@@ -225,6 +224,7 @@ def test_non_finite_config_value_exits_one_before_solving(
 ):
     # json writes NaN and Infinity, which json.loads reads back as floats
     monkeypatch.setattr(cli, "solve_heteroclinic", _unreachable)
+    monkeypatch.setattr(cli, "solve_coupling", _unreachable)
     monkeypatch.setattr(cli, "solve_blowup", _unreachable)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
@@ -246,6 +246,7 @@ def test_composite_outside_its_window_exits_one_before_solving(
     argv, message, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.setattr(cli, "solve_heteroclinic", _unreachable)
+    monkeypatch.setattr(cli, "solve_coupling", _unreachable)
     monkeypatch.setattr(cli, "solve_blowup", _unreachable)
     out = tmp_path / "run"
     assert main([*argv, "--out", str(out)]) == 1
@@ -278,6 +279,7 @@ def test_unresolvable_coupling_exits_one_before_solving(
     # the interface width lam^(-1/4); that used to surface only after the
     # solves below it
     monkeypatch.setattr(cli, "solve_heteroclinic", _unreachable)
+    monkeypatch.setattr(cli, "solve_coupling", _unreachable)
     monkeypatch.setattr(cli, "continue_in_lambda", _unreachable)
     monkeypatch.setattr(cli, "solve_blowup", _unreachable)
     out = tmp_path / "run"
@@ -473,22 +475,37 @@ def test_composite_command_solves_the_core_once(tmp_path, monkeypatch):
 
 
 # couplings at which the composite-seeded ladder is checked against the
-# continuation branch from 3, on the default 8193-node mesh; from 1e7 up
+# decade climb from 3, on the default 8193-node mesh; from 1e7 up
 # ln(lam) exceeds 15 and the core is widened to its ceiling
 AGREEMENT = (15.0, 1e2, 1e3, 1e4, 1e6, 1e7, 1e16, 1e30)
 
 
+def decade_climb(targets, n):
+    """An independent route to the branch: from the lam = 3 solve on the
+    coarsest mesh of mesh_ladder(n), each solve there is seeded from the
+    one before at most a decade below, and correct_on_ladder carries the
+    one at each target to n nodes. No step is halved."""
+    coarse, branch = solve_heteroclinic(3.0, n=mesh_ladder(n)[0]), {}
+    for target in targets:
+        while coarse.lam < target:
+            lam = min(10.0 * coarse.lam, target)
+            coarse = solve_heteroclinic(
+                lam, n=coarse.n, init=(coarse.grid.nodes, coarse.v1)
+            )
+        branch[target] = correct_on_ladder(coarse, n)[0]
+    return branch
+
+
 @pytest.fixture(scope="module")
 def branch_8193():
-    start = solve_heteroclinic(3.0, n=8193)
-    return {s.lam: s for s in continue_in_lambda(start, AGREEMENT).solutions}
+    return decade_climb(AGREEMENT, 8193)
 
 
 @pytest.mark.parametrize("lam", [15.0, 1e2, 1e4, 1e6, 1e7, 1e16, 1e30])
 def test_composite_ladder_agrees_with_continuation(lam, branch_8193):
     # the paper's construction (composite seed, Newton on the mesh ladder)
-    # and the continuation branch from 3 reach the same discrete solution,
-    # both at the rounding floor
+    # and the decade climb from 3 reach the same discrete solution, both
+    # at the rounding floor
     cfg = argparse.Namespace(n=8193, L=None, seed=None)
     sol, profile = cli._solve_at(cfg, lam, 15.0)
     branch = branch_8193[lam]
@@ -501,8 +518,8 @@ def test_composite_ladder_agrees_with_continuation(lam, branch_8193):
 
 
 def test_composite_ladder_on_a_given_L_agrees_with_continuation(branch_8193):
-    # --L 25: every mesh of the ladder is on [-25, 25]. The continuation's
-    # end point is carried onto the same meshes by the same ladder
+    # --L 25: every mesh of the ladder is on [-25, 25]. The climb's end
+    # point is carried onto the same meshes by the same ladder
     lam, n = 1e3, 8193
     sol, _ = cli._solve_at(argparse.Namespace(n=n, L=25.0, seed=None), lam, 15.0)
     end = branch_8193[lam]
@@ -549,7 +566,8 @@ def test_continue_command(tmp_path):
     assert summary["report"]["points"] == len(lams)
     steps = summary["report"]["steps"]
     assert [(s["from"], s["to"]) for s in steps] == list(zip(lams, lams[1:]))
-    assert all(s["halvings"] == 0 and s["iterations"] >= 1 for s in steps)
+    assert all(s["iterations"] >= 1 and "halvings" not in s for s in steps)
+    assert "total_halvings" not in summary["report"]
     # n = 1025 has no coarser mesh: its quarter would have 257 nodes
     assert all(s["coarse_iterations"] == [] for s in steps)
 
@@ -815,23 +833,10 @@ def test_nonconvergence_exits_two(tmp_path, capsys):
     assert "solve" in capsys.readouterr().err
 
 
-def test_continuation_stall_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    def stalled(start, targets):
-        raise StepUnderflow(at_lambda=123.4)
-
-    monkeypatch.setattr(cli, "continue_in_lambda", stalled)
-    out = tmp_path / "run"
-    argv = ["continue", "--lambda-range", "10:1e7:1", "--n", "1025", "--out", str(out)]
-    assert main(argv) == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err == "beclab continue: continuation stalled, last converged coupling 123.4\n"
-
-
 # the numerical entry point of each command, as cli names it
 ENTRY_POINT = {
     "blowup": "solve_blowup",
-    "solve": "solve_heteroclinic",
+    "solve": "solve_coupling",
     "continue": "continue_in_lambda",
     "composite": "measure_errors",
     "spectrum": "nondegeneracy_report",

@@ -9,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beclab import (
-    NonConvergenceError,
     SignViolationError,
-    SingularJacobianError,
-    StepUnderflow,
     continue_in_lambda,
     default_domain_halfwidth,
     explicit_lambda3,
@@ -140,19 +137,24 @@ def test_sweep_tension_monotone(sweep_trace):
 
 
 def test_sweep_takes_one_decade_per_step(sweep_trace):
+    # one solve per target, each from the one before it in the trace, and
+    # none retried
     assert tuple(e.lam for e in sweep_trace.entries) == (3.0,) + SWEEP
     assert len(sweep_trace.steps) == 6
     assert [s.halvings for s in sweep_trace.steps] == [0] * 6
-    for step, sol in zip(sweep_trace.steps, sweep_trace.solutions[1:]):
-        assert step.lam_to == sol.lam
+    for step, prev, sol in zip(
+        sweep_trace.steps, sweep_trace.solutions, sweep_trace.solutions[1:]
+    ):
+        assert (step.lam_from, step.lam_to) == (prev.lam, sol.lam)
         assert step.iterations == sol.newton_iterations >= 1
         # climbed on 513 nodes, corrected on 2049, finished on 8193
         assert len(step.coarse_iterations) == 2 and min(step.coarse_iterations) >= 1
 
 
 def test_sweep_work_budget(sol3, monkeypatch):
-    # counted, not timed: a return to small steps, or to climbing on a
-    # finer mesh than the ladder's coarsest, fails here first
+    # counted, not timed: a return to stepping from one coupling to the
+    # next (37 factorizations on 513 nodes), or to solving on a finer mesh
+    # than the ladder's coarsest from the composite, fails here first
     solves, factorizations = [], []
     real_solve, real_lu = heteroclinic.solve_heteroclinic, newton.BandedLU
 
@@ -169,10 +171,11 @@ def test_sweep_work_budget(sol3, monkeypatch):
     trace = continue_in_lambda(sol3, SWEEP)
     assert trace.solutions[-1].lam == 1e6
     # each target is solved once per mesh of the ladder, coarsest first,
-    # ending on the requested 8193 nodes; a sector system has n - 2 rows
+    # ending on the requested 8193 nodes; a sector system has n - 2 rows.
+    # The one other size is the core solve that seeds the composites
     assert solves == [(lam, n) for lam in SWEEP for n in (513, 2049, 8193)]
-    assert set(factorizations) == {511, 2047, 8191}
-    assert factorizations.count(511) <= 42
+    assert len(set(factorizations) - {511, 2047, 8191}) == 1
+    assert factorizations.count(511) <= 24
     assert factorizations.count(2047) <= 12
     assert factorizations.count(8191) <= 12
 
@@ -189,56 +192,17 @@ def test_two_mesh_step_matches_the_one_mesh_step(sweep_trace):
         assert sol.newton_residual <= 1e-12
 
 
-def fail_first_solve_on(mesh, monkeypatch):
-    """Route continuation through the real solver, recording each
-    (coupling, mesh) attempt; the first solve on `mesh` fails."""
-    real = heteroclinic.solve_heteroclinic
-    attempts = []
-
-    def failing(lam, *args, **kwargs):
-        attempts.append((lam, kwargs["n"]))
-        if kwargs["n"] == mesh and [m for _, m in attempts].count(mesh) == 1:
-            raise NonConvergenceError(1, 1.0)
-        return real(lam, *args, **kwargs)
-
-    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", failing)
-    return attempts
-
-
 def test_correct_on_ladder_starts_on_the_coarsest_mesh():
     # 1025 nodes is not the coarsest mesh of 8193's ladder (513)
     with pytest.raises(ValueError, match="ladder of 8193 starts at 513"):
         correct_on_ladder(solve_heteroclinic(3.0, n=1025), 8193)
 
 
-def test_coarse_failure_halves_the_step(sol3, monkeypatch):
-    attempts = fail_first_solve_on(513, monkeypatch)
-    trace = continue_in_lambda(sol3, SWEEP)
-    # the failed coarsest solve at 10 is followed by no finer one there;
-    # the halved proposal climbs the whole ladder
-    half = pytest.approx(math.sqrt(30.0))
-    assert attempts[:4] == [(10.0, 513), (half, 513), (half, 2049), (half, 8193)]
-    assert sum(s.halvings for s in trace.steps) == 1
-    assert [e.lam for e in trace.entries if e.lam in SWEEP] == list(SWEEP)
-
-
-@pytest.mark.parametrize("mesh", [2049, 8193])
-def test_failure_on_a_finer_mesh_halves_the_step(sol3, monkeypatch, mesh):
-    attempts = fail_first_solve_on(mesh, monkeypatch)
-    trace = continue_in_lambda(sol3, [10.0])
-    tried = [(10.0, m) for m in (513, 2049, 8193) if m <= mesh]
-    half = pytest.approx(math.sqrt(30.0))
-    assert attempts == tried + [(half, 513), (half, 2049), (half, 8193)] + [
-        (10.0, m) for m in (513, 2049, 8193)
-    ]
-    assert [s.halvings for s in trace.steps] == [1, 0]
-    assert trace.solutions[-1].lam == 10.0
-
-
 def test_only_the_first_step_resamples_the_requested_mesh(sol3, monkeypatch):
-    # the climb seeds from the previous climb: after the first step every
-    # seed comes from a coarser mesh, and each seed is one spline (v1's;
-    # v2 is its mirror)
+    # no step reads the one before it, the first included: each target's
+    # coarsest solve is seeded from the composite on its own mesh, each
+    # finer one from the mesh below, and each seed is one spline (v1's; v2
+    # is its mirror)
     sources, splines = [], []
     real_seed, real_resample = heteroclinic._seed_on_grid, heteroclinic.resample
 
@@ -255,8 +219,7 @@ def test_only_the_first_step_resamples_the_requested_mesh(sol3, monkeypatch):
     monkeypatch.setattr(heteroclinic, "resample", counting_resample)
     trace = continue_in_lambda(sol3, SWEEP)
     assert len(trace.steps) == len(SWEEP)
-    assert sources == [8193, 513, 2049] + [513, 513, 2049] * (len(SWEEP) - 1)
-    assert 8193 not in sources[3:]
+    assert sources == [513, 513, 2049] * len(SWEEP)
     assert splines == [1] * len(sources)
 
 
@@ -344,20 +307,6 @@ def test_a_value_outside_the_unit_interval_is_not_bounded(sol3, entry):
     assert not heteroclinic._bounded_flag(v1)
 
 
-def test_step_underflow_reports_last_converged(sol3, monkeypatch):
-    calls = []
-
-    def never_converges(lam, *args, **kwargs):
-        calls.append(lam)
-        raise NonConvergenceError(1, 1.0)
-
-    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", never_converges)
-    with pytest.raises(StepUnderflow) as exc:
-        continue_in_lambda(sol3, [1e6])
-    assert exc.value.at_lambda == 3.0
-    assert len(calls) == 9  # the first proposal and eight halvings
-
-
 def test_continuation_propagates_non_solver_errors(sol3, monkeypatch):
     calls = []
 
@@ -369,76 +318,6 @@ def test_continuation_propagates_non_solver_errors(sol3, monkeypatch):
     with pytest.raises(NotImplementedError):
         continue_in_lambda(sol3, [10.0])
     assert len(calls) == 1
-
-
-@pytest.mark.parametrize(
-    "failure",
-    [
-        NonConvergenceError(1, 1.0),
-        SingularJacobianError(0),
-        SignViolationError("negative component"),
-    ],
-)
-def test_continuation_halves_step_on_solver_failure(failure, monkeypatch):
-    start = solve_heteroclinic(3.0, n=1025)
-    real = heteroclinic.solve_heteroclinic
-    proposals = []
-
-    def fail_first(lam, *args, **kwargs):
-        proposals.append(lam)
-        if len(proposals) == 1:
-            raise failure
-        return real(lam, *args, **kwargs)
-
-    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", fail_first)
-    trace = continue_in_lambda(start, [4.0])
-    assert [s.halvings for s in trace.steps] == [1, 0]
-    assert proposals[1] == pytest.approx(math.sqrt(12.0), rel=1e-12)  # geometric midpoint
-    assert trace.solutions[-1].lam == 4.0
-
-
-@pytest.fixture(scope="module")
-def coarse_sweep():
-    start = solve_heteroclinic(3.0, n=1025)
-    return {s.lam: s for s in continue_in_lambda(start, SWEEP).solutions}
-
-
-def record_proposals(monkeypatch, failures=0):
-    """Route continuation through the real solver, recording each proposed
-    coupling; the first `failures` proposals fail as non-convergence."""
-    real = heteroclinic.solve_heteroclinic
-    proposals = []
-
-    def recording(lam, *args, **kwargs):
-        proposals.append(lam)
-        if len(proposals) <= failures:
-            raise NonConvergenceError(1, 1.0)
-        return real(lam, *args, **kwargs)
-
-    monkeypatch.setattr(heteroclinic, "solve_heteroclinic", recording)
-    return proposals
-
-
-@pytest.mark.parametrize("start,target", [(1e5, 1e6)])
-def test_decade_step_snaps_onto_target(coarse_sweep, monkeypatch, start, target):
-    # a decade step from 1e5 rounds to 999999.9999999995, an ulp short of 1e6
-    proposals = record_proposals(monkeypatch)
-    trace = continue_in_lambda(coarse_sweep[start], [target])
-    assert proposals == [target]
-    assert [e.lam for e in trace.entries] == [start, target]
-
-
-def test_halving_shrinks_the_step_actually_tried(sol3, monkeypatch):
-    # the decade step from 3 is clipped to the target 4; a failure there
-    # must halve 3 -> 4, not the decade, or the same solve is retried
-    proposals = record_proposals(monkeypatch, failures=9)
-    with pytest.raises(StepUnderflow):
-        continue_in_lambda(sol3, [4.0])
-    assert len(proposals) == 9
-    assert len(set(proposals)) == 9
-    assert proposals[0] == 4.0
-    assert proposals[1] == pytest.approx(math.sqrt(12.0), rel=1e-12)
-    assert all(3.0 < b < a for a, b in zip(proposals, proposals[1:]))
 
 
 def test_continuation_target_validation(sol3):
@@ -779,6 +658,8 @@ def test_seed_from_a_coarser_solution():
 
 
 def test_one_mesh_per_solve_attempt(monkeypatch):
+    # each solve builds its one mesh; a composite seed (at 10) is evaluated
+    # on its coarsest mesh first, which is that mesh built once more
     start = solve_heteroclinic(3.0, n=1025)
     meshes, attempts = [], []
     real_grid, real_solve = heteroclinic.default_grid, heteroclinic.solve_heteroclinic
@@ -793,9 +674,9 @@ def test_one_mesh_per_solve_attempt(monkeypatch):
 
     monkeypatch.setattr(heteroclinic, "default_grid", counting_grid)
     monkeypatch.setattr(heteroclinic, "solve_heteroclinic", counting_solve)
-    trace = continue_in_lambda(start, [10.0], n=1025)
-    assert len(attempts) == len(trace.steps) + sum(s.halvings for s in trace.steps)
-    assert len(meshes) == len(attempts) > 0
+    trace = continue_in_lambda(start, [5.0, 10.0], n=1025)
+    assert attempts == [5.0, 10.0] == [s.lam_to for s in trace.steps]
+    assert len(meshes) == len(attempts) + 1
 
 
 def test_refine_solution_widens_domain(sweep_solutions):
